@@ -22,11 +22,9 @@ from structsql.decode import (
     RandomScorer,
     TokenScorer,
     Vocabulary,
-    allowed_tokens,
     beam_search,
     build_trie,
     external_scorer_connect,
-    greedy_decode,
     oracle_scorer,
 )
 from structsql.linking import (
@@ -90,7 +88,6 @@ __all__ = [
     "TableDef",
     "TokenScorer",
     "Vocabulary",
-    "allowed_tokens",
     "beam_search",
     "build_input",
     "build_schema_graph",
@@ -100,7 +97,6 @@ __all__ = [
     "connect_terminals",
     "exact_set_match",
     "external_scorer_connect",
-    "greedy_decode",
     "linearize_schema",
     "load_schema",
     "load_schemas",

@@ -432,18 +432,18 @@ def cmd_complete(args: argparse.Namespace) -> int:
         )
     out_lines, plans = [], []
     for ex, line in zip(examples, lines):
-        schema = schemas[ex.db_id]
-        query = parse_sql(line, schema)
-        fixed, plan = complete_sql(query, schema, graphs[ex.db_id])
-        out_lines.append(render_sql(fixed))
-        plans.append(
-            {
-                "index": ex.index,
-                "added_tables": list(plan.added_tables),
-                "join_conditions": [[str(a), str(b)] for a, b in plan.join_conditions],
-                "rationale": list(plan.rationale),
-            }
-        )
+        # An empty line is a prediction `run` could not decode: keep it empty.
+        text = ""
+        plan_entry: dict = {"index": ex.index, "added_tables": [], "join_conditions": []}
+        if line.strip():
+            schema = schemas[ex.db_id]
+            fixed, plan = complete_sql(parse_sql(line, schema), schema, graphs[ex.db_id])
+            text = render_sql(fixed)
+            plan_entry["added_tables"] = list(plan.added_tables)
+            plan_entry["join_conditions"] = [[str(a), str(b)] for a, b in plan.join_conditions]
+            plan_entry["rationale"] = list(plan.rationale)
+        out_lines.append(text)
+        plans.append(plan_entry)
     _write_or_print(args.out, "\n".join(out_lines) + "\n")
     if args.plan:
         Path(args.plan).write_text(

@@ -404,11 +404,6 @@ class LexiconConstraint:
         return state.node is None or state.node.terminal
 
 
-def allowed_tokens(state: DecodeState, constraint: LexiconConstraint) -> frozenset[int]:
-    """Functional alias for :meth:`LexiconConstraint.allowed_tokens`."""
-    return constraint.allowed_tokens(state)
-
-
 # --------------------------------------------------------------------------
 # Scorers
 
@@ -596,17 +591,23 @@ def beam_search(
             else:
                 candidates = all_sorted
             scores = scorer.score_candidates(src, state.tokens, candidates, example_id)
+            # Each non-EOS candidate yields at least one successor, so a pair
+            # outside its parent's top 2*beam has 2*beam distinct states
+            # ranked above it and cannot reach the step's top 2*beam: only
+            # those pairs are advanced.  The key is the summed score the
+            # successor will carry, tie-broken on the token as the step is.
+            pairs = []
             for token_id, token_score in zip(candidates, scores):
-                if token_id == eos:
-                    if constrained and not constraint.can_finish(state):
-                        continue
-                    if state.in_literal or not state.tokens:
-                        continue
+                if token_id != eos:
+                    pairs.append((-(state.score + token_score), token_id, token_score))
+                elif state.tokens and not state.in_literal and (
+                    not constrained or constraint.can_finish(state)
+                ):
                     final = replace(state, score=state.score + token_score)
                     prev = finished.get(final.tokens)
                     if prev is None or final.score > prev.score:
                         finished[final.tokens] = final
-                    continue
+            for _, token_id, token_score in nsmallest(2 * beam_width, pairs):
                 if constrained:
                     successors = constraint.advance(state, token_id, token_score)
                 else:
@@ -659,17 +660,6 @@ def beam_search(
 
     ranked_done = sorted(done.values(), key=rank_key)[:beam_width]
     return [Hypothesis(s.tokens, s.score) for s in ranked_done]
-
-
-def greedy_decode(
-    scorer: TokenScorer,
-    source: AnnotatedInput | Sequence[str],
-    trie: PrefixTrie | LexiconConstraint | None,
-    max_len: int = 200,
-    **kwargs,
-) -> Hypothesis:
-    """Width-1 beam search."""
-    return beam_search(scorer, source, trie, beam_width=1, max_len=max_len, **kwargs)[0]
 
 
 # --------------------------------------------------------------------------

@@ -216,6 +216,35 @@ def test_complete_subcommand(tennis, corpus_dir, tmp_path, tables_path):
     assert json.loads(read(plan).splitlines()[0])["added_tables"] == ["Matches"]
 
 
+def test_complete_keeps_empty_prediction_line(corpus_dir, tmp_path):
+    # `run` writes an empty line for an example it could not decode.
+    examples = json.loads(read(corpus_dir / "examples.json"))[:4]
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(examples), encoding="utf-8")
+    lines = [e["query"] for e in examples]
+    lines[1] = ""
+    sql = tmp_path / "in.sql"
+    sql.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.sql"
+    plan = tmp_path / "plan.jsonl"
+    code = main(
+        [
+            "complete",
+            "--data", str(data),
+            "--tables", str(corpus_dir / "tables.json"),
+            "--sql", str(sql),
+            "--out", str(out),
+            "--plan", str(plan),
+        ]
+    )
+    assert code == EXIT_OK
+    completed = read(out).splitlines()
+    assert len(completed) == 4
+    assert completed[1] == ""
+    assert all(completed[i] for i in (0, 2, 3))
+    assert json.loads(read(plan).splitlines()[1])["added_tables"] == []
+
+
 def test_evaluate_subcommand(corpus_dir, tmp_path, capsys):
     examples = json.loads(read(corpus_dir / "examples.json"))
     pred = tmp_path / "pred.sql"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structsql.decode import (
     AdversarialScorer,
@@ -13,14 +15,13 @@ from structsql.decode import (
     Vocabulary,
     beam_search,
     build_trie,
-    greedy_decode,
     oracle_scorer,
 )
-from structsql.schema import DatabaseSchema, load_schema
+from structsql.schema import DatabaseSchema, build_schema_graph, load_schema
 from structsql.sql_ast import render_sql
 from structsql.synth import random_query, random_schema_doc
 
-from util_checks import identifier_run_violations, sequence_explained
+from util_checks import identifier_run_violations, reference_beam_search, sequence_explained
 
 
 def surfaces(vocab, ids):
@@ -214,7 +215,7 @@ def test_width_one_equals_manual_greedy(tennis_kit):
     scorer = oracle_scorer(gold, vocab)
     constraint = LexiconConstraint(trie, vocab)
 
-    # Manual argmax-with-mask loop, re-implемented without beam_search.
+    # Manual argmax-with-mask loop, re-implemented without beam_search.
     state = DecodeState()
     out = []
     for _ in range(100):
@@ -226,7 +227,7 @@ def test_width_one_equals_manual_greedy(tennis_kit):
         out.append(best)
         state = constraint.advance(state, best, 0.0)[0]
 
-    hyp = greedy_decode(scorer, ["q"], trie, max_len=100)
+    hyp = beam_search(scorer, ["q"], trie, beam_width=1, max_len=100)[0]
     assert list(hyp.token_ids) == out
 
 
@@ -342,6 +343,70 @@ def test_oracle_property_random_queries(tennis, tennis_graph):
         width = rng.choice((1, 2, 5))
         hyps = beam_search(oracle_scorer(gold, vocab), ["q"], trie, beam_width=width, max_len=150)
         assert hyps[0].text(vocab) == gold
+
+
+class QuantizedScorer(RandomScorer):
+    """Random scores rounded to quarters: exact ties everywhere."""
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        return [round(s * 4) / 4 for s in scores]
+
+
+class MixedMagnitudeScorer(RandomScorer):
+    """Random scores offset by -1e17 after every third token: the next step's
+    distinct scores then vanish in the summed hypothesis score, so only the
+    sum (not the raw score) ties and the token id decides."""
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        if len(prefix) % 3 == 0:
+            return [s - 1e17 for s in scores]
+        return scores
+
+
+def _outcome(search, scorer, trie, **kwargs):
+    try:
+        return [(h.token_ids, h.score) for h in search(scorer, ["q"], trie, **kwargs)]
+    except NoValidHypothesis:
+        return NoValidHypothesis
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    with_values=st.booleans(),
+    beam=st.integers(min_value=1, max_value=8),
+    max_len=st.integers(min_value=1, max_value=60),
+    constrained=st.booleans(),
+    kind=st.sampled_from(["oracle", "scrambled", "random", "quantized", "mixed"]),
+)
+# Draws where a bare value enters the beam twice (value-trie cursor and free
+# literal) with equal score: the result depends on the successors' order.
+@example(seed=163, with_values=True, beam=1, max_len=20, constrained=True, kind="scrambled")
+@example(seed=182, with_values=True, beam=1, max_len=20, constrained=True, kind="scrambled")
+@settings(max_examples=60, deadline=None)
+def test_beam_search_matches_reference(seed, with_values, beam, max_len, constrained, kind):
+    rng = random.Random(seed)
+    doc, content = random_schema_doc(rng, "db", max_tables=4, with_values=with_values)
+    schema = load_schema(doc, content=content or None)
+    graph = build_schema_graph(schema)
+    corpus = [render_sql(random_query(rng, schema, graph)) for _ in range(3)]
+    vocab = Vocabulary.build([schema], corpus_texts=corpus)
+    if kind == "oracle":
+        scorer = oracle_scorer(corpus[0], vocab)
+    elif kind == "scrambled":
+        # Oracle of a random token string: mostly masked, so 0.0 ties, and
+        # bare values that the trie and the literal set both accept.
+        tokens = [i for i in vocab.all_ids if i != vocab.eos_id]
+        scorer = OracleScorer(vocab, rng.choices(tokens, k=12))
+    else:
+        scorer = {"random": RandomScorer, "quantized": QuantizedScorer,
+                  "mixed": MixedMagnitudeScorer}[kind](vocab, seed=seed)
+    trie = build_trie(schema, vocab) if constrained else None
+    kwargs = dict(beam_width=beam, max_len=max_len, constrained=constrained)
+    assert _outcome(beam_search, scorer, trie, **kwargs) == _outcome(
+        reference_beam_search, scorer, trie, **kwargs
+    )
 
 
 # -- schema faithfulness fuzz -----------------------------------------------------

@@ -3,13 +3,19 @@
 Deliberately implemented apart from the package code paths they check:
 subset enumeration with union-find instead of bitmask BFS, an NFA over
 surface strings instead of the trie, plain transitive closure instead of
-graph search.
+graph search.  ``reference_beam_search`` is the unpruned beam search: it
+advances every allowed candidate of every live hypothesis.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
+from heapq import nsmallest
 from itertools import combinations
+
+from structsql.annotate import AnnotatedInput
+from structsql.decode import DecodeState, Hypothesis, LexiconConstraint, NoValidHypothesis
 
 _SPLIT = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
 
@@ -151,3 +157,101 @@ def transitive_closure_connected(
                 if not reach[i][j]:
                     reach[i][j] = any(reach[i][k] and reach[k][j] for k in range(n_tables))
     return reach[a][b]
+
+
+def reference_beam_search(
+    scorer,
+    source,
+    trie,
+    beam_width: int = 5,
+    max_len: int = 200,
+    *,
+    constrained: bool = True,
+    length_normalize: bool = False,
+    example_id: str | None = None,
+) -> list[Hypothesis]:
+    """Beam search that turns every scored candidate into states before the
+    step's top-2*beam cut; same signature and result as ``beam_search``."""
+    if beam_width < 1 or max_len < 1:
+        raise ValueError("beam width and max length must be >= 1")
+    if isinstance(trie, LexiconConstraint):
+        constraint = trie
+    elif trie is not None:
+        constraint = LexiconConstraint(trie, scorer.vocab)
+    else:
+        constraint = None
+        constrained = False
+    if isinstance(source, AnnotatedInput):
+        if example_id is None:
+            example_id = source.example_id
+        src = source.tokens
+    else:
+        src = tuple(source)
+    eos = scorer.eos_id
+    all_sorted = tuple(scorer.vocab.all_ids)
+
+    live: list[DecodeState] = [DecodeState()]
+    done: dict[tuple[int, ...], DecodeState] = {}
+    for _ in range(max_len):
+        if not live:
+            break
+        pool: dict[tuple, DecodeState] = {}
+        finished: dict[tuple[int, ...], DecodeState] = {}
+        for state in live:
+            candidates = constraint.candidate_ids(state) if constrained else all_sorted
+            scores = scorer.score_candidates(src, state.tokens, candidates, example_id)
+            for token_id, token_score in zip(candidates, scores):
+                if token_id == eos:
+                    if constrained and not constraint.can_finish(state):
+                        continue
+                    if state.in_literal or not state.tokens:
+                        continue
+                    final = replace(state, score=state.score + token_score)
+                    prev = finished.get(final.tokens)
+                    if prev is None or final.score > prev.score:
+                        finished[final.tokens] = final
+                    continue
+                if constrained:
+                    successors = constraint.advance(state, token_id, token_score)
+                else:
+                    successors = [
+                        DecodeState(
+                            state.tokens + (token_id,), None, score=state.score + token_score
+                        )
+                    ]
+                for succ in successors:
+                    prev = pool.get(succ.key())
+                    if prev is None or succ.score > prev.score:
+                        pool[succ.key()] = succ
+
+        ranked = nsmallest(
+            2 * beam_width,
+            list(pool.values()) + list(finished.values()),
+            key=lambda s: (-s.score, s.tokens),
+        )
+        live = []
+        for s in ranked:
+            if finished.get(s.tokens) is s:
+                prev = done.get(s.tokens)
+                if prev is None or s.score > prev.score:
+                    done[s.tokens] = s
+            elif len(live) < beam_width:
+                live.append(s)
+
+        if len(done) >= beam_width:
+            kept = nsmallest(beam_width, done.values(), key=lambda s: (-s.score, s.tokens))
+            done = {s.tokens: s for s in kept}
+            if live and max(s.score for s in live) < kept[-1].score:
+                break
+
+    if not done:
+        raise NoValidHypothesis(
+            f"no hypothesis finished within {max_len} steps (beam {beam_width})"
+        )
+
+    def rank_key(s: DecodeState):
+        score = s.score / max(len(s.tokens), 1) if length_normalize else s.score
+        return (-score, s.tokens)
+
+    ranked_done = sorted(done.values(), key=rank_key)[:beam_width]
+    return [Hypothesis(s.tokens, s.score) for s in ranked_done]
