@@ -57,7 +57,6 @@ from structsql.sql_ast import (
     ComponentSet,
     SqlQuery,
     component_set,
-    mentioned_schema,
     parse_sql,
     render_sql,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "load_schema",
     "load_schemas",
     "logical_form_match",
-    "mentioned_schema",
     "name_link",
     "normalize_value",
     "oracle_scorer",

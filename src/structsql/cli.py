@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from structsql import metrics as metrics_mod
 from structsql.annotate import AnnotatedInput, MarkConfig, build_input
-from structsql.complete import complete_sql
+from structsql.complete import CompletionPlan, complete_sql
 from structsql.decode import (
     LexiconConstraint,
     NoValidHypothesis,
@@ -196,6 +196,21 @@ def make_scorer(
     raise ConfigError(f"unknown scorer spec {spec!r}")
 
 
+def _plan_entry(
+    index: int, plan: CompletionPlan | None = None, error: Exception | None = None
+) -> dict:
+    """One ``plan.jsonl`` record: what completion added to an example, or the
+    exception that stopped it."""
+    entry: dict = {"index": index, "added_tables": [], "join_conditions": []}
+    if plan is not None:
+        entry["added_tables"] = list(plan.added_tables)
+        entry["join_conditions"] = [[str(a), str(b)] for a, b in plan.join_conditions]
+        entry["rationale"] = list(plan.rationale)
+    if error is not None:
+        entry["error"] = f"{type(error).__name__}: {error}"
+    return entry
+
+
 def run_pipeline(
     config: PipelineConfig,
     scorer_factory: Callable[[int], TokenScorer] | None = None,
@@ -296,19 +311,17 @@ def run_pipeline(
     try:
         for ex in examples:
             text = raw_preds[ex.index]
-            plan_entry: dict = {"index": ex.index, "added_tables": [], "join_conditions": []}
+            plan_entry = _plan_entry(ex.index)
             if config.completion and text:
                 try:
                     query = parse_sql(text, schemas[ex.db_id])
                     fixed, plan = complete_sql(query, schemas[ex.db_id], graphs[ex.db_id])
+                except (SqlSyntaxError, ValueError) as exc:
+                    # The prediction is scored as-is; its plan entry says why.
+                    plan_entry = _plan_entry(ex.index, error=exc)
+                else:
                     text = render_sql(fixed)
-                    plan_entry["added_tables"] = list(plan.added_tables)
-                    plan_entry["join_conditions"] = [
-                        [str(a), str(b)] for a, b in plan.join_conditions
-                    ]
-                    plan_entry["rationale"] = list(plan.rationale)
-                except (SqlSyntaxError, ValueError):
-                    pass  # unparseable predictions are scored as-is
+                    plan_entry = _plan_entry(ex.index, plan)
             completed.append(text)
             plans.append(plan_entry)
     except Exception as exc:  # noqa: BLE001
@@ -433,17 +446,13 @@ def cmd_complete(args: argparse.Namespace) -> int:
     out_lines, plans = [], []
     for ex, line in zip(examples, lines):
         # An empty line is a prediction `run` could not decode: keep it empty.
-        text = ""
-        plan_entry: dict = {"index": ex.index, "added_tables": [], "join_conditions": []}
+        text, plan = "", None
         if line.strip():
             schema = schemas[ex.db_id]
             fixed, plan = complete_sql(parse_sql(line, schema), schema, graphs[ex.db_id])
             text = render_sql(fixed)
-            plan_entry["added_tables"] = list(plan.added_tables)
-            plan_entry["join_conditions"] = [[str(a), str(b)] for a, b in plan.join_conditions]
-            plan_entry["rationale"] = list(plan.rationale)
         out_lines.append(text)
-        plans.append(plan_entry)
+        plans.append(_plan_entry(ex.index, plan))
     _write_or_print(args.out, "\n".join(out_lines) + "\n")
     if args.plan:
         Path(args.plan).write_text(

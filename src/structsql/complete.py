@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from structsql.schema import ColumnRef, DatabaseSchema, SchemaGraph
-from structsql.sql_ast import SqlQuery, _iter_refs
+from structsql.sql_ast import SqlQuery, _iter_refs, map_query
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +123,7 @@ def _connect_greedy(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
     while len(components) > 1:
         best: tuple | None = None
         for a, b in combinations(range(len(components)), 2):
-            path = _component_path(graph, components[a], components[b])
+            path = graph.index_path(components[a], components[b])
             if path is None:
                 continue
             key = (len(path), tuple(path), a, b)
@@ -139,31 +139,6 @@ def _connect_greedy(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
             c for k, c in enumerate(components) if k not in (a, b)
         ] + [merged]
     return sorted(components[0])
-
-
-def _component_path(
-    graph: SchemaGraph, src: set[int], dst: set[int]
-) -> list[int] | None:
-    """Shortest path between two index sets, lexicographic-min tie-break."""
-    from heapq import heappop, heappush
-
-    heap: list[tuple[int, tuple[int, ...], int]] = []
-    for i in sorted(src):
-        heappush(heap, (0, (i,), i))
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    while heap:
-        dist, path, node = heappop(heap)
-        if node in dst:
-            return list(path)
-        known = best.get(node)
-        if known is not None and known <= (dist, path):
-            continue
-        best[node] = (dist, path)
-        for name in graph.neighbors(graph.tables[node]):
-            nxt = graph.table_index(name)
-            if nxt not in path:
-                heappush(heap, (dist + 1, path + (nxt,), nxt))
-    return None
 
 
 def _scope_tables(q: SqlQuery, graph: SchemaGraph) -> list[str]:
@@ -211,13 +186,11 @@ def _first_fk(graph: SchemaGraph, a: str, b: str) -> tuple[ColumnRef, ColumnRef]
 
 def _join_order(
     graph: SchemaGraph, connector: list[str], root: str
-) -> tuple[list[str], list[tuple[ColumnRef, ColumnRef]], dict[str, str]]:
-    """BFS over the connector's induced subgraph: join order, FK conditions,
-    and each table's tree parent."""
+) -> tuple[list[str], list[tuple[ColumnRef, ColumnRef]]]:
+    """BFS over the connector's induced subgraph: join order and FK conditions."""
     in_connector = {t.lower() for t in connector}
     order = [root]
     conditions: list[tuple[ColumnRef, ColumnRef]] = []
-    parents: dict[str, str] = {}
     visited = {root.lower()}
     frontier = [root]
     while frontier:
@@ -227,10 +200,9 @@ def _join_order(
             if low in in_connector and low not in visited:
                 visited.add(low)
                 order.append(neighbor)
-                parents[neighbor] = current
                 conditions.append(_first_fk(graph, current, neighbor))
                 frontier.append(neighbor)
-    return order, conditions, parents
+    return order, conditions
 
 
 def _rationale(graph: SchemaGraph, added: list[str], terminals: list[str]) -> list[str]:
@@ -249,46 +221,49 @@ def _rationale(graph: SchemaGraph, added: list[str], terminals: list[str]) -> li
 def complete_sql(
     q: SqlQuery, schema: DatabaseSchema, graph: SchemaGraph
 ) -> tuple[SqlQuery, CompletionPlan]:
-    """Rewrite the FROM clause so every mentioned table is join-connected.
+    """Rewrite the FROM clause of every query level so that each level's
+    mentioned tables are join-connected.
 
-    Already-connected queries come back unchanged with an empty plan.  Added
-    join conditions always take the first-declared foreign key of each edge,
-    rendered child-key = parent-key.  Clauses other than FROM are untouched;
-    subqueries hanging off a set operation are completed recursively.
+    Each level (the query itself, nested subqueries in condition values, and
+    set-operation branches) is completed on its own from the tables its own
+    clauses mention; the plan concatenates the levels' plans in
+    :func:`~structsql.sql_ast.map_query` order.  Already-connected levels come
+    back unchanged, so a connected query has an empty plan.  Added join
+    conditions always take the first-declared foreign key of each edge,
+    rendered child-key = parent-key.  Clauses other than FROM are untouched.
     """
-    completed = q
-    plan = CompletionPlan()
-    terminals = _scope_tables(q, graph)
-    if terminals:
-        connector = connect_terminals(graph, terminals)
-        from_set = {t.lower() for t in q.from_tables}
-        fixed_point = (
-            {t.lower() for t in connector} <= from_set
-            and _conditions_span(q.from_tables, q.join_conditions)
-        )
-        if not fixed_point:
-            # Every FROM table is itself a terminal, so the connector covers it.
-            root = graph.canonical(q.from_tables[0]) if q.from_tables else connector[0]
-            order, conditions, _ = _join_order(graph, connector, root)
-            added = tuple(t for t in order if t.lower() not in from_set)
-            plan = CompletionPlan(
-                added_tables=added,
-                join_conditions=tuple(conditions),
-                rationale=tuple(_rationale(graph, list(added), terminals)),
-            )
-            completed = replace(
-                q,
-                from_tables=tuple(order),
-                join_conditions=tuple(conditions),
-            )
+    plans: list[CompletionPlan] = []
 
-    if completed.set_op is not None:
-        rhs, rhs_plan = complete_sql(completed.set_op[1], schema, graph)
-        if rhs_plan.changed:
-            completed = replace(completed, set_op=(completed.set_op[0], rhs))
-            plan = CompletionPlan(
-                added_tables=plan.added_tables + rhs_plan.added_tables,
-                join_conditions=plan.join_conditions + rhs_plan.join_conditions,
-                rationale=plan.rationale + rhs_plan.rationale,
-            )
-    return completed, plan
+    def complete_level(level: SqlQuery) -> SqlQuery:
+        fixed, plan = _complete_level(level, graph)
+        plans.append(plan)
+        return fixed
+
+    completed = map_query(q, complete_level)
+    return completed, CompletionPlan(
+        added_tables=tuple(t for p in plans for t in p.added_tables),
+        join_conditions=tuple(c for p in plans for c in p.join_conditions),
+        rationale=tuple(r for p in plans for r in p.rationale),
+    )
+
+
+def _complete_level(q: SqlQuery, graph: SchemaGraph) -> tuple[SqlQuery, CompletionPlan]:
+    terminals = _scope_tables(q, graph)
+    if not terminals:
+        return q, CompletionPlan()
+    connector = connect_terminals(graph, terminals)
+    from_set = {t.lower() for t in q.from_tables}
+    if {t.lower() for t in connector} <= from_set and _conditions_span(
+        q.from_tables, q.join_conditions
+    ):
+        return q, CompletionPlan()
+    # Every FROM table is itself a terminal, so the connector covers it.
+    root = graph.canonical(q.from_tables[0]) if q.from_tables else connector[0]
+    order, conditions = _join_order(graph, connector, root)
+    added = tuple(t for t in order if t.lower() not in from_set)
+    plan = CompletionPlan(
+        added_tables=added,
+        join_conditions=tuple(conditions),
+        rationale=tuple(_rationale(graph, list(added), terminals)),
+    )
+    return replace(q, from_tables=tuple(order), join_conditions=tuple(conditions)), plan

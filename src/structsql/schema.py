@@ -408,6 +408,17 @@ class SchemaGraph:
             adj[j].append(i)
         self._adj = {i: tuple(sorted(n)) for i, n in adj.items()}
         self._fk_between = {pair: tuple(fks) for pair, fks in link_pairs.items()}
+        # Table-link component of each table: the smallest table index in it.
+        self._component = list(range(len(self.tables)))
+        for root in range(len(self.tables)):
+            if self._component[root] != root:
+                continue
+            frontier = [root]
+            while frontier:
+                for nxt in self._adj[frontier.pop()]:
+                    if self._component[nxt] != root:
+                        self._component[nxt] = root
+                        frontier.append(nxt)
 
     def table_index(self, name: str) -> int:
         return self._index[name.lower()]
@@ -428,7 +439,7 @@ class SchemaGraph:
         return self._fk_between.get((min(i, j), max(i, j)), ())
 
     def connected(self, a: str, b: str) -> bool:
-        return self.shortest_path(a, b) is not None
+        return self._component[self.table_index(a)] == self._component[self.table_index(b)]
 
     def shortest_path(self, a: str, b: str) -> list[str] | None:
         """Shortest table-link path from a to b, endpoints included.
@@ -436,15 +447,22 @@ class SchemaGraph:
         Among equal-length paths the one whose table indices are
         lexicographically smallest wins, so results are deterministic.
         """
-        start, goal = self.table_index(a), self.table_index(b)
-        if start == goal:
-            return [self.tables[start]]
+        path = self.index_path({self.table_index(a)}, {self.table_index(b)})
+        return None if path is None else [self.tables[i] for i in path]
+
+    def index_path(self, src: set[int], dst: set[int]) -> list[int] | None:
+        """Shortest table-link path, as table indices, from any table in
+        ``src`` to any table in ``dst``; None when there is none.
+
+        Among equal-length paths the lexicographically smallest index
+        sequence wins.
+        """
+        heap: list[tuple[int, tuple[int, ...], int]] = [(0, (i,), i) for i in sorted(src)]
         best: dict[int, tuple[int, tuple[int, ...]]] = {}
-        heap: list[tuple[int, tuple[int, ...], int]] = [(0, (start,), start)]
         while heap:
             dist, path, node = heappop(heap)
-            if node == goal:
-                return [self.tables[i] for i in path]
+            if node in dst:
+                return list(path)
             known = best.get(node)
             if known is not None and known <= (dist, path):
                 continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from structsql.linking import normalize_value
 from structsql.schema import ColumnRef, ColumnType, DatabaseSchema, STAR
@@ -440,46 +440,95 @@ class _Parser:
         return OrderItem(expr, desc=(word == "DESC"))
 
 
-def _map_ref(ref: ColumnRef, aliases: dict[str, str]) -> ColumnRef:
-    if ref.table and ref.table.lower() in aliases:
-        return ColumnRef(aliases[ref.table.lower()], ref.column)
-    return ref
+# --------------------------------------------------------------------------
+# Walker: the one place that lists a level's clauses and walks the level tree
+
+
+def _map_conditions(
+    cl: ConditionList | None,
+    fix_left: Callable[[ColumnExpr], ColumnExpr],
+    fix_value: Callable[[Value], Value],
+) -> ConditionList | None:
+    if cl is None:
+        return None
+    return ConditionList(
+        tuple(
+            Condition(fix_left(c.left), c.op, tuple(fix_value(v) for v in c.values))
+            for c in cl.conditions
+        ),
+        cl.connectors,
+    )
+
+
+def map_refs(level: SqlQuery, fix_ref: Callable[[ColumnRef], ColumnRef]) -> SqlQuery:
+    """Copy of one SELECT level with ``fix_ref`` applied to the column
+    references of its own clauses, in clause order: SELECT, JOIN ON, WHERE,
+    HAVING (left sides and ``ColumnRef`` values), GROUP BY, ORDER BY.
+    Subqueries and the set-operation chain are left as they are."""
+
+    def fix_expr(e: ColumnExpr) -> ColumnExpr:
+        return ColumnExpr(fix_ref(e.ref), e.agg, e.distinct)
+
+    def fix_value(v: Value) -> Value:
+        return fix_ref(v) if isinstance(v, ColumnRef) else v
+
+    return replace(
+        level,
+        select=tuple(fix_expr(e) for e in level.select),
+        join_conditions=tuple((fix_ref(a), fix_ref(b)) for a, b in level.join_conditions),
+        where=_map_conditions(level.where, fix_expr, fix_value),
+        having=_map_conditions(level.having, fix_expr, fix_value),
+        group_by=tuple(fix_ref(r) for r in level.group_by),
+        order_by=tuple(OrderItem(fix_expr(o.expr), o.desc) for o in level.order_by),
+    )
+
+
+def map_query(q: SqlQuery, fn: Callable[[SqlQuery], SqlQuery]) -> SqlQuery:
+    """Apply ``fn`` to every SELECT level in pre-order and rebuild the tree.
+
+    The order is the level itself, then the subqueries among its WHERE and
+    HAVING values in clause order, then its set-operation chain.  ``fn`` sees
+    a level whose subqueries and set operation are not mapped yet; those of
+    its result are mapped next.
+    """
+    level = fn(q)
+
+    def same(e: ColumnExpr) -> ColumnExpr:
+        return e
+
+    def fix_value(v: Value) -> Value:
+        return map_query(v, fn) if isinstance(v, SqlQuery) else v
+
+    return replace(
+        level,
+        where=_map_conditions(level.where, same, fix_value),
+        having=_map_conditions(level.having, same, fix_value),
+        set_op=None if level.set_op is None else (level.set_op[0], map_query(level.set_op[1], fn)),
+    )
+
+
+def _iter_refs(level: SqlQuery) -> list[ColumnRef]:
+    """Column references of one level's own clauses, in clause order."""
+    refs: list[ColumnRef] = []
+
+    def note(ref: ColumnRef) -> ColumnRef:
+        refs.append(ref)
+        return ref
+
+    map_refs(level, note)
+    return refs
 
 
 def _strip_aliases(q: SqlQuery, aliases: dict[str, str]) -> SqlQuery:
     if not aliases:
         return q
 
-    def fix_expr(e: ColumnExpr) -> ColumnExpr:
-        return replace(e, ref=_map_ref(e.ref, aliases))
+    def fix_ref(ref: ColumnRef) -> ColumnRef:
+        if ref.table and ref.table.lower() in aliases:
+            return ColumnRef(aliases[ref.table.lower()], ref.column)
+        return ref
 
-    def fix_value(v: Value) -> Value:
-        if isinstance(v, ColumnRef):
-            return _map_ref(v, aliases)
-        return v
-
-    def fix_conds(cl: ConditionList | None) -> ConditionList | None:
-        if cl is None:
-            return None
-        return ConditionList(
-            tuple(
-                Condition(fix_expr(c.left), c.op, tuple(fix_value(v) for v in c.values))
-                for c in cl.conditions
-            ),
-            cl.connectors,
-        )
-
-    return replace(
-        q,
-        select=tuple(fix_expr(e) for e in q.select),
-        join_conditions=tuple(
-            (_map_ref(a, aliases), _map_ref(b, aliases)) for a, b in q.join_conditions
-        ),
-        where=fix_conds(q.where),
-        group_by=tuple(_map_ref(r, aliases) for r in q.group_by),
-        having=fix_conds(q.having),
-        order_by=tuple(OrderItem(fix_expr(o.expr), o.desc) for o in q.order_by),
-    )
+    return map_refs(q, fix_ref)
 
 
 def parse_sql(text: str, schema: DatabaseSchema | None = None) -> SqlQuery:
@@ -509,85 +558,56 @@ def parse_sql(text: str, schema: DatabaseSchema | None = None) -> SqlQuery:
 
 
 def resolve(q: SqlQuery, schema: DatabaseSchema) -> SqlQuery:
-    """Return a copy with canonical table casing and qualified columns."""
-    tables: list[str] = []
-    for name in q.from_tables:
-        table = schema.table(name)
-        if table is None:
-            raise UnknownTable(f"table {name!r} not in schema {schema.db_id!r}")
-        tables.append(table.name)
+    """Return a copy with canonical table casing and qualified columns.
 
-    def fix_ref(ref: ColumnRef) -> ColumnRef:
-        if ref.column == STAR:
-            if ref.table is None:
-                return ref
-            table = schema.table(ref.table)
+    Each query level resolves unqualified columns against its own FROM tables.
+    """
+
+    def resolve_level(level: SqlQuery) -> SqlQuery:
+        tables: list[str] = []
+        for name in level.from_tables:
+            table = schema.table(name)
             if table is None:
-                raise UnknownTable(f"table {ref.table!r} not in schema")
-            return ColumnRef(table.name, STAR)
-        if ref.table is not None:
-            table = schema.table(ref.table)
-            if table is None:
-                raise UnknownTable(f"table {ref.table!r} not in schema")
-            col = table.column(ref.column)
-            if col is None:
-                raise UnresolvableColumn(f"{ref.table}.{ref.column} not in schema")
-            return ColumnRef(table.name, col.name)
-        owners = [
-            t for t in tables
-            if schema.table(t) is not None and schema.table(t).column(ref.column) is not None
-        ]
-        if len(owners) == 1:
-            return ColumnRef(owners[0], schema.table(owners[0]).column(ref.column).name)
-        if not owners:
-            raise UnresolvableColumn(f"column {ref.column!r} not in any FROM table")
-        raise AmbiguousColumn(f"column {ref.column!r} owned by {owners}")
+                raise UnknownTable(f"table {name!r} not in schema {schema.db_id!r}")
+            tables.append(table.name)
 
-    def fix_expr(e: ColumnExpr) -> ColumnExpr:
-        return replace(e, ref=fix_ref(e.ref))
+        def fix_ref(ref: ColumnRef) -> ColumnRef:
+            if ref.column == STAR:
+                if ref.table is None:
+                    return ref
+                table = schema.table(ref.table)
+                if table is None:
+                    raise UnknownTable(f"table {ref.table!r} not in schema")
+                return ColumnRef(table.name, STAR)
+            if ref.table is not None:
+                table = schema.table(ref.table)
+                if table is None:
+                    raise UnknownTable(f"table {ref.table!r} not in schema")
+                col = table.column(ref.column)
+                if col is None:
+                    raise UnresolvableColumn(f"{ref.table}.{ref.column} not in schema")
+                return ColumnRef(table.name, col.name)
+            owners = [
+                t for t in tables
+                if schema.table(t) is not None and schema.table(t).column(ref.column) is not None
+            ]
+            if len(owners) == 1:
+                return ColumnRef(owners[0], schema.table(owners[0]).column(ref.column).name)
+            if not owners:
+                raise UnresolvableColumn(f"column {ref.column!r} not in any FROM table")
+            raise AmbiguousColumn(f"column {ref.column!r} owned by {owners}")
 
-    def fix_value(v: Value) -> Value:
-        if isinstance(v, ColumnRef):
-            return fix_ref(v)
-        if isinstance(v, SqlQuery):
-            return resolve(v, schema)
-        return v
+        resolved = replace(map_refs(level, fix_ref), from_tables=tuple(tables))
+        table_set = {t.lower() for t in tables}
+        for pair in resolved.join_conditions:
+            for ref in pair:
+                if (ref.table or "").lower() not in table_set:
+                    raise UnresolvableColumn(
+                        f"join condition references {ref}, not in FROM clause"
+                    )
+        return resolved
 
-    def fix_conds(cl: ConditionList | None) -> ConditionList | None:
-        if cl is None:
-            return None
-        return ConditionList(
-            tuple(
-                Condition(fix_expr(c.left), c.op, tuple(fix_value(v) for v in c.values))
-                for c in cl.conditions
-            ),
-            cl.connectors,
-        )
-
-    joins = []
-    table_set = {t.lower() for t in tables}
-    for a, b in q.join_conditions:
-        ra, rb = fix_ref(a), fix_ref(b)
-        for ref in (ra, rb):
-            if (ref.table or "").lower() not in table_set:
-                raise UnresolvableColumn(
-                    f"join condition references {ref}, not in FROM clause"
-                )
-        joins.append((ra, rb))
-
-    resolved = replace(
-        q,
-        from_tables=tuple(tables),
-        join_conditions=tuple(joins),
-        select=tuple(fix_expr(e) for e in q.select),
-        where=fix_conds(q.where),
-        group_by=tuple(fix_ref(r) for r in q.group_by),
-        having=fix_conds(q.having),
-        order_by=tuple(OrderItem(fix_expr(o.expr), o.desc) for o in q.order_by),
-    )
-    if q.set_op is not None:
-        resolved = replace(resolved, set_op=(q.set_op[0], resolve(q.set_op[1], schema)))
-    return resolved
+    return map_query(q, resolve_level)
 
 
 # --------------------------------------------------------------------------
@@ -684,57 +704,27 @@ def render_sql(q: SqlQuery) -> str:
 # Mentioned schema and component sets
 
 
-def _iter_refs(q: SqlQuery) -> Iterable[ColumnRef]:
-    for e in q.select:
-        yield e.ref
-    for a, b in q.join_conditions:
-        yield a
-        yield b
-    for cl in (q.where, q.having):
-        if cl is None:
-            continue
-        for cond in cl.conditions:
-            yield cond.left.ref
-            for v in cond.values:
-                if isinstance(v, ColumnRef):
-                    yield v
-    yield from q.group_by
-    for o in q.order_by:
-        yield o.expr.ref
-
-
-def _iter_subqueries(q: SqlQuery) -> Iterable[SqlQuery]:
-    for cl in (q.where, q.having):
-        if cl is None:
-            continue
-        for cond in cl.conditions:
-            for v in cond.values:
-                if isinstance(v, SqlQuery):
-                    yield v
-    if q.set_op is not None:
-        yield q.set_op[1]
-
-
 def mentioned_schema(q: SqlQuery) -> tuple[frozenset[str], frozenset[str]]:
     """Tables and qualified columns referenced anywhere in the query tree."""
-    tables: set[str] = set(q.from_tables)
+    tables: set[str] = set()
     columns: set[str] = set()
-    for ref in _iter_refs(q):
-        if ref.column == STAR:
-            owners = [ref.table] if ref.table else list(q.from_tables)
-            for t in owners:
-                tables.add(t)
-                columns.add(f"{t}.{STAR}")
-            continue
-        if ref.table:
-            tables.add(ref.table)
-            columns.add(f"{ref.table}.{ref.column}")
-        else:
-            columns.add(ref.column)
-    for sub in _iter_subqueries(q):
-        sub_tables, sub_columns = mentioned_schema(sub)
-        tables |= sub_tables
-        columns |= sub_columns
+
+    def note(level: SqlQuery) -> SqlQuery:
+        tables.update(level.from_tables)
+        for ref in _iter_refs(level):
+            if ref.column == STAR:
+                owners = [ref.table] if ref.table else list(level.from_tables)
+                for t in owners:
+                    tables.add(t)
+                    columns.add(f"{t}.{STAR}")
+            elif ref.table:
+                tables.add(ref.table)
+                columns.add(f"{ref.table}.{ref.column}")
+            else:
+                columns.add(ref.column)
+        return level
+
+    map_query(q, note)
     return frozenset(tables), frozenset(columns)
 
 

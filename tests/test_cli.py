@@ -245,6 +245,43 @@ def test_complete_keeps_empty_prediction_line(corpus_dir, tmp_path):
     assert json.loads(read(plan).splitlines()[1])["added_tables"] == []
 
 
+def test_run_records_completion_failures_in_plan(tmp_path):
+    # Two tables without a foreign key: no join path can connect them.
+    doc = {
+        "db_id": "iso",
+        "table_names_original": ["a", "b"],
+        "column_names_original": [[-1, "*"], [0, "id"], [1, "id"]],
+        "column_types": ["text", "integer", "integer"],
+        "primary_keys": [1, 2],
+        "foreign_keys": [],
+    }
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([doc]), encoding="utf-8")
+    data = tmp_path / "data.json"
+    gold = {"db_id": "iso", "question": "a ids", "query": "SELECT a.id FROM a WHERE a.id = 1"}
+    data.write_text(json.dumps([gold, gold]), encoding="utf-8")
+    predictions = ["SELECT a.id FROM a WHERE b.id = 1", "SELECT a.id FROM a WHERE"]
+    targets = tmp_path / "targets.sql"
+    targets.write_text("\n".join(predictions) + "\n", encoding="utf-8")
+    config = PipelineConfig(
+        data=str(data),
+        tables=str(tables),
+        out_dir=str(tmp_path / "run"),
+        scorer=f"oracle:{targets}",
+        constrained=False,
+        beam_width=1,
+        max_len=20,
+    )
+    run_pipeline(config)
+    out = tmp_path / "run"
+    assert read(out / "decoded.sql").splitlines() == predictions
+    assert read(out / "completed.sql").splitlines() == predictions
+    plans = [json.loads(line) for line in read(out / "plan.jsonl").splitlines()]
+    assert plans[0]["error"] == "Disconnected: no join path between 'a' and 'b'"
+    assert plans[1]["error"].startswith("SqlSyntaxError: ")
+    assert all(p["added_tables"] == [] and p["join_conditions"] == [] for p in plans)
+
+
 def test_evaluate_subcommand(corpus_dir, tmp_path, capsys):
     examples = json.loads(read(corpus_dir / "examples.json"))
     pred = tmp_path / "pred.sql"

@@ -1,15 +1,27 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structsql.complete import (
     Disconnected,
     complete_sql,
     connect_terminals,
 )
-from structsql.schema import build_schema_graph, load_schema
-from structsql.sql_ast import component_set, mentioned_schema, parse_sql, render_sql
+from structsql.schema import ColumnRef, build_schema_graph, load_schema
+from structsql.sql_ast import (
+    ColumnExpr,
+    Condition,
+    ConditionList,
+    SqlQuery,
+    component_set,
+    mentioned_schema,
+    parse_sql,
+    render_sql,
+)
 from structsql.synth import random_query, random_schema_doc
 
 from util_checks import brute_force_connector
@@ -293,6 +305,88 @@ def test_set_op_branches_completed(tennis, tennis_graph):
     fixed, plan = complete_sql(q, tennis, tennis_graph)
     assert "Matches" in fixed.set_op[1].from_tables
     assert "Matches" in plan.added_tables
+
+
+def test_nested_subquery_level_completed(tennis, tennis_graph):
+    q = parse_sql(
+        "SELECT Players.First_name FROM Players WHERE Players.Player_id IN "
+        "(SELECT Matches.Winner_id FROM Matches WHERE Ranking.Ranking = 1)",
+        tennis,
+    )
+    fixed, plan = complete_sql(q, tennis, tennis_graph)
+    assert render_sql(fixed) == (
+        "SELECT Players.First_name FROM Players WHERE Players.Player_id IN "
+        "(SELECT Matches.Winner_id FROM Matches JOIN Ranking "
+        "ON Ranking.Player_id = Matches.Winner_id WHERE Ranking.Ranking = 1)"
+    )
+    assert plan.added_tables == ("Ranking",)
+
+
+def _levels(q):
+    """Every SELECT level in pre-order, walked here apart from the package."""
+    out = [q]
+    for cl in (q.where, q.having):
+        for cond in cl.conditions if cl is not None else ():
+            for v in cond.values:
+                if isinstance(v, SqlQuery):
+                    out += _levels(v)
+    if q.set_op is not None:
+        out += _levels(q.set_op[1])
+    return out
+
+
+def _mentions(level):
+    """Lowercased tables named by one level's FROM and its own column references."""
+    refs = [e.ref for e in level.select] + [r for pair in level.join_conditions for r in pair]
+    for cl in (level.where, level.having):
+        for cond in cl.conditions if cl is not None else ():
+            refs.append(cond.left.ref)
+            refs += [v for v in cond.values if isinstance(v, ColumnRef)]
+    refs += list(level.group_by) + [o.expr.ref for o in level.order_by]
+    return {t.lower() for t in level.from_tables} | {r.table.lower() for r in refs if r.table}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_nested_levels_completed_minimal_and_fk_backed(seed, data):
+    rng = random.Random(seed)
+    doc, _ = random_schema_doc(rng, "db", min_tables=2, max_tables=7)
+    schema = load_schema(doc)
+    graph = build_schema_graph(schema)
+    outer = random_query(rng, schema, graph)
+    inner = random_query(rng, schema, graph)
+    keep = data.draw(st.sets(st.sampled_from(inner.from_tables), min_size=1))
+    inner = replace(
+        inner,
+        from_tables=tuple(t for t in inner.from_tables if t in keep),
+        join_conditions=tuple(
+            (a, b) for a, b in inner.join_conditions if a.table in keep and b.table in keep
+        ),
+    )
+    host = schema.table(outer.from_tables[0])
+    nest = Condition(ColumnExpr(ColumnRef(host.name, host.columns[0].name)), "IN", (inner,))
+    where = outer.where or ConditionList(())
+    q = replace(
+        outer,
+        where=ConditionList(
+            where.conditions + (nest,), where.connectors + (("AND",) if where.conditions else ())
+        ),
+    )
+
+    fixed, _ = complete_sql(q, schema, graph)
+    fk_pairs = {frozenset({a.key(), b.key()}) for a, b in schema.foreign_keys}
+    index = {t.lower(): i for i, t in enumerate(graph.tables)}
+    before, after = _levels(q), _levels(fixed)
+    assert len(before) == len(after)
+    for depth, (p, c) in enumerate(zip(before, after)):
+        from_set = {t.lower() for t in c.from_tables}
+        assert _mentions(c) <= from_set, f"level {depth}"
+        for a, b in c.join_conditions:
+            assert frozenset({a.key(), b.key()}) in fk_pairs, f"level {depth}: {a} = {b}"
+        minimum = brute_force_connector(
+            len(graph.tables), graph_edges(graph), {index[t] for t in _mentions(p)}
+        )
+        assert len(from_set) == len(minimum), f"level {depth}"
 
 
 def test_first_declared_fk_wins_between_table_pair():

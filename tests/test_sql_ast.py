@@ -102,6 +102,14 @@ def test_syntax_error_position():
     assert err.value.position >= 7
 
 
+def test_negative_number_literal_rejected_at_minus():
+    # Numeric literals are unsigned in the supported grammar.
+    text = "SELECT Players.First_name FROM Players WHERE Players.Player_id > -1"
+    with pytest.raises(SqlSyntaxError) as err:
+        parse_sql(text)
+    assert err.value.position == text.index("-")
+
+
 def test_empty_query_rejected():
     with pytest.raises(SqlSyntaxError):
         parse_sql("   ")
