@@ -408,17 +408,6 @@ class SchemaGraph:
             adj[j].append(i)
         self._adj = {i: tuple(sorted(n)) for i, n in adj.items()}
         self._fk_between = {pair: tuple(fks) for pair, fks in link_pairs.items()}
-        # Table-link component of each table: the smallest table index in it.
-        self._component = list(range(len(self.tables)))
-        for root in range(len(self.tables)):
-            if self._component[root] != root:
-                continue
-            frontier = [root]
-            while frontier:
-                for nxt in self._adj[frontier.pop()]:
-                    if self._component[nxt] != root:
-                        self._component[nxt] = root
-                        frontier.append(nxt)
 
     def table_index(self, name: str) -> int:
         return self._index[name.lower()]
@@ -439,7 +428,7 @@ class SchemaGraph:
         return self._fk_between.get((min(i, j), max(i, j)), ())
 
     def connected(self, a: str, b: str) -> bool:
-        return self._component[self.table_index(a)] == self._component[self.table_index(b)]
+        return self.index_path({self.table_index(a)}, {self.table_index(b)}) is not None
 
     def shortest_path(self, a: str, b: str) -> list[str] | None:
         """Shortest table-link path from a to b, endpoints included.

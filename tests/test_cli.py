@@ -245,8 +245,8 @@ def test_complete_keeps_empty_prediction_line(corpus_dir, tmp_path):
     assert json.loads(read(plan).splitlines()[1])["added_tables"] == []
 
 
-def test_run_records_completion_failures_in_plan(tmp_path):
-    # Two tables without a foreign key: no join path can connect them.
+def write_unlinked_corpus(tmp_path, n_examples):
+    """Two tables without a foreign key, so no join path can connect them."""
     doc = {
         "db_id": "iso",
         "table_names_original": ["a", "b"],
@@ -259,7 +259,30 @@ def test_run_records_completion_failures_in_plan(tmp_path):
     tables.write_text(json.dumps([doc]), encoding="utf-8")
     data = tmp_path / "data.json"
     gold = {"db_id": "iso", "question": "a ids", "query": "SELECT a.id FROM a WHERE a.id = 1"}
-    data.write_text(json.dumps([gold, gold]), encoding="utf-8")
+    data.write_text(json.dumps([gold] * n_examples), encoding="utf-8")
+    return tables, data
+
+
+def test_complete_stops_at_first_completion_failure(tmp_path):
+    # Unlike `run`, `complete` stops the whole file on a failing line, also
+    # when only a nested level has no join path.
+    tables, data = write_unlinked_corpus(tmp_path, 2)
+    sql = tmp_path / "in.sql"
+    sql.write_text(
+        "SELECT a.id FROM a\n"
+        "SELECT a.id FROM a WHERE a.id IN (SELECT a.id FROM a WHERE b.id = 1)\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.sql"
+    code = main(
+        ["complete", "--data", str(data), "--tables", str(tables), "--sql", str(sql), "--out", str(out)]
+    )
+    assert code == EXIT_STAGE_ERROR
+    assert not out.exists()
+
+
+def test_run_records_completion_failures_in_plan(tmp_path):
+    tables, data = write_unlinked_corpus(tmp_path, 2)
     predictions = ["SELECT a.id FROM a WHERE b.id = 1", "SELECT a.id FROM a WHERE"]
     targets = tmp_path / "targets.sql"
     targets.write_text("\n".join(predictions) + "\n", encoding="utf-8")

@@ -322,6 +322,24 @@ def test_nested_subquery_level_completed(tennis, tennis_graph):
     assert plan.added_tables == ("Ranking",)
 
 
+def test_enclosing_level_reference_joined_into_inner_level(tennis, tennis_graph):
+    # Correlated subqueries are out of scope: a reference to a table that only
+    # the enclosing level's FROM lists counts as a missing table of the inner
+    # level, which gets its own copy of that table.
+    q = parse_sql(
+        "SELECT Players.First_name FROM Players WHERE Players.Player_id IN "
+        "(SELECT Matches.Winner_id FROM Matches WHERE Matches.Score = Players.Player_id)",
+        tennis,
+    )
+    fixed, plan = complete_sql(q, tennis, tennis_graph)
+    assert render_sql(fixed) == (
+        "SELECT Players.First_name FROM Players WHERE Players.Player_id IN "
+        "(SELECT Matches.Winner_id FROM Matches JOIN Players "
+        "ON Matches.Winner_id = Players.Player_id WHERE Matches.Score = Players.Player_id)"
+    )
+    assert plan.added_tables == ("Players",)
+
+
 def _levels(q):
     """Every SELECT level in pre-order, walked here apart from the package."""
     out = [q]
