@@ -2,7 +2,7 @@
 """Measure allowed-token lookup latency across schema sizes.
 
 The per-step mask lookup must not scale with schema width: the inactive-state
-set is precomputed and per-node sets are cached, so a lookup is a dictionary
+mask is precomputed and per-node masks are cached, so a lookup is a dictionary
 probe whether the schema has ten columns or ten thousand.
 """
 
@@ -37,10 +37,10 @@ def mean_latency(schema: DatabaseSchema, calls: int) -> float:
         DecodeState(tokens=(0,), node=trie.node_at(vocab.tokenize(f"{first}.c000"))),
     ]
     for s in states:
-        constraint.allowed_tokens(s)
+        constraint.candidate_ids(s)
     start = time.perf_counter()
     for i in range(calls):
-        constraint.allowed_tokens(states[i % 3])
+        constraint.candidate_ids(states[i % 3])
     return (time.perf_counter() - start) / calls
 
 

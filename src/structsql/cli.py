@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -78,7 +77,6 @@ class PipelineConfig:
     oracle_prev_sql: bool = False
     language: str = "en"
     seed: int = 0
-    workers: int = os.cpu_count() or 1
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -255,43 +253,41 @@ def run_pipeline(
     except (OSError, ValueError) as exc:
         raise StageError("scorer", exc) from exc
 
+    # Stage: decode, interaction by interaction so each turn sees the
+    # previous turn's prediction
     sources: dict[int, str] = {}
     raw_preds: dict[int, str] = {}
-
-    def run_interaction(group: list[Example]) -> None:
-        prev_text: str | None = None
-        for idx, ex in enumerate(group):
-            schema = schemas[ex.db_id]
-            ex_prev = None
-            if config.discourse and len(group) > 1:
-                if config.oracle_prev_sql and idx > 0:
-                    ex_prev = group[idx - 1].query
-                else:
-                    ex_prev = prev_text
-            annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
-            sources[ex.index] = annotated.render()
-            scorer = factory(ex.index)
-            try:
-                hyps = beam_search(
-                    scorer,
-                    annotated,
-                    constraints[ex.db_id] if config.constrained else None,
-                    beam_width=config.beam_width,
-                    max_len=config.max_len,
-                    constrained=config.constrained,
-                    example_id=str(ex.index),
-                )
-                # The scorer's vocabulary governs its output ids (an injected
-                # scorer may extend the corpus vocabulary).
-                text = hyps[0].text(scorer.vocab)
-            except NoValidHypothesis:
-                text = ""
-            raw_preds[ex.index] = text
-            prev_text = text
-
     try:
-        with ThreadPoolExecutor(max_workers=max(config.workers, 1)) as pool:
-            list(pool.map(run_interaction, interactions.values()))
+        for group in interactions.values():
+            prev_text: str | None = None
+            for idx, ex in enumerate(group):
+                schema = schemas[ex.db_id]
+                ex_prev = None
+                if config.discourse and len(group) > 1:
+                    if config.oracle_prev_sql and idx > 0:
+                        ex_prev = group[idx - 1].query
+                    else:
+                        ex_prev = prev_text
+                annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
+                sources[ex.index] = annotated.render()
+                scorer = factory(ex.index)
+                try:
+                    hyps = beam_search(
+                        scorer,
+                        annotated,
+                        constraints[ex.db_id] if config.constrained else None,
+                        beam_width=config.beam_width,
+                        max_len=config.max_len,
+                        constrained=config.constrained,
+                        example_id=str(ex.index),
+                    )
+                    # The scorer's vocabulary governs its output ids (an injected
+                    # scorer may extend the corpus vocabulary).
+                    text = hyps[0].text(scorer.vocab)
+                except NoValidHypothesis:
+                    text = ""
+                raw_preds[ex.index] = text
+                prev_text = text
     except Exception as exc:  # noqa: BLE001
         raise StageError("decode", exc) from exc
 
@@ -410,26 +406,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     Path(args.tgt).write_text(
         "\n".join(e.query for e in examples) + "\n", encoding="utf-8"
     )
-    return EXIT_OK
-
-
-def cmd_decode(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        data=args.data,
-        tables=args.tables,
-        content=args.content,
-        out_dir=args.out_dir,
-        beam_width=args.beam,
-        max_len=args.max_len,
-        scorer=args.scorer,
-        constrained=not args.no_constraint,
-        completion=False,
-        include_values=args.values,
-        language=args.language,
-        seed=args.seed,
-    )
-    report = run_pipeline(config)
-    print(report.summary())
     return EXIT_OK
 
 
@@ -570,18 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-database-structure", action="store_true")
     p.add_argument("--no-discourse", action="store_true")
     p.set_defaults(func=cmd_annotate)
-
-    p = sub.add_parser("decode", help="constrained beam decoding over a dataset")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=200)
-    p.add_argument("--scorer", default="oracle", help="oracle[:file] | random[:seed] | extern:host:port")
-    p.add_argument("--no-constraint", action="store_true")
-    p.add_argument("--values", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("complete", help="repair FROM/JOIN clauses")
     _add_common(p)

@@ -3,8 +3,9 @@
 No SQL grammar automaton is involved: keywords and literals decode freely,
 but once a token starts a schema surface form the following tokens must spell
 a complete trie path.  The trie is suspended inside quoted string literals.
-The neural scorer is abstracted behind :class:`TokenScorer`; a wire protocol
-lets an external model plug in.
+The neural scorer is abstracted behind :class:`TokenScorer`, whose one
+method, ``score_candidates``, scores the allowed next tokens of a prefix; a
+wire protocol lets an external model plug in.
 """
 
 from __future__ import annotations
@@ -306,44 +307,25 @@ class LexiconConstraint:
     """Per-step allowed-token masks derived from the trie.
 
     Lookups are cached so a call costs a dictionary probe regardless of
-    schema size; the inactive-state set is precomputed at construction.
+    schema size; the inactive-state mask is precomputed at construction.
     """
 
     def __init__(self, trie: PrefixTrie, vocab: Vocabulary):
         self.trie = trie
         self.vocab = vocab
-        base = vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
-        self._inactive = frozenset(base | set(trie.root.children))
-        self._inactive_sorted = tuple(sorted(self._inactive))
-        self._free_base = frozenset(base)
-        self._literal_mode = frozenset(vocab.all_ids) - {vocab.eos_id}
-        self._literal_sorted = tuple(sorted(self._literal_mode))
-        self._node_allowed: dict[int, frozenset[int]] = {}
+        self._free_base = vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
+        self._inactive_sorted = tuple(sorted(self._free_base | set(trie.root.children)))
+        self._literal_sorted = tuple(i for i in vocab.all_ids if i != vocab.eos_id)
         self._node_sorted: dict[int, tuple[int, ...]] = {}
 
-    def allowed_tokens(self, state: DecodeState) -> frozenset[int]:
-        """Legal next token ids for a hypothesis.
+    def candidate_ids(self, state: DecodeState) -> tuple[int, ...]:
+        """Legal next token ids for a hypothesis, in ascending order.
 
         Inactive cursor: keywords, trie-root children, literals, EOS.
         Mid-path: trie children only.  At a terminal: children plus the
-        free set (the identifier may end here or extend).
+        free set (the identifier may end here or extend).  Inside a quoted
+        literal: every id but EOS.
         """
-        if state.in_literal:
-            return self._literal_mode
-        node = state.node
-        if node is None:
-            return self._inactive
-        cached = self._node_allowed.get(id(node))
-        if cached is None:
-            if node.terminal:
-                cached = frozenset(node.children) | self._free_base
-            else:
-                cached = frozenset(node.children)
-            self._node_allowed[id(node)] = cached
-        return cached
-
-    def candidate_ids(self, state: DecodeState) -> tuple[int, ...]:
-        """allowed_tokens in sorted order, cached for the beam loop."""
         if state.in_literal:
             return self._literal_sorted
         node = state.node
@@ -351,7 +333,10 @@ class LexiconConstraint:
             return self._inactive_sorted
         cached = self._node_sorted.get(id(node))
         if cached is None:
-            cached = tuple(sorted(self.allowed_tokens(state)))
+            allowed = set(node.children)
+            if node.terminal:
+                allowed |= self._free_base
+            cached = tuple(sorted(allowed))
             self._node_sorted[id(node)] = cached
         return cached
 
@@ -411,9 +396,8 @@ class LexiconConstraint:
 class TokenScorer:
     """Behavioral contract standing in for an autoregressive language model.
 
-    Implementations provide a vocabulary, an end-of-sequence id, and a
-    deterministic score for every vocabulary id given the source tokens and
-    the emitted prefix.
+    Implementations provide a vocabulary (which fixes the end-of-sequence
+    id) and one method, :meth:`score_candidates`.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -423,9 +407,6 @@ class TokenScorer:
     def eos_id(self) -> int:
         return self.vocab.eos_id
 
-    def score(self, source: Sequence[str], prefix: Sequence[int]) -> list[float]:
-        raise NotImplementedError
-
     def score_candidates(
         self,
         source: Sequence[str],
@@ -433,8 +414,16 @@ class TokenScorer:
         candidates: Sequence[int],
         example_id: str | None = None,
     ) -> list[float]:
-        full = self.score(source, prefix)
-        return [full[c] for c in candidates]
+        """Additive log-scores of ``candidates`` as the next token after
+        ``prefix``, one per candidate and in the same order.
+
+        A score must be deterministic and depend only on the example (its
+        source and id), the prefix and the candidate token itself, never on
+        which other candidates are in the list: ``beam_search`` advances
+        only each hypothesis's best ``2*beam`` candidates, and that cut is
+        exact only under this contract.
+        """
+        raise NotImplementedError
 
 
 class OracleScorer(TokenScorer):
@@ -448,12 +437,6 @@ class OracleScorer(TokenScorer):
         if len(prefix) < len(self.target_ids):
             return self.target_ids[len(prefix)]
         return self.eos_id
-
-    def score(self, source, prefix):
-        expected = self._expected(prefix)
-        scores = [0.0] * len(self.vocab)
-        scores[expected] = 1.0
-        return scores
 
     def score_candidates(self, source, prefix, candidates, example_id=None):
         expected = self._expected(prefix)
@@ -488,12 +471,6 @@ class AdversarialScorer(OracleScorer):
             ]
         return scores
 
-    def score(self, source, prefix):
-        scores = super().score(source, prefix)
-        if self._expected(prefix) == self.victim_id:
-            scores[self.lure_id] = 2.0
-        return scores
-
 
 _MASK64 = (1 << 64) - 1
 
@@ -516,10 +493,6 @@ class RandomScorer(TokenScorer):
 
     def _score_one(self, prefix_len: int, last: int, candidate: int) -> float:
         return _mix(self.seed, prefix_len, last, candidate) / float(1 << 64)
-
-    def score(self, source, prefix):
-        last = prefix[-1] if prefix else -1
-        return [self._score_one(len(prefix), last, c) for c in range(len(self.vocab))]
 
     def score_candidates(self, source, prefix, candidates, example_id=None):
         last = prefix[-1] if prefix else -1
@@ -553,7 +526,6 @@ def beam_search(
     max_len: int = 200,
     *,
     constrained: bool = True,
-    length_normalize: bool = False,
     example_id: str | None = None,
 ) -> list[Hypothesis]:
     """Constrained beam search; returns finished hypotheses, best first.
@@ -654,11 +626,7 @@ def beam_search(
             f"no hypothesis finished within {max_len} steps (beam {beam_width})"
         )
 
-    def rank_key(s: DecodeState):
-        score = s.score / max(len(s.tokens), 1) if length_normalize else s.score
-        return (-score, s.tokens)
-
-    ranked_done = sorted(done.values(), key=rank_key)[:beam_width]
+    ranked_done = sorted(done.values(), key=lambda s: (-s.score, s.tokens))[:beam_width]
     return [Hypothesis(s.tokens, s.score) for s in ranked_done]
 
 
@@ -746,9 +714,6 @@ class RemoteScorer(TokenScorer):
         if any(not math.isfinite(v) for v in values):
             raise ProtocolViolation("scores must be finite")
         return values
-
-    def score(self, source, prefix):
-        return self.score_candidates(source, prefix, list(self.vocab.all_ids))
 
     def close(self) -> None:
         try:

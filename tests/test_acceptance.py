@@ -106,7 +106,7 @@ def _greedy_fuzz_steps(constraint, vocab, seed, budget_steps, max_len=40):
         scorer.seed = seed * 1_000 + session
         state = DecodeState()
         for _ in range(max_len):
-            candidates = sorted(constraint.allowed_tokens(state))
+            candidates = constraint.candidate_ids(state)
             scores = scorer.score_candidates([], state.tokens, candidates)
             best = max(zip(candidates, scores), key=lambda p: (p[1], -p[0]))[0]
             steps += 1
@@ -348,10 +348,10 @@ def _mean_lookup_latency(schema, calls):
         DecodeState(tokens=(0,), node=terminal),
     ]
     for s in states:  # warm the per-node caches
-        constraint.allowed_tokens(s)
+        constraint.candidate_ids(s)
     start = time.perf_counter()
     for i in range(calls):
-        constraint.allowed_tokens(states[i % 3])
+        constraint.candidate_ids(states[i % 3])
     return (time.perf_counter() - start) / calls
 
 

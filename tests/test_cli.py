@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import structsql
 from structsql.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -125,22 +129,64 @@ def test_run_pipeline_oracle_qm_one(corpus_dir, tmp_path):
 
 
 def test_pipeline_determinism(corpus_dir, tmp_path):
-    def run(out):
-        config = PipelineConfig(
-            data=str(corpus_dir / "examples.json"),
-            tables=str(corpus_dir / "tables.json"),
-            out_dir=str(out),
-            scorer="oracle",
-            beam_width=2,
-            max_len=150,
-            workers=4,
-        )
-        run_pipeline(config)
+    # Two `structsql run` processes with different string-hash seeds must
+    # write the same bytes: nothing may depend on set or dict-of-str order.
+    src_root = Path(structsql.__file__).resolve().parents[1]
 
-    run(tmp_path / "r1")
-    run(tmp_path / "r2")
-    for name in ("annotated.src", "decoded.sql", "completed.sql", "report.json"):
+    def run(out, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_root), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [
+                sys.executable, "-m", "structsql.cli", "run",
+                "--data", str(corpus_dir / "examples.json"),
+                "--tables", str(corpus_dir / "tables.json"),
+                "--content", str(corpus_dir / "content.json"),
+                "--values",
+                "--scorer", "random:5",
+                "--beam", "2",
+                "--max-len", "40",
+                "--out-dir", str(out),
+            ],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+
+    run(tmp_path / "r1", 1)
+    run(tmp_path / "r2", 2)
+    assert any(read(tmp_path / "r1" / "decoded.sql").splitlines())
+    for name in ("annotated.src", "decoded.sql", "completed.sql", "plan.jsonl", "report.json"):
         assert read(tmp_path / "r1" / name) == read(tmp_path / "r2" / name), name
+
+
+def test_run_without_completion_keeps_decoded_sql(tmp_path, tables_path):
+    # The gold query mentions Ranking without joining it, so completion
+    # would add tables; `--no-completion` must leave the prediction alone.
+    data = tmp_path / "data.json"
+    data.write_text(
+        json.dumps(
+            [
+                {"db_id": "tennis", "question": "first names of rank one players",
+                 "query": "SELECT Players.First_name FROM Players WHERE Ranking.Ranking = 1"},
+                {"db_id": "tennis", "question": "all matches", "query": "SELECT * FROM Matches"},
+            ]
+        ),
+        encoding="utf-8",
+    )
+
+    def run(out, *flags):
+        argv = ["run", "--data", str(data), "--tables", str(tables_path), "--out-dir", str(out)]
+        assert main([*argv, *flags]) == EXIT_OK
+        return [json.loads(line) for line in read(out / "plan.jsonl").splitlines()]
+
+    assert run(tmp_path / "on")[0]["added_tables"] == ["Matches", "Ranking"]
+    plans = run(tmp_path / "off", "--no-completion")
+    off = tmp_path / "off"
+    assert read(off / "completed.sql") == read(off / "decoded.sql")
+    assert read(off / "decoded.sql") == read(tmp_path / "on" / "decoded.sql")
+    assert len(plans) == 2
+    assert all(p["added_tables"] == [] for p in plans)
 
 
 def test_constraint_off_causes_schema_violations(corpus_dir, tmp_path):

@@ -121,7 +121,14 @@ def test_trie_untokenizable_name():
         build_trie(schema, vocab)
 
 
-# -- allowed_tokens -------------------------------------------------------------
+# -- candidate_ids ---------------------------------------------------------------
+
+
+def allowed_set(constraint, state):
+    """The legal next ids of ``state``, checked to come in ascending order."""
+    ids = constraint.candidate_ids(state)
+    assert list(ids) == sorted(set(ids))
+    return set(ids)
 
 
 def test_allowed_mid_path_children_only(tennis_kit):
@@ -130,7 +137,7 @@ def test_allowed_mid_path_children_only(tennis_kit):
     prefix = vocab.tokenize("Ranking.")
     node = trie.node_at(prefix)
     state = DecodeState(tokens=tuple(prefix), node=node)
-    allowed = constraint.allowed_tokens(state)
+    allowed = allowed_set(constraint, state)
     expected = {vocab.id_of("Player_id"), vocab.id_of("Ranking"), vocab.id_of("Year")}
     assert allowed == expected
 
@@ -140,7 +147,7 @@ def test_allowed_fresh_state_with_empty_trie():
     vocab = Vocabulary.build([schema], corpus_texts=["SELECT 1 FROM x WHERE y = 'z'"])
     trie = build_trie(schema, vocab)
     constraint = LexiconConstraint(trie, vocab)
-    allowed = constraint.allowed_tokens(DecodeState())
+    allowed = allowed_set(constraint, DecodeState())
     star_root = set(trie.root.children)
     assert allowed == vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id} | star_root
 
@@ -152,7 +159,7 @@ def test_allowed_at_terminal_without_extension(tennis_kit):
     node = trie.node_at(ids)
     assert node.terminal and not node.children
     state = DecodeState(tokens=tuple(ids), node=node)
-    allowed = constraint.allowed_tokens(state)
+    allowed = allowed_set(constraint, state)
     assert allowed == vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
 
 
@@ -164,7 +171,7 @@ def test_allowed_at_terminal_with_extension(tennis_kit):
     assert node.terminal and node.children
     constraint = LexiconConstraint(trie, vocab)
     state = DecodeState(tokens=tuple(ids), node=node)
-    allowed = constraint.allowed_tokens(state)
+    allowed = allowed_set(constraint, state)
     assert vocab.id_of(".") in allowed
     assert vocab.id_of("FROM") in allowed
     assert vocab.eos_id in allowed
@@ -174,7 +181,7 @@ def test_allowed_inside_literal_suspends_trie(tennis_kit):
     vocab, trie = tennis_kit
     constraint = LexiconConstraint(trie, vocab)
     state = DecodeState(tokens=(vocab.quote_id,), node=None, in_literal=True)
-    allowed = constraint.allowed_tokens(state)
+    allowed = allowed_set(constraint, state)
     assert vocab.eos_id not in allowed
     assert len(allowed) == len(vocab) - 1
 
@@ -184,7 +191,7 @@ def test_no_keyword_leak_mid_identifier(tennis_kit):
     constraint = LexiconConstraint(trie, vocab)
     prefix = vocab.tokenize("Players.")
     state = DecodeState(tokens=tuple(prefix), node=trie.node_at(prefix))
-    allowed = constraint.allowed_tokens(state)
+    allowed = allowed_set(constraint, state)
     assert not allowed & vocab.keyword_ids
     assert vocab.eos_id not in allowed
 
@@ -219,7 +226,7 @@ def test_width_one_equals_manual_greedy(tennis_kit):
     state = DecodeState()
     out = []
     for _ in range(100):
-        candidates = sorted(constraint.allowed_tokens(state))
+        candidates = constraint.candidate_ids(state)
         scores = scorer.score_candidates([], state.tokens, candidates)
         best = max(zip(candidates, scores), key=lambda p: (p[1], -p[0]))[0]
         if best == vocab.eos_id:
@@ -319,21 +326,6 @@ def test_ranking_deterministic(tennis_kit):
     assert all(x.score >= y.score for x, y in zip(a, a[1:]))
 
 
-def test_length_normalized_ranking(tennis_kit):
-    vocab, trie = tennis_kit
-    gold = "SELECT Ranking.Year FROM Ranking"
-    scorer = oracle_scorer(gold, vocab)
-    plain = beam_search(scorer, ["q"], trie, beam_width=3, max_len=40)
-    normalized = beam_search(
-        scorer, ["q"], trie, beam_width=3, max_len=40, length_normalize=True
-    )
-    assert plain[0].text(vocab) == gold
-    by_mean = sorted(
-        normalized, key=lambda h: (-h.score / max(len(h.token_ids), 1), h.token_ids)
-    )
-    assert [h.token_ids for h in normalized] == [h.token_ids for h in by_mean]
-
-
 def test_oracle_property_random_queries(tennis, tennis_graph):
     rng = random.Random(77)
     corpus = [render_sql(random_query(rng, tennis, tennis_graph)) for _ in range(25)]
@@ -424,7 +416,7 @@ def fuzz_steps(schema, vocab, trie, seed, n_steps, max_len=50):
         session += 1
         scorer.seed = seed + session
         for _ in range(max_len):
-            candidates = sorted(constraint.allowed_tokens(state))
+            candidates = constraint.candidate_ids(state)
             scores = scorer.score_candidates([], state.tokens, candidates)
             best = max(zip(candidates, scores), key=lambda p: (p[1], -p[0]))[0]
             steps += 1

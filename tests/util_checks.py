@@ -167,7 +167,6 @@ def reference_beam_search(
     max_len: int = 200,
     *,
     constrained: bool = True,
-    length_normalize: bool = False,
     example_id: str | None = None,
 ) -> list[Hypothesis]:
     """Beam search that turns every scored candidate into states before the
@@ -249,9 +248,5 @@ def reference_beam_search(
             f"no hypothesis finished within {max_len} steps (beam {beam_width})"
         )
 
-    def rank_key(s: DecodeState):
-        score = s.score / max(len(s.tokens), 1) if length_normalize else s.score
-        return (-score, s.tokens)
-
-    ranked_done = sorted(done.values(), key=rank_key)[:beam_width]
+    ranked_done = sorted(done.values(), key=lambda s: (-s.score, s.tokens))[:beam_width]
     return [Hypothesis(s.tokens, s.score) for s in ranked_done]
