@@ -18,7 +18,6 @@ from structsql.decode import (
     LexiconConstraint,
     NoValidHypothesis,
     OracleScorer,
-    PrefixTrie,
     RandomScorer,
     TokenScorer,
     Vocabulary,
@@ -79,7 +78,6 @@ __all__ = [
     "MatchKind",
     "NoValidHypothesis",
     "OracleScorer",
-    "PrefixTrie",
     "QuestionTokens",
     "RandomScorer",
     "SchemaGraph",

@@ -209,6 +209,16 @@ def _plan_entry(
     return entry
 
 
+def _complete_one(index: int, text: str, schema, graph) -> tuple[str, dict]:
+    """Complete one prediction.  One that does not parse or cannot be
+    completed is kept as it was, and its plan entry says why."""
+    try:
+        fixed, plan = complete_sql(parse_sql(text, schema), schema, graph)
+    except (SqlSyntaxError, ValueError) as exc:
+        return text, _plan_entry(index, error=exc)
+    return render_sql(fixed), _plan_entry(index, plan)
+
+
 def run_pipeline(
     config: PipelineConfig,
     scorer_factory: Callable[[int], TokenScorer] | None = None,
@@ -309,15 +319,7 @@ def run_pipeline(
             text = raw_preds[ex.index]
             plan_entry = _plan_entry(ex.index)
             if config.completion and text:
-                try:
-                    query = parse_sql(text, schemas[ex.db_id])
-                    fixed, plan = complete_sql(query, schemas[ex.db_id], graphs[ex.db_id])
-                except (SqlSyntaxError, ValueError) as exc:
-                    # The prediction is scored as-is; its plan entry says why.
-                    plan_entry = _plan_entry(ex.index, error=exc)
-                else:
-                    text = render_sql(fixed)
-                    plan_entry = _plan_entry(ex.index, plan)
+                text, plan_entry = _complete_one(ex.index, text, schemas[ex.db_id], graphs[ex.db_id])
             completed.append(text)
             plans.append(plan_entry)
     except Exception as exc:  # noqa: BLE001
@@ -422,13 +424,11 @@ def cmd_complete(args: argparse.Namespace) -> int:
     out_lines, plans = [], []
     for ex, line in zip(examples, lines):
         # An empty line is a prediction `run` could not decode: keep it empty.
-        text, plan = "", None
+        text, plan_entry = "", _plan_entry(ex.index)
         if line.strip():
-            schema = schemas[ex.db_id]
-            fixed, plan = complete_sql(parse_sql(line, schema), schema, graphs[ex.db_id])
-            text = render_sql(fixed)
+            text, plan_entry = _complete_one(ex.index, line, schemas[ex.db_id], graphs[ex.db_id])
         out_lines.append(text)
-        plans.append(_plan_entry(ex.index, plan))
+        plans.append(plan_entry)
     _write_or_print(args.out, "\n".join(out_lines) + "\n")
     if args.plan:
         Path(args.plan).write_text(

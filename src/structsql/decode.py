@@ -233,28 +233,6 @@ class PrefixTrie:
                 return None
         return node
 
-    def contains(self, surface: str) -> bool:
-        try:
-            node = self.node_at(self.vocab.tokenize(surface))
-        except Untokenizable:
-            return False
-        return node is not None and node.terminal
-
-    def iter_terminals(self) -> Iterable[tuple[tuple[int, ...], TrieNode]]:
-        stack: list[tuple[tuple[int, ...], TrieNode]] = [((), self.root)]
-        while stack:
-            path, node = stack.pop()
-            if node.terminal:
-                yield path, node
-            for token_id in sorted(node.children, reverse=True):
-                stack.append((path + (token_id,), node.children[token_id]))
-
-    def terminal_count(self) -> int:
-        return sum(1 for _ in self.iter_terminals())
-
-    def terminal_surfaces(self) -> set[str]:
-        return {e.surface for _, node in self.iter_terminals() for e in node.entries}
-
 
 def build_trie(
     schema: DatabaseSchema, vocab: Vocabulary, include_values: bool | None = None

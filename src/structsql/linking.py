@@ -14,14 +14,13 @@ from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 
-from structsql.schema import ColumnType, DatabaseSchema
+from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _stem
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_NGRAM = 5
 
 _WORD_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]", re.UNICODE)
-_CJK_RE = re.compile(r"[㐀-鿿豈-﫿]")
 
 
 class UnparseableValue(ValueError):
@@ -99,12 +98,6 @@ def tokenize(text: str, language: str = "en") -> list[str]:
     return pieces
 
 
-def _stem(token: str) -> str:
-    if len(token) > 3 and token.endswith("s"):
-        return token[:-1]
-    return token
-
-
 def _norm_token(token: str) -> str:
     """Lowercased, stemmed token; empty string for pure punctuation."""
     t = token.lower().strip()
@@ -113,42 +106,26 @@ def _norm_token(token: str) -> str:
     return _stem(t)
 
 
-def name_tokens(name: str) -> tuple[str, ...]:
-    """Normalized token decomposition of a schema name."""
-    raw = re.split(r"[_\s]+", name.strip())
-    out: list[str] = []
-    for piece in raw:
-        if not piece:
-            continue
-        if _CJK_RE.search(piece):
-            out.extend(_stem(ch.lower()) for ch in piece)
-        else:
-            out.append(_stem(piece.lower()))
-    return tuple(out)
+# Match kinds by rank: an exact match outranks a partial one.
+_KINDS = (MatchKind.EXACT, MatchKind.PARTIAL, MatchKind.VALUE)
 
 
-def _is_sublist(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
-    if len(short) >= len(long):
-        return False
-    return any(long[i : i + len(short)] == short for i in range(len(long) - len(short) + 1))
-
-
-def _suppress_overlaps(candidates: list[LinkAnnotation]) -> list[LinkAnnotation]:
+def _suppress_overlaps(candidates: list[tuple]) -> list[LinkAnnotation]:
     """Per-target suppression: exact matches outrank partial ones, then longer
-    spans beat contained or overlapping shorter spans."""
-    order = {MatchKind.EXACT: 0, MatchKind.PARTIAL: 1, MatchKind.VALUE: 2}
-    ranked = sorted(
-        candidates,
-        key=lambda a: (order[a.kind], -(a.end - a.start), a.start, a.column or ""),
-    )
+    spans beat contained or overlapping shorter spans.
+
+    A candidate is ``(rank, -length, start, column or "", target, end, table,
+    column, value)``: ``rank`` indexes ``_KINDS`` and ``target`` is one key per
+    schema item.  Only accepted candidates become annotations.
+    """
     accepted: list[LinkAnnotation] = []
-    spans: dict[tuple, list[tuple[int, int]]] = {}
-    for ann in ranked:
-        key = ann.target_key()
-        if any(ann.start < e and s < ann.end for s, e in spans.get(key, [])):
+    spans: dict[object, list[tuple[int, int]]] = {}
+    for rank, _, start, _, target, end, table, column, value in sorted(candidates):
+        taken = spans.setdefault(target, [])
+        if any(start < e and s < end for s, e in taken):
             continue
-        accepted.append(ann)
-        spans.setdefault(key, []).append((ann.start, ann.end))
+        taken.append((start, end))
+        accepted.append(LinkAnnotation(start, end, _KINDS[rank], table, column, value))
     accepted.sort(key=lambda a: (a.start, a.end, a.table.lower(), a.column or "", a.kind.value))
     return accepted
 
@@ -164,36 +141,31 @@ def name_link(
     normalized name, and a PartialMatch when one is a proper contiguous
     token-subsequence of the other.  Shorter matches overlapping an accepted
     longer span with the same target are suppressed.
+
+    Names are looked up in ``schema.name_index``, built once per schema: one
+    probe per n-gram for the names equal to it and one for the names
+    containing it.  A name inside a longer n-gram is not looked up: its own
+    ExactMatch on the shorter span always suppresses that PartialMatch.
     """
     if max_ngram < 1:
         raise ValueError("max_ngram must be >= 1")
+    index = schema.name_index
     tokens = question.all_tokens()
     norm = [_norm_token(t) for t in tokens]
 
-    targets: list[tuple[str, str | None, tuple[str, ...]]] = []
-    for table in schema.tables:
-        targets.append((table.name, None, name_tokens(table.name)))
-        for col in table.columns:
-            targets.append((table.name, col.name, name_tokens(col.name)))
-
-    candidates: list[LinkAnnotation] = []
+    candidates: list[tuple] = []
     for n in range(min(max_ngram, len(tokens)), 0, -1):
         for start in range(len(tokens) - n + 1):
             gram = tuple(norm[start : start + n])
-            if any(not t for t in gram):
+            if "" in gram:
                 continue
-            for table, column, toks in targets:
-                if not toks:
-                    continue
-                if gram == toks:
-                    kind = MatchKind.EXACT
-                elif _is_sublist(gram, toks) or _is_sublist(toks, gram):
-                    kind = MatchKind.PARTIAL
-                else:
-                    continue
-                candidates.append(
-                    LinkAnnotation(start, start + n, kind, table, column)
-                )
+            matches = (index.exact.get(gram, ()), index.partial.get(gram, ()))
+            for rank, targets in enumerate(matches):  # rank 0 exact, 1 partial
+                for target in targets:
+                    table, column = index.targets[target]
+                    candidates.append(
+                        (rank, -n, start, column or "", target, start + n, table, column, None)
+                    )
     return _suppress_overlaps(candidates)
 
 
@@ -221,7 +193,7 @@ def value_link(
             normalized.setdefault(normalize_value(value, col.col_type), value)
         columns.append((table.name, col.name, col.col_type, normalized))
 
-    candidates: list[LinkAnnotation] = []
+    candidates: list[tuple] = []
     for n in range(min(max_ngram, len(tokens)), 0, -1):
         for start in range(len(tokens) - n + 1):
             if not norm[start] or not norm[start + n - 1]:
@@ -238,8 +210,9 @@ def value_link(
                 key = by_type[col_type]
                 if key is not None and key in normalized:
                     candidates.append(
-                        LinkAnnotation(
-                            start, start + n, MatchKind.VALUE, table, column, normalized[key]
+                        (
+                            2, -n, start, column, (table.lower(), column.lower()),  # rank 2: value
+                            start + n, table, column, normalized[key],
                         )
                     )
     return _suppress_overlaps(candidates)

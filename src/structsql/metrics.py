@@ -51,7 +51,7 @@ class ExampleVerdict:
     interaction_id: str
     em: bool
     lx: bool
-    # None, "parse_failure", or "schema_violation"
+    # None, "decode_failure", "parse_failure", or "schema_violation"
     error: str | None = None
 
 
@@ -128,9 +128,11 @@ def score_corpus(
 ) -> EvaluationReport:
     """Score prediction texts against gold texts.
 
-    Gold queries must parse; a gold failure raises.  Unparseable predictions
-    score zero and are tallied under ``parse_failure``; predictions that
-    parse but reference schema items that do not exist are tallied under
+    Gold queries must parse; a gold failure raises.  A blank prediction, what
+    ``run`` writes for an example it could not decode, scores zero and is
+    tallied under ``decode_failure``; other unparseable predictions score zero
+    and are tallied under ``parse_failure``; predictions that parse but
+    reference schema items that do not exist are tallied under
     ``schema_violation``.  IM is None when every interaction has one turn.
     """
     if len(predictions) != len(golds):
@@ -146,7 +148,7 @@ def score_corpus(
 
     resolver = _make_resolver(schemas)
     verdicts: list[ExampleVerdict] = []
-    counts = {"parse_failure": 0, "schema_violation": 0, "mismatch": 0}
+    counts = {"decode_failure": 0, "parse_failure": 0, "schema_violation": 0, "mismatch": 0}
     for i, (pred_text, gold_text) in enumerate(zip(predictions, golds)):
         interaction = interaction_ids[i] if interaction_ids is not None else f"q{i}"
         schema = resolver(db_ids[i] if db_ids is not None else None)
@@ -156,17 +158,20 @@ def score_corpus(
             raise ValueError(f"gold query {i} is invalid: {exc}") from exc
         error = None
         em = lx = False
-        try:
-            pred = parse_sql(pred_text, schema)
-        except SqlSyntaxError:
-            error = "parse_failure"
-        except SchemaResolutionError:
-            error = "schema_violation"
+        if not pred_text.strip():
+            error = "decode_failure"
         else:
-            em = exact_set_match(pred, gold, schema)
-            lx = logical_form_match(pred, gold, schema)
-            if not em:
-                counts["mismatch"] += 1
+            try:
+                pred = parse_sql(pred_text, schema)
+            except SqlSyntaxError:
+                error = "parse_failure"
+            except SchemaResolutionError:
+                error = "schema_violation"
+            else:
+                em = exact_set_match(pred, gold, schema)
+                lx = logical_form_match(pred, gold, schema)
+                if not em:
+                    counts["mismatch"] += 1
         if error is not None:
             counts[error] += 1
         verdicts.append(ExampleVerdict(i, interaction, em, lx, error))

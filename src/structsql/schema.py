@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +29,28 @@ REQUIRED_DOC_FIELDS = (
     "primary_keys",
     "foreign_keys",
 )
+
+_CJK_RE = re.compile(r"[\u3400-\u9fff\uf900-\ufaff]")
+
+
+def _stem(token: str) -> str:
+    if len(token) > 3 and token.endswith("s"):
+        return token[:-1]
+    return token
+
+
+def name_tokens(name: str) -> tuple[str, ...]:
+    """Normalized token decomposition of a schema name."""
+    raw = re.split(r"[_\s]+", name.strip())
+    out: list[str] = []
+    for piece in raw:
+        if not piece:
+            continue
+        if _CJK_RE.search(piece):
+            out.extend(_stem(ch.lower()) for ch in piece)
+        else:
+            out.append(_stem(piece.lower()))
+    return tuple(out)
 
 
 class SchemaError(ValueError):
@@ -136,6 +159,21 @@ class TableDef:
         return None
 
 
+class NameIndex(NamedTuple):
+    """Normalized table and column names, indexed for n-gram linking.
+
+    ``targets`` lists ``(table, column)`` pairs in schema order, each table
+    (column ``None``) followed by its columns.  ``exact`` maps a normalized
+    name to the targets bearing it; ``partial`` maps every proper contiguous
+    sub-tuple of a name to the targets containing it.  Target lists ascend
+    without repeats; a name that normalizes to nothing is in neither map.
+    """
+
+    targets: tuple[tuple[str, str | None], ...]
+    exact: dict[tuple[str, ...], list[int]]
+    partial: dict[tuple[str, ...], list[int]]
+
+
 @dataclass(frozen=True)
 class DatabaseSchema:
     """An immutable relational schema: tables, columns, keys.
@@ -181,6 +219,25 @@ class DatabaseSchema:
 
     def table(self, name: str) -> TableDef | None:
         return self._table_map.get(name.lower())
+
+    @cached_property
+    def name_index(self) -> NameIndex:
+        targets = tuple(
+            (table.name, column)
+            for table in self.tables
+            for column in (None, *(c.name for c in table.columns))
+        )
+        exact: dict[tuple[str, ...], list[int]] = {}
+        partial: dict[tuple[str, ...], list[int]] = {}
+        for i, (table, column) in enumerate(targets):
+            toks = name_tokens(table if column is None else column)
+            if not toks:
+                continue
+            exact.setdefault(toks, []).append(i)
+            n = len(toks)
+            for sub in {toks[a:b] for a in range(n) for b in range(a + 1, n + 1) if b - a < n}:
+                partial.setdefault(sub, []).append(i)
+        return NameIndex(targets, exact, partial)
 
     def column(self, ref: ColumnRef) -> ColumnDef | None:
         if ref.table is None:

@@ -160,6 +160,28 @@ def test_pipeline_determinism(corpus_dir, tmp_path):
         assert read(tmp_path / "r1" / name) == read(tmp_path / "r2" / name), name
 
 
+def test_report_separates_decode_and_parse_failures(corpus_dir, tmp_path):
+    # The random scorer leaves some examples undecoded (blank lines in
+    # decoded.sql) and decodes others to text that does not parse.
+    out = tmp_path / "run"
+    argv = [
+        "run",
+        "--data", str(corpus_dir / "examples.json"),
+        "--tables", str(corpus_dir / "tables.json"),
+        "--content", str(corpus_dir / "content.json"),
+        "--values",
+        "--scorer", "random:5",
+        "--beam", "2",
+        "--max-len", "40",
+        "--out-dir", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    counts = json.loads(read(out / "report.json"))["counts"]
+    assert counts["decode_failure"] == 6
+    assert counts["parse_failure"] == 19
+    assert read(out / "decoded.sql").splitlines().count("") == 6
+
+
 def test_run_without_completion_keeps_decoded_sql(tmp_path, tables_path):
     # The gold query mentions Ranking without joining it, so completion
     # would add tables; `--no-completion` must leave the prediction alone.
@@ -309,22 +331,29 @@ def write_unlinked_corpus(tmp_path, n_examples):
     return tables, data
 
 
-def test_complete_stops_at_first_completion_failure(tmp_path):
-    # Unlike `run`, `complete` stops the whole file on a failing line, also
-    # when only a nested level has no join path.
-    tables, data = write_unlinked_corpus(tmp_path, 2)
+def test_complete_records_completion_failures_and_goes_on(tmp_path):
+    # Like `run`, `complete` keeps a line it cannot complete, also when only a
+    # nested level has no join path, records why and goes on.
+    tables, data = write_unlinked_corpus(tmp_path, 3)
+    lines = [
+        "SELECT a.id FROM a",
+        "SELECT a.id FROM a WHERE a.id IN (SELECT a.id FROM a WHERE b.id = 1)",
+        "SELECT a.id FROM a WHERE",
+    ]
     sql = tmp_path / "in.sql"
-    sql.write_text(
-        "SELECT a.id FROM a\n"
-        "SELECT a.id FROM a WHERE a.id IN (SELECT a.id FROM a WHERE b.id = 1)\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "out.sql"
+    sql.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, plan = tmp_path / "out.sql", tmp_path / "plan.jsonl"
     code = main(
-        ["complete", "--data", str(data), "--tables", str(tables), "--sql", str(sql), "--out", str(out)]
+        ["complete", "--data", str(data), "--tables", str(tables), "--sql", str(sql),
+         "--out", str(out), "--plan", str(plan)]
     )
-    assert code == EXIT_STAGE_ERROR
-    assert not out.exists()
+    assert code == EXIT_OK
+    assert read(out).splitlines() == lines
+    plans = [json.loads(line) for line in read(plan).splitlines()]
+    assert [p["index"] for p in plans] == [0, 1, 2]
+    assert "error" not in plans[0]
+    assert plans[1]["error"] == "Disconnected: no join path between 'a' and 'b'"
+    assert plans[2]["error"].startswith("SqlSyntaxError: ")
 
 
 def test_run_records_completion_failures_in_plan(tmp_path):

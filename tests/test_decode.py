@@ -21,11 +21,20 @@ from structsql.schema import DatabaseSchema, build_schema_graph, load_schema
 from structsql.sql_ast import render_sql
 from structsql.synth import random_query, random_schema_doc
 
-from util_checks import identifier_run_violations, reference_beam_search, sequence_explained
+from util_checks import (
+    identifier_run_violations,
+    iter_terminals,
+    reference_beam_search,
+    sequence_explained,
+)
 
 
 def surfaces(vocab, ids):
     return [vocab.surface(i) for i in ids]
+
+
+def terminal_surfaces(trie):
+    return {e.surface for _, node in iter_terminals(trie) for e in node.entries}
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +77,7 @@ def test_tokenize_unknown_raises(tennis_kit):
 
 def test_trie_terminals_fig(tennis_kit):
     _, trie = tennis_kit
-    names = trie.terminal_surfaces()
+    names = terminal_surfaces(trie)
     assert "Ranking.Player_id" in names
     assert "Matches" in names
     assert "*" in names
@@ -78,14 +87,15 @@ def test_trie_empty_schema_star_only():
     schema = DatabaseSchema(db_id="empty", tables=())
     vocab = Vocabulary.build([schema])
     trie = build_trie(schema, vocab)
-    assert trie.terminal_surfaces() == {"*"}
+    assert terminal_surfaces(trie) == {"*"}
 
 
 def test_trie_value_mode(tennis, tennis_kit):
     vocab, _ = tennis_kit
     trie = build_trie(tennis, vocab, include_values=True)
-    assert trie.contains("2016")
-    names = {e.surface for _, n in trie.iter_terminals() for e in n.entries if e.kind == "value"}
+    node = trie.node_at(vocab.tokenize("2016"))
+    assert node is not None and node.terminal
+    names = {e.surface for _, n in iter_terminals(trie) for e in n.entries if e.kind == "value"}
     assert "USA" in names
 
 
@@ -103,7 +113,7 @@ def test_trie_terminal_count_membership_oracle():
         for token_id in vocab.tokenize(form):
             node = node.children[token_id]
         assert node.terminal
-    assert trie.terminal_count() == len(forms)
+    assert sum(1 for _ in iter_terminals(trie)) == len(forms)
 
 
 def test_trie_untokenizable_name():

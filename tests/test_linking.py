@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +11,13 @@ from structsql.linking import (
     QuestionTokens,
     UnparseableValue,
     name_link,
-    name_tokens,
     normalize_value,
     value_link,
 )
-from structsql.schema import ColumnType
+from structsql.schema import ColumnType, load_schema, name_tokens
+from structsql.synth import random_schema_doc
+
+from util_checks import reference_name_link
 
 
 def by_target(links):
@@ -20,6 +25,41 @@ def by_target(links):
     for ann in links:
         out.setdefault((ann.table, ann.column), []).append(ann)
     return out
+
+
+_FILLER = ("the", "of", "show", "all", "with", "per", "is", "s")
+_PUNCT = (",", "?", "'", "-", "(", ".", "_")
+
+
+@st.composite
+def linking_cases(draw):
+    """A synth schema plus names it never makes (CJK, repeated pieces, one that
+    normalizes to nothing) and questions made of its name pieces."""
+    doc, _ = random_schema_doc(random.Random(draw(st.integers(0, 2**32 - 1))), "db", max_tables=6)
+    extra = len(doc["table_names_original"])
+    doc["table_names_original"].append("排名_年份")
+    doc["column_names_original"] += [[extra, "_"], [extra, "id_id"], [extra, "年份"], [extra, "City_Code"]]
+    doc["column_types"] += ["text"] * 4
+    schema = load_schema(doc)
+
+    names = [t.name for t in schema.tables] + [c.name for _, c in schema.iter_columns()]
+    pieces = sorted({p for name in names for p in re.split(r"_+", name) if p})
+    pool = pieces + [p + "s" for p in pieces] + [f"{p} {p}" for p in pieces] + list("排名年份")
+    pool += list(_FILLER) + list(_PUNCT)
+    words = st.sampled_from(pool).map(lambda w: w.upper() if len(w) == 2 else w)
+    turns = draw(st.lists(st.lists(words, min_size=1, max_size=12), min_size=1, max_size=3))
+    language = draw(st.sampled_from(["en", "zh"]))
+    question = QuestionTokens.from_text([" ".join(t) for t in turns], language)
+    return question, schema, draw(st.integers(1, 8))
+
+
+@given(linking_cases())
+@settings(max_examples=60, deadline=None)
+def test_name_link_matches_reference_scan(case):
+    question, schema, max_ngram = case
+    assert name_link(question, schema, max_ngram) == reference_name_link(
+        question, schema, max_ngram
+    )
 
 
 def test_player_token_partial_matches_player_id(tennis):

@@ -62,7 +62,9 @@ def test_scores_all_correct(tennis):
     report = score_corpus(golds, golds, db_ids=["tennis", "tennis"], schemas={"tennis": tennis})
     assert report.qm == report.em == report.lx == 1.0
     assert report.im is None
-    assert report.counts == {"parse_failure": 0, "schema_violation": 0, "mismatch": 0}
+    assert report.counts == {
+        "decode_failure": 0, "parse_failure": 0, "schema_violation": 0, "mismatch": 0
+    }
 
 
 def test_multi_turn_interaction_rates(tennis):

@@ -5,6 +5,8 @@ subset enumeration with union-find instead of bitmask BFS, an NFA over
 surface strings instead of the trie, plain transitive closure instead of
 graph search.  ``reference_beam_search`` is the unpruned beam search: it
 advances every allowed candidate of every live hypothesis.
+``reference_name_link`` compares every question n-gram with every schema
+name instead of probing the per-schema name index.
 """
 
 from __future__ import annotations
@@ -13,9 +15,25 @@ import re
 from dataclasses import replace
 from heapq import nsmallest
 from itertools import combinations
+from typing import Iterator
 
 from structsql.annotate import AnnotatedInput
-from structsql.decode import DecodeState, Hypothesis, LexiconConstraint, NoValidHypothesis
+from structsql.decode import (
+    DecodeState,
+    Hypothesis,
+    LexiconConstraint,
+    NoValidHypothesis,
+    PrefixTrie,
+    TrieNode,
+)
+from structsql.linking import (
+    DEFAULT_MAX_NGRAM,
+    LinkAnnotation,
+    MatchKind,
+    QuestionTokens,
+    _norm_token,
+)
+from structsql.schema import DatabaseSchema, name_tokens
 
 _SPLIT = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
 
@@ -25,6 +43,17 @@ LITERAL = "literal"
 
 def split_pieces(text: str) -> tuple[str, ...]:
     return tuple(_SPLIT.findall(text))
+
+
+def iter_terminals(trie: PrefixTrie) -> Iterator[tuple[tuple[int, ...], TrieNode]]:
+    """Every terminal node of the trie with its token-id path, depth first."""
+    stack: list[tuple[tuple[int, ...], TrieNode]] = [((), trie.root)]
+    while stack:
+        path, node = stack.pop()
+        if node.terminal:
+            yield path, node
+        for token_id in sorted(node.children, reverse=True):
+            stack.append((path + (token_id,), node.children[token_id]))
 
 
 def identifier_run_violations(
@@ -250,3 +279,67 @@ def reference_beam_search(
 
     ranked_done = sorted(done.values(), key=lambda s: (-s.score, s.tokens))[:beam_width]
     return [Hypothesis(s.tokens, s.score) for s in ranked_done]
+
+
+def _is_sublist(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
+    if len(short) >= len(long):
+        return False
+    return any(long[i : i + len(short)] == short for i in range(len(long) - len(short) + 1))
+
+
+def _suppress_overlaps(candidates: list[LinkAnnotation]) -> list[LinkAnnotation]:
+    """Per-target suppression: exact matches outrank partial ones, then longer
+    spans beat contained or overlapping shorter spans."""
+    order = {MatchKind.EXACT: 0, MatchKind.PARTIAL: 1, MatchKind.VALUE: 2}
+    ranked = sorted(
+        candidates,
+        key=lambda a: (order[a.kind], -(a.end - a.start), a.start, a.column or ""),
+    )
+    accepted: list[LinkAnnotation] = []
+    spans: dict[tuple, list[tuple[int, int]]] = {}
+    for ann in ranked:
+        key = ann.target_key()
+        if any(ann.start < e and s < ann.end for s, e in spans.get(key, [])):
+            continue
+        accepted.append(ann)
+        spans.setdefault(key, []).append((ann.start, ann.end))
+    accepted.sort(key=lambda a: (a.start, a.end, a.table.lower(), a.column or "", a.kind.value))
+    return accepted
+
+
+def reference_name_link(
+    question: QuestionTokens,
+    schema: DatabaseSchema,
+    max_ngram: int = DEFAULT_MAX_NGRAM,
+) -> list[LinkAnnotation]:
+    """``name_link`` by scanning: every n-gram against every name."""
+    if max_ngram < 1:
+        raise ValueError("max_ngram must be >= 1")
+    tokens = question.all_tokens()
+    norm = [_norm_token(t) for t in tokens]
+
+    targets: list[tuple[str, str | None, tuple[str, ...]]] = []
+    for table in schema.tables:
+        targets.append((table.name, None, name_tokens(table.name)))
+        for col in table.columns:
+            targets.append((table.name, col.name, name_tokens(col.name)))
+
+    candidates: list[LinkAnnotation] = []
+    for n in range(min(max_ngram, len(tokens)), 0, -1):
+        for start in range(len(tokens) - n + 1):
+            gram = tuple(norm[start : start + n])
+            if any(not t for t in gram):
+                continue
+            for table, column, toks in targets:
+                if not toks:
+                    continue
+                if gram == toks:
+                    kind = MatchKind.EXACT
+                elif _is_sublist(gram, toks) or _is_sublist(toks, gram):
+                    kind = MatchKind.PARTIAL
+                else:
+                    continue
+                candidates.append(
+                    LinkAnnotation(start, start + n, kind, table, column)
+                )
+    return _suppress_overlaps(candidates)
