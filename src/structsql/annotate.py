@@ -1,8 +1,7 @@
 """Structure-marked input serialization for a seq2seq scorer.
 
 Layout: current question turn, prior turns newest-to-oldest, previous SQL,
-linearized schema with mark prefixes, then table relation statements.  Every
-token carries a region tag so the serialization is reversible.
+linearized schema with mark prefixes, then table relation statements.
 """
 
 from __future__ import annotations
@@ -26,22 +25,11 @@ MATCH_MARKS = {
     MatchKind.VALUE: "Value-Match",
 }
 
-TYPE_MARKS = {
-    ColumnType.INTEGER: "Integer",
-    ColumnType.REAL: "Real",
-    ColumnType.TEXT: "Text",
-    ColumnType.DATE: "Date",
-    ColumnType.BOOLEAN: "Boolean",
-    ColumnType.OTHER: "Other",
-}
-
 MARK_VOCABULARY = frozenset(
     {TABLE_MARK, COLUMN_MARK, PRIMARY_KEY_MARK, AMP, LINKS_TO}
     | set(MATCH_MARKS.values())
-    | set(TYPE_MARKS.values())
+    | {t.value for t in ColumnType}
 )
-
-_KIND_ORDER = (MatchKind.EXACT, MatchKind.PARTIAL, MatchKind.VALUE)
 
 
 class UnknownLinkTarget(ValueError):
@@ -58,32 +46,14 @@ class MarkConfig:
 
 
 @dataclass(frozen=True)
-class TokenTag:
-    region: str  # "question" | "table" | "column" | "relation" | "prev_sql"
-    turn: int | None = None
-    mark: bool = False
-
-
-@dataclass(frozen=True)
 class AnnotatedInput:
-    """Serialized, structure-marked token sequence plus per-token region tags."""
+    """Serialized, structure-marked token sequence of one example."""
 
     tokens: tuple[str, ...]
-    tags: tuple[TokenTag, ...]
     example_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.tags):
-            raise ValueError("tokens and tags must align one-to-one")
 
     def render(self) -> str:
         return " ".join(self.tokens)
-
-    def region_tokens(self, region: str) -> list[str]:
-        return [tok for tok, tag in zip(self.tokens, self.tags) if tag.region == region]
-
-    def mark_tokens(self) -> list[str]:
-        return [tok for tok, tag in zip(self.tokens, self.tags) if tag.mark]
 
 
 def _validate_links(schema: DatabaseSchema, links: list[LinkAnnotation]) -> None:
@@ -119,48 +89,6 @@ def _mark_prefix(marks: list[str]) -> list[str]:
     return tokens
 
 
-def _linearize_tagged(
-    schema: DatabaseSchema,
-    links: list[LinkAnnotation],
-    include_values: bool,
-    schema_property: bool,
-    database_structure: bool,
-) -> list[tuple[str, TokenTag]]:
-    _validate_links(schema, links)
-    kinds, values = _group_links(links)
-
-    out: list[tuple[str, TokenTag]] = []
-    out.append((TABLE_MARK, TokenTag("table", mark=True)))
-    for table in schema.tables:
-        marks: list[str] = []
-        if schema_property:
-            present = kinds.get((table.name.lower(), None), set())
-            marks = [MATCH_MARKS[k] for k in _KIND_ORDER if k in present]
-        for tok in _mark_prefix(marks):
-            out.append((tok, TokenTag("table", mark=True)))
-        out.append((table.name, TokenTag("table")))
-
-    out.append((COLUMN_MARK, TokenTag("column", mark=True)))
-    for table, col in schema.iter_columns():
-        key = (table.name.lower(), col.name.lower())
-        marks = []
-        if schema_property:
-            present = kinds.get(key, set())
-            marks = [MATCH_MARKS[k] for k in _KIND_ORDER if k in present]
-            if col.is_primary:
-                marks.append(PRIMARY_KEY_MARK)
-            marks.append(TYPE_MARKS[col.col_type])
-        for tok in _mark_prefix(marks):
-            out.append((tok, TokenTag("column", mark=True)))
-        surface = f"{table.name}.{col.name}" if database_structure else col.name
-        out.append((surface, TokenTag("column")))
-        if include_values:
-            for value in values.get(key, ()):
-                out.append((AMP, TokenTag("column", mark=True)))
-                out.append((value, TokenTag("column")))
-    return out
-
-
 def linearize_schema(
     schema: DatabaseSchema,
     links: list[LinkAnnotation] | tuple = (),
@@ -176,21 +104,30 @@ def linearize_schema(
     column.  With ``include_values``, matched cell values follow the column,
     each preceded by "&".
     """
-    pairs = _linearize_tagged(
-        schema, list(links), include_values, schema_property, database_structure
-    )
-    return [tok for tok, _ in pairs]
+    _validate_links(schema, links)
+    kinds, values = _group_links(links)
 
+    out: list[str] = [TABLE_MARK]
+    for table in schema.tables:
+        if schema_property:
+            present = kinds.get((table.name.lower(), None), set())
+            out.extend(_mark_prefix([MATCH_MARKS[k] for k in MatchKind if k in present]))
+        out.append(table.name)
 
-def _relations_tagged(schema: DatabaseSchema, graph=None) -> list[tuple[str, TokenTag]]:
-    graph = graph or build_schema_graph(schema)
-    out: list[tuple[str, TokenTag]] = []
-    for edge in graph.edges:
-        if edge.kind != "table_link":
-            continue
-        out.append((edge.a, TokenTag("relation")))
-        out.append((LINKS_TO, TokenTag("relation", mark=True)))
-        out.append((edge.b, TokenTag("relation")))
+    out.append(COLUMN_MARK)
+    for table, col in schema.iter_columns():
+        key = (table.name.lower(), col.name.lower())
+        if schema_property:
+            present = kinds.get(key, set())
+            marks = [MATCH_MARKS[k] for k in MatchKind if k in present]
+            if col.is_primary:
+                marks.append(PRIMARY_KEY_MARK)
+            marks.append(col.col_type.value)
+            out.extend(_mark_prefix(marks))
+        out.append(f"{table.name}.{col.name}" if database_structure else col.name)
+        if include_values:
+            for value in values.get(key, ()):
+                out.extend((AMP, value))
     return out
 
 
@@ -200,7 +137,12 @@ def render_relations(schema: DatabaseSchema, graph=None) -> list[str]:
     Foreign-key column pairs are not rendered separately; the table relation
     subsumes them.
     """
-    return [tok for tok, _ in _relations_tagged(schema, graph)]
+    graph = graph or build_schema_graph(schema)
+    out: list[str] = []
+    for edge in graph.edges:
+        if edge.kind == "table_link":
+            out.extend((edge.a, LINKS_TO, edge.b))
+    return out
 
 
 def build_input(
@@ -220,29 +162,24 @@ def build_input(
     separated by "|"; the previous-turn SQL is inserted only when the
     discourse family is enabled.
     """
-    pairs: list[tuple[str, TokenTag]] = []
-    n_turns = len(turns.turns)
-    for offset, turn_idx in enumerate(range(n_turns - 1, -1, -1)):
+    tokens: list[str] = []
+    for offset, turn in enumerate(reversed(turns.turns)):
         if offset:
-            pairs.append((TURN_SEPARATOR, TokenTag("question")))
-        for tok in turns.turns[turn_idx]:
-            pairs.append((tok, TokenTag("question", turn=turn_idx)))
+            tokens.append(TURN_SEPARATOR)
+        tokens.extend(turn)
 
     if config.discourse and prev_sql is not None:
-        for tok in render_sql(prev_sql).split(" "):
-            pairs.append((tok, TokenTag("prev_sql")))
+        tokens.extend(render_sql(prev_sql).split(" "))
 
-    pairs.extend(
-        _linearize_tagged(
+    tokens.extend(
+        linearize_schema(
             schema,
-            list(links) if config.schema_property else [],
+            links if config.schema_property else (),
             include_values,
-            config.schema_property,
-            config.database_structure,
+            schema_property=config.schema_property,
+            database_structure=config.database_structure,
         )
     )
     if config.database_structure:
-        pairs.extend(_relations_tagged(schema, graph))
-
-    tokens, tags = zip(*pairs) if pairs else ((), ())
-    return AnnotatedInput(tuple(tokens), tuple(tags), example_id=example_id)
+        tokens.extend(render_relations(schema, graph))
+    return AnnotatedInput(tuple(tokens), example_id=example_id)

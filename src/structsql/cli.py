@@ -33,7 +33,7 @@ from structsql.decode import (
     oracle_scorer,
 )
 from structsql.linking import QuestionTokens, name_link, value_link
-from structsql.schema import DatabaseSchema, build_schema_graph, load_schemas
+from structsql.schema import DatabaseSchema, SchemaGraph, build_schema_graph, load_schemas
 from structsql.sql_ast import SqlSyntaxError, parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, write_corpus
 
@@ -74,7 +74,6 @@ class PipelineConfig:
     scorer: str = "oracle"
     constrained: bool = True
     completion: bool = True
-    oracle_prev_sql: bool = False
     language: str = "en"
     seed: int = 0
 
@@ -140,7 +139,7 @@ def _annotation_for(
     schema: DatabaseSchema,
     config: PipelineConfig,
     prev_sql_text: str | None,
-    graph=None,
+    graph: SchemaGraph,
 ) -> AnnotatedInput:
     question, links = _links_for(example, schema, config.language, config.include_values)
     prev_sql = None
@@ -249,7 +248,6 @@ def run_pipeline(
     except Untokenizable as exc:
         raise StageError("vocabulary", exc) from exc
 
-    # Stage: annotate (gold previous SQL when requested; else filled during decode)
     interactions: dict[str, list[Example]] = {}
     for ex in examples:
         interactions.setdefault(ex.interaction_id, []).append(ex)
@@ -263,21 +261,16 @@ def run_pipeline(
     except (OSError, ValueError) as exc:
         raise StageError("scorer", exc) from exc
 
-    # Stage: decode, interaction by interaction so each turn sees the
-    # previous turn's prediction
+    # Stage: annotate and decode, interaction by interaction so each turn
+    # sees the previous turn's prediction
     sources: dict[int, str] = {}
     raw_preds: dict[int, str] = {}
     try:
         for group in interactions.values():
             prev_text: str | None = None
-            for idx, ex in enumerate(group):
+            for ex in group:
                 schema = schemas[ex.db_id]
-                ex_prev = None
-                if config.discourse and len(group) > 1:
-                    if config.oracle_prev_sql and idx > 0:
-                        ex_prev = group[idx - 1].query
-                    else:
-                        ex_prev = prev_text
+                ex_prev = prev_text if config.discourse and len(group) > 1 else None
                 annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
                 sources[ex.index] = annotated.render()
                 scorer = factory(ex.index)
@@ -386,6 +379,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     schemas = load_schemas(args.tables, args.content)
     examples = load_examples(args.data)
+    graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
     config = PipelineConfig(
         schema_property=not args.no_schema_property,
         database_structure=not args.no_database_structure,
@@ -400,7 +394,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     for group in interactions.values():
         for idx, ex in enumerate(group):
             prev = group[idx - 1].query if (idx > 0 and args.prev_sql == "gold") else None
-            annotated = _annotation_for(ex, schemas[ex.db_id], config, prev)
+            annotated = _annotation_for(ex, schemas[ex.db_id], config, prev, graphs[ex.db_id])
             sources[ex.index] = annotated.render()
     Path(args.src).write_text(
         "\n".join(sources[i] for i in sorted(sources)) + "\n", encoding="utf-8"
@@ -468,35 +462,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.config:
-        config = PipelineConfig.from_file(args.config)
-    else:
-        config = PipelineConfig()
-    overrides = {
-        "data": args.data,
-        "tables": args.tables,
-        "content": args.content,
-        "out_dir": args.out_dir,
-        "beam_width": args.beam,
-        "max_len": args.max_len,
-        "scorer": args.scorer,
-        "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    if args.no_constraint:
-        config.constrained = False
-    if args.no_completion:
-        config.completion = False
-    if args.no_schema_property:
-        config.schema_property = False
-    if args.no_database_structure:
-        config.database_structure = False
-    if args.no_discourse:
-        config.discourse = False
-    if args.values:
-        config.include_values = True
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    # A flag that is absent leaves no attribute, so the file value stands.
+    for field in dataclasses.fields(PipelineConfig):
+        if hasattr(args, field.name):
+            setattr(config, field.name, getattr(args, field.name))
     if not config.data or not config.tables:
         raise ConfigError("run needs --data and --tables (or a config file)")
     report = run_pipeline(config)
@@ -564,22 +534,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("run", help="full pipeline from a config file")
+    # Every flag but --config is named by its PipelineConfig field (dest).
+    p = sub.add_parser(
+        "run", help="full pipeline from a config file", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--config", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--tables", default=None)
-    p.add_argument("--content", default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--scorer", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-constraint", action="store_true")
-    p.add_argument("--no-completion", action="store_true")
-    p.add_argument("--no-schema-property", action="store_true")
-    p.add_argument("--no-database-structure", action="store_true")
-    p.add_argument("--no-discourse", action="store_true")
-    p.add_argument("--values", action="store_true")
+    p.add_argument("--data")
+    p.add_argument("--tables")
+    p.add_argument("--content")
+    p.add_argument("--out-dir")
+    p.add_argument("--beam", type=int, dest="beam_width")
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--scorer")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--no-constraint", action="store_false", dest="constrained")
+    p.add_argument("--no-completion", action="store_false", dest="completion")
+    p.add_argument("--no-schema-property", action="store_false", dest="schema_property")
+    p.add_argument("--no-database-structure", action="store_false", dest="database_structure")
+    p.add_argument("--no-discourse", action="store_false", dest="discourse")
+    p.add_argument("--values", action="store_true", dest="include_values")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")

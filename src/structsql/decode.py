@@ -39,6 +39,8 @@ _NO_SPACE_BEFORE = {".", ",", ")", ";"}
 _NO_SPACE_AFTER = {".", "("}
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
+TOKENIZER_TAG = "wordpiece-v1"
+
 
 class Untokenizable(ValueError):
     """A surface form cannot be spelled with the scorer vocabulary."""
@@ -73,12 +75,7 @@ class Vocabulary:
     words observed inside string literals or cell values).
     """
 
-    def __init__(
-        self,
-        tokens: Sequence[str],
-        keyword_forms: Iterable[str] = SQL_KEYWORD_TOKENS,
-        literal_forms: Iterable[str] = (),
-    ):
+    def __init__(self, tokens: Sequence[str], literal_forms: Iterable[str] = ()):
         self._tokens: list[str] = []
         self._index: dict[str, int] = {}
         for tok in tokens:
@@ -90,7 +87,7 @@ class Vocabulary:
         self.eos_id: int = self._index[EOS_TOKEN]
         self.quote_id: int | None = self._index.get(QUOTE_TOKEN)
         self.keyword_ids: frozenset[int] = frozenset(
-            self._index[t] for t in keyword_forms if t in self._index
+            self._index[t] for t in SQL_KEYWORD_TOKENS if t in self._index
         )
         literal = {self._index[t] for t in literal_forms if t in self._index}
         if self.quote_id is not None:
@@ -99,7 +96,6 @@ class Vocabulary:
         literal.discard(self.eos_id)
         self.literal_ids: frozenset[int] = frozenset(literal)
         self.all_ids: tuple[int, ...] = tuple(range(len(self._tokens)))
-        self.tokenizer_tag = "wordpiece-v1"
 
     @classmethod
     def build(
@@ -107,7 +103,6 @@ class Vocabulary:
         schemas: Iterable[DatabaseSchema],
         corpus_texts: Iterable[str] = (),
         extra_tokens: Iterable[str] = (),
-        tokenizer_tag: str = "wordpiece-v1",
     ) -> "Vocabulary":
         """Assemble a vocabulary covering keywords, schema names, and corpus text.
 
@@ -134,9 +129,7 @@ class Vocabulary:
                 if in_quote:
                     literal_forms.append(piece)
         ordered.extend(extra_tokens)
-        vocab = cls(ordered, literal_forms=literal_forms)
-        vocab.tokenizer_tag = tokenizer_tag
-        return vocab
+        return cls(ordered, literal_forms=literal_forms)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -186,25 +179,12 @@ class Vocabulary:
 # Prefix trie
 
 
-@dataclass(frozen=True)
-class TrieEntry:
-    kind: str  # "table" | "column" | "star" | "value"
-    surface: str
-    table: str | None = None
-    column: str | None = None
-    value: str | None = None
-
-
 class TrieNode:
-    __slots__ = ("children", "entries")
+    __slots__ = ("children", "terminal")
 
     def __init__(self) -> None:
         self.children: dict[int, TrieNode] = {}
-        self.entries: tuple[TrieEntry, ...] = ()
-
-    @property
-    def terminal(self) -> bool:
-        return bool(self.entries)
+        self.terminal = False
 
 
 class PrefixTrie:
@@ -214,7 +194,7 @@ class PrefixTrie:
         self.vocab = vocab
         self.root = TrieNode()
 
-    def insert(self, surface: str, entry: TrieEntry) -> None:
+    def insert(self, surface: str) -> None:
         try:
             ids = self.vocab.tokenize(surface)
         except Untokenizable as exc:
@@ -222,8 +202,7 @@ class PrefixTrie:
         node = self.root
         for token_id in ids:
             node = node.children.setdefault(token_id, TrieNode())
-        if entry not in node.entries:
-            node.entries = node.entries + (entry,)
+        node.terminal = True
 
     def node_at(self, ids: Sequence[int]) -> TrieNode | None:
         node = self.root
@@ -234,33 +213,17 @@ class PrefixTrie:
         return node
 
 
-def build_trie(
-    schema: DatabaseSchema, vocab: Vocabulary, include_values: bool | None = None
-) -> PrefixTrie:
+def build_trie(schema: DatabaseSchema, vocab: Vocabulary) -> PrefixTrie:
     """Trie over every table name, qualified column, the "*" pseudo-column,
-    and (value mode) every attached cell value.
-
-    ``include_values=None`` enables value mode exactly when the schema
-    carries sample values.
+    and every attached cell value (value mode, on when the schema carries
+    sample values).
     """
-    if include_values is None:
-        include_values = schema.has_content()
     trie = PrefixTrie(vocab)
-    for table in schema.tables:
-        trie.insert(table.name, TrieEntry("table", table.name, table=table.name))
-    for table, col in schema.iter_columns():
-        surface = f"{table.name}.{col.name}"
-        trie.insert(
-            surface, TrieEntry("column", surface, table=table.name, column=col.name)
-        )
-    trie.insert(STAR, TrieEntry("star", STAR))
-    if include_values:
-        for table, col in schema.iter_columns():
-            for value in col.sample_values or ():
-                trie.insert(
-                    value,
-                    TrieEntry("value", value, table=table.name, column=col.name, value=value),
-                )
+    for form in schema.surface_forms():
+        trie.insert(form)
+    for _, col in schema.iter_columns():
+        for value in col.sample_values or ():
+            trie.insert(value)
     return trie
 
 
@@ -761,7 +724,7 @@ class ScorerServer:
                 "type": "vocab",
                 "size": len(self.scorer.vocab),
                 "eos_id": self.scorer.eos_id,
-                "tokenizer_tag": getattr(self.scorer.vocab, "tokenizer_tag", "wordpiece-v1"),
+                "tokenizer_tag": TOKENIZER_TAG,
             }
         if kind == "score":
             scores = self.scorer.score_candidates(

@@ -23,15 +23,6 @@ DEFAULT_MAX_NGRAM = 5
 _WORD_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]", re.UNICODE)
 
 
-class UnparseableValue(ValueError):
-    """A value could not be normalized under its declared type hint."""
-
-    def __init__(self, raw: str, hint: ColumnType):
-        super().__init__(f"cannot parse {raw!r} as {hint.value}")
-        self.raw = raw
-        self.hint = hint
-
-
 class MatchKind(Enum):
     EXACT = "ExactMatch"
     PARTIAL = "PartialMatch"
@@ -263,20 +254,17 @@ def _normalize_text(raw: str) -> str:
     return re.sub(r"\s+", " ", raw.strip().lower())
 
 
-def normalize_value(raw: str, hint: ColumnType | None = None, strict: bool = False) -> str:
+def normalize_value(raw: str, hint: ColumnType | None = None) -> str:
     """Canonicalize a cell value or question span for comparison.
 
     Dates become ISO-8601, numbers canonical decimals (no separators, no
     leading zeros), text is lowercased with whitespace collapsed.  A Date hint
-    that fails to parse falls back to text normalization (raises
-    :class:`UnparseableValue` when ``strict``).
+    that fails to parse falls back to text normalization.
     """
     if hint is ColumnType.DATE:
         parsed = _parse_date(raw)
         if parsed is not None:
             return parsed
-        if strict:
-            raise UnparseableValue(raw, hint)
         logger.warning("date-hinted value %r not parseable; using text form", raw)
         return _normalize_text(raw)
     if hint in (ColumnType.INTEGER, ColumnType.REAL):

@@ -103,19 +103,12 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
-SchemaResolver = Callable[[str | None], DatabaseSchema | None]
-
-
 def _make_resolver(
-    schemas: Mapping[str, DatabaseSchema] | SchemaResolver | DatabaseSchema | None,
-) -> SchemaResolver:
-    if schemas is None:
-        return lambda db_id: None
-    if isinstance(schemas, DatabaseSchema):
-        return lambda db_id: schemas
+    schemas: Mapping[str, DatabaseSchema] | DatabaseSchema | None,
+) -> Callable[[str | None], DatabaseSchema | None]:
     if isinstance(schemas, Mapping):
-        return lambda db_id: schemas.get(db_id) if db_id is not None else None
-    return schemas
+        return schemas.get
+    return lambda db_id: schemas
 
 
 def score_corpus(
@@ -124,7 +117,7 @@ def score_corpus(
     *,
     interaction_ids: Sequence[str] | None = None,
     db_ids: Sequence[str] | None = None,
-    schemas: Mapping[str, DatabaseSchema] | SchemaResolver | DatabaseSchema | None = None,
+    schemas: Mapping[str, DatabaseSchema] | DatabaseSchema | None = None,
 ) -> EvaluationReport:
     """Score prediction texts against gold texts.
 

@@ -260,12 +260,9 @@ class DatabaseSchema:
     def qualified_column_names(self) -> list[str]:
         return [f"{t.name}.{c.name}" for t, c in self.iter_columns()]
 
-    def surface_forms(self, include_star: bool = True) -> list[str]:
+    def surface_forms(self) -> list[str]:
         """All decodable schema surface forms: tables, Table.Column, "*"."""
-        forms = self.table_names() + self.qualified_column_names()
-        if include_star:
-            forms.append(STAR)
-        return forms
+        return self.table_names() + self.qualified_column_names() + [STAR]
 
     def has_content(self) -> bool:
         return any(c.sample_values for _, c in self.iter_columns())

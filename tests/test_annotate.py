@@ -15,7 +15,7 @@ from structsql.annotate import (
     linearize_schema,
     render_relations,
 )
-from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens, name_link
+from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens, name_link, value_link
 from structsql.schema import load_schema
 from structsql.sql_ast import parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus
@@ -110,10 +110,15 @@ def test_relations_chain_brute_force():
 
 def test_marks_within_closed_vocabulary(tennis):
     q = QuestionTokens.from_text("player ranking year in 2016 from usa")
-    links = name_link(q, tennis)
+    links = name_link(q, tennis) + value_link(q, tennis)
     annotated = build_input(q, tennis, links, include_values=True)
-    for token in annotated.mark_tokens():
-        assert token in MARK_VOCABULARY
+    # Past the question, every token that names no schema item or linked
+    # value is a mark.
+    schema_part = annotated.tokens[annotated.tokens.index(TABLE_MARK) :]
+    names = set(tennis.surface_forms()) | {a.value for a in links if a.kind is MatchKind.VALUE}
+    marks = [tok for tok in schema_part if tok not in names]
+    assert "Value-Match" in marks
+    assert set(marks) <= MARK_VOCABULARY
 
 
 def test_single_table_and_column_markers(tennis):
@@ -124,30 +129,33 @@ def test_single_table_and_column_markers(tennis):
     table_pos = annotated.tokens.index(TABLE_MARK)
     column_pos = annotated.tokens.index(COLUMN_MARK)
     assert table_pos < column_pos
+    # Question, tables, columns and relations, in that order.
+    assert annotated.tokens[:table_pos] == ("year",)
+    assert LINKS_TO in annotated.tokens[column_pos:]
 
 
 def test_reverse_chronological_turns(tennis):
     q = QuestionTokens.from_text(["first question", "second one", "third now"])
     annotated = build_input(q, tennis)
-    question = annotated.region_tokens("question")
-    assert question == "third now | second one | first question".split()
-    turn_tags = [t.turn for t in annotated.tags if t.region == "question" and t.turn is not None]
-    assert turn_tags == [2, 2, 1, 1, 0, 0]
+    question = annotated.tokens[: annotated.tokens.index(TABLE_MARK)]
+    assert list(question) == "third now | second one | first question".split()
 
 
 def test_prev_sql_region_round_trip(tennis):
     prev = parse_sql("SELECT Ranking.Year FROM Ranking WHERE Ranking.Ranking = 1", tennis)
     q = QuestionTokens.from_text(["show years", "only the top one"])
     annotated = build_input(q, tennis, prev_sql=prev)
-    region = annotated.region_tokens("prev_sql")
-    assert " ".join(region) == render_sql(prev)
+    question = "only the top one | show years".split()
+    assert list(annotated.tokens[: len(question)]) == question
+    region = annotated.tokens[len(question) : annotated.tokens.index(TABLE_MARK)]
+    assert list(region) == render_sql(prev).split()
 
 
 def test_discourse_toggle_drops_prev_sql(tennis):
     prev = parse_sql("SELECT Ranking.Year FROM Ranking", tennis)
     q = QuestionTokens.from_text("show years")
     annotated = build_input(q, tennis, prev_sql=prev, config=MarkConfig(discourse=False))
-    assert annotated.region_tokens("prev_sql") == []
+    assert annotated.tokens[: annotated.tokens.index(TABLE_MARK)] == ("show", "years")
 
 
 def test_vanilla_layout_when_all_marks_off(tennis):
@@ -160,16 +168,19 @@ def test_vanilla_layout_when_all_marks_off(tennis):
         "Player_id Ranking Year"
     )
     assert annotated.render() == expected
-    assert annotated.region_tokens("relation") == []
+    assert LINKS_TO not in annotated.tokens
 
 
 def test_columns_fully_qualified_in_structured_mode(tennis):
     q = QuestionTokens.from_text("year")
     annotated = build_input(q, tennis)
     pattern = re.compile(r"[^.\s]+\.[^.\s]+$")
-    for token, tag in zip(annotated.tokens, annotated.tags):
-        if tag.region == "column" and not tag.mark:
-            assert pattern.match(token), token
+    end = len(annotated.tokens) - len(render_relations(tennis))
+    region = annotated.tokens[annotated.tokens.index(COLUMN_MARK) + 1 : end]
+    columns = [tok for tok in region if tok not in MARK_VOCABULARY]
+    assert len(columns) == sum(1 for _ in tennis.iter_columns())
+    for token in columns:
+        assert pattern.match(token), token
 
 
 def test_mark_order_regular_language(tennis, concert):
@@ -215,11 +226,3 @@ def test_serialization_injective_on_generated_corpus():
                         assert other_render != rendered
                 seen[fingerprint] = rendered
     assert count >= 72
-
-
-def test_tags_align_with_tokens(tennis):
-    q = QuestionTokens.from_text("year")
-    annotated = build_input(q, tennis)
-    assert len(annotated.tokens) == len(annotated.tags)
-    regions = {t.region for t in annotated.tags}
-    assert regions == {"question", "table", "column", "relation"}

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from structsql.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
     PipelineConfig,
+    build_parser,
     main,
     run_pipeline,
 )
@@ -425,6 +427,52 @@ def test_run_subcommand_with_config_and_overrides(corpus_dir, tmp_path, capsys):
     assert resolved["out_dir"] == str(out_dir)
 
 
+def test_every_run_flag_lands_in_its_config_field(corpus_dir, tmp_path):
+    # flag -> (PipelineConfig field, value the flag sets), all off the defaults
+    flags = {
+        "--data": ("data", str(corpus_dir / "examples.json")),
+        "--tables": ("tables", str(corpus_dir / "tables.json")),
+        "--content": ("content", str(corpus_dir / "content.json")),
+        "--out-dir": ("out_dir", str(tmp_path / "flags")),
+        "--beam": ("beam_width", 2),
+        "--max-len": ("max_len", 30),
+        "--scorer": ("scorer", "random:7"),
+        "--seed": ("seed", 9),
+        "--no-constraint": ("constrained", False),
+        "--no-completion": ("completion", False),
+        "--no-schema-property": ("schema_property", False),
+        "--no-database-structure": ("database_structure", False),
+        "--no-discourse": ("discourse", False),
+        "--values": ("include_values", True),
+    }
+    run_parser = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices["run"]
+    declared = {
+        opt for a in run_parser._actions for opt in a.option_strings if opt.startswith("--")
+    }
+    assert declared - {"--help", "--config"} == set(flags)
+    defaults = PipelineConfig()
+    for field, value in flags.values():
+        assert getattr(defaults, field) != value, field
+
+    argv = ["run"]
+    for flag, (_, value) in flags.items():
+        argv += [flag] if isinstance(value, bool) else [flag, str(value)]
+    assert main(argv) == EXIT_OK
+    resolved = json.loads(read(tmp_path / "flags" / "config.resolved.json"))
+    assert {field: resolved[field] for field, _ in flags.values()} == dict(flags.values())
+
+    # Without flags, every value from the config file stands.
+    file_values = dict(flags.values())
+    file_values.update(out_dir=str(tmp_path / "file"), beam_width=3, scorer="random:3")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(file_values), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    resolved = json.loads(read(tmp_path / "file" / "config.resolved.json"))
+    assert {field: resolved[field] for field in file_values} == file_values
+
+
 def test_missing_schema_path_is_stage_error(tmp_path):
     code = main(
         [
@@ -439,8 +487,12 @@ def test_missing_schema_path_is_stage_error(tmp_path):
 
 def test_unknown_config_key_is_config_error(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"no_such_key": 1}), encoding="utf-8")
-    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR
+    # With data and tables set, the unknown key is the only configuration error
+    # (an accepted key would go on to a stage error on the missing files).
+    paths = {"data": str(tmp_path / "examples.json"), "tables": str(tmp_path / "tables.json")}
+    for key in ("no_such_key", "oracle_prev_sql"):
+        config_path.write_text(json.dumps({**paths, key: 1}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR
 
 
 def test_run_without_data_is_config_error():

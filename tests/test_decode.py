@@ -33,8 +33,16 @@ def surfaces(vocab, ids):
     return [vocab.surface(i) for i in ids]
 
 
-def terminal_surfaces(trie):
-    return {e.surface for _, node in iter_terminals(trie) for e in node.entries}
+def terminal_paths(trie):
+    return {path for path, _ in iter_terminals(trie)}
+
+
+def spelled(vocab, forms):
+    return {tuple(vocab.tokenize(form)) for form in forms}
+
+
+def sample_values(schema):
+    return {v for _, col in schema.iter_columns() for v in col.sample_values or ()}
 
 
 @pytest.fixture(scope="module")
@@ -76,27 +84,25 @@ def test_tokenize_unknown_raises(tennis_kit):
 
 
 def test_trie_terminals_fig(tennis_kit):
-    _, trie = tennis_kit
-    names = terminal_surfaces(trie)
-    assert "Ranking.Player_id" in names
-    assert "Matches" in names
-    assert "*" in names
+    vocab, trie = tennis_kit
+    paths = terminal_paths(trie)
+    assert spelled(vocab, ["Ranking.Player_id", "Matches", "*"]) <= paths
 
 
 def test_trie_empty_schema_star_only():
     schema = DatabaseSchema(db_id="empty", tables=())
     vocab = Vocabulary.build([schema])
     trie = build_trie(schema, vocab)
-    assert terminal_surfaces(trie) == {"*"}
+    assert terminal_paths(trie) == spelled(vocab, ["*"])
 
 
 def test_trie_value_mode(tennis, tennis_kit):
-    vocab, _ = tennis_kit
-    trie = build_trie(tennis, vocab, include_values=True)
+    vocab, trie = tennis_kit  # tennis carries sample values: value mode
     node = trie.node_at(vocab.tokenize("2016"))
     assert node is not None and node.terminal
-    names = {e.surface for _, n in iter_terminals(trie) for e in n.entries if e.kind == "value"}
-    assert "USA" in names
+    assert tuple(vocab.tokenize("USA")) in terminal_paths(trie)
+    forms = tennis.surface_forms() + sorted(sample_values(tennis))
+    assert terminal_paths(trie) == spelled(vocab, forms)
 
 
 def test_trie_terminal_count_membership_oracle():
@@ -104,7 +110,7 @@ def test_trie_terminal_count_membership_oracle():
     doc, _ = random_schema_doc(rng, "db", min_tables=5, max_tables=8)
     schema = load_schema(doc)
     vocab = Vocabulary.build([schema])
-    trie = build_trie(schema, vocab, include_values=False)
+    trie = build_trie(schema, vocab)  # no content: names only
     # Independent membership scan: every surface form must be reachable by
     # walking children maps, and the terminal count must equal the name count.
     forms = set(schema.surface_forms())
@@ -114,6 +120,7 @@ def test_trie_terminal_count_membership_oracle():
             node = node.children[token_id]
         assert node.terminal
     assert sum(1 for _ in iter_terminals(trie)) == len(forms)
+    assert terminal_paths(trie) == spelled(vocab, forms)
 
 
 def test_trie_untokenizable_name():
