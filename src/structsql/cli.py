@@ -24,6 +24,7 @@ from structsql.decode import (
     LexiconConstraint,
     NoValidHypothesis,
     RandomScorer,
+    RemoteScorer,
     TokenScorer,
     Untokenizable,
     Vocabulary,
@@ -188,9 +189,21 @@ def make_scorer(
     if kind == "extern":
         if not arg:
             raise ConfigError("extern scorer needs host:port")
-        remote = external_scorer_connect(arg, vocab)
-        return lambda i: remote
+        return _SharedConnection(external_scorer_connect(arg, vocab))
     raise ConfigError(f"unknown scorer spec {spec!r}")
+
+
+@dataclass(frozen=True)
+class _SharedConnection:
+    """Scorer factory that hands every example one open remote scorer."""
+
+    remote: RemoteScorer
+
+    def __call__(self, index: int) -> RemoteScorer:
+        return self.remote
+
+    def close(self) -> None:
+        self.remote.close()
 
 
 def _plan_entry(
@@ -223,17 +236,18 @@ def run_pipeline(
     scorer_factory: Callable[[int], TokenScorer] | None = None,
 ) -> metrics_mod.EvaluationReport:
     """Full run over a dataset; writes per-stage artifacts under out_dir."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
     try:
         schemas = load_schemas(config.tables, config.content)
         examples = load_examples(config.data)
     except (OSError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
+
+    # Provenance is written only for a run that got past ingest.
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.resolved.json").write_text(
+        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
     graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
 
@@ -293,6 +307,11 @@ def run_pipeline(
                 prev_text = text
     except Exception as exc:  # noqa: BLE001
         raise StageError("decode", exc) from exc
+    finally:
+        # A connection this run opened ends with decoding; an injected
+        # factory belongs to the caller.
+        if scorer_factory is None and isinstance(factory, _SharedConnection):
+            factory.close()
 
     (out / "annotated.src").write_text(
         "\n".join(sources[i] for i in sorted(sources)) + "\n", encoding="utf-8"

@@ -4,17 +4,21 @@ No SQL grammar automaton is involved: keywords and literals decode freely,
 but once a token starts a schema surface form the following tokens must spell
 a complete trie path.  The trie is suspended inside quoted string literals.
 The neural scorer is abstracted behind :class:`TokenScorer`, whose one
-method, ``score_candidates``, scores the allowed next tokens of a prefix; a
-wire protocol lets an external model plug in.
+method, ``score_candidates``, scores the allowed next tokens of a prefix.
+The beam asks once per step, for every live hypothesis, through
+``score_batch``; a wire protocol that sends one message per step lets an
+external model plug in.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import re
 import socket
 import socketserver
+import struct
 import threading
 from dataclasses import dataclass, replace
 from heapq import nsmallest
@@ -338,7 +342,11 @@ class TokenScorer:
     """Behavioral contract standing in for an autoregressive language model.
 
     Implementations provide a vocabulary (which fixes the end-of-sequence
-    id) and one method, :meth:`score_candidates`.
+    id) and one method, :meth:`score_candidates`.  ``beam_search`` calls
+    :meth:`score_batch` once per step; its default loops over
+    ``score_candidates``, and a scorer that can batch (a remote host, a GPU
+    model) overrides it.  Batching changes no score, so the exactness
+    contract below holds either way.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -365,6 +373,21 @@ class TokenScorer:
         exact only under this contract.
         """
         raise NotImplementedError
+
+    def score_batch(
+        self,
+        source: Sequence[str],
+        prefixes: Sequence[Sequence[int]],
+        candidate_lists: Sequence[Sequence[int]],
+        example_id: str | None = None,
+    ) -> list[list[float]]:
+        """``score_candidates`` for several prefixes of one example: one
+        score list per prefix, each equal to what ``score_candidates`` gives
+        for that prefix and its candidates."""
+        return [
+            self.score_candidates(source, prefix, candidates, example_id)
+            for prefix, candidates in zip(prefixes, candidate_lists)
+        ]
 
 
 class OracleScorer(TokenScorer):
@@ -498,12 +521,15 @@ def beam_search(
             break
         pool: dict[tuple, DecodeState] = {}
         finished: dict[tuple[int, ...], DecodeState] = {}
-        for state in live:
-            if constrained:
-                candidates = constraint.candidate_ids(state)
-            else:
-                candidates = all_sorted
-            scores = scorer.score_candidates(src, state.tokens, candidates, example_id)
+        if constrained:
+            candidate_lists = [constraint.candidate_ids(state) for state in live]
+        else:
+            candidate_lists = [all_sorted] * len(live)
+        # One scorer call per step, for every live hypothesis at once.
+        batch = scorer.score_batch(
+            src, [state.tokens for state in live], candidate_lists, example_id
+        )
+        for state, candidates, scores in zip(live, candidate_lists, batch):
             # Each non-EOS candidate yields at least one successor, so a pair
             # outside its parent's top 2*beam has 2*beam distinct states
             # ranked above it and cannot reach the step's top 2*beam: only
@@ -572,14 +598,23 @@ def beam_search(
 
 
 # --------------------------------------------------------------------------
-# External scorer wire protocol
+# External scorer wire protocol, version 2
 #
-# Line-delimited JSON over a TCP socket.
-#   handshake: {"type": "hello"}
-#           -> {"type": "vocab", "size": N, "eos_id": E, "tokenizer_tag": T}
-#   scoring:   {"type": "score", "example_id": X, "prefix": [...], "candidates": [...]}
-#           -> {"type": "scores", "example_id": X, "scores": [...]}
-# All fields are mandatory; any deviation is a ProtocolViolation.
+# Line-delimited JSON over a TCP socket, one scoring message per decode step.
+#   handshake: {"type": "hello", "protocol": 2}
+#           -> {"type": "vocab", "protocol": 2, "size": N, "eos_id": E,
+#               "tokenizer_tag": T}
+#   scoring:   {"type": "score", "example_id": X, "prefixes": [[...], ...],
+#               "lengths": [n_1, ...], "candidates": B}
+#           -> {"type": "scores", "example_id": X, "scores": S}
+# B is base64 of little-endian int32: the candidate ids of every prefix back
+# to back, lengths[i] of them for prefixes[i].  S is base64 of little-endian
+# float64, one score per id of B in the same order; packed float64 is
+# bit-exact, so the wire changes no score.  All fields are mandatory; any
+# deviation, a protocol version other than 2 included, is a
+# ProtocolViolation.
+
+PROTOCOL_VERSION = 2
 
 
 def _require(message: dict, field_name: str):
@@ -588,8 +623,37 @@ def _require(message: dict, field_name: str):
     return message[field_name]
 
 
+def _pack(code: str, values: Sequence) -> str:
+    """Base64 of ``values`` as little-endian struct ``code`` items."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
+def _unpack(code: str, text, what: str) -> tuple:
+    """Inverse of :func:`_pack`; malformed input is a ProtocolViolation."""
+    if not isinstance(text, str):
+        raise ProtocolViolation(f"{what} must be a base64 string, got {text!r}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error included
+        raise ProtocolViolation(f"{what} is not valid base64: {exc}") from exc
+    size = struct.calcsize(code)
+    if len(data) % size:
+        raise ProtocolViolation(f"{what}: {len(data)} bytes is not a multiple of {size}")
+    return struct.unpack(f"<{len(data) // size}{code}", data)
+
+
+def _split(flat: Sequence, lengths: Sequence[int]) -> list[list]:
+    """``flat`` cut into consecutive runs of the given lengths."""
+    out, start = [], 0
+    for n in lengths:
+        out.append(list(flat[start:start + n]))
+        start += n
+    return out
+
+
 class RemoteScorer(TokenScorer):
-    """TokenScorer proxy speaking the line-delimited score protocol."""
+    """TokenScorer proxy speaking the wire protocol: one round trip per
+    ``score_batch`` call, so one per decode step."""
 
     def __init__(self, vocab: Vocabulary, sock: socket.socket, timeout: float = 10.0):
         super().__init__(vocab)
@@ -621,9 +685,14 @@ class RemoteScorer(TokenScorer):
         return message
 
     def handshake(self) -> dict:
-        message = self._roundtrip({"type": "hello"})
+        message = self._roundtrip({"type": "hello", "protocol": PROTOCOL_VERSION})
         if _require(message, "type") != "vocab":
             raise ProtocolViolation(f"expected vocab response, got {message}")
+        protocol = _require(message, "protocol")
+        if protocol != PROTOCOL_VERSION:
+            raise ProtocolViolation(
+                f"scorer speaks protocol {protocol!r}, this client {PROTOCOL_VERSION}"
+            )
         size = _require(message, "size")
         eos_id = _require(message, "eos_id")
         self.tokenizer_tag = _require(message, "tokenizer_tag")
@@ -634,33 +703,38 @@ class RemoteScorer(TokenScorer):
             )
         return message
 
-    def score_candidates(self, source, prefix, candidates, example_id=None):
+    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
+        """One round trip for the whole batch."""
+        lengths = [len(c) for c in candidate_lists]
         request = {
             "type": "score",
             "example_id": example_id if example_id is not None else "0",
-            "prefix": list(prefix),
-            "candidates": list(candidates),
+            "prefixes": [list(p) for p in prefixes],
+            "lengths": lengths,
+            "candidates": _pack("i", [i for c in candidate_lists for i in c]),
         }
         message = self._roundtrip(request)
         if _require(message, "type") != "scores":
             raise ProtocolViolation(f"expected scores response, got {message}")
         if _require(message, "example_id") != request["example_id"]:
             raise ProtocolViolation("response example_id does not match request")
-        scores = _require(message, "scores")
-        if not isinstance(scores, list) or len(scores) != len(candidates):
-            raise ProtocolViolation(
-                f"expected {len(candidates)} scores, got {scores!r}"
-            )
-        values = [float(s) for s in scores]
-        if any(not math.isfinite(v) for v in values):
+        scores = _unpack("d", _require(message, "scores"), "scores")
+        if len(scores) != sum(lengths):
+            raise ProtocolViolation(f"expected {sum(lengths)} scores, got {len(scores)}")
+        if not all(map(math.isfinite, scores)):
             raise ProtocolViolation("scores must be finite")
-        return values
+        return _split(scores, lengths)
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        return self.score_batch(source, [prefix], [candidates], example_id)[0]
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        # The socket stays open while a file made from it is open.
+        for stream in (self._writer, self._reader, self._sock):
+            try:
+                stream.close()
+            except OSError:
+                pass
 
 
 def external_scorer_connect(
@@ -675,7 +749,11 @@ def external_scorer_connect(
     except OSError as exc:
         raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
     scorer = RemoteScorer(vocab, sock, timeout=timeout)
-    scorer.handshake()
+    try:
+        scorer.handshake()
+    except Exception:
+        scorer.close()
+        raise
     return scorer
 
 
@@ -683,7 +761,8 @@ class ScorerServer:
     """Reference protocol server wrapping an in-process scorer.
 
     Meant for tests and for bridging a locally loaded model; each connection
-    is served on its own thread.
+    is served on its own thread, and each scoring message is one
+    ``score_batch`` call on the wrapped scorer.
     """
 
     def __init__(self, scorer: TokenScorer, host: str = "127.0.0.1", port: int = 0):
@@ -720,20 +799,33 @@ class ScorerServer:
     def _respond(self, request: dict) -> dict:
         kind = request.get("type")
         if kind == "hello":
+            if request.get("protocol") != PROTOCOL_VERSION:
+                raise ProtocolViolation(
+                    f"client protocol {request.get('protocol')!r}, "
+                    f"this server speaks {PROTOCOL_VERSION}"
+                )
             return {
                 "type": "vocab",
+                "protocol": PROTOCOL_VERSION,
                 "size": len(self.scorer.vocab),
                 "eos_id": self.scorer.eos_id,
                 "tokenizer_tag": TOKENIZER_TAG,
             }
         if kind == "score":
-            scores = self.scorer.score_candidates(
-                (), request["prefix"], request["candidates"], request.get("example_id")
+            prefixes, lengths = request["prefixes"], request["lengths"]
+            ids = _unpack("i", request["candidates"], "candidates")
+            if len(prefixes) != len(lengths) or len(ids) != sum(lengths):
+                raise ProtocolViolation(
+                    f"{len(prefixes)} prefixes, {len(lengths)} lengths and "
+                    f"{len(ids)} candidate ids do not match"
+                )
+            batch = self.scorer.score_batch(
+                (), prefixes, _split(ids, lengths), request["example_id"]
             )
             return {
                 "type": "scores",
                 "example_id": request["example_id"],
-                "scores": scores,
+                "scores": _pack("d", [s for scores in batch for s in scores]),
             }
         return {"type": "error", "message": f"unknown request type {kind!r}"}
 

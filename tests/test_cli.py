@@ -483,6 +483,9 @@ def test_missing_schema_path_is_stage_error(tmp_path):
         ]
     )
     assert code == EXIT_STAGE_ERROR
+    # A run that fails at ingest leaves no provenance behind.
+    assert not (tmp_path / "out" / "config.resolved.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_is_config_error(tmp_path):

@@ -22,6 +22,8 @@ from structsql.sql_ast import render_sql
 from structsql.synth import random_query, random_schema_doc
 
 from util_checks import (
+    MixedMagnitudeScorer,
+    QuantizedScorer,
     identifier_run_violations,
     iter_terminals,
     reference_beam_search,
@@ -352,26 +354,6 @@ def test_oracle_property_random_queries(tennis, tennis_graph):
         width = rng.choice((1, 2, 5))
         hyps = beam_search(oracle_scorer(gold, vocab), ["q"], trie, beam_width=width, max_len=150)
         assert hyps[0].text(vocab) == gold
-
-
-class QuantizedScorer(RandomScorer):
-    """Random scores rounded to quarters: exact ties everywhere."""
-
-    def score_candidates(self, source, prefix, candidates, example_id=None):
-        scores = super().score_candidates(source, prefix, candidates, example_id)
-        return [round(s * 4) / 4 for s in scores]
-
-
-class MixedMagnitudeScorer(RandomScorer):
-    """Random scores offset by -1e17 after every third token: the next step's
-    distinct scores then vanish in the summed hypothesis score, so only the
-    sum (not the raw score) ties and the token id decides."""
-
-    def score_candidates(self, source, prefix, candidates, example_id=None):
-        scores = super().score_candidates(source, prefix, candidates, example_id)
-        if len(prefix) % 3 == 0:
-            return [s - 1e17 for s in scores]
-        return scores
 
 
 def _outcome(search, scorer, trie, **kwargs):

@@ -1,15 +1,23 @@
+import base64
 import json
+import math
 import socket
 import socketserver
+import struct
 import threading
 import time
 
 import pytest
 
+from structsql import cli
+from structsql.cli import PipelineConfig, load_examples, run_pipeline
 from structsql.decode import (
+    NoValidHypothesis,
     ProtocolViolation,
+    RandomScorer,
     ScorerServer,
     ScorerTimeout,
+    TokenScorer,
     TransportError,
     Vocabulary,
     beam_search,
@@ -17,6 +25,10 @@ from structsql.decode import (
     external_scorer_connect,
     oracle_scorer,
 )
+from structsql.schema import load_schemas
+from structsql.synth import generate_synthetic_corpus, write_corpus
+
+from util_checks import MixedMagnitudeScorer, QuantizedScorer
 
 
 @pytest.fixture(scope="module")
@@ -27,72 +39,73 @@ def kit(tennis):
     return vocab, trie, gold
 
 
+def packed(scores):
+    return base64.b64encode(struct.pack(f"<{len(scores)}d", *scores)).decode("ascii")
+
+
 class MisbehavingServer(socketserver.ThreadingTCPServer):
-    """Protocol server with scriptable faults."""
+    """Protocol v2 server with scriptable faults; ``ended`` is set once a
+    client connection has closed."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, vocab, mode):
-        outer_mode = mode
+        outer = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
                 for raw in self.rfile:
                     request = json.loads(raw)
                     if request["type"] == "hello":
-                        if outer_mode == "bad_vocab":
-                            reply = {"type": "vocab", "size": 1, "eos_id": 0, "tokenizer_tag": "x"}
-                        elif outer_mode == "missing_field":
-                            reply = {"type": "vocab", "size": len(vocab)}
-                        else:
-                            reply = {
-                                "type": "vocab",
-                                "size": len(vocab),
-                                "eos_id": vocab.eos_id,
-                                "tokenizer_tag": "wordpiece-v1",
-                            }
+                        reply = {
+                            "type": "vocab",
+                            "protocol": 2,
+                            "size": len(vocab),
+                            "eos_id": vocab.eos_id,
+                            "tokenizer_tag": "wordpiece-v1",
+                        }
+                        if mode == "bad_vocab":
+                            reply.update(size=1, eos_id=0, tokenizer_tag="x")
+                        elif mode == "missing_field":
+                            del reply["eos_id"], reply["tokenizer_tag"]
+                        elif mode == "v1_hello":
+                            del reply["protocol"]
+                        elif mode == "v3_hello":
+                            reply["protocol"] = 3
                     else:
-                        if outer_mode == "short_scores":
-                            reply = {
-                                "type": "scores",
-                                "example_id": request["example_id"],
-                                "scores": [0.5],
-                            }
-                        elif outer_mode == "wrong_example":
-                            reply = {
-                                "type": "scores",
-                                "example_id": "nope",
-                                "scores": [0.0] * len(request["candidates"]),
-                            }
-                        elif outer_mode == "not_json":
+                        n = sum(request["lengths"])
+                        reply = {
+                            "type": "scores",
+                            "example_id": request["example_id"],
+                            "scores": packed([0.0] * n),
+                        }
+                        if mode == "short_scores":
+                            reply["scores"] = packed([0.5])
+                        elif mode == "wrong_example":
+                            reply["example_id"] = "nope"
+                        elif mode == "not_json":
                             self.wfile.write(b"garbage\n")
                             self.wfile.flush()
                             continue
-                        elif outer_mode == "slow":
+                        elif mode == "slow":
                             time.sleep(0.8)
-                            reply = {
-                                "type": "scores",
-                                "example_id": request["example_id"],
-                                "scores": [0.0] * len(request["candidates"]),
-                            }
-                        elif outer_mode == "nan":
-                            reply = {
-                                "type": "scores",
-                                "example_id": request["example_id"],
-                                "scores": [float("nan")] * len(request["candidates"]),
-                            }
-                        else:
-                            reply = {
-                                "type": "scores",
-                                "example_id": request["example_id"],
-                                "scores": [0.0] * len(request["candidates"]),
-                            }
+                        elif mode == "nan":
+                            reply["scores"] = packed([float("nan")] * n)
+                        elif mode == "bad_base64":
+                            # Stray characters that a lax decoder would skip.
+                            reply["scores"] = "!" + packed([0.0] * n)
+                        elif mode == "odd_bytes":
+                            reply["scores"] = base64.b64encode(bytes(8 * n - 3)).decode()
                     self.wfile.write((json.dumps(reply) + "\n").encode())
                     self.wfile.flush()
+                outer.ended.set()
 
+        self.ended = threading.Event()
         super().__init__(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -103,6 +116,19 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
     def close(self):
         self.shutdown()
         self.server_close()
+
+
+class CountingServer(ScorerServer):
+    """Reference server that keeps every ``score`` request it answers."""
+
+    def __init__(self, scorer):
+        self.score_requests = []
+        super().__init__(scorer)
+
+    def _respond(self, request):
+        if request.get("type") == "score":
+            self.score_requests.append(request)
+        return super()._respond(request)
 
 
 def test_handshake_echoes_vocab(kit):
@@ -155,7 +181,9 @@ def test_short_scores_is_protocol_violation(kit):
         server.close()
 
 
-@pytest.mark.parametrize("mode", ["wrong_example", "not_json", "nan"])
+@pytest.mark.parametrize(
+    "mode", ["wrong_example", "not_json", "nan", "bad_base64", "odd_bytes"]
+)
 def test_bad_responses_are_protocol_violations(kit, mode):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, mode)
@@ -184,6 +212,32 @@ def test_missing_handshake_field_rejected(kit):
     try:
         with pytest.raises(ProtocolViolation):
             external_scorer_connect(server.endpoint, vocab)
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("mode", ["v1_hello", "v3_hello"])
+def test_hello_without_protocol_2_rejected(kit, mode):
+    vocab, _, _ = kit
+    server = MisbehavingServer(vocab, mode)
+    try:
+        with pytest.raises(ProtocolViolation, match="protocol"):
+            external_scorer_connect(server.endpoint, vocab)
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("hello", [{"type": "hello"}, {"type": "hello", "protocol": 1}])
+def test_server_answers_other_protocols_with_an_error(kit, hello):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            stream = sock.makefile("rw", encoding="utf-8")
+            stream.write(json.dumps(hello) + "\n")
+            stream.flush()
+            reply = json.loads(stream.readline())
+        assert reply["type"] == "error" and "protocol" in reply["message"]
     finally:
         server.close()
 
@@ -228,5 +282,172 @@ def test_env_var_overrides_extern_endpoint(kit, monkeypatch):
         target = vocab.tokenize(gold)
         assert scorer.score_candidates([], [], [target[0]], "e") == [1.0]
         scorer.close()
+    finally:
+        server.close()
+
+
+# -- one message per decode step, and the same search -------------------------
+
+
+def _search(scorer, trie, **kwargs):
+    try:
+        return [(h.token_ids, h.score) for h in beam_search(scorer, ["q"], trie, **kwargs)]
+    except NoValidHypothesis:
+        return NoValidHypothesis
+
+
+@pytest.mark.parametrize("beam", [1, 5])
+def test_one_score_message_per_decode_step(kit, beam):
+    vocab, trie, gold = kit
+    server = CountingServer(oracle_scorer(gold, vocab))
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        hyps = beam_search(remote, ["q"], trie, beam_width=beam, max_len=80, example_id="7")
+        remote.close()
+    finally:
+        server.close()
+    # Step k scores every live hypothesis, and each has k tokens: one message
+    # per step means message k carries exactly the prefixes of length k.
+    requests = server.score_requests
+    assert [{len(p) for p in r["prefixes"]} for r in requests] == [
+        {k} for k in range(len(requests))
+    ]
+    assert all(r["example_id"] == "7" for r in requests)
+    assert all(len(r["prefixes"]) <= beam for r in requests)
+    output_tokens = len(hyps[0].token_ids)
+    if beam == 1:
+        assert len(requests) == output_tokens + 1  # the tokens, then EOS
+    else:
+        # The step after the best hypothesis ends may still be needed to
+        # finish beam_width of them.
+        assert len(requests) <= output_tokens + 2
+
+
+class PerExampleScorer(TokenScorer):
+    """Routes each call to the scorer of its example id."""
+
+    def __init__(self, vocab, scorers):
+        super().__init__(vocab)
+        self.scorers = scorers
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        return self.scorers[example_id].score_candidates(source, prefix, candidates, example_id)
+
+
+@pytest.mark.parametrize("kind", ["random", "quantized", "mixed"])
+def test_remote_search_equals_in_process_search_exactly(kit, kind):
+    vocab, trie, _ = kit
+    scorer_class = {
+        "random": RandomScorer,
+        "quantized": QuantizedScorer,
+        "mixed": MixedMagnitudeScorer,
+    }[kind]
+    scorers = {str(seed): scorer_class(vocab, seed=seed) for seed in range(3)}
+    server = ScorerServer(PerExampleScorer(vocab, scorers))
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        for example_id, scorer in scorers.items():
+            for constrained in (True, False):
+                kwargs = dict(
+                    trie=trie if constrained else None, beam_width=4, max_len=25,
+                    constrained=constrained, example_id=example_id,
+                )
+                # Exact float equality: packed float64 loses nothing.
+                assert _search(remote, **kwargs) == _search(scorer, **kwargs)
+        remote.close()
+    finally:
+        server.close()
+
+
+class FixedScorer(TokenScorer):
+    def __init__(self, vocab, values):
+        super().__init__(vocab)
+        self.values = values
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        return [self.values[c % len(self.values)] for c in candidates]
+
+
+def test_packed_scores_come_back_bit_identical(kit):
+    vocab, _, _ = kit
+    values = [-0.0, 5e-324, -1e308, -1 - 2**-52]
+    server = ScorerServer(FixedScorer(vocab, values))
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        batch = remote.score_batch([], [[], [3]], [[0, 1], [2, 3, 0]], "ex")
+        remote.close()
+    finally:
+        server.close()
+    want = [values[:2], values[2:] + values[:1]]
+    assert [struct.pack(f"<{len(s)}d", *s) for s in batch] == [
+        struct.pack(f"<{len(s)}d", *s) for s in want
+    ]
+    assert math.copysign(1.0, batch[0][0]) == -1.0
+
+
+def test_score_batch_default_loops_score_candidates(kit):
+    vocab, _, _ = kit
+    scorer = RandomScorer(vocab, seed=5)
+    prefixes, candidate_lists = [(), (4, 9)], [(1, 2, 3), (0, 7)]
+    assert scorer.score_batch(["q"], prefixes, candidate_lists, "e") == [
+        scorer.score_candidates(["q"], p, c, "e") for p, c in zip(prefixes, candidate_lists)
+    ]
+
+
+# -- run_pipeline and the extern connection -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    write_corpus(generate_synthetic_corpus(3, 2, 5, with_values=True), out)
+    schemas = load_schemas(out / "tables.json", out / "content.json")
+    examples = load_examples(out / "examples.json")
+    vocab = Vocabulary.build(schemas.values(), corpus_texts=[e.query for e in examples])
+    return out, vocab
+
+
+def _extern_config(corpus, out_dir, endpoint):
+    return PipelineConfig(
+        data=str(corpus / "examples.json"),
+        tables=str(corpus / "tables.json"),
+        content=str(corpus / "content.json"),
+        out_dir=str(out_dir),
+        scorer=f"extern:{endpoint}",
+        beam_width=2,
+        max_len=12,
+    )
+
+
+def test_run_pipeline_closes_the_extern_connection_it_opened(small_corpus, tmp_path, monkeypatch):
+    corpus, vocab = small_corpus
+    server = MisbehavingServer(vocab, "ok")
+    ended_before_evaluation = []
+    score_corpus = cli.metrics_mod.score_corpus
+
+    def evaluate(*args, **kwargs):
+        # Evaluation comes after decoding and before run_pipeline returns.
+        ended_before_evaluation.append(server.ended.wait(timeout=5))
+        return score_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(cli.metrics_mod, "score_corpus", evaluate)
+    try:
+        run_pipeline(_extern_config(corpus, tmp_path / "out", server.endpoint))
+    finally:
+        server.close()
+    assert ended_before_evaluation == [True]
+
+
+def test_run_pipeline_leaves_an_injected_scorer_open(small_corpus, tmp_path):
+    corpus, vocab = small_corpus
+    server = MisbehavingServer(vocab, "ok")
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        config = _extern_config(corpus, tmp_path / "out", "unused:1")
+        run_pipeline(config, scorer_factory=lambda i: remote)
+        assert not server.ended.is_set()
+        assert remote.score_candidates([], [], [1, 2], "e") == [0.0, 0.0]
+        remote.close()
+        assert server.ended.wait(timeout=5)
     finally:
         server.close()

@@ -6,7 +6,8 @@ surface strings instead of the trie, plain transitive closure instead of
 graph search.  ``reference_beam_search`` is the unpruned beam search: it
 advances every allowed candidate of every live hypothesis.
 ``reference_name_link`` compares every question n-gram with every schema
-name instead of probing the per-schema name index.
+name instead of probing the per-schema name index.  ``QuantizedScorer`` and
+``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from structsql.decode import (
     LexiconConstraint,
     NoValidHypothesis,
     PrefixTrie,
+    RandomScorer,
     TrieNode,
 )
 from structsql.linking import (
@@ -186,6 +188,26 @@ def transitive_closure_connected(
                 if not reach[i][j]:
                     reach[i][j] = any(reach[i][k] and reach[k][j] for k in range(n_tables))
     return reach[a][b]
+
+
+class QuantizedScorer(RandomScorer):
+    """Random scores rounded to quarters: exact ties everywhere."""
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        return [round(s * 4) / 4 for s in scores]
+
+
+class MixedMagnitudeScorer(RandomScorer):
+    """Random scores offset by -1e17 after every third token: the next step's
+    distinct scores then vanish in the summed hypothesis score, so only the
+    sum (not the raw score) ties and the token id decides."""
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        if len(prefix) % 3 == 0:
+            return [s - 1e17 for s in scores]
+        return scores
 
 
 def reference_beam_search(
