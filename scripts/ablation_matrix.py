@@ -44,7 +44,6 @@ def main() -> None:
                 scorer=args.scorer,
                 beam_width=3,
                 max_len=200,
-                seed=args.seed,
             )
             report = run_pipeline(config)
             print(

@@ -139,9 +139,8 @@ def render_relations(schema: DatabaseSchema, graph=None) -> list[str]:
     """
     graph = graph or build_schema_graph(schema)
     out: list[str] = []
-    for edge in graph.edges:
-        if edge.kind == "table_link":
-            out.extend((edge.a, LINKS_TO, edge.b))
+    for a, b in graph.links:
+        out.extend((a, LINKS_TO, b))
     return out
 
 

@@ -76,7 +76,6 @@ class PipelineConfig:
     constrained: bool = True
     completion: bool = True
     language: str = "en"
-    seed: int = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -113,6 +112,8 @@ def load_examples(path: str | Path) -> list[Example]:
         raw = json.load(f)
     examples = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "question" not in entry or "db_id" not in entry:
+            raise ValueError(f"example {i} has no question or no db_id")
         question = entry["question"]
         turns = tuple([question] if isinstance(question, str) else question)
         examples.append(
@@ -125,6 +126,18 @@ def load_examples(path: str | Path) -> list[Example]:
             )
         )
     return examples
+
+
+def _load_inputs(
+    tables: str, content: str | None, data: str
+) -> tuple[dict[str, DatabaseSchema], list[Example]]:
+    """Schemas and examples, each example checked to name a loaded schema."""
+    schemas = load_schemas(tables, content)
+    examples = load_examples(data)
+    for ex in examples:
+        if ex.db_id not in schemas:
+            raise ValueError(f"example {ex.index}: no schema has db_id {ex.db_id!r}")
+    return schemas, examples
 
 
 def _links_for(example: Example, schema: DatabaseSchema, language: str, with_values: bool):
@@ -162,7 +175,7 @@ def _annotation_for(
 
 
 def make_scorer(
-    spec: str, vocab: Vocabulary, targets: Sequence[str] | None = None, seed: int = 0
+    spec: str, vocab: Vocabulary, targets: Sequence[str] | None = None
 ) -> Callable[[int], TokenScorer]:
     """Scorer factory from a spec string.
 
@@ -184,7 +197,7 @@ def make_scorer(
         oracles = [oracle_scorer(line, vocab) for line in lines]
         return lambda i: oracles[i]
     if kind == "random":
-        base = int(arg) if arg else seed
+        base = int(arg) if arg else 0
         return lambda i: RandomScorer(vocab, seed=base + i)
     if kind == "extern":
         if not arg:
@@ -237,8 +250,7 @@ def run_pipeline(
 ) -> metrics_mod.EvaluationReport:
     """Full run over a dataset; writes per-stage artifacts under out_dir."""
     try:
-        schemas = load_schemas(config.tables, config.content)
-        examples = load_examples(config.data)
+        schemas, examples = _load_inputs(config.tables, config.content, config.data)
     except (OSError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
 
@@ -268,7 +280,7 @@ def run_pipeline(
 
     try:
         factory = scorer_factory or make_scorer(
-            config.scorer, vocab, targets=[e.query for e in examples], seed=config.seed
+            config.scorer, vocab, targets=[e.query for e in examples]
         )
     except ConfigError:
         raise
@@ -292,7 +304,7 @@ def run_pipeline(
                     hyps = beam_search(
                         scorer,
                         annotated,
-                        constraints[ex.db_id] if config.constrained else None,
+                        constraints[ex.db_id],
                         beam_width=config.beam_width,
                         max_len=config.max_len,
                         constrained=config.constrained,
@@ -371,8 +383,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    schemas = load_schemas(args.tables, args.content)
-    examples = load_examples(args.data)
+    schemas, examples = _load_inputs(args.tables, args.content, args.data)
     records = []
     for ex in examples:
         schema = schemas[ex.db_id]
@@ -396,8 +407,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    schemas = load_schemas(args.tables, args.content)
-    examples = load_examples(args.data)
+    schemas, examples = _load_inputs(args.tables, args.content, args.data)
     graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
     config = PipelineConfig(
         schema_property=not args.no_schema_property,
@@ -425,8 +435,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    schemas = load_schemas(args.tables, args.content)
-    examples = load_examples(args.data)
+    schemas, examples = _load_inputs(args.tables, args.content, args.data)
     graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
     lines = Path(args.sql).read_text(encoding="utf-8").splitlines()
     if len(lines) != len(examples):
@@ -565,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, dest="beam_width")
     p.add_argument("--max-len", type=int)
     p.add_argument("--scorer")
-    p.add_argument("--seed", type=int)
     p.add_argument("--no-constraint", action="store_false", dest="constrained")
     p.add_argument("--no-completion", action="store_false", dest="completion")
     p.add_argument("--no-schema-property", action="store_false", dest="schema_property")

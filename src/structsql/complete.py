@@ -46,24 +46,19 @@ class CompletionPlan:
         return bool(self.added_tables or self.join_conditions)
 
 
-def connect_terminals(
-    graph: SchemaGraph, terminals: Iterable[str], method: str = "auto"
-) -> list[str]:
+def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]:
     """Minimal table set containing the terminals whose induced table-link
     subgraph is connected, in schema declaration order.
 
-    ``method`` is "exact" (subset enumeration), "greedy" (pairwise component
-    merge along shortest paths), or "auto" (exact up to 10 tables).  Ties are
-    broken toward smaller declaration indices, so results are deterministic.
+    Graphs of up to ``EXACT_TABLE_LIMIT`` tables are solved exactly by subset
+    enumeration, larger ones by greedy pairwise component merge along
+    shortest paths.  Ties are broken toward smaller declaration indices, so
+    results are deterministic.
     """
     term_indices = sorted({graph.table_index(t) for t in terminals})
     if not term_indices:
         raise ValueError("at least one terminal table is required")
-    if method not in ("auto", "exact", "greedy"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "exact" if len(graph.tables) <= EXACT_TABLE_LIMIT else "greedy"
-    if method == "exact":
+    if len(graph.tables) <= EXACT_TABLE_LIMIT:
         indices = _connect_exact(graph, term_indices)
     else:
         indices = _connect_greedy(graph, term_indices)

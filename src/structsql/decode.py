@@ -147,9 +147,6 @@ class Vocabulary:
         except KeyError:
             raise Untokenizable(f"token {token!r} not in vocabulary") from None
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def tokenize(self, text: str) -> list[int]:
         split = pieces(text)
         if not split:
@@ -191,44 +188,23 @@ class TrieNode:
         self.terminal = False
 
 
-class PrefixTrie:
-    """Trie over scorer-vocabulary token ids spelling schema surface forms."""
-
-    def __init__(self, vocab: Vocabulary):
-        self.vocab = vocab
-        self.root = TrieNode()
-
-    def insert(self, surface: str) -> None:
+def build_trie(schema: DatabaseSchema, vocab: Vocabulary) -> TrieNode:
+    """Root of a trie over scorer-vocabulary token ids spelling every table
+    name, qualified column, the "*" pseudo-column, and every attached cell
+    value (value mode, on when the schema carries sample values).
+    """
+    root = TrieNode()
+    values = [v for _, col in schema.iter_columns() for v in col.sample_values or ()]
+    for surface in schema.surface_forms() + values:
         try:
-            ids = self.vocab.tokenize(surface)
+            ids = vocab.tokenize(surface)
         except Untokenizable as exc:
             raise Untokenizable(f"schema surface form {surface!r}: {exc}") from None
-        node = self.root
+        node = root
         for token_id in ids:
             node = node.children.setdefault(token_id, TrieNode())
         node.terminal = True
-
-    def node_at(self, ids: Sequence[int]) -> TrieNode | None:
-        node = self.root
-        for token_id in ids:
-            node = node.children.get(token_id)
-            if node is None:
-                return None
-        return node
-
-
-def build_trie(schema: DatabaseSchema, vocab: Vocabulary) -> PrefixTrie:
-    """Trie over every table name, qualified column, the "*" pseudo-column,
-    and every attached cell value (value mode, on when the schema carries
-    sample values).
-    """
-    trie = PrefixTrie(vocab)
-    for form in schema.surface_forms():
-        trie.insert(form)
-    for _, col in schema.iter_columns():
-        for value in col.sample_values or ():
-            trie.insert(value)
-    return trie
+    return root
 
 
 # --------------------------------------------------------------------------
@@ -255,11 +231,11 @@ class LexiconConstraint:
     schema size; the inactive-state mask is precomputed at construction.
     """
 
-    def __init__(self, trie: PrefixTrie, vocab: Vocabulary):
-        self.trie = trie
+    def __init__(self, root: TrieNode, vocab: Vocabulary):
+        self.root = root
         self.vocab = vocab
         self._free_base = vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
-        self._inactive_sorted = tuple(sorted(self._free_base | set(trie.root.children)))
+        self._inactive_sorted = tuple(sorted(self._free_base | set(root.children)))
         self._literal_sorted = tuple(i for i in vocab.all_ids if i != vocab.eos_id)
         self._node_sorted: dict[int, tuple[int, ...]] = {}
 
@@ -289,7 +265,9 @@ class LexiconConstraint:
         """Successor states after emitting a token.
 
         A terminal node that is also a prefix of a longer form yields both
-        continuations as separate hypotheses.
+        continuations as separate hypotheses.  Successors never share a
+        ``key()``: a cursor below ``state.node``, one below the root and the
+        inactive cursor are three different nodes.
         """
         tokens = state.tokens + (token_id,)
         new_score = state.score + score
@@ -298,30 +276,23 @@ class LexiconConstraint:
             return [
                 DecodeState(tokens, None, in_literal=not closing, score=new_score)
             ]
-        out: list[DecodeState] = []
         node = state.node
-        if node is not None:
-            child = node.children.get(token_id)
-            if child is not None:
-                out.append(DecodeState(tokens, child, score=new_score))
-            if node.terminal:
-                out.extend(self._fresh(tokens, token_id, new_score))
-        else:
+        if node is None:
+            return self._fresh(tokens, token_id, new_score)
+        out: list[DecodeState] = []
+        child = node.children.get(token_id)
+        if child is not None:
+            out.append(DecodeState(tokens, child, score=new_score))
+        if node.terminal:
             out.extend(self._fresh(tokens, token_id, new_score))
-        seen: set[tuple] = set()
-        unique = []
-        for s in out:
-            if s.key() not in seen:
-                seen.add(s.key())
-                unique.append(s)
-        return unique
+        return out
 
     def _fresh(self, tokens: tuple[int, ...], token_id: int, score: float) -> list[DecodeState]:
         out = []
         if token_id == self.vocab.quote_id:
             out.append(DecodeState(tokens, None, in_literal=True, score=score))
             return out
-        child = self.trie.root.children.get(token_id)
+        child = self.root.children.get(token_id)
         if child is not None:
             out.append(DecodeState(tokens, child, score=score))
         if token_id in self.vocab.keyword_ids or token_id in self.vocab.literal_ids:
@@ -415,27 +386,6 @@ def oracle_scorer(target: Sequence[int] | str, vocab: Vocabulary) -> OracleScore
     return OracleScorer(vocab, ids)
 
 
-class AdversarialScorer(OracleScorer):
-    """Oracle that prefers a lure token wherever the target expects a victim.
-
-    Unconstrained decoding therefore emits the lure; constraint masking
-    forces the victim back.
-    """
-
-    def __init__(self, vocab: Vocabulary, target_ids: Sequence[int], victim_id: int, lure_id: int):
-        super().__init__(vocab, target_ids)
-        self.victim_id = victim_id
-        self.lure_id = lure_id
-
-    def score_candidates(self, source, prefix, candidates, example_id=None):
-        scores = super().score_candidates(source, prefix, candidates, example_id)
-        if self._expected(prefix) == self.victim_id:
-            scores = [
-                2.0 if c == self.lure_id else s for c, s in zip(candidates, scores)
-            ]
-        return scores
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -485,7 +435,7 @@ def _source_tokens(source) -> tuple[str, ...]:
 def beam_search(
     scorer: TokenScorer,
     source: AnnotatedInput | Sequence[str],
-    trie: PrefixTrie | LexiconConstraint | None,
+    constraint: LexiconConstraint,
     beam_width: int = 5,
     max_len: int = 200,
     *,
@@ -495,18 +445,13 @@ def beam_search(
     """Constrained beam search; returns finished hypotheses, best first.
 
     Every finished hypothesis leaves no dangling schema prefix: EOS is only
-    reachable outside an identifier run or at a trie terminal.  Ties are
-    broken lexicographically on token ids for reproducibility.
+    reachable outside an identifier run or at a trie terminal.  With
+    ``constrained=False`` the constraint is not consulted and every token is
+    a candidate.  Ties are broken lexicographically on token ids for
+    reproducibility.
     """
     if beam_width < 1 or max_len < 1:
         raise ValueError("beam width and max length must be >= 1")
-    if isinstance(trie, LexiconConstraint):
-        constraint = trie
-    elif trie is not None:
-        constraint = LexiconConstraint(trie, scorer.vocab)
-    else:
-        constraint = None
-        constrained = False
     if example_id is None and isinstance(source, AnnotatedInput):
         example_id = source.example_id
     src = _source_tokens(source)
@@ -789,7 +734,11 @@ class ScorerServer:
         self.scorer = scorer
         self._server = Server((host, port), Handler)
         self.host, self.port = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll; a short interval
+        # keeps close() prompt.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.05,), daemon=True
+        )
         self._thread.start()
 
     @property

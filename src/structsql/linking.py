@@ -18,7 +18,8 @@ from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _stem
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_NGRAM = 5
+# Longest question n-gram compared with a schema name or cell value.
+MAX_NGRAM = 5
 
 _WORD_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]", re.UNICODE)
 
@@ -55,7 +56,6 @@ class QuestionTokens:
     """Tokenized question turns, most recent last."""
 
     turns: tuple[tuple[str, ...], ...]
-    language: str = "en"
 
     def __post_init__(self) -> None:
         if not self.turns or any(not t for t in self.turns):
@@ -64,15 +64,11 @@ class QuestionTokens:
     @classmethod
     def from_text(cls, text: str | list[str], language: str = "en") -> "QuestionTokens":
         texts = [text] if isinstance(text, str) else list(text)
-        return cls(tuple(tuple(tokenize(t, language)) for t in texts), language)
+        return cls(tuple(tuple(tokenize(t, language)) for t in texts))
 
     def all_tokens(self) -> list[str]:
         """Flat token list, turns in chronological order."""
         return [tok for turn in self.turns for tok in turn]
-
-    @property
-    def current(self) -> tuple[str, ...]:
-        return self.turns[-1]
 
 
 def tokenize(text: str, language: str = "en") -> list[str]:
@@ -121,11 +117,7 @@ def _suppress_overlaps(candidates: list[tuple]) -> list[LinkAnnotation]:
     return accepted
 
 
-def name_link(
-    question: QuestionTokens,
-    schema: DatabaseSchema,
-    max_ngram: int = DEFAULT_MAX_NGRAM,
-) -> list[LinkAnnotation]:
+def name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
     """Align question n-grams with table and column names.
 
     An n-gram is an ExactMatch when its normalized token sequence equals the
@@ -138,14 +130,12 @@ def name_link(
     containing it.  A name inside a longer n-gram is not looked up: its own
     ExactMatch on the shorter span always suppresses that PartialMatch.
     """
-    if max_ngram < 1:
-        raise ValueError("max_ngram must be >= 1")
     index = schema.name_index
     tokens = question.all_tokens()
     norm = [_norm_token(t) for t in tokens]
 
     candidates: list[tuple] = []
-    for n in range(min(max_ngram, len(tokens)), 0, -1):
+    for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
         for start in range(len(tokens) - n + 1):
             gram = tuple(norm[start : start + n])
             if "" in gram:
@@ -160,11 +150,7 @@ def name_link(
     return _suppress_overlaps(candidates)
 
 
-def value_link(
-    question: QuestionTokens,
-    schema: DatabaseSchema,
-    max_ngram: int = DEFAULT_MAX_NGRAM,
-) -> list[LinkAnnotation]:
+def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
     """Align question n-grams with stored cell values (normalized comparison).
 
     Returns an empty list when the schema carries no content.
@@ -185,7 +171,7 @@ def value_link(
         columns.append((table.name, col.name, col.col_type, normalized))
 
     candidates: list[tuple] = []
-    for n in range(min(max_ngram, len(tokens)), 0, -1):
+    for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
         for start in range(len(tokens) - n + 1):
             if not norm[start] or not norm[start + n - 1]:
                 continue  # n-gram may contain punctuation but not start/end with it

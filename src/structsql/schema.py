@@ -2,7 +2,7 @@
 
 Schemas arrive as Spider-format documents (``tables.json`` entries) and are
 turned into immutable :class:`DatabaseSchema` values.  A :class:`SchemaGraph`
-over tables and columns backs join-path discovery.
+of foreign-key links between tables backs join-path discovery.
 """
 
 from __future__ import annotations
@@ -416,21 +416,11 @@ def load_schemas(
     return schemas
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    """Typed edge record; node labels are table names or "Table.Column"."""
-
-    kind: str  # "affiliation" | "foreign_key" | "table_link"
-    a: str
-    b: str
-
-
 class SchemaGraph:
-    """Undirected graph over tables and columns, immutable after construction.
+    """Undirected table-link graph, immutable after construction.
 
-    Edge types: affiliation (column-table), foreign_key (column-column), and
-    table_link (table-table, induced by any foreign key between the tables).
-    Path queries run over the table_link relation only.
+    Two tables are linked when a foreign key joins them.  Path queries run
+    over these links.
     """
 
     def __init__(self, schema: DatabaseSchema):
@@ -438,24 +428,17 @@ class SchemaGraph:
         self.tables: tuple[str, ...] = tuple(schema.table_names())
         self._index = {name.lower(): i for i, name in enumerate(self.tables)}
 
-        edges: list[GraphEdge] = []
-        for table, col in schema.iter_columns():
-            edges.append(GraphEdge("affiliation", f"{table.name}.{col.name}", table.name))
         link_pairs: dict[tuple[int, int], list[tuple[ColumnRef, ColumnRef]]] = {}
         for src, dst in schema.foreign_keys:
-            edges.append(GraphEdge("foreign_key", str(src), str(dst)))
             i, j = self._index[src.table.lower()], self._index[dst.table.lower()]
             if i == j:
                 continue  # self-referencing keys induce no table link
             pair = (min(i, j), max(i, j))
             link_pairs.setdefault(pair, []).append((src, dst))
-        for i, j in sorted(link_pairs):
-            edges.append(GraphEdge("table_link", self.tables[i], self.tables[j]))
-
-        self.edges: tuple[GraphEdge, ...] = tuple(edges)
-        self.nodes: frozenset[str] = frozenset(self.tables) | {
-            f"{t.name}.{c.name}" for t, c in schema.iter_columns()
-        }
+        # Linked table pairs, ordered by declaration index.
+        self.links: tuple[tuple[str, str], ...] = tuple(
+            (self.tables[i], self.tables[j]) for i, j in sorted(link_pairs)
+        )
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.tables))}
         for i, j in link_pairs:
             adj[i].append(j)
@@ -471,10 +454,6 @@ class SchemaGraph:
 
     def neighbors(self, name: str) -> list[str]:
         return [self.tables[j] for j in self._adj[self.table_index(name)]]
-
-    def linked(self, a: str, b: str) -> bool:
-        i, j = self.table_index(a), self.table_index(b)
-        return (min(i, j), max(i, j)) in self._fk_between
 
     def foreign_keys_between(self, a: str, b: str) -> tuple[tuple[ColumnRef, ColumnRef], ...]:
         """FK column pairs linking two tables, in declaration order."""
@@ -517,5 +496,5 @@ class SchemaGraph:
 
 
 def build_schema_graph(schema: DatabaseSchema) -> SchemaGraph:
-    """Construct the typed schema graph for a validated schema."""
+    """Construct the table-link graph for a validated schema."""
     return SchemaGraph(schema)

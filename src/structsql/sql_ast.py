@@ -262,9 +262,9 @@ class _Parser:
     def select_core(self) -> SqlQuery:
         self.expect_keyword("SELECT")
         distinct = self.accept_keyword("DISTINCT") is not None
-        items = [self.select_item()]
+        items = [self.column_expr()]
         while self.accept_punct(","):
-            items.append(self.select_item())
+            items.append(self.column_expr())
 
         tables: list[str] = []
         joins: list[tuple[ColumnRef, ColumnRef]] = []
@@ -340,9 +340,6 @@ class _Parser:
             raise SqlSyntaxError("join conditions must use '='", tok.pos)
         right = self.column_ref()
         return (left, right)
-
-    def select_item(self) -> ColumnExpr:
-        return self.column_expr()
 
     def column_expr(self) -> ColumnExpr:
         tok = self.peek()
@@ -614,14 +611,10 @@ def resolve(q: SqlQuery, schema: DatabaseSchema) -> SqlQuery:
 # Rendering
 
 
-def _render_ref(ref: ColumnRef) -> str:
-    return str(ref)
-
-
 def _render_expr(e: ColumnExpr) -> str:
     if e.agg is Agg.NONE:
-        return _render_ref(e.ref)
-    inner = ("DISTINCT " if e.distinct else "") + _render_ref(e.ref)
+        return str(e.ref)
+    inner = ("DISTINCT " if e.distinct else "") + str(e.ref)
     return f"{e.agg.value}({inner})"
 
 
@@ -632,7 +625,7 @@ def _render_value(v: Value) -> str:
         return v.text
     if isinstance(v, SqlQuery):
         return f"({render_sql(v)})"
-    return _render_ref(v)
+    return str(v)
 
 
 def _render_condition(c: Condition) -> str:
@@ -661,7 +654,7 @@ def _render_from(q: SqlQuery) -> str:
     conds_at: dict[int, list[str]] = {}
     for a, b in q.join_conditions:
         anchor = max(pos.get((a.table or "").lower(), 0), pos.get((b.table or "").lower(), 0))
-        conds_at.setdefault(anchor, []).append(f"{_render_ref(a)} = {_render_ref(b)}")
+        conds_at.setdefault(anchor, []).append(f"{a} = {b}")
     parts = [f"FROM {q.from_tables[0]}"]
     for i, table in enumerate(q.from_tables[1:], start=1):
         clause = f"JOIN {table}"
@@ -684,7 +677,7 @@ def render_sql(q: SqlQuery) -> str:
     if q.where is not None:
         parts.append("WHERE " + _render_condition_list(q.where))
     if q.group_by:
-        parts.append("GROUP BY " + ", ".join(_render_ref(r) for r in q.group_by))
+        parts.append("GROUP BY " + ", ".join(str(r) for r in q.group_by))
     if q.having is not None:
         parts.append("HAVING " + _render_condition_list(q.having))
     if q.order_by:
@@ -701,42 +694,14 @@ def render_sql(q: SqlQuery) -> str:
 
 
 # --------------------------------------------------------------------------
-# Mentioned schema and component sets
-
-
-def mentioned_schema(q: SqlQuery) -> tuple[frozenset[str], frozenset[str]]:
-    """Tables and qualified columns referenced anywhere in the query tree."""
-    tables: set[str] = set()
-    columns: set[str] = set()
-
-    def note(level: SqlQuery) -> SqlQuery:
-        tables.update(level.from_tables)
-        for ref in _iter_refs(level):
-            if ref.column == STAR:
-                owners = [ref.table] if ref.table else list(level.from_tables)
-                for t in owners:
-                    tables.add(t)
-                    columns.add(f"{t}.{STAR}")
-            elif ref.table:
-                tables.add(ref.table)
-                columns.add(f"{ref.table}.{ref.column}")
-            else:
-                columns.add(ref.column)
-        return level
-
-    map_query(q, note)
-    return frozenset(tables), frozenset(columns)
+# Component sets
 
 
 _PLACEHOLDER = "value"
 
 
-def _ref_key(ref: ColumnRef) -> tuple[str, str]:
-    return ref.key()
-
-
 def _expr_key(e: ColumnExpr) -> tuple:
-    return (e.agg.name, e.distinct, _ref_key(e.ref))
+    return (e.agg.name, e.distinct, e.ref.key())
 
 
 def _value_key(v: Value, hint: ColumnType | None, value_sensitive: bool, schema):
@@ -745,7 +710,7 @@ def _value_key(v: Value, hint: ColumnType | None, value_sensitive: bool, schema)
             return ("lit", _PLACEHOLDER)
         return ("lit", normalize_value(v.text, hint))
     if isinstance(v, ColumnRef):
-        return ("col", _ref_key(v))
+        return ("col", v.key())
     return ("sub", component_set(v, value_sensitive=value_sensitive, schema=schema))
 
 
@@ -790,7 +755,7 @@ def component_set(
         from_tables=frozenset(t.lower() for t in q.from_tables),
         where=where_keys,
         where_connectors=where_conn,
-        group_by=frozenset(_ref_key(r) for r in q.group_by),
+        group_by=frozenset(r.key() for r in q.group_by),
         having=having_keys,
         having_connectors=having_conn,
         order_by=tuple((_expr_key(o.expr), o.desc) for o in q.order_by),

@@ -119,7 +119,7 @@ def _join_conditions(graph: SchemaGraph, tables: list[str]) -> list[tuple[Column
     conditions = []
     joined = [tables[0]]
     for table in tables[1:]:
-        anchor = next(t for t in joined if graph.linked(t, table))
+        anchor = next(t for t in joined if graph.foreign_keys_between(t, table))
         conditions.append(graph.foreign_keys_between(anchor, table)[0])
         joined.append(table)
     return conditions

@@ -10,7 +10,6 @@ import pytest
 
 from structsql.complete import connect_terminals
 from structsql.decode import (
-    AdversarialScorer,
     DecodeState,
     LexiconConstraint,
     RandomScorer,
@@ -34,7 +33,12 @@ from structsql.schema import (
 from structsql.sql_ast import component_set, parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, random_query, random_schema_doc
 
-from util_checks import brute_force_connector, identifier_run_violations
+from util_checks import (
+    AdversarialScorer,
+    brute_force_connector,
+    identifier_run_violations,
+    node_at,
+)
 
 
 @contextmanager
@@ -157,7 +161,7 @@ def test_criterion_3_schema_faithfulness_fuzz():
         )
         gold = "SELECT People.Citizenship FROM People"
         vocab = Vocabulary.build([schema], corpus_texts=[gold], extra_tokens=["Nation"])
-        trie = build_trie(schema, vocab)
+        constraint = LexiconConstraint(build_trie(schema, vocab), vocab)
         adv = AdversarialScorer(
             vocab, vocab.tokenize(gold), vocab.id_of("Citizenship"), vocab.id_of("Nation")
         )
@@ -165,11 +169,11 @@ def test_criterion_3_schema_faithfulness_fuzz():
         keywords = {vocab.surface(i) for i in vocab.keyword_ids}
         literals = {vocab.surface(i) for i in vocab.literal_ids}
 
-        off = beam_search(adv, ["q"], None, beam_width=1, max_len=30, constrained=False)
+        off = beam_search(adv, ["q"], constraint, beam_width=1, max_len=30, constrained=False)
         off_tokens = [vocab.surface(t) for t in off[0].token_ids]
         assert identifier_run_violations(off_tokens, forms, keywords, literals) >= 1
 
-        on = beam_search(adv, ["q"], trie, beam_width=1, max_len=30)
+        on = beam_search(adv, ["q"], constraint, beam_width=1, max_len=30)
         on_tokens = [vocab.surface(t) for t in on[0].token_ids]
         assert identifier_run_violations(on_tokens, forms, keywords, literals) == 0
         assert "Citizenship" in " ".join(on_tokens)
@@ -340,8 +344,8 @@ def _mean_lookup_latency(schema, calls):
     trie = build_trie(schema, vocab)
     constraint = LexiconConstraint(trie, vocab)
     first_table = schema.tables[0].name
-    mid = trie.node_at(vocab.tokenize(f"{first_table}."))
-    terminal = trie.node_at(vocab.tokenize(f"{first_table}.c000"))
+    mid = node_at(trie, vocab.tokenize(f"{first_table}."))
+    terminal = node_at(trie, vocab.tokenize(f"{first_table}.c000"))
     states = [
         DecodeState(),
         DecodeState(tokens=(0,), node=mid),

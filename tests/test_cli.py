@@ -17,9 +17,11 @@ from structsql.cli import (
     main,
     run_pipeline,
 )
-from structsql.decode import AdversarialScorer, Vocabulary
+from structsql.decode import Vocabulary
 from structsql.schema import load_schemas
 from structsql.synth import generate_synthetic_corpus, write_corpus
+
+from util_checks import AdversarialScorer
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +439,6 @@ def test_every_run_flag_lands_in_its_config_field(corpus_dir, tmp_path):
         "--beam": ("beam_width", 2),
         "--max-len": ("max_len", 30),
         "--scorer": ("scorer", "random:7"),
-        "--seed": ("seed", 9),
         "--no-constraint": ("constrained", False),
         "--no-completion": ("completion", False),
         "--no-schema-property": ("schema_property", False),
@@ -488,12 +489,43 @@ def test_missing_schema_path_is_stage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"db_id": "tennis"},
+        {"question": "How many players?"},
+        {"question": "How many players?", "db_id": "nope"},
+    ],
+    ids=["no-question", "no-db-id", "unknown-db-id"],
+)
+def test_malformed_dataset_is_ingest_error(tables_path, tmp_path, capsys, entry):
+    good = {"question": "Show all players", "db_id": "tennis", "query": "SELECT * FROM Players"}
+    data = tmp_path / "examples.json"
+    data.write_text(json.dumps([good, entry]), encoding="utf-8")
+    inputs = ["--data", str(data), "--tables", str(tables_path)]
+    assert main(["run", *inputs, "--out-dir", str(tmp_path / "out")]) == EXIT_STAGE_ERROR
+    assert "[ingest] example 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    sql = tmp_path / "pred.sql"
+    sql.write_text("SELECT * FROM Players\nSELECT * FROM Players\n", encoding="utf-8")
+    outputs = [tmp_path / name for name in ("links.jsonl", "a.src", "a.tgt", "c.sql")]
+    for argv in (
+        ["link", *inputs, "--out", str(outputs[0])],
+        ["annotate", *inputs, "--src", str(outputs[1]), "--tgt", str(outputs[2])],
+        ["complete", *inputs, "--sql", str(sql), "--out", str(outputs[3])],
+    ):
+        assert main(argv) == EXIT_STAGE_ERROR, argv[0]
+        assert "example 1" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
 def test_unknown_config_key_is_config_error(tmp_path):
     config_path = tmp_path / "config.json"
     # With data and tables set, the unknown key is the only configuration error
     # (an accepted key would go on to a stage error on the missing files).
     paths = {"data": str(tmp_path / "examples.json"), "tables": str(tmp_path / "tables.json")}
-    for key in ("no_such_key", "oracle_prev_sql"):
+    for key in ("no_such_key", "oracle_prev_sql", "seed"):
         config_path.write_text(json.dumps({**paths, key: 1}), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR
 

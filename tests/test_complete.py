@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from structsql.complete import (
     Disconnected,
+    _connect_exact,
+    _connect_greedy,
     complete_sql,
     connect_terminals,
 )
@@ -18,7 +20,6 @@ from structsql.sql_ast import (
     ConditionList,
     SqlQuery,
     component_set,
-    mentioned_schema,
     parse_sql,
     render_sql,
 )
@@ -62,12 +63,8 @@ def chain_schema(names, extra_fk=()):
     )
 
 
-def graph_edges(doc_or_graph):
-    return [
-        (doc_or_graph.table_index(e.a), doc_or_graph.table_index(e.b))
-        for e in doc_or_graph.edges
-        if e.kind == "table_link"
-    ]
+def graph_edges(graph):
+    return [(graph.table_index(a), graph.table_index(b)) for a, b in graph.links]
 
 
 # -- connect_terminals ---------------------------------------------------------
@@ -110,26 +107,24 @@ def test_empty_terminals_rejected(tennis_graph):
         connect_terminals(tennis_graph, [])
 
 
-@pytest.mark.parametrize("method", ["exact", "greedy"])
-def test_methods_sound_on_random_graphs(method):
+@pytest.mark.parametrize("connect", [_connect_exact, _connect_greedy], ids=["exact", "greedy"])
+def test_methods_sound_on_random_graphs(connect):
     rng = random.Random(11)
     for _ in range(30):
         doc, _ = random_schema_doc(rng, "db", min_tables=3, max_tables=8)
         schema = load_schema(doc)
         graph = build_schema_graph(schema)
         size = rng.randint(1, min(4, len(graph.tables)))
-        terminals = rng.sample(graph.tables, size)
-        connector = connect_terminals(graph, terminals, method=method)
-        assert set(t.lower() for t in terminals) <= {t.lower() for t in connector}
+        terminals = sorted(rng.sample(range(len(graph.tables)), size))
+        nodes = set(connect(graph, terminals))
+        assert set(terminals) <= nodes
         # induced subgraph connectivity via brute force
-        idx = {t: i for i, t in enumerate(graph.tables)}
-        nodes = {idx[t] for t in connector}
         got = brute_force_connector(
             len(graph.tables),
             [e for e in graph_edges(graph) if e[0] in nodes and e[1] in nodes],
             nodes,
         )
-        assert got == nodes, f"connector not connected: {connector}"
+        assert got == nodes, f"connector not connected: {sorted(nodes)}"
 
 
 def test_exact_matches_brute_force_cardinality():
@@ -142,9 +137,7 @@ def test_exact_matches_brute_force_cardinality():
         for size in (1, 2, 3):
             for terminals in combinations(range(n), size):
                 expected = brute_force_connector(n, edges, set(terminals))
-                got = connect_terminals(
-                    graph, [graph.tables[i] for i in terminals], method="exact"
-                )
+                got = _connect_exact(graph, list(terminals))
                 assert expected is not None
                 assert len(got) == len(expected)
 
@@ -198,8 +191,7 @@ def test_fig_completion(tennis, tennis_graph):
     }
     rendered = render_sql(fixed)
     assert "JOIN Matches ON" in rendered
-    tables, _ = mentioned_schema(fixed)
-    assert tables >= {"Players", "Matches", "Ranking"}
+    assert set(fixed.from_tables) >= {"Players", "Matches", "Ranking"}
 
 
 def test_already_connected_unchanged(tennis, tennis_graph):

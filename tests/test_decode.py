@@ -5,12 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.decode import (
-    AdversarialScorer,
     DecodeState,
     LexiconConstraint,
     NoValidHypothesis,
     OracleScorer,
     RandomScorer,
+    TrieNode,
     Untokenizable,
     Vocabulary,
     beam_search,
@@ -22,10 +22,12 @@ from structsql.sql_ast import render_sql
 from structsql.synth import random_query, random_schema_doc
 
 from util_checks import (
+    AdversarialScorer,
     MixedMagnitudeScorer,
     QuantizedScorer,
     identifier_run_violations,
     iter_terminals,
+    node_at,
     reference_beam_search,
     sequence_explained,
 )
@@ -100,7 +102,7 @@ def test_trie_empty_schema_star_only():
 
 def test_trie_value_mode(tennis, tennis_kit):
     vocab, trie = tennis_kit  # tennis carries sample values: value mode
-    node = trie.node_at(vocab.tokenize("2016"))
+    node = node_at(trie, vocab.tokenize("2016"))
     assert node is not None and node.terminal
     assert tuple(vocab.tokenize("USA")) in terminal_paths(trie)
     forms = tennis.surface_forms() + sorted(sample_values(tennis))
@@ -117,7 +119,7 @@ def test_trie_terminal_count_membership_oracle():
     # walking children maps, and the terminal count must equal the name count.
     forms = set(schema.surface_forms())
     for form in forms:
-        node = trie.root
+        node = trie
         for token_id in vocab.tokenize(form):
             node = node.children[token_id]
         assert node.terminal
@@ -154,7 +156,7 @@ def test_allowed_mid_path_children_only(tennis_kit):
     vocab, trie = tennis_kit
     constraint = LexiconConstraint(trie, vocab)
     prefix = vocab.tokenize("Ranking.")
-    node = trie.node_at(prefix)
+    node = node_at(trie, prefix)
     state = DecodeState(tokens=tuple(prefix), node=node)
     allowed = allowed_set(constraint, state)
     expected = {vocab.id_of("Player_id"), vocab.id_of("Ranking"), vocab.id_of("Year")}
@@ -167,7 +169,7 @@ def test_allowed_fresh_state_with_empty_trie():
     trie = build_trie(schema, vocab)
     constraint = LexiconConstraint(trie, vocab)
     allowed = allowed_set(constraint, DecodeState())
-    star_root = set(trie.root.children)
+    star_root = set(trie.children)
     assert allowed == vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id} | star_root
 
 
@@ -175,7 +177,7 @@ def test_allowed_at_terminal_without_extension(tennis_kit):
     vocab, trie = tennis_kit
     constraint = LexiconConstraint(trie, vocab)
     ids = vocab.tokenize("Ranking.Year")
-    node = trie.node_at(ids)
+    node = node_at(trie, ids)
     assert node.terminal and not node.children
     state = DecodeState(tokens=tuple(ids), node=node)
     allowed = allowed_set(constraint, state)
@@ -186,7 +188,7 @@ def test_allowed_at_terminal_with_extension(tennis_kit):
     vocab, trie = tennis_kit
     # "Ranking" is a table terminal and a prefix of "Ranking.Year"
     ids = vocab.tokenize("Ranking")
-    node = trie.node_at(ids)
+    node = node_at(trie, ids)
     assert node.terminal and node.children
     constraint = LexiconConstraint(trie, vocab)
     state = DecodeState(tokens=tuple(ids), node=node)
@@ -209,10 +211,28 @@ def test_no_keyword_leak_mid_identifier(tennis_kit):
     vocab, trie = tennis_kit
     constraint = LexiconConstraint(trie, vocab)
     prefix = vocab.tokenize("Players.")
-    state = DecodeState(tokens=tuple(prefix), node=trie.node_at(prefix))
+    state = DecodeState(tokens=tuple(prefix), node=node_at(trie, prefix))
     allowed = allowed_set(constraint, state)
     assert not allowed & vocab.keyword_ids
     assert vocab.eos_id not in allowed
+
+
+@given(seed=st.integers(0, 2**32 - 1), with_values=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_advance_successors_have_distinct_keys(seed, with_values, data):
+    # Cell values are trie terminals and free literals at once, so a value
+    # token can both open a trie path and stand alone.
+    doc, content = random_schema_doc(random.Random(seed), "db", max_tables=4, with_values=with_values)
+    schema = load_schema(doc, content=content or None)
+    vocab = Vocabulary.build([schema], corpus_texts=["SELECT 1 FROM x WHERE y = 'z'"])
+    constraint = LexiconConstraint(build_trie(schema, vocab), vocab)
+    state = DecodeState()
+    for _ in range(data.draw(st.integers(1, 30))):
+        candidates = [c for c in constraint.candidate_ids(state) if c != vocab.eos_id]
+        successors = constraint.advance(state, data.draw(st.sampled_from(candidates)), 0.0)
+        keys = [succ.key() for succ in successors]
+        assert len(set(keys)) == len(keys), keys
+        state = data.draw(st.sampled_from(successors))
 
 
 # -- beam search -----------------------------------------------------------------
@@ -230,8 +250,8 @@ GOLD_QUERIES = [
 @pytest.mark.parametrize("width", [1, 3, 5])
 def test_oracle_reproduces_gold(tennis, gold, width):
     vocab = Vocabulary.build([tennis], corpus_texts=GOLD_QUERIES)
-    trie = build_trie(tennis, vocab)
-    hyps = beam_search(oracle_scorer(gold, vocab), ["q"], trie, beam_width=width, max_len=120)
+    constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
+    hyps = beam_search(oracle_scorer(gold, vocab), ["q"], constraint, beam_width=width, max_len=120)
     assert hyps[0].text(vocab) == gold
 
 
@@ -253,7 +273,7 @@ def test_width_one_equals_manual_greedy(tennis_kit):
         out.append(best)
         state = constraint.advance(state, best, 0.0)[0]
 
-    hyp = beam_search(scorer, ["q"], trie, beam_width=1, max_len=100)[0]
+    hyp = beam_search(scorer, ["q"], constraint, beam_width=1, max_len=100)[0]
     assert list(hyp.token_ids) == out
 
 
@@ -277,10 +297,10 @@ def test_oracle_against_schema_violating_target(tennis):
     # unreachable, so no hypothesis ever contains it and the target is never
     # reproduced.
     vocab = Vocabulary.build([tennis], extra_tokens=["Nation"])
-    trie = build_trie(tennis, vocab)
+    constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     target = [vocab.id_of(t) for t in ["SELECT", "Nation", "FROM", "Players"]]
     scorer = OracleScorer(vocab, target)
-    hyps = beam_search(scorer, ["q"], trie, beam_width=3, max_len=12)
+    hyps = beam_search(scorer, ["q"], constraint, beam_width=3, max_len=12)
     for hyp in hyps:
         assert vocab.id_of("Nation") not in hyp.token_ids
         assert list(hyp.token_ids) != target
@@ -289,12 +309,12 @@ def test_oracle_against_schema_violating_target(tennis):
 def test_adversarial_lure_blocked(tennis):
     gold = "SELECT Players.Country FROM Players"
     vocab = Vocabulary.build([tennis], corpus_texts=[gold], extra_tokens=["Nation"])
-    trie = build_trie(tennis, vocab)
+    constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     adv = AdversarialScorer(
         vocab, vocab.tokenize(gold), vocab.id_of("Country"), vocab.id_of("Nation")
     )
-    unconstrained = beam_search(adv, ["q"], None, beam_width=1, max_len=40, constrained=False)
-    constrained = beam_search(adv, ["q"], trie, beam_width=1, max_len=40)
+    unconstrained = beam_search(adv, ["q"], constraint, beam_width=1, max_len=40, constrained=False)
+    constrained = beam_search(adv, ["q"], constraint, beam_width=1, max_len=40)
     assert "Nation" in unconstrained[0].text(vocab)
     assert "Nation" not in constrained[0].text(vocab)
     assert "Country" in constrained[0].text(vocab)
@@ -312,17 +332,19 @@ class EosAverseScorer(RandomScorer):
 
 def test_all_beams_pruned_raises(tennis_kit):
     vocab, trie = tennis_kit
+    constraint = LexiconConstraint(trie, vocab)
     with pytest.raises(NoValidHypothesis):
-        beam_search(EosAverseScorer(vocab, seed=4), ["q"], trie, beam_width=2, max_len=8)
+        beam_search(EosAverseScorer(vocab, seed=4), ["q"], constraint, beam_width=2, max_len=8)
 
 
 def test_beam_parameter_validation(tennis_kit):
     vocab, trie = tennis_kit
     scorer = oracle_scorer("SELECT * FROM Matches", vocab)
+    constraint = LexiconConstraint(trie, vocab)
     with pytest.raises(ValueError):
-        beam_search(scorer, ["q"], trie, beam_width=0)
+        beam_search(scorer, ["q"], constraint, beam_width=0)
     with pytest.raises(ValueError):
-        beam_search(scorer, ["q"], trie, max_len=0)
+        beam_search(scorer, ["q"], constraint, max_len=0)
 
 
 class JitteredOracle(OracleScorer):
@@ -339,8 +361,9 @@ class JitteredOracle(OracleScorer):
 def test_ranking_deterministic(tennis_kit):
     vocab, trie = tennis_kit
     gold = "SELECT Ranking.Year FROM Ranking"
-    a = beam_search(JitteredOracle(vocab, vocab.tokenize(gold)), ["q"], trie, beam_width=3, max_len=30)
-    b = beam_search(JitteredOracle(vocab, vocab.tokenize(gold)), ["q"], trie, beam_width=3, max_len=30)
+    constraint = LexiconConstraint(trie, vocab)
+    a = beam_search(JitteredOracle(vocab, vocab.tokenize(gold)), ["q"], constraint, beam_width=3, max_len=30)
+    b = beam_search(JitteredOracle(vocab, vocab.tokenize(gold)), ["q"], constraint, beam_width=3, max_len=30)
     assert [h.token_ids for h in a] == [h.token_ids for h in b]
     assert all(x.score >= y.score for x, y in zip(a, a[1:]))
 
@@ -349,16 +372,18 @@ def test_oracle_property_random_queries(tennis, tennis_graph):
     rng = random.Random(77)
     corpus = [render_sql(random_query(rng, tennis, tennis_graph)) for _ in range(25)]
     vocab = Vocabulary.build([tennis], corpus_texts=corpus)
-    trie = build_trie(tennis, vocab)
+    constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     for gold in corpus:
         width = rng.choice((1, 2, 5))
-        hyps = beam_search(oracle_scorer(gold, vocab), ["q"], trie, beam_width=width, max_len=150)
+        hyps = beam_search(oracle_scorer(gold, vocab), ["q"], constraint, beam_width=width, max_len=150)
         assert hyps[0].text(vocab) == gold
 
 
 def _outcome(search, scorer, trie, **kwargs):
+    # An unconstrained search (trie None) never consults its constraint.
+    constraint = LexiconConstraint(trie or TrieNode(), scorer.vocab)
     try:
-        return [(h.token_ids, h.score) for h in search(scorer, ["q"], trie, **kwargs)]
+        return [(h.token_ids, h.score) for h in search(scorer, ["q"], constraint, **kwargs)]
     except NoValidHypothesis:
         return NoValidHypothesis
 
@@ -445,7 +470,7 @@ def test_finished_hypotheses_fully_explained(tennis_kit, tennis):
     keywords = {vocab.surface(i) for i in vocab.keyword_ids}
     literals = {vocab.surface(i) for i in vocab.literal_ids}
     scorer = RandomScorer(vocab, seed=123)
-    hyps = beam_search(scorer, ["q"], trie, beam_width=4, max_len=25)
+    hyps = beam_search(scorer, ["q"], LexiconConstraint(trie, vocab), beam_width=4, max_len=25)
     for hyp in hyps:
         seq = surfaces(vocab, hyp.token_ids)
         assert sequence_explained(seq, forms, keywords, literals), seq

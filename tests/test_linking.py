@@ -49,16 +49,14 @@ def linking_cases(draw):
     turns = draw(st.lists(st.lists(words, min_size=1, max_size=12), min_size=1, max_size=3))
     language = draw(st.sampled_from(["en", "zh"]))
     question = QuestionTokens.from_text([" ".join(t) for t in turns], language)
-    return question, schema, draw(st.integers(1, 8))
+    return question, schema
 
 
 @given(linking_cases())
 @settings(max_examples=60, deadline=None)
 def test_name_link_matches_reference_scan(case):
-    question, schema, max_ngram = case
-    assert name_link(question, schema, max_ngram) == reference_name_link(
-        question, schema, max_ngram
-    )
+    question, schema = case
+    assert name_link(question, schema) == reference_name_link(question, schema)
 
 
 def test_player_token_partial_matches_player_id(tennis):
@@ -152,11 +150,6 @@ def test_case_invariance(tennis, upper, shout):
         for a in name_link(QuestionTokens.from_text(variant), tennis)
     }
     assert base == got
-
-
-def test_max_ngram_validation(tennis):
-    with pytest.raises(ValueError):
-        name_link(QuestionTokens.from_text("year"), tennis, max_ngram=0)
 
 
 def test_schema_name_case_invariance(tennis_doc):

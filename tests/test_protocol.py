@@ -12,6 +12,7 @@ import pytest
 from structsql import cli
 from structsql.cli import PipelineConfig, load_examples, run_pipeline
 from structsql.decode import (
+    LexiconConstraint,
     NoValidHypothesis,
     ProtocolViolation,
     RandomScorer,
@@ -35,8 +36,7 @@ from util_checks import MixedMagnitudeScorer, QuantizedScorer
 def kit(tennis):
     gold = "SELECT Ranking.Year FROM Ranking WHERE Ranking.Year = 2016"
     vocab = Vocabulary.build([tennis], corpus_texts=[gold])
-    trie = build_trie(tennis, vocab)
-    return vocab, trie, gold
+    return vocab, LexiconConstraint(build_trie(tennis, vocab), vocab), gold
 
 
 def packed(scores):
@@ -157,16 +157,24 @@ def test_request_with_two_candidates_gets_two_scores(kit):
 
 
 def test_remote_decode_matches_local(kit):
-    vocab, trie, gold = kit
+    vocab, constraint, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         remote = external_scorer_connect(server.endpoint, vocab)
-        local = beam_search(oracle_scorer(gold, vocab), ["q"], trie, beam_width=2, max_len=80)
-        via_wire = beam_search(remote, ["q"], trie, beam_width=2, max_len=80)
+        local = beam_search(oracle_scorer(gold, vocab), ["q"], constraint, beam_width=2, max_len=80)
+        via_wire = beam_search(remote, ["q"], constraint, beam_width=2, max_len=80)
         assert [h.token_ids for h in via_wire] == [h.token_ids for h in local]
         remote.close()
     finally:
         server.close()
+
+
+def test_server_close_returns_promptly(kit):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    start = time.perf_counter()
+    server.close()
+    assert time.perf_counter() - start < 0.25
 
 
 def test_short_scores_is_protocol_violation(kit):
@@ -289,20 +297,20 @@ def test_env_var_overrides_extern_endpoint(kit, monkeypatch):
 # -- one message per decode step, and the same search -------------------------
 
 
-def _search(scorer, trie, **kwargs):
+def _search(scorer, constraint, **kwargs):
     try:
-        return [(h.token_ids, h.score) for h in beam_search(scorer, ["q"], trie, **kwargs)]
+        return [(h.token_ids, h.score) for h in beam_search(scorer, ["q"], constraint, **kwargs)]
     except NoValidHypothesis:
         return NoValidHypothesis
 
 
 @pytest.mark.parametrize("beam", [1, 5])
 def test_one_score_message_per_decode_step(kit, beam):
-    vocab, trie, gold = kit
+    vocab, constraint, gold = kit
     server = CountingServer(oracle_scorer(gold, vocab))
     try:
         remote = external_scorer_connect(server.endpoint, vocab)
-        hyps = beam_search(remote, ["q"], trie, beam_width=beam, max_len=80, example_id="7")
+        hyps = beam_search(remote, ["q"], constraint, beam_width=beam, max_len=80, example_id="7")
         remote.close()
     finally:
         server.close()
@@ -336,7 +344,7 @@ class PerExampleScorer(TokenScorer):
 
 @pytest.mark.parametrize("kind", ["random", "quantized", "mixed"])
 def test_remote_search_equals_in_process_search_exactly(kit, kind):
-    vocab, trie, _ = kit
+    vocab, constraint, _ = kit
     scorer_class = {
         "random": RandomScorer,
         "quantized": QuantizedScorer,
@@ -349,7 +357,7 @@ def test_remote_search_equals_in_process_search_exactly(kit, kind):
         for example_id, scorer in scorers.items():
             for constrained in (True, False):
                 kwargs = dict(
-                    trie=trie if constrained else None, beam_width=4, max_len=25,
+                    constraint=constraint, beam_width=4, max_len=25,
                     constrained=constrained, example_id=example_id,
                 )
                 # Exact float equality: packed float64 loses nothing.

@@ -123,8 +123,7 @@ def test_composite_primary_key_first_wins(tables_path):
 def test_star_pseudo_column_recorded(tennis):
     assert tennis.star_label == "text"
     assert "*" in tennis.surface_forms()
-    graph = build_schema_graph(tennis)
-    assert "*" not in graph.nodes
+    assert "*" not in build_schema_graph(tennis).tables
 
 
 def test_content_sidecar_attached(tennis, tennis_plain):
@@ -148,37 +147,12 @@ def test_round_trip_generated_docs(seed):
 
 
 def test_graph_fig_topology(tennis_graph):
-    links = {(e.a, e.b) for e in tennis_graph.edges if e.kind == "table_link"}
-    assert links == {("Players", "Matches"), ("Matches", "Ranking")}
+    assert set(tennis_graph.links) == {("Players", "Matches"), ("Matches", "Ranking")}
     assert tennis_graph.shortest_path("Players", "Ranking") == [
         "Players",
         "Matches",
         "Ranking",
     ]
-
-
-def test_graph_single_table_affiliation_only():
-    doc = {
-        "db_id": "solo",
-        "table_names_original": ["only"],
-        "column_names_original": [[-1, "*"], [0, "a"], [0, "b"]],
-        "column_types": ["text", "text", "number"],
-        "primary_keys": [],
-        "foreign_keys": [],
-    }
-    graph = build_schema_graph(load_schema(doc))
-    kinds = {e.kind for e in graph.edges}
-    assert kinds == {"affiliation"}
-    assert len(graph.edges) == 2
-
-
-def test_graph_node_and_edge_counts(tennis, tennis_graph):
-    n_columns = sum(len(t.columns) for t in tennis.tables)
-    assert len(tennis_graph.nodes) == len(tennis.tables) + n_columns
-    affiliation = [e for e in tennis_graph.edges if e.kind == "affiliation"]
-    assert len(affiliation) == n_columns  # exactly one per column
-    fk_edges = [e for e in tennis_graph.edges if e.kind == "foreign_key"]
-    assert len(fk_edges) == len(tennis.foreign_keys)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -197,13 +171,9 @@ def test_graph_edges_match_brute_force(seed):
         if ta != tb:
             pair = tuple(sorted((ta, tb)))
             expected.add((names[pair[0]], names[pair[1]]))
-    got = {
-        tuple(sorted((graph.table_index(e.a), graph.table_index(e.b))))
-        for e in graph.edges
-        if e.kind == "table_link"
-    }
-    got_names = {(names[i], names[j]) for i, j in got}
-    assert got_names == expected
+    got = [(graph.table_index(a), graph.table_index(b)) for a, b in graph.links]
+    assert got == sorted(set(got))  # each pair once, in declaration order
+    assert {(names[i], names[j]) for i, j in got} == expected
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000), pair=st.integers(min_value=0, max_value=399))
@@ -228,5 +198,5 @@ def test_connectivity_matches_transitive_closure(seed, pair):
 def test_graph_deterministic(tennis):
     g1 = build_schema_graph(tennis)
     g2 = build_schema_graph(tennis)
-    assert g1.edges == g2.edges
+    assert g1.links == g2.links
     assert g1.tables == g2.tables

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsql.complete import _scope_tables
 from structsql.schema import ColumnRef, build_schema_graph, load_schema
 from structsql.sql_ast import (
     Agg,
@@ -14,8 +15,9 @@ from structsql.sql_ast import (
     SqlSyntaxError,
     UnknownTable,
     UnresolvableColumn,
+    _iter_refs,
     component_set,
-    mentioned_schema,
+    map_query,
     parse_sql,
     render_sql,
 )
@@ -187,24 +189,35 @@ def test_render_parse_render_idempotent(seed):
         assert render_sql(parse_sql(text, schema)) == text
 
 
-# -- mentioned_schema ----------------------------------------------------------
+# -- mentioned schema: what the walker visits ------------------------------------
 
 
-def test_mentioned_fig_incomplete(tennis):
+def walked(q):
+    """FROM tables and column references that ``map_query`` and
+    ``_iter_refs`` visit, over every level of the query."""
+    tables, refs = set(), set()
+
+    def note(level):
+        tables.update(level.from_tables)
+        refs.update(_iter_refs(level))
+        return level
+
+    map_query(q, note)
+    return tables, refs
+
+
+def test_mentioned_fig_incomplete(tennis, tennis_graph):
     q = parse_sql(
         "SELECT Players.First_name FROM Players JOIN Ranking WHERE Ranking.Ranking = 1",
         tennis,
     )
-    tables, _ = mentioned_schema(q)
-    assert tables == frozenset({"Players", "Ranking"})
-    assert "Matches" not in tables
+    assert _scope_tables(q, tennis_graph) == ["Players", "Ranking"]
 
 
 def test_mentioned_star():
-    q = parse_sql("SELECT * FROM T")
-    tables, columns = mentioned_schema(q)
-    assert tables == frozenset({"T"})
-    assert columns == frozenset({"T.*"})
+    tables, refs = walked(parse_sql("SELECT * FROM T"))
+    assert tables == {"T"}
+    assert refs == {ColumnRef(None, "*")}
 
 
 def test_mentioned_nested_union_matches_flat_walk(tennis):
@@ -214,7 +227,9 @@ def test_mentioned_nested_union_matches_flat_walk(tennis):
         "UNION SELECT Ranking.Year FROM Ranking",
         tennis,
     )
-    tables, columns = mentioned_schema(q)
+    tables, refs = walked(q)
+    tables |= {ref.table for ref in refs}
+    columns = {str(ref) for ref in refs}
 
     # Oracle: flatten the AST generically and collect every ColumnRef/table.
     import dataclasses
@@ -236,8 +251,8 @@ def test_mentioned_nested_union_matches_flat_walk(tennis):
                 walk(item)
 
     walk(q)
-    assert tables == frozenset(seen_tables)
-    assert columns == frozenset(seen_columns)
+    assert tables == seen_tables
+    assert columns == seen_columns
 
 
 def test_mentioned_monotone_adding_clause(tennis):
@@ -245,9 +260,9 @@ def test_mentioned_monotone_adding_clause(tennis):
     extended = parse_sql(
         "SELECT Players.First_name FROM Players ORDER BY Players.Country ASC", tennis
     )
-    t1, c1 = mentioned_schema(base)
-    t2, c2 = mentioned_schema(extended)
-    assert t1 <= t2 and c1 <= c2
+    t1, r1 = walked(base)
+    t2, r2 = walked(extended)
+    assert t1 <= t2 and r1 < r2
 
 
 # -- component sets -------------------------------------------------------------

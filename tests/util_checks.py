@@ -7,7 +7,8 @@ graph search.  ``reference_beam_search`` is the unpruned beam search: it
 advances every allowed candidate of every live hypothesis.
 ``reference_name_link`` compares every question n-gram with every schema
 name instead of probing the per-schema name index.  ``QuantizedScorer`` and
-``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking.
+``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking;
+``AdversarialScorer`` lures an unconstrained search off the schema.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from dataclasses import replace
 from heapq import nsmallest
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from structsql.annotate import AnnotatedInput
 from structsql.decode import (
@@ -24,12 +25,13 @@ from structsql.decode import (
     Hypothesis,
     LexiconConstraint,
     NoValidHypothesis,
-    PrefixTrie,
+    OracleScorer,
     RandomScorer,
     TrieNode,
+    Vocabulary,
 )
 from structsql.linking import (
-    DEFAULT_MAX_NGRAM,
+    MAX_NGRAM,
     LinkAnnotation,
     MatchKind,
     QuestionTokens,
@@ -47,9 +49,19 @@ def split_pieces(text: str) -> tuple[str, ...]:
     return tuple(_SPLIT.findall(text))
 
 
-def iter_terminals(trie: PrefixTrie) -> Iterator[tuple[tuple[int, ...], TrieNode]]:
+def node_at(root: TrieNode, ids: Sequence[int]) -> TrieNode | None:
+    """The trie node reached from ``root`` by spelling ``ids``, if any."""
+    node = root
+    for token_id in ids:
+        node = node.children.get(token_id)
+        if node is None:
+            return None
+    return node
+
+
+def iter_terminals(root: TrieNode) -> Iterator[tuple[tuple[int, ...], TrieNode]]:
     """Every terminal node of the trie with its token-id path, depth first."""
-    stack: list[tuple[tuple[int, ...], TrieNode]] = [((), trie.root)]
+    stack: list[tuple[tuple[int, ...], TrieNode]] = [((), root)]
     while stack:
         path, node = stack.pop()
         if node.terminal:
@@ -210,10 +222,31 @@ class MixedMagnitudeScorer(RandomScorer):
         return scores
 
 
+class AdversarialScorer(OracleScorer):
+    """Oracle that prefers a lure token wherever the target expects a victim.
+
+    Unconstrained decoding therefore emits the lure; constraint masking
+    forces the victim back.
+    """
+
+    def __init__(self, vocab: Vocabulary, target_ids: Sequence[int], victim_id: int, lure_id: int):
+        super().__init__(vocab, target_ids)
+        self.victim_id = victim_id
+        self.lure_id = lure_id
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        if self._expected(prefix) == self.victim_id:
+            scores = [
+                2.0 if c == self.lure_id else s for c, s in zip(candidates, scores)
+            ]
+        return scores
+
+
 def reference_beam_search(
     scorer,
     source,
-    trie,
+    constraint: LexiconConstraint,
     beam_width: int = 5,
     max_len: int = 200,
     *,
@@ -224,13 +257,6 @@ def reference_beam_search(
     step's top-2*beam cut; same signature and result as ``beam_search``."""
     if beam_width < 1 or max_len < 1:
         raise ValueError("beam width and max length must be >= 1")
-    if isinstance(trie, LexiconConstraint):
-        constraint = trie
-    elif trie is not None:
-        constraint = LexiconConstraint(trie, scorer.vocab)
-    else:
-        constraint = None
-        constrained = False
     if isinstance(source, AnnotatedInput):
         if example_id is None:
             example_id = source.example_id
@@ -329,14 +355,8 @@ def _suppress_overlaps(candidates: list[LinkAnnotation]) -> list[LinkAnnotation]
     return accepted
 
 
-def reference_name_link(
-    question: QuestionTokens,
-    schema: DatabaseSchema,
-    max_ngram: int = DEFAULT_MAX_NGRAM,
-) -> list[LinkAnnotation]:
+def reference_name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
     """``name_link`` by scanning: every n-gram against every name."""
-    if max_ngram < 1:
-        raise ValueError("max_ngram must be >= 1")
     tokens = question.all_tokens()
     norm = [_norm_token(t) for t in tokens]
 
@@ -347,7 +367,7 @@ def reference_name_link(
             targets.append((table.name, col.name, name_tokens(col.name)))
 
     candidates: list[LinkAnnotation] = []
-    for n in range(min(max_ngram, len(tokens)), 0, -1):
+    for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
         for start in range(len(tokens) - n + 1):
             gram = tuple(norm[start : start + n])
             if any(not t for t in gram):
