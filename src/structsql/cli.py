@@ -379,7 +379,6 @@ def run_pipeline(
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tables", required=True, help="Spider-format tables.json")
     parser.add_argument("--content", default=None, help="optional value sidecar json")
-    parser.add_argument("--language", default="en")
 
 
 def cmd_link(args: argparse.Namespace) -> int:
@@ -528,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", help="emit question-schema link annotations")
     _add_common(p)
+    p.add_argument("--language", default="en")
     p.add_argument("--data", required=True)
     p.add_argument("--values", action="store_true", help="include value links")
     p.add_argument("--out", default=None)
@@ -535,6 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="write seq2seq source/target text pairs")
     _add_common(p)
+    p.add_argument("--language", default="en")
     p.add_argument("--data", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)

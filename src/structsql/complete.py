@@ -148,23 +148,15 @@ def _scope_tables(q: SqlQuery, graph: SchemaGraph) -> list[str]:
 
 
 def _conditions_span(from_tables: Sequence[str], conditions) -> bool:
-    if len(from_tables) <= 1:
-        return True
+    """Whether the ON pairs join every FROM table into one component."""
     index = {t.lower(): i for i, t in enumerate(from_tables)}
-    parent = list(range(len(from_tables)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    adj = [0] * len(from_tables)
     for a, b in conditions:
         ia, ib = index.get((a.table or "").lower()), index.get((b.table or "").lower())
-        if ia is None or ib is None:
-            continue
-        parent[find(ia)] = find(ib)
-    return len({find(i) for i in range(len(from_tables))}) == 1
+        if ia is not None and ib is not None:
+            adj[ia] |= 1 << ib
+            adj[ib] |= 1 << ia
+    return _mask_connected((1 << len(from_tables)) - 1, adj)
 
 
 def _first_fk(graph: SchemaGraph, a: str, b: str) -> tuple[ColumnRef, ColumnRef]:

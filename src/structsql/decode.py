@@ -20,7 +20,7 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Iterable, Sequence
 
@@ -106,7 +106,6 @@ class Vocabulary:
         cls,
         schemas: Iterable[DatabaseSchema],
         corpus_texts: Iterable[str] = (),
-        extra_tokens: Iterable[str] = (),
     ) -> "Vocabulary":
         """Assemble a vocabulary covering keywords, schema names, and corpus text.
 
@@ -132,7 +131,6 @@ class Vocabulary:
                 ordered.append(piece)
                 if in_quote:
                     literal_forms.append(piece)
-        ordered.extend(extra_tokens)
         return cls(ordered, literal_forms=literal_forms)
 
     def __len__(self) -> int:
@@ -210,98 +208,100 @@ def build_trie(schema: DatabaseSchema, vocab: Vocabulary) -> TrieNode:
 # --------------------------------------------------------------------------
 # Decode state and constraint
 
+# Cursor sentinels beside ``None`` (free) and trie nodes: inside a quoted
+# literal, and after EOS.  Neither has children or is terminal.
+LITERAL = TrieNode()
+FINISHED = TrieNode()
+
 
 @dataclass(frozen=True)
 class DecodeState:
-    """Beam hypothesis: emitted ids, trie cursor (None = inactive), literal flag."""
+    """Beam hypothesis: emitted ids, cursor and summed score.
+
+    The cursor is ``None`` (free), ``LITERAL``, ``FINISHED`` or a trie node.
+    """
 
     tokens: tuple[int, ...] = ()
     node: TrieNode | None = None
-    in_literal: bool = False
     score: float = 0.0
 
+    @property
+    def in_literal(self) -> bool:
+        return self.node is LITERAL
+
     def key(self) -> tuple:
-        return (self.tokens, id(self.node), self.in_literal)
+        return (self.tokens, id(self.node))
 
 
 class LexiconConstraint:
-    """Per-step allowed-token masks derived from the trie.
+    """Per-cursor allowed-token masks and transitions derived from the trie.
 
-    Lookups are cached so a call costs a dictionary probe regardless of
-    schema size; the inactive-state mask is precomputed at construction.
+    Masks live in one table keyed by cursor identity, so a lookup costs a
+    dictionary probe regardless of schema size.  The free and literal masks
+    are filled at construction, trie-node masks on first use.
     """
 
     def __init__(self, root: TrieNode, vocab: Vocabulary):
         self.root = root
         self.vocab = vocab
         self._free_base = vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
-        self._inactive_sorted = tuple(sorted(self._free_base | set(root.children)))
-        self._literal_sorted = tuple(i for i in vocab.all_ids if i != vocab.eos_id)
-        self._node_sorted: dict[int, tuple[int, ...]] = {}
+        self._allowed: dict[int, tuple[int, ...]] = {
+            id(None): tuple(sorted(self._free_base | set(root.children))),
+            id(LITERAL): tuple(i for i in vocab.all_ids if i != vocab.eos_id),
+        }
 
     def candidate_ids(self, state: DecodeState) -> tuple[int, ...]:
         """Legal next token ids for a hypothesis, in ascending order.
 
-        Inactive cursor: keywords, trie-root children, literals, EOS.
+        Free cursor: keywords, trie-root children, literals, EOS.
         Mid-path: trie children only.  At a terminal: children plus the
         free set (the identifier may end here or extend).  Inside a quoted
         literal: every id but EOS.
         """
-        if state.in_literal:
-            return self._literal_sorted
         node = state.node
-        if node is None:
-            return self._inactive_sorted
-        cached = self._node_sorted.get(id(node))
-        if cached is None:
-            allowed = set(node.children)
+        allowed = self._allowed.get(id(node))
+        if allowed is None:
+            ids = set(node.children)
             if node.terminal:
-                allowed |= self._free_base
-            cached = tuple(sorted(allowed))
-            self._node_sorted[id(node)] = cached
-        return cached
+                ids |= self._free_base
+            allowed = self._allowed[id(node)] = tuple(sorted(ids))
+        return allowed
 
-    def advance(self, state: DecodeState, token_id: int, score: float) -> list[DecodeState]:
-        """Successor states after emitting a token.
+    def _next(self, cursor: TrieNode | None, token_id: int) -> tuple[TrieNode | None, ...]:
+        """Cursors after emitting a non-EOS token, in successor order.
 
-        A terminal node that is also a prefix of a longer form yields both
-        continuations as separate hypotheses.  Successors never share a
-        ``key()``: a cursor below ``state.node``, one below the root and the
-        inactive cursor are three different nodes.
+        A terminal node that is also a prefix of a longer form yields both a
+        deeper cursor and a fresh one.  The cursors are distinct, so
+        successors never share a ``key()``.
         """
-        tokens = state.tokens + (token_id,)
-        new_score = state.score + score
-        if state.in_literal:
-            closing = token_id == self.vocab.quote_id
-            return [
-                DecodeState(tokens, None, in_literal=not closing, score=new_score)
-            ]
-        node = state.node
-        if node is None:
-            return self._fresh(tokens, token_id, new_score)
-        out: list[DecodeState] = []
-        child = node.children.get(token_id)
-        if child is not None:
-            out.append(DecodeState(tokens, child, score=new_score))
-        if node.terminal:
-            out.extend(self._fresh(tokens, token_id, new_score))
-        return out
-
-    def _fresh(self, tokens: tuple[int, ...], token_id: int, score: float) -> list[DecodeState]:
-        out = []
+        if cursor is LITERAL:
+            return (None,) if token_id == self.vocab.quote_id else (LITERAL,)
+        out: tuple[TrieNode | None, ...] = ()
+        if cursor is not None:
+            child = cursor.children.get(token_id)
+            if child is not None:
+                out = (child,)
+            if not cursor.terminal:
+                return out
+        # A fresh identifier run, a literal or a keyword starts here.
         if token_id == self.vocab.quote_id:
-            out.append(DecodeState(tokens, None, in_literal=True, score=score))
-            return out
+            return out + (LITERAL,)
         child = self.root.children.get(token_id)
         if child is not None:
-            out.append(DecodeState(tokens, child, score=score))
+            out += (child,)
         if token_id in self.vocab.keyword_ids or token_id in self.vocab.literal_ids:
-            out.append(DecodeState(tokens, None, score=score))
+            out += (None,)
         return out
 
+    def advance(self, state: DecodeState, token_id: int, score: float) -> list[DecodeState]:
+        """Successor states after emitting a non-EOS token."""
+        tokens = state.tokens + (token_id,)
+        new_score = state.score + score
+        return [DecodeState(tokens, c, new_score) for c in self._next(state.node, token_id)]
+
     def can_finish(self, state: DecodeState) -> bool:
-        if state.in_literal:
-            return False
+        """Whether EOS may follow: at a free cursor or a trie terminal, never
+        inside a literal or an unfinished identifier."""
         return state.node is None or state.node.terminal
 
 
@@ -426,10 +426,9 @@ class Hypothesis:
         return vocab.detokenize(self.token_ids)
 
 
-def _source_tokens(source) -> tuple[str, ...]:
-    if isinstance(source, AnnotatedInput):
-        return source.tokens
-    return tuple(source)
+def _rank(state: DecodeState) -> tuple:
+    """Step ranking: higher summed score first, then lower token ids."""
+    return (-state.score, state.tokens)
 
 
 def beam_search(
@@ -446,26 +445,31 @@ def beam_search(
 
     Every finished hypothesis leaves no dangling schema prefix: EOS is only
     reachable outside an identifier run or at a trie terminal.  With
-    ``constrained=False`` the constraint is not consulted and every token is
-    a candidate.  Ties are broken lexicographically on token ids for
-    reproducibility.
+    ``constrained=False`` every token is a candidate and every hypothesis
+    keeps the free cursor.  Ties are broken lexicographically on token ids for
+    reproducibility; a finished hypothesis is its tokens without EOS, so it
+    ranks before its equal-scored siblings.
     """
     if beam_width < 1 or max_len < 1:
         raise ValueError("beam width and max length must be >= 1")
-    if example_id is None and isinstance(source, AnnotatedInput):
-        example_id = source.example_id
-    src = _source_tokens(source)
-    vocab = scorer.vocab
+    if isinstance(source, AnnotatedInput):
+        if example_id is None:
+            example_id = source.example_id
+        source = source.tokens
+    src = tuple(source)
     eos = scorer.eos_id
-    all_sorted = tuple(vocab.all_ids)
+    all_sorted = tuple(scorer.vocab.all_ids)
+    step = constraint._next if constrained else lambda cursor, token_id: (None,)
 
     live: list[DecodeState] = [DecodeState()]
-    done: dict[tuple[int, ...], DecodeState] = {}
+    # The hypotheses that finish in one step have as many tokens as that
+    # step's live ones, and the pool keeps one per token tuple: no two
+    # finished hypotheses share tokens.
+    done: list[DecodeState] = []
     for _ in range(max_len):
         if not live:
             break
         pool: dict[tuple, DecodeState] = {}
-        finished: dict[tuple[int, ...], DecodeState] = {}
         if constrained:
             candidate_lists = [constraint.candidate_ids(state) for state in live]
         else:
@@ -475,62 +479,46 @@ def beam_search(
             src, [state.tokens for state in live], candidate_lists, example_id
         )
         for state, candidates, scores in zip(live, candidate_lists, batch):
-            # Each non-EOS candidate yields at least one successor, so a pair
-            # outside its parent's top 2*beam has 2*beam distinct states
-            # ranked above it and cannot reach the step's top 2*beam: only
-            # those pairs are advanced.  The key is the summed score the
-            # successor will carry, tie-broken on the token as the step is.
+            # Every pair yields at least one successor, so a pair outside its
+            # parent's top 2*beam has 2*beam distinct states ranked above it
+            # and cannot reach the step's top 2*beam: only those pairs are
+            # advanced.  The key is the summed score the successor will
+            # carry, tie-broken as the step is: on the token, with EOS (whose
+            # successor keeps the parent's shorter tokens) first.
+            base, node = state.score, state.node
+            finishable = state.tokens and constraint.can_finish(state)
             pairs = []
             for token_id, token_score in zip(candidates, scores):
                 if token_id != eos:
-                    pairs.append((-(state.score + token_score), token_id, token_score))
-                elif state.tokens and not state.in_literal and (
-                    not constrained or constraint.can_finish(state)
-                ):
-                    final = replace(state, score=state.score + token_score)
-                    prev = finished.get(final.tokens)
-                    if prev is None or final.score > prev.score:
-                        finished[final.tokens] = final
-            for _, token_id, token_score in nsmallest(2 * beam_width, pairs):
-                if constrained:
-                    successors = constraint.advance(state, token_id, token_score)
+                    pairs.append((-(base + token_score), token_id))
+                elif finishable:
+                    pairs.append((-(base + token_score), -1))
+            for neg_score, token_id in nsmallest(2 * beam_width, pairs):
+                if token_id < 0:
+                    tokens, cursors = state.tokens, (FINISHED,)
                 else:
-                    successors = [
-                        DecodeState(
-                            state.tokens + (token_id,),
-                            None,
-                            score=state.score + token_score,
-                        )
-                    ]
-                for succ in successors:
-                    prev = pool.get(succ.key())
+                    tokens, cursors = state.tokens + (token_id,), step(node, token_id)
+                for cursor in cursors:
+                    succ = DecodeState(tokens, cursor, -neg_score)
+                    key = succ.key()
+                    prev = pool.get(key)
                     if prev is None or succ.score > prev.score:
-                        pool[succ.key()] = succ
+                        pool[key] = succ
 
         # Finished candidates within the step's top 2*beam go to the done
         # pool; the best beam_width unfinished ones stay live.
-        ranked = nsmallest(
-            2 * beam_width,
-            list(pool.values()) + list(finished.values()),
-            key=lambda s: (-s.score, s.tokens),
-        )
         live = []
-        for s in ranked:
-            if finished.get(s.tokens) is s:
-                prev = done.get(s.tokens)
-                if prev is None or s.score > prev.score:
-                    done[s.tokens] = s
+        for s in nsmallest(2 * beam_width, pool.values(), key=_rank):
+            if s.node is FINISHED:
+                done.append(s)
             elif len(live) < beam_width:
                 live.append(s)
 
         # Stop once no live hypothesis can still beat the kept finished set
         # (exact for non-increasing scores, a standard heuristic otherwise).
         if len(done) >= beam_width:
-            kept = nsmallest(
-                beam_width, done.values(), key=lambda s: (-s.score, s.tokens)
-            )
-            done = {s.tokens: s for s in kept}
-            if live and max(s.score for s in live) < kept[-1].score:
+            done = nsmallest(beam_width, done, key=_rank)
+            if live and max(s.score for s in live) < done[-1].score:
                 break
 
     if not done:
@@ -538,8 +526,7 @@ def beam_search(
             f"no hypothesis finished within {max_len} steps (beam {beam_width})"
         )
 
-    ranked_done = sorted(done.values(), key=lambda s: (-s.score, s.tokens))[:beam_width]
-    return [Hypothesis(s.tokens, s.score) for s in ranked_done]
+    return [Hypothesis(s.tokens, s.score) for s in sorted(done, key=_rank)[:beam_width]]
 
 
 # --------------------------------------------------------------------------
@@ -549,9 +536,11 @@ def beam_search(
 #   handshake: {"type": "hello", "protocol": 2}
 #           -> {"type": "vocab", "protocol": 2, "size": N, "eos_id": E,
 #               "tokenizer_tag": T}
-#   scoring:   {"type": "score", "example_id": X, "prefixes": [[...], ...],
-#               "lengths": [n_1, ...], "candidates": B}
+#   scoring:   {"type": "score", "example_id": X, "source": [s_1, ...],
+#               "prefixes": [[...], ...], "lengths": [n_1, ...], "candidates": B}
 #           -> {"type": "scores", "example_id": X, "scores": S}
+# The source is the annotated input's token strings, sent with every message
+# so that a stateless host can condition on it.
 # B is base64 of little-endian int32: the candidate ids of every prefix back
 # to back, lengths[i] of them for prefixes[i].  S is base64 of little-endian
 # float64, one score per id of B in the same order; packed float64 is
@@ -654,6 +643,7 @@ class RemoteScorer(TokenScorer):
         request = {
             "type": "score",
             "example_id": example_id if example_id is not None else "0",
+            "source": list(source),
             "prefixes": [list(p) for p in prefixes],
             "lengths": lengths,
             "candidates": _pack("i", [i for c in candidate_lists for i in c]),
@@ -761,6 +751,9 @@ class ScorerServer:
                 "tokenizer_tag": TOKENIZER_TAG,
             }
         if kind == "score":
+            source = request.get("source")
+            if not isinstance(source, list) or not all(isinstance(t, str) for t in source):
+                raise ProtocolViolation("source must be a list of strings")
             prefixes, lengths = request["prefixes"], request["lengths"]
             ids = _unpack("i", request["candidates"], "candidates")
             if len(prefixes) != len(lengths) or len(ids) != sum(lengths):
@@ -769,7 +762,7 @@ class ScorerServer:
                     f"{len(ids)} candidate ids do not match"
                 )
             batch = self.scorer.score_batch(
-                (), prefixes, _split(ids, lengths), request["example_id"]
+                tuple(source), prefixes, _split(ids, lengths), request["example_id"]
             )
             return {
                 "type": "scores",

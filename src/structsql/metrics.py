@@ -9,7 +9,7 @@ interactions whose every question matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from structsql.schema import DatabaseSchema
 from structsql.sql_ast import (
@@ -103,14 +103,6 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
-def _make_resolver(
-    schemas: Mapping[str, DatabaseSchema] | DatabaseSchema | None,
-) -> Callable[[str | None], DatabaseSchema | None]:
-    if isinstance(schemas, Mapping):
-        return schemas.get
-    return lambda db_id: schemas
-
-
 def score_corpus(
     predictions: Sequence[str],
     golds: Sequence[str],
@@ -127,6 +119,8 @@ def score_corpus(
     and are tallied under ``parse_failure``; predictions that parse but
     reference schema items that do not exist are tallied under
     ``schema_violation``.  IM is None when every interaction has one turn.
+    With a mapping of schemas, every db id must name one of them; an unknown
+    id raises ``ValueError``.
     """
     if len(predictions) != len(golds):
         raise MismatchedLengths(
@@ -139,12 +133,16 @@ def score_corpus(
     if not golds:
         raise EmptyCorpus("no examples to score")
 
-    resolver = _make_resolver(schemas)
     verdicts: list[ExampleVerdict] = []
     counts = {"decode_failure": 0, "parse_failure": 0, "schema_violation": 0, "mismatch": 0}
     for i, (pred_text, gold_text) in enumerate(zip(predictions, golds)):
         interaction = interaction_ids[i] if interaction_ids is not None else f"q{i}"
-        schema = resolver(db_ids[i] if db_ids is not None else None)
+        schema = schemas
+        if isinstance(schemas, Mapping):
+            db_id = db_ids[i] if db_ids is not None else None
+            if db_id not in schemas:
+                raise ValueError(f"example {i}: no schema has db_id {db_id!r}")
+            schema = schemas[db_id]
         try:
             gold = parse_sql(gold_text, schema)
         except (SqlSyntaxError, SchemaResolutionError) as exc:

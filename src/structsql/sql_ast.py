@@ -52,7 +52,6 @@ class Agg(Enum):
 
 
 COMPARE_OPS = ("<=", ">=", "!=", "<>", "=", "<", ">")
-CONDITION_OPS = frozenset({"=", "!=", "<", ">", "<=", ">=", "LIKE", "NOT LIKE", "IN", "NOT IN", "BETWEEN"})
 SET_OPS = ("UNION", "INTERSECT", "EXCEPT")
 
 _RESERVED = frozenset(

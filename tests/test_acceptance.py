@@ -160,7 +160,7 @@ def test_criterion_3_schema_faithfulness_fuzz():
             ),
         )
         gold = "SELECT People.Citizenship FROM People"
-        vocab = Vocabulary.build([schema], corpus_texts=[gold], extra_tokens=["Nation"])
+        vocab = Vocabulary.build([schema], corpus_texts=[gold, "Nation"])
         constraint = LexiconConstraint(build_trie(schema, vocab), vocab)
         adv = AdversarialScorer(
             vocab, vocab.tokenize(gold), vocab.id_of("Citizenship"), vocab.id_of("Nation")

@@ -221,8 +221,7 @@ def test_constraint_off_causes_schema_violations(corpus_dir, tmp_path):
     examples = json.loads(read(corpus_dir / "examples.json"))
     vocab = Vocabulary.build(
         schemas.values(),
-        corpus_texts=[e["query"] for e in examples],
-        extra_tokens=["Zebra_column"],
+        corpus_texts=[e["query"] for e in examples] + ["Zebra_column"],
     )
     lure = vocab.id_of("Zebra_column")
 
@@ -406,6 +405,21 @@ def test_evaluate_subcommand(corpus_dir, tmp_path, capsys):
     report = json.loads(read(out))
     assert report["qm"] == 1.0
     assert "QM" in capsys.readouterr().out
+
+
+def test_evaluate_rejects_an_unknown_db_id(tables_path, tmp_path, capsys):
+    pred = tmp_path / "pred.sql"
+    gold = tmp_path / "gold.sql"
+    pred.write_text("SELECT * FROM Players\n", encoding="utf-8")
+    gold.write_text("SELECT * FROM Players\tnope\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(
+        ["evaluate", "--tables", str(tables_path), "--pred", str(pred), "--gold", str(gold),
+         "--out", str(out)]
+    )
+    assert code == EXIT_STAGE_ERROR
+    assert "'nope'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_subcommand_with_config_and_overrides(corpus_dir, tmp_path, capsys):

@@ -219,6 +219,17 @@ def test_missing_on_conditions_added_without_new_tables(tennis, tennis_graph):
     assert "ON Matches.Winner_id = Players.Player_id" in render_sql(fixed)
 
 
+def test_on_joining_two_of_three_from_tables_gets_the_third_condition():
+    schema = chain_schema(["a", "b", "c"])
+    graph = build_schema_graph(schema)
+    q = parse_sql("SELECT a.id FROM a JOIN b JOIN c ON b.prev_id = a.id", schema)
+    fixed, plan = complete_sql(q, schema, graph)
+    assert plan.added_tables == ()
+    assert fixed.from_tables == ("a", "b", "c")
+    conds = {(str(x), str(y)) for x, y in fixed.join_conditions}
+    assert conds == {("b.prev_id", "a.id"), ("c.prev_id", "b.id")}
+
+
 def test_chain_completion_two_conditions():
     schema = chain_schema(["a", "b", "c"])
     graph = build_schema_graph(schema)

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.decode import (
+    EOS_TOKEN,
+    LITERAL,
     DecodeState,
     LexiconConstraint,
     NoValidHypothesis,
@@ -201,7 +203,7 @@ def test_allowed_at_terminal_with_extension(tennis_kit):
 def test_allowed_inside_literal_suspends_trie(tennis_kit):
     vocab, trie = tennis_kit
     constraint = LexiconConstraint(trie, vocab)
-    state = DecodeState(tokens=(vocab.quote_id,), node=None, in_literal=True)
+    state = DecodeState(tokens=(vocab.quote_id,), node=LITERAL)
     allowed = allowed_set(constraint, state)
     assert vocab.eos_id not in allowed
     assert len(allowed) == len(vocab) - 1
@@ -296,7 +298,7 @@ def test_oracle_against_schema_violating_target(tennis):
     # The target references a token outside the schema; masking makes it
     # unreachable, so no hypothesis ever contains it and the target is never
     # reproduced.
-    vocab = Vocabulary.build([tennis], extra_tokens=["Nation"])
+    vocab = Vocabulary.build([tennis], corpus_texts=["Nation"])
     constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     target = [vocab.id_of(t) for t in ["SELECT", "Nation", "FROM", "Players"]]
     scorer = OracleScorer(vocab, target)
@@ -308,7 +310,7 @@ def test_oracle_against_schema_violating_target(tennis):
 
 def test_adversarial_lure_blocked(tennis):
     gold = "SELECT Players.Country FROM Players"
-    vocab = Vocabulary.build([tennis], corpus_texts=[gold], extra_tokens=["Nation"])
+    vocab = Vocabulary.build([tennis], corpus_texts=[gold, "Nation"])
     constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     adv = AdversarialScorer(
         vocab, vocab.tokenize(gold), vocab.id_of("Country"), vocab.id_of("Nation")
@@ -418,6 +420,41 @@ def test_beam_search_matches_reference(seed, with_values, beam, max_len, constra
     else:
         scorer = {"random": RandomScorer, "quantized": QuantizedScorer,
                   "mixed": MixedMagnitudeScorer}[kind](vocab, seed=seed)
+    trie = build_trie(schema, vocab) if constrained else None
+    kwargs = dict(beam_width=beam, max_len=max_len, constrained=constrained)
+    assert _outcome(beam_search, scorer, trie, **kwargs) == _outcome(
+        reference_beam_search, scorer, trie, **kwargs
+    )
+
+
+class HalfQuantizedScorer(RandomScorer):
+    """Random scores rounded to halves: EOS ties other tokens at most steps."""
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        return [round(s * 2) / 2 for s in scores]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    beam=st.integers(min_value=1, max_value=6),
+    max_len=st.integers(min_value=1, max_value=30),
+    constrained=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_beam_search_matches_reference_eos_not_first(seed, beam, max_len, constrained):
+    # Vocabulary.build puts EOS at id 0, where ranking it by its id is the
+    # same as ranking it first; move it so a wrong EOS tie key shows.
+    rng = random.Random(seed)
+    doc, content = random_schema_doc(rng, "db", max_tables=3, with_values=True)
+    schema = load_schema(doc, content=content or None)
+    corpus = [render_sql(random_query(rng, schema, build_schema_graph(schema)))]
+    built = Vocabulary.build([schema], corpus_texts=corpus)
+    tokens = [built.surface(i) for i in built.all_ids if i != built.eos_id]
+    tokens.insert(rng.randrange(1, len(tokens) + 1), EOS_TOKEN)
+    vocab = Vocabulary(tokens, [built.surface(i) for i in built.literal_ids])
+    assert vocab.eos_id > 0
+    scorer = HalfQuantizedScorer(vocab, seed=seed)
     trie = build_trie(schema, vocab) if constrained else None
     kwargs = dict(beam_width=beam, max_len=max_len, constrained=constrained)
     assert _outcome(beam_search, scorer, trie, **kwargs) == _outcome(

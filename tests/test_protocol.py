@@ -10,6 +10,7 @@ import time
 import pytest
 
 from structsql import cli
+from structsql.annotate import build_input
 from structsql.cli import PipelineConfig, load_examples, run_pipeline
 from structsql.decode import (
     LexiconConstraint,
@@ -26,6 +27,7 @@ from structsql.decode import (
     external_scorer_connect,
     oracle_scorer,
 )
+from structsql.linking import QuestionTokens, name_link
 from structsql.schema import load_schemas
 from structsql.synth import generate_synthetic_corpus, write_corpus
 
@@ -250,6 +252,25 @@ def test_server_answers_other_protocols_with_an_error(kit, hello):
         server.close()
 
 
+@pytest.mark.parametrize("source", [None, "q", [1, 2], ["q", None]])
+def test_server_rejects_a_score_message_without_a_string_list_source(kit, source):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    request = {"type": "score", "example_id": "e", "prefixes": [[]], "lengths": [1],
+               "candidates": base64.b64encode(struct.pack("<i", 1)).decode("ascii")}
+    if source is not None:
+        request["source"] = source
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            stream = sock.makefile("rw", encoding="utf-8")
+            stream.write(json.dumps(request) + "\n")
+            stream.flush()
+            reply = json.loads(stream.readline())
+        assert reply["type"] == "error" and "source" in reply["message"]
+    finally:
+        server.close()
+
+
 def test_timeout(kit):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, "slow")
@@ -365,6 +386,34 @@ def test_remote_search_equals_in_process_search_exactly(kit, kind):
         remote.close()
     finally:
         server.close()
+
+
+class RecordingScorer(RandomScorer):
+    """Random scorer that keeps the source and example id of every call."""
+
+    def __init__(self, vocab):
+        super().__init__(vocab, seed=1)
+        self.calls = []
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        self.calls.append((source, example_id))
+        return super().score_candidates(source, prefix, candidates, example_id)
+
+
+def test_wrapped_scorer_receives_the_source_on_every_call(kit, tennis):
+    vocab, constraint, _ = kit
+    question = QuestionTokens.from_text("what year is the ranking of players", "en")
+    annotated = build_input(question, tennis, name_link(question, tennis), example_id="3")
+    recorder = RecordingScorer(vocab)
+    server = ScorerServer(recorder)
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        beam_search(remote, annotated, constraint, beam_width=3, max_len=20)
+        remote.close()
+    finally:
+        server.close()
+    assert recorder.calls
+    assert set(recorder.calls) == {(annotated.tokens, "3")}
 
 
 class FixedScorer(TokenScorer):
