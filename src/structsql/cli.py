@@ -114,13 +114,19 @@ def load_examples(path: str | Path) -> list[Example]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "question" not in entry or "db_id" not in entry:
             raise ValueError(f"example {i} has no question or no db_id")
-        question = entry["question"]
-        turns = tuple([question] if isinstance(question, str) else question)
+        question, db_id = entry["question"], entry["db_id"]
+        turns = [question] if isinstance(question, str) else question
+        if not isinstance(turns, list) or not turns or not all(
+            isinstance(t, str) and t.strip() for t in turns
+        ):
+            raise ValueError(f"example {i}: question is not a string or list of non-blank strings")
+        if not isinstance(db_id, str) or not isinstance(entry.get("query", ""), str):
+            raise ValueError(f"example {i}: db_id or query is not a string")
         examples.append(
             Example(
                 index=i,
-                db_id=entry["db_id"],
-                turns=turns,
+                db_id=db_id,
+                turns=tuple(turns),
                 query=entry.get("query", ""),
                 interaction_id=str(entry.get("interaction_id", f"i{i:04d}")),
             )

@@ -3,7 +3,11 @@
 Mentioned tables are treated as terminals; the connector is the smallest
 table set whose induced table-link subgraph is connected.  Small graphs are
 solved exactly by subset enumeration, larger ones by greedy pairwise merging
-of closest components.
+of closest components.  Every graph question is one breadth-first search
+(:func:`~structsql.schema.bfs`) over the neighbour bitmasks: whether a table
+set is connected, the shortest path between components, the join order (the
+BFS tree over the connector), the pair named by :class:`Disconnected`, and
+the terminal-pair paths behind each rationale.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from structsql.schema import ColumnRef, DatabaseSchema, SchemaGraph
+from structsql.schema import ColumnRef, DatabaseSchema, SchemaGraph, bfs
 from structsql.sql_ast import SqlQuery, _iter_refs, map_query
 
 logger = logging.getLogger(__name__)
@@ -65,32 +69,7 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     return [graph.tables[i] for i in sorted(indices)]
 
 
-def _adjacency_masks(graph: SchemaGraph) -> list[int]:
-    masks = [0] * len(graph.tables)
-    for i, name in enumerate(graph.tables):
-        for neighbor in graph.neighbors(name):
-            masks[i] |= 1 << graph.table_index(neighbor)
-    return masks
-
-
-def _mask_connected(mask: int, adj: list[int]) -> bool:
-    seed = mask & -mask
-    reach = seed
-    while True:
-        grown = reach
-        probe = reach
-        while probe:
-            low = probe & -probe
-            grown |= adj[low.bit_length() - 1] & mask
-            probe ^= low
-        if grown == reach:
-            break
-        reach = grown
-    return reach == mask
-
-
 def _connect_exact(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
-    adj = _adjacency_masks(graph)
     term_mask = 0
     for i in term_indices:
         term_mask |= 1 << i
@@ -100,40 +79,34 @@ def _connect_exact(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
             mask = term_mask
             for i in combo:
                 mask |= 1 << i
-            if _mask_connected(mask, adj):
+            if len(bfs(graph.adj, mask & -mask, mask)) == mask.bit_count():
                 return [i for i in range(len(graph.tables)) if mask >> i & 1]
-    a, b = _first_disconnected_pair(graph, term_indices)
-    raise Disconnected(a, b)
-
-
-def _first_disconnected_pair(graph: SchemaGraph, term_indices: list[int]) -> tuple[str, str]:
-    for i, j in combinations(term_indices, 2):
-        if not graph.connected(graph.tables[i], graph.tables[j]):
-            return graph.tables[i], graph.tables[j]
-    return graph.tables[term_indices[0]], graph.tables[term_indices[-1]]
+    # The first terminal's component misses some terminal; name the first.
+    reached = bfs(graph.adj, 1 << term_indices[0])
+    missing = next(i for i in term_indices if i not in reached)
+    raise Disconnected(graph.tables[term_indices[0]], graph.tables[missing])
 
 
 def _connect_greedy(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
-    components: list[set[int]] = [{i} for i in term_indices]
+    components = [1 << i for i in term_indices]
     while len(components) > 1:
         best: tuple | None = None
         for a, b in combinations(range(len(components)), 2):
-            path = graph.index_path(components[a], components[b])
+            path = graph.path(components[a], components[b])
             if path is None:
                 continue
             key = (len(path), tuple(path), a, b)
             if best is None or key < best[0]:
                 best = (key, a, b, path)
         if best is None:
-            a = graph.tables[min(components[0])]
-            b = graph.tables[min(components[1])]
-            raise Disconnected(a, b)
+            a, b = ((c & -c).bit_length() - 1 for c in components[:2])
+            raise Disconnected(graph.tables[a], graph.tables[b])
         _, a, b, path = best
-        merged = components[a] | components[b] | set(path)
-        components = [
-            c for k, c in enumerate(components) if k not in (a, b)
-        ] + [merged]
-    return sorted(components[0])
+        merged = components[a] | components[b]
+        for i in path:
+            merged |= 1 << i
+        components = [c for k, c in enumerate(components) if k not in (a, b)] + [merged]
+    return [i for i in range(len(graph.tables)) if components[0] >> i & 1]
 
 
 def _scope_tables(q: SqlQuery, graph: SchemaGraph) -> list[str]:
@@ -156,7 +129,7 @@ def _conditions_span(from_tables: Sequence[str], conditions) -> bool:
         if ia is not None and ib is not None:
             adj[ia] |= 1 << ib
             adj[ib] |= 1 << ia
-    return _mask_connected((1 << len(from_tables)) - 1, adj)
+    return len(bfs(adj, 1)) == len(from_tables)
 
 
 def _first_fk(graph: SchemaGraph, a: str, b: str) -> tuple[ColumnRef, ColumnRef]:
@@ -171,37 +144,18 @@ def _first_fk(graph: SchemaGraph, a: str, b: str) -> tuple[ColumnRef, ColumnRef]
     return fks[0]
 
 
-def _join_order(
-    graph: SchemaGraph, connector: list[str], root: str
-) -> tuple[list[str], list[tuple[ColumnRef, ColumnRef]]]:
-    """BFS over the connector's induced subgraph: join order and FK conditions."""
-    in_connector = {t.lower() for t in connector}
-    order = [root]
-    conditions: list[tuple[ColumnRef, ColumnRef]] = []
-    visited = {root.lower()}
-    frontier = [root]
-    while frontier:
-        current = frontier.pop(0)
-        for neighbor in graph.neighbors(current):
-            low = neighbor.lower()
-            if low in in_connector and low not in visited:
-                visited.add(low)
-                order.append(neighbor)
-                conditions.append(_first_fk(graph, current, neighbor))
-                frontier.append(neighbor)
-    return order, conditions
-
-
-def _rationale(graph: SchemaGraph, added: list[str], terminals: list[str]) -> list[str]:
+def _rationale(graph: SchemaGraph, added: Sequence[str], terminals: list[str]) -> list[str]:
+    if not added:
+        return []
+    paths = [
+        (a, b, graph.path(1 << graph.table_index(a), 1 << graph.table_index(b))[1:-1])
+        for a, b in combinations(terminals, 2)
+    ]
     notes = []
     for table in added:
-        note = f"{table}: required to connect the join graph"
-        for a, b in combinations(terminals, 2):
-            path = graph.shortest_path(a, b)
-            if path and table in path[1:-1]:
-                note = f"{table}: on the join path between {a} and {b}"
-                break
-        notes.append(note)
+        i = graph.table_index(table)
+        pairs = (f"on the join path between {a} and {b}" for a, b, inner in paths if i in inner)
+        notes.append(f"{table}: {next(pairs, 'required to connect the join graph')}")
     return notes
 
 
@@ -245,12 +199,16 @@ def _complete_level(q: SqlQuery, graph: SchemaGraph) -> tuple[SqlQuery, Completi
     ):
         return q, CompletionPlan()
     # Every FROM table is itself a terminal, so the connector covers it.
-    root = graph.canonical(q.from_tables[0]) if q.from_tables else connector[0]
-    order, conditions = _join_order(graph, connector, root)
+    # The join order is the BFS tree over the connector from the first table.
+    root = graph.table_index(q.from_tables[0] if q.from_tables else connector[0])
+    within = sum(1 << graph.table_index(t) for t in connector)
+    tree = list(bfs(graph.adj, 1 << root, within).items())
+    order = [graph.tables[i] for i, _ in tree]
+    conditions = tuple(_first_fk(graph, graph.tables[p], graph.tables[i]) for i, p in tree[1:])
     added = tuple(t for t in order if t.lower() not in from_set)
     plan = CompletionPlan(
         added_tables=added,
-        join_conditions=tuple(conditions),
-        rationale=tuple(_rationale(graph, list(added), terminals)),
+        join_conditions=conditions,
+        rationale=tuple(_rationale(graph, added, terminals)),
     )
-    return replace(q, from_tables=tuple(order), join_conditions=tuple(conditions)), plan
+    return replace(q, from_tables=tuple(order), join_conditions=conditions), plan

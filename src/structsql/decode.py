@@ -225,10 +225,6 @@ class DecodeState:
     node: TrieNode | None = None
     score: float = 0.0
 
-    @property
-    def in_literal(self) -> bool:
-        return self.node is LITERAL
-
     def key(self) -> tuple:
         return (self.tokens, id(self.node))
 
@@ -292,12 +288,6 @@ class LexiconConstraint:
         if token_id in self.vocab.keyword_ids or token_id in self.vocab.literal_ids:
             out += (None,)
         return out
-
-    def advance(self, state: DecodeState, token_id: int, score: float) -> list[DecodeState]:
-        """Successor states after emitting a non-EOS token."""
-        tokens = state.tokens + (token_id,)
-        new_score = state.score + score
-        return [DecodeState(tokens, c, new_score) for c in self._next(state.node, token_id)]
 
     def can_finish(self, state: DecodeState) -> bool:
         """Whether EOS may follow: at a free cursor or a trie terminal, never
@@ -755,6 +745,12 @@ class ScorerServer:
             if not isinstance(source, list) or not all(isinstance(t, str) for t in source):
                 raise ProtocolViolation("source must be a list of strings")
             prefixes, lengths = request["prefixes"], request["lengths"]
+            if not (
+                isinstance(lengths, list) and all(type(n) is int and n >= 0 for n in lengths)
+                and isinstance(prefixes, list)
+                and all(isinstance(p, list) and all(type(t) is int for t in p) for p in prefixes)
+            ):
+                raise ProtocolViolation("lengths must be non-negative ints, prefixes int lists")
             ids = _unpack("i", request["candidates"], "candidates")
             if len(prefixes) != len(lengths) or len(ids) != sum(lengths):
                 raise ProtocolViolation(

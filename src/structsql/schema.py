@@ -2,7 +2,8 @@
 
 Schemas arrive as Spider-format documents (``tables.json`` entries) and are
 turned into immutable :class:`DatabaseSchema` values.  A :class:`SchemaGraph`
-of foreign-key links between tables backs join-path discovery.
+of foreign-key links between tables, searched by :func:`bfs`, backs
+join-path discovery.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from heapq import heappop, heappush
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -416,11 +416,39 @@ def load_schemas(
     return schemas
 
 
+def bfs(adj: Sequence[int], sources: int, within: int = -1) -> dict[int, int]:
+    """Breadth-first search over neighbour bitmasks.
+
+    ``adj[i]`` has bit ``j`` set when nodes ``i`` and ``j`` are linked.  The
+    search starts from every node in the bitmask ``sources`` and enters only
+    nodes in the bitmask ``within``.  It returns each reached node's parent
+    (-1 for a source) in visit order.  Sources, and each node's new
+    neighbours, are visited in ascending order, so the parents spell the
+    lexicographically smallest shortest path from a source to each node.
+    """
+    parent: dict[int, int] = {}
+    queue, free = [-1], within & ~sources
+    for node in queue:  # nodes appended below extend the loop: FIFO order
+        if node < 0:
+            new = sources
+        else:
+            new = adj[node] & free
+            free ^= new
+        while new:
+            low = new & -new
+            child = low.bit_length() - 1
+            parent[child] = node
+            queue.append(child)
+            new ^= low
+    return parent
+
+
 class SchemaGraph:
     """Undirected table-link graph, immutable after construction.
 
-    Two tables are linked when a foreign key joins them.  Path queries run
-    over these links.
+    Two tables are linked when a foreign key joins them.  ``adj`` holds each
+    table's neighbours as a bitmask over declaration indices; every path and
+    connectivity query is one :func:`bfs` over it.
     """
 
     def __init__(self, schema: DatabaseSchema):
@@ -439,11 +467,11 @@ class SchemaGraph:
         self.links: tuple[tuple[str, str], ...] = tuple(
             (self.tables[i], self.tables[j]) for i, j in sorted(link_pairs)
         )
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.tables))}
+        adj = [0] * len(self.tables)
         for i, j in link_pairs:
-            adj[i].append(j)
-            adj[j].append(i)
-        self._adj = {i: tuple(sorted(n)) for i, n in adj.items()}
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.adj: tuple[int, ...] = tuple(adj)
         self._fk_between = {pair: tuple(fks) for pair, fks in link_pairs.items()}
 
     def table_index(self, name: str) -> int:
@@ -453,46 +481,30 @@ class SchemaGraph:
         return self.tables[self.table_index(name)]
 
     def neighbors(self, name: str) -> list[str]:
-        return [self.tables[j] for j in self._adj[self.table_index(name)]]
+        mask = self.adj[self.table_index(name)]
+        return [t for j, t in enumerate(self.tables) if mask >> j & 1]
 
     def foreign_keys_between(self, a: str, b: str) -> tuple[tuple[ColumnRef, ColumnRef], ...]:
         """FK column pairs linking two tables, in declaration order."""
         i, j = self.table_index(a), self.table_index(b)
         return self._fk_between.get((min(i, j), max(i, j)), ())
 
-    def connected(self, a: str, b: str) -> bool:
-        return self.index_path({self.table_index(a)}, {self.table_index(b)}) is not None
-
-    def shortest_path(self, a: str, b: str) -> list[str] | None:
-        """Shortest table-link path from a to b, endpoints included.
-
-        Among equal-length paths the one whose table indices are
-        lexicographically smallest wins, so results are deterministic.
-        """
-        path = self.index_path({self.table_index(a)}, {self.table_index(b)})
-        return None if path is None else [self.tables[i] for i in path]
-
-    def index_path(self, src: set[int], dst: set[int]) -> list[int] | None:
-        """Shortest table-link path, as table indices, from any table in
-        ``src`` to any table in ``dst``; None when there is none.
+    def path(self, src: int, dst: int) -> list[int] | None:
+        """Shortest table-link path, as table indices, from a table in the
+        bitmask ``src`` to one in ``dst``; None when there is none.
 
         Among equal-length paths the lexicographically smallest index
-        sequence wins.
+        sequence wins, so results are deterministic.
         """
-        heap: list[tuple[int, tuple[int, ...], int]] = [(0, (i,), i) for i in sorted(src)]
-        best: dict[int, tuple[int, tuple[int, ...]]] = {}
-        while heap:
-            dist, path, node = heappop(heap)
-            if node in dst:
-                return list(path)
-            known = best.get(node)
-            if known is not None and known <= (dist, path):
-                continue
-            best[node] = (dist, path)
-            for nxt in self._adj[node]:
-                if nxt not in path:
-                    heappush(heap, (dist + 1, path + (nxt,), nxt))
-        return None
+        parent = bfs(self.adj, src)
+        node = next((i for i in parent if dst >> i & 1), -1)
+        if node < 0:
+            return None
+        path = []
+        while node >= 0:
+            path.append(node)
+            node = parent[node]
+        return path[::-1]
 
 
 def build_schema_graph(schema: DatabaseSchema) -> SchemaGraph:

@@ -299,7 +299,7 @@ class _Parser:
         limit = None
         if self.accept_keyword("LIMIT"):
             tok = self.advance()
-            if tok.kind != "number" or "." in tok.text:
+            if tok.kind != "number" or not tok.text.isdecimal():
                 raise SqlSyntaxError("LIMIT takes an integer", tok.pos)
             limit = int(tok.text)
 

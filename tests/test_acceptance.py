@@ -35,6 +35,7 @@ from structsql.synth import generate_synthetic_corpus, random_query, random_sche
 
 from util_checks import (
     AdversarialScorer,
+    advance,
     brute_force_connector,
     identifier_run_violations,
     node_at,
@@ -116,7 +117,7 @@ def _greedy_fuzz_steps(constraint, vocab, seed, budget_steps, max_len=40):
             steps += 1
             if best == vocab.eos_id or steps >= budget_steps:
                 break
-            state = constraint.advance(state, best, 0.0)[0]
+            state = advance(constraint, state, best, 0.0)[0]
         sequences.append([vocab.surface(t) for t in state.tokens])
     return sequences, steps
 

@@ -509,8 +509,14 @@ def test_missing_schema_path_is_stage_error(tmp_path):
         {"db_id": "tennis"},
         {"question": "How many players?"},
         {"question": "How many players?", "db_id": "nope"},
+        {"question": "", "db_id": "tennis"},
+        {"question": ["How many players?", " "], "db_id": "tennis"},
+        {"question": 5, "db_id": "tennis"},
+        {"question": "How many players?", "db_id": ["tennis"]},
+        {"question": "How many players?", "db_id": "tennis", "query": 5},
     ],
-    ids=["no-question", "no-db-id", "unknown-db-id"],
+    ids=["no-question", "no-db-id", "unknown-db-id", "empty-question", "blank-turn",
+         "number-question", "list-db-id", "number-query"],
 )
 def test_malformed_dataset_is_ingest_error(tables_path, tmp_path, capsys, entry):
     good = {"question": "Show all players", "db_id": "tennis", "query": "SELECT * FROM Players"}

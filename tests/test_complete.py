@@ -25,7 +25,7 @@ from structsql.sql_ast import (
 )
 from structsql.synth import random_query, random_schema_doc
 
-from util_checks import brute_force_connector
+from util_checks import brute_force_connector, brute_force_path, fifo_bfs_tree
 
 
 def chain_schema(names, extra_fk=()):
@@ -174,6 +174,79 @@ def test_greedy_counterexample_graph_exact_mode_optimal():
     graph = build_schema_graph(load_schema(doc))
     connector = connect_terminals(graph, ["k1", "k2", "k3"])  # auto -> exact
     assert connector == ["k1", "k2", "k3", "hub"]
+
+
+def rewired_doc(seed, drop, extra):
+    """A ``random_schema_doc`` of 2-20 tables with the FKs at positions in
+    ``drop`` removed and ``extra`` (i, j) pairs linking table i's id to table
+    j's id appended, so graphs may be disconnected or have equal-length
+    alternative paths."""
+    doc, _ = random_schema_doc(random.Random(seed), "db", min_tables=2, max_tables=20)
+    ids = [c for c, (_, name) in enumerate(doc["column_names_original"]) if name == "id"]
+    n = len(ids)
+    fks = [fk for k, fk in enumerate(doc["foreign_keys"]) if k not in drop]
+    fks += [[ids[i % n], ids[j % n]] for i, j in extra if i % n != j % n]
+    return {**doc, "foreign_keys": fks}
+
+
+def doc_edges(doc):
+    col_table = [t for t, _ in doc["column_names_original"]]
+    return [(col_table[a], col_table[b]) for a, b in doc["foreign_keys"]
+            if col_table[a] != col_table[b]]
+
+
+rewired = st.builds(
+    rewired_doc,
+    st.integers(0, 2**32 - 1),
+    st.sets(st.integers(0, 19), max_size=4),
+    st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=rewired, src=st.integers(1, 2**20 - 1), dst=st.integers(1, 2**20 - 1))
+def test_path_is_smallest_shortest_simple_path(doc, src, dst):
+    graph = build_schema_graph(load_schema(doc))
+    n = len(graph.tables)
+    src, dst = src % (1 << n) or 1, dst % (1 << n) or 1 << (n - 1)
+    members = [{i for i in range(n) if mask >> i & 1} for mask in (src, dst)]
+    assert graph.path(src, dst) == brute_force_path(n, doc_edges(doc), *members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=rewired, data=st.data())
+def test_join_order_and_conditions_match_fifo_bfs(doc, data):
+    schema = load_schema(doc)
+    graph = build_schema_graph(schema)
+    n, edges = len(graph.tables), doc_edges(doc)
+    terms = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True))
+    if brute_force_connector(n, edges, set(terms)) is None:
+        with pytest.raises(Disconnected):
+            connect_terminals(graph, [graph.tables[i] for i in terms])
+        return
+    names = [graph.tables[i] for i in terms]
+    where = " AND ".join(f"{t}.id = {k}" for k, t in enumerate(names[1:]))
+    fixed, plan = complete_sql(
+        parse_sql(f"SELECT {names[0]}.id FROM {names[0]} WHERE {where}", schema), schema, graph
+    )
+    connector = {graph.table_index(t) for t in connect_terminals(graph, names)}
+    tree = fifo_bfs_tree(edges, connector, terms[0])
+    assert fixed.from_tables == tuple(graph.tables[i] for i, _ in tree)
+    first_fk = {}
+    for a, b in schema.foreign_keys:
+        first_fk.setdefault(frozenset({a.table, b.table}), (a, b))
+    assert fixed.join_conditions == tuple(
+        first_fk[frozenset({graph.tables[i], graph.tables[p]})] for i, p in tree[1:]
+    )
+    paths = [(a, b, brute_force_path(n, edges, {a}, {b})) for a, b in combinations(terms, 2)]
+    assert len(plan.rationale) == len(plan.added_tables)
+    for table, note in zip(plan.added_tables, plan.rationale):
+        i = graph.table_index(table)
+        pair = next(((a, b) for a, b, path in paths if i in path[1:-1]), None)
+        why = "required to connect the join graph" if pair is None else (
+            f"on the join path between {graph.tables[pair[0]]} and {graph.tables[pair[1]]}"
+        )
+        assert note == f"{table}: {why}"
 
 
 # -- complete_sql ----------------------------------------------------------------

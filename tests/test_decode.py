@@ -27,6 +27,7 @@ from util_checks import (
     AdversarialScorer,
     MixedMagnitudeScorer,
     QuantizedScorer,
+    advance,
     identifier_run_violations,
     iter_terminals,
     node_at,
@@ -231,7 +232,7 @@ def test_advance_successors_have_distinct_keys(seed, with_values, data):
     state = DecodeState()
     for _ in range(data.draw(st.integers(1, 30))):
         candidates = [c for c in constraint.candidate_ids(state) if c != vocab.eos_id]
-        successors = constraint.advance(state, data.draw(st.sampled_from(candidates)), 0.0)
+        successors = advance(constraint, state, data.draw(st.sampled_from(candidates)), 0.0)
         keys = [succ.key() for succ in successors]
         assert len(set(keys)) == len(keys), keys
         state = data.draw(st.sampled_from(successors))
@@ -273,7 +274,7 @@ def test_width_one_equals_manual_greedy(tennis_kit):
         if best == vocab.eos_id:
             break
         out.append(best)
-        state = constraint.advance(state, best, 0.0)[0]
+        state = advance(constraint, state, best, 0.0)[0]
 
     hyp = beam_search(scorer, ["q"], constraint, beam_width=1, max_len=100)[0]
     assert list(hyp.token_ids) == out
@@ -483,7 +484,7 @@ def fuzz_steps(schema, vocab, trie, seed, n_steps, max_len=50):
             steps += 1
             if best == vocab.eos_id or steps >= n_steps:
                 break
-            state = constraint.advance(state, best, 0.0)[0]
+            state = advance(constraint, state, best, 0.0)[0]
         sequences.append([vocab.surface(t) for t in state.tokens])
     return sequences
 

@@ -99,6 +99,17 @@ def test_parse_failure_counted_and_scored_zero(tennis):
     assert report.qm == 0.5
 
 
+def test_limit_with_exponent_is_a_parse_failure(tennis):
+    report = score_corpus(
+        ["SELECT Players.First_name FROM Players LIMIT 1e3"],
+        ["SELECT Players.First_name FROM Players LIMIT 1000"],
+        db_ids=["tennis"],
+        schemas={"tennis": tennis},
+    )
+    assert report.counts["parse_failure"] == 1
+    assert report.qm == 0.0
+
+
 def test_schema_violation_counted(tennis):
     report = score_corpus(
         ["SELECT Players.Nope FROM Players"],

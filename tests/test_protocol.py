@@ -271,6 +271,31 @@ def test_server_rejects_a_score_message_without_a_string_list_source(kit, source
         server.close()
 
 
+@pytest.mark.parametrize(
+    "prefixes, lengths",
+    [([[], [3]], [-1, 2]), ([[]], [1.0]), ([[]], [True]), ([["a"]], [1]), ([None], [1]),
+     ([[]], 1)],
+    ids=["negative-length", "float-length", "bool-length", "string-prefix", "null-prefix",
+         "scalar-lengths"],
+)
+def test_server_rejects_malformed_lengths_and_prefixes(kit, prefixes, lengths):
+    # Each request has one candidate id, so the length sum alone checks nothing here.
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    request = {"type": "score", "example_id": "e", "source": ["q"], "prefixes": prefixes,
+               "lengths": lengths,
+               "candidates": base64.b64encode(struct.pack("<i", 1)).decode("ascii")}
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            stream = sock.makefile("rw", encoding="utf-8")
+            stream.write(json.dumps(request) + "\n")
+            stream.flush()
+            reply = json.loads(stream.readline())
+        assert reply["type"] == "error" and "lengths" in reply["message"]
+    finally:
+        server.close()
+
+
 def test_timeout(kit):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, "slow")

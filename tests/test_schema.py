@@ -148,7 +148,8 @@ def test_round_trip_generated_docs(seed):
 
 def test_graph_fig_topology(tennis_graph):
     assert set(tennis_graph.links) == {("Players", "Matches"), ("Matches", "Ranking")}
-    assert tennis_graph.shortest_path("Players", "Ranking") == [
+    players, ranking = (tennis_graph.table_index(t) for t in ("Players", "Ranking"))
+    assert [tennis_graph.tables[i] for i in tennis_graph.path(1 << players, 1 << ranking)] == [
         "Players",
         "Matches",
         "Ranking",
@@ -190,7 +191,7 @@ def test_connectivity_matches_transitive_closure(seed, pair):
         if col_table[a] != col_table[b]
     ]
     a, b = pair % n, (pair // n) % n
-    assert graph.connected(graph.tables[a], graph.tables[b]) == transitive_closure_connected(
+    assert (graph.path(1 << a, 1 << b) is not None) == transitive_closure_connected(
         n, edges, a, b
     )
 

@@ -112,6 +112,14 @@ def test_negative_number_literal_rejected_at_minus():
     assert err.value.position == text.index("-")
 
 
+@pytest.mark.parametrize("count", ["1e3", "1E3", "1.5", "2.0e1"])
+def test_non_integer_limit_rejected_at_its_token(count):
+    text = f"SELECT Players.First_name FROM Players LIMIT {count}"
+    with pytest.raises(SqlSyntaxError, match="LIMIT takes an integer") as err:
+        parse_sql(text)
+    assert err.value.position == text.index(count)
+
+
 def test_empty_query_rejected():
     with pytest.raises(SqlSyntaxError):
         parse_sql("   ")

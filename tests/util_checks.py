@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
 Deliberately implemented apart from the package code paths they check:
-subset enumeration with union-find instead of bitmask BFS, an NFA over
-surface strings instead of the trie, plain transitive closure instead of
-graph search.  ``reference_beam_search`` is the unpruned beam search: it
-advances every allowed candidate of every live hypothesis.
+subset enumeration with union-find, plain transitive closure, simple-path
+enumeration and a queue-based BFS instead of the bitmask graph search, and
+an NFA over surface strings instead of the trie.  ``reference_beam_search``
+is the unpruned beam search: it advances every allowed candidate of every
+live hypothesis; ``advance`` and ``in_literal`` are its state helpers.
 ``reference_name_link`` compares every question n-gram with every schema
 name instead of probing the per-schema name index.  ``QuantizedScorer`` and
 ``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking;
@@ -14,6 +15,7 @@ name instead of probing the per-schema name index.  ``QuantizedScorer`` and
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import replace
 from heapq import nsmallest
 from itertools import combinations
@@ -21,6 +23,7 @@ from typing import Iterator, Sequence
 
 from structsql.annotate import AnnotatedInput
 from structsql.decode import (
+    LITERAL,
     DecodeState,
     Hypothesis,
     LexiconConstraint,
@@ -187,6 +190,52 @@ def brute_force_connector(
     return None
 
 
+def brute_force_path(
+    n_tables: int, edges: list[tuple[int, int]], src: set[int], dst: set[int]
+) -> list[int] | None:
+    """Lexicographically smallest of the shortest simple paths from a table in
+    ``src`` to one in ``dst``, found by enumerating every simple path; None
+    when there is none."""
+    adj: dict[int, set[int]] = {v: set() for v in range(n_tables)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    found: list[list[int]] = []
+
+    def extend(path: list[int]) -> None:
+        if path[-1] in dst:  # going on past dst only makes a longer path
+            found.append(path)
+            return
+        for nxt in adj[path[-1]] - set(path):
+            extend(path + [nxt])
+
+    for s in src:
+        extend([s])
+    return min(found, key=lambda p: (len(p), p), default=None)
+
+
+def fifo_bfs_tree(
+    edges: list[tuple[int, int]], members: set[int], root: int
+) -> list[tuple[int, int]]:
+    """``(table, parent)`` pairs in the visit order of a queue-based BFS from
+    ``root`` (parent -1) over the subgraph induced by ``members``, each
+    table's neighbours taken in ascending order."""
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    out = [(root, -1)]
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for nxt in sorted(adj.get(node, set()) & members - seen):
+            seen.add(nxt)
+            out.append((nxt, node))
+            queue.append(nxt)
+    return out
+
+
 def transitive_closure_connected(
     n_tables: int, edges: list[tuple[int, int]], a: int, b: int
 ) -> bool:
@@ -243,6 +292,20 @@ class AdversarialScorer(OracleScorer):
         return scores
 
 
+def advance(
+    constraint: LexiconConstraint, state: DecodeState, token_id: int, score: float
+) -> list[DecodeState]:
+    """Successor states of ``state`` after emitting a non-EOS token."""
+    tokens = state.tokens + (token_id,)
+    new_score = state.score + score
+    return [DecodeState(tokens, c, new_score) for c in constraint._next(state.node, token_id)]
+
+
+def in_literal(state: DecodeState) -> bool:
+    """Whether the hypothesis is inside a quoted literal."""
+    return state.node is LITERAL
+
+
 def reference_beam_search(
     scorer,
     source,
@@ -280,7 +343,7 @@ def reference_beam_search(
                 if token_id == eos:
                     if constrained and not constraint.can_finish(state):
                         continue
-                    if state.in_literal or not state.tokens:
+                    if in_literal(state) or not state.tokens:
                         continue
                     final = replace(state, score=state.score + token_score)
                     prev = finished.get(final.tokens)
@@ -288,7 +351,7 @@ def reference_beam_search(
                         finished[final.tokens] = final
                     continue
                 if constrained:
-                    successors = constraint.advance(state, token_id, token_score)
+                    successors = advance(constraint, state, token_id, token_score)
                 else:
                     successors = [
                         DecodeState(
