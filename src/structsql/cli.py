@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from structsql import metrics as metrics_mod
 from structsql.annotate import AnnotatedInput, MarkConfig, build_input
@@ -77,10 +77,24 @@ class PipelineConfig:
     completion: bool = True
     language: str = "en"
 
+    def __post_init__(self) -> None:
+        # Each value has its default's type (content may also be a string).
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default) and not (f.default is None and type(value) is str):
+                raise ConfigError(f"config field {f.name} must be {f.type}, not {value!r}")
+        if self.beam_width < 1 or self.max_len < 1:
+            raise ConfigError(f"beam_width {self.beam_width} or max_len {self.max_len} is below 1")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -136,14 +150,23 @@ def load_examples(path: str | Path) -> list[Example]:
 
 def _load_inputs(
     tables: str, content: str | None, data: str
-) -> tuple[dict[str, DatabaseSchema], list[Example]]:
-    """Schemas and examples, each example checked to name a loaded schema."""
+) -> tuple[dict[str, DatabaseSchema], list[Example], dict[str, SchemaGraph]]:
+    """Schemas, examples (each checked to name a loaded schema) and the
+    schemas' graphs."""
     schemas = load_schemas(tables, content)
     examples = load_examples(data)
     for ex in examples:
         if ex.db_id not in schemas:
             raise ValueError(f"example {ex.index}: no schema has db_id {ex.db_id!r}")
-    return schemas, examples
+    return schemas, examples, {db: build_schema_graph(s) for db, s in schemas.items()}
+
+
+def _interactions(examples: list[Example]) -> list[list[Example]]:
+    """Examples grouped by interaction id, groups in order of first turn."""
+    groups: dict[str, list[Example]] = {}
+    for ex in examples:
+        groups.setdefault(ex.interaction_id, []).append(ex)
+    return list(groups.values())
 
 
 def _links_for(example: Example, schema: DatabaseSchema, language: str, with_values: bool):
@@ -203,7 +226,10 @@ def make_scorer(
         oracles = [oracle_scorer(line, vocab) for line in lines]
         return lambda i: oracles[i]
     if kind == "random":
-        base = int(arg) if arg else 0
+        try:
+            base = int(arg) if arg else 0
+        except ValueError:
+            raise ConfigError(f"random scorer seed {arg!r} is not an integer") from None
         return lambda i: RandomScorer(vocab, seed=base + i)
     if kind == "extern":
         if not arg:
@@ -240,14 +266,25 @@ def _plan_entry(
     return entry
 
 
-def _complete_one(index: int, text: str, schema, graph) -> tuple[str, dict]:
-    """Complete one prediction.  One that does not parse or cannot be
-    completed is kept as it was, and its plan entry says why."""
-    try:
-        fixed, plan = complete_sql(parse_sql(text, schema), schema, graph)
-    except (SqlSyntaxError, ValueError) as exc:
-        return text, _plan_entry(index, error=exc)
-    return render_sql(fixed), _plan_entry(index, plan)
+def _complete_all(examples, texts, schemas, graphs) -> tuple[list[str], list[dict]]:
+    """Complete each example's prediction.  A blank one stays blank; one that
+    does not parse or cannot be completed is kept as it was, and its plan
+    entry says why."""
+    completed, plans = [], []
+    for ex, text in zip(examples, texts):
+        schema, plan = schemas[ex.db_id], _plan_entry(ex.index)
+        if not text.strip():
+            text = ""
+        else:
+            try:
+                fixed, found = complete_sql(parse_sql(text, schema), schema, graphs[ex.db_id])
+            except (SqlSyntaxError, ValueError) as exc:
+                plan = _plan_entry(ex.index, error=exc)
+            else:
+                text, plan = render_sql(fixed), _plan_entry(ex.index, found)
+        completed.append(text)
+        plans.append(plan)
+    return completed, plans
 
 
 def run_pipeline(
@@ -256,18 +293,14 @@ def run_pipeline(
 ) -> metrics_mod.EvaluationReport:
     """Full run over a dataset; writes per-stage artifacts under out_dir."""
     try:
-        schemas, examples = _load_inputs(config.tables, config.content, config.data)
+        schemas, examples, graphs = _load_inputs(config.tables, config.content, config.data)
     except (OSError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
 
     # Provenance is written only for a run that got past ingest.
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
+    _write_json(out / "config.resolved.json", config.to_dict())
 
     try:
         vocab = Vocabulary.build(
@@ -279,10 +312,6 @@ def run_pipeline(
         constraints = {db: LexiconConstraint(trie, vocab) for db, trie in tries.items()}
     except Untokenizable as exc:
         raise StageError("vocabulary", exc) from exc
-
-    interactions: dict[str, list[Example]] = {}
-    for ex in examples:
-        interactions.setdefault(ex.interaction_id, []).append(ex)
 
     try:
         factory = scorer_factory or make_scorer(
@@ -298,7 +327,7 @@ def run_pipeline(
     sources: dict[int, str] = {}
     raw_preds: dict[int, str] = {}
     try:
-        for group in interactions.values():
+        for group in _interactions(examples):
             prev_text: str | None = None
             for ex in group:
                 schema = schemas[ex.db_id]
@@ -331,34 +360,22 @@ def run_pipeline(
         if scorer_factory is None and isinstance(factory, _SharedConnection):
             factory.close()
 
-    (out / "annotated.src").write_text(
-        "\n".join(sources[i] for i in sorted(sources)) + "\n", encoding="utf-8"
-    )
-    (out / "annotated.tgt").write_text(
-        "\n".join(e.query for e in examples) + "\n", encoding="utf-8"
-    )
-    (out / "decoded.sql").write_text(
-        "\n".join(raw_preds[i] for i in sorted(raw_preds)) + "\n", encoding="utf-8"
-    )
+    decoded = [raw_preds[e.index] for e in examples]
+    _write_lines(out / "annotated.src", (sources[e.index] for e in examples))
+    _write_lines(out / "annotated.tgt", (e.query for e in examples))
+    _write_lines(out / "decoded.sql", decoded)
 
     # Stage: complete
-    completed: list[str] = []
-    plans: list[dict] = []
     try:
-        for ex in examples:
-            text = raw_preds[ex.index]
-            plan_entry = _plan_entry(ex.index)
-            if config.completion and text:
-                text, plan_entry = _complete_one(ex.index, text, schemas[ex.db_id], graphs[ex.db_id])
-            completed.append(text)
-            plans.append(plan_entry)
+        if config.completion:
+            completed, plans = _complete_all(examples, decoded, schemas, graphs)
+        else:
+            completed, plans = decoded, [_plan_entry(e.index) for e in examples]
     except Exception as exc:  # noqa: BLE001
         raise StageError("complete", exc) from exc
 
-    (out / "completed.sql").write_text("\n".join(completed) + "\n", encoding="utf-8")
-    (out / "plan.jsonl").write_text(
-        "".join(json.dumps(p, sort_keys=True) + "\n" for p in plans), encoding="utf-8"
-    )
+    _write_lines(out / "completed.sql", completed)
+    _write_jsonl(out / "plan.jsonl", plans)
 
     # Stage: evaluate
     try:
@@ -372,9 +389,7 @@ def run_pipeline(
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
 
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", report.to_dict())
     return report
 
 
@@ -388,7 +403,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    schemas, examples = _load_inputs(args.tables, args.content, args.data)
+    schemas, examples, _ = _load_inputs(args.tables, args.content, args.data)
     records = []
     for ex in examples:
         schema = schemas[ex.db_id]
@@ -406,14 +421,12 @@ def cmd_link(args: argparse.Namespace) -> int:
                     "value": ann.value,
                 }
             )
-    payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _write_or_print(args.out, payload)
+    _write_jsonl(args.out, records)
     return EXIT_OK
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    schemas, examples = _load_inputs(args.tables, args.content, args.data)
-    graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
+    schemas, examples, graphs = _load_inputs(args.tables, args.content, args.data)
     config = PipelineConfig(
         schema_property=not args.no_schema_property,
         database_structure=not args.no_database_structure,
@@ -421,46 +434,30 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         include_values=args.values,
         language=args.language,
     )
-    interactions: dict[str, list[Example]] = {}
-    for ex in examples:
-        interactions.setdefault(ex.interaction_id, []).append(ex)
     sources: dict[int, str] = {}
-    for group in interactions.values():
+    for group in _interactions(examples):
         for idx, ex in enumerate(group):
             prev = group[idx - 1].query if (idx > 0 and args.prev_sql == "gold") else None
             annotated = _annotation_for(ex, schemas[ex.db_id], config, prev, graphs[ex.db_id])
             sources[ex.index] = annotated.render()
-    Path(args.src).write_text(
-        "\n".join(sources[i] for i in sorted(sources)) + "\n", encoding="utf-8"
-    )
-    Path(args.tgt).write_text(
-        "\n".join(e.query for e in examples) + "\n", encoding="utf-8"
-    )
+    _write_lines(args.src, (sources[e.index] for e in examples))
+    _write_lines(args.tgt, (e.query for e in examples))
     return EXIT_OK
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    schemas, examples = _load_inputs(args.tables, args.content, args.data)
-    graphs = {db: build_schema_graph(s) for db, s in schemas.items()}
+    schemas, examples, graphs = _load_inputs(args.tables, args.content, args.data)
     lines = Path(args.sql).read_text(encoding="utf-8").splitlines()
     if len(lines) != len(examples):
         raise StageError(
             "complete",
             metrics_mod.MismatchedLengths(f"{len(lines)} SQL lines vs {len(examples)} examples"),
         )
-    out_lines, plans = [], []
-    for ex, line in zip(examples, lines):
-        # An empty line is a prediction `run` could not decode: keep it empty.
-        text, plan_entry = "", _plan_entry(ex.index)
-        if line.strip():
-            text, plan_entry = _complete_one(ex.index, line, schemas[ex.db_id], graphs[ex.db_id])
-        out_lines.append(text)
-        plans.append(plan_entry)
-    _write_or_print(args.out, "\n".join(out_lines) + "\n")
+    # An empty line is a prediction `run` could not decode: it stays empty.
+    completed, plans = _complete_all(examples, lines, schemas, graphs)
+    _write_lines(args.out, completed)
     if args.plan:
-        Path(args.plan).write_text(
-            "".join(json.dumps(p, sort_keys=True) + "\n" for p in plans), encoding="utf-8"
-        )
+        _write_jsonl(args.plan, plans)
     return EXIT_OK
 
 
@@ -479,27 +476,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         interaction_ids = [e.interaction_id for e in examples]
     else:
         interaction_ids = None
-    if args.interactions:
-        interaction_ids = Path(args.interactions).read_text(encoding="utf-8").split()
     if any(db is None for db in db_ids):
         raise ConfigError("gold file must carry db ids (SQL<TAB>db_id) or pass --data")
     report = metrics_mod.score_corpus(
         preds, golds, interaction_ids=interaction_ids, db_ids=db_ids, schemas=schemas
     )
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(args.out, report.to_dict())
     print(report.summary())
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    # A flag that is absent leaves no attribute, so the file value stands.
-    for field in dataclasses.fields(PipelineConfig):
-        if hasattr(args, field.name):
-            setattr(config, field.name, getattr(args, field.name))
+    # A flag that is absent leaves no attribute, so the file value stands;
+    # ``replace`` checks the merged values again.
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(config) if hasattr(args, f.name)}
+    config = dataclasses.replace(config, **flags)
     if not config.data or not config.tables:
         raise ConfigError("run needs --data and --tables (or a config file)")
     report = run_pipeline(config)
@@ -517,11 +510,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_or_print(path: str | None, payload: str) -> None:
+def _write_or_print(path: str | Path | None, payload: str) -> None:
     if path:
         Path(path).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
+
+
+def _write_lines(path: str | Path | None, lines: Iterable[str]) -> None:
+    _write_or_print(path, "\n".join(lines) + "\n")
+
+
+def _write_jsonl(path: str | Path | None, records: Iterable[dict]) -> None:
+    _write_or_print(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+def _write_json(path: str | Path, doc: dict) -> None:
+    _write_or_print(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--interactions", default=None, help="file with one interaction id per line")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 

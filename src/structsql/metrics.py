@@ -8,7 +8,7 @@ interactions whose every question matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from structsql.schema import DatabaseSchema
@@ -69,25 +69,7 @@ class EvaluationReport:
     n_interactions: int
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "lx": self.lx,
-            "qm": self.qm,
-            "im": self.im,
-            "counts": dict(self.counts),
-            "n_examples": self.n_examples,
-            "n_interactions": self.n_interactions,
-            "verdicts": [
-                {
-                    "index": v.index,
-                    "interaction_id": v.interaction_id,
-                    "em": v.em,
-                    "lx": v.lx,
-                    "error": v.error,
-                }
-                for v in self.verdicts
-            ],
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         im_text = "n/a" if self.im is None else f"{self.im:.4f}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from structsql.linking import normalize_value
 from structsql.schema import ColumnRef, ColumnType, DatabaseSchema, STAR
@@ -51,7 +51,6 @@ class Agg(Enum):
     MAX = "MAX"
 
 
-COMPARE_OPS = ("<=", ">=", "!=", "<>", "=", "<", ">")
 SET_OPS = ("UNION", "INTERSECT", "EXCEPT")
 
 _RESERVED = frozenset(
@@ -141,64 +140,53 @@ class ComponentSet:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "number" | "string" | "op" | "punct" | "end"
     text: str
     pos: int
+    # What the parser matches: a name upper-cased, an operator or punctuation
+    # mark as lexed ("<>" becomes "!="), "" for a literal and the end.
+    key: str
 
 
-_NAME_RE = re.compile(r"[^\W\d]\w*", re.UNICODE)
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+# The alternatives are tried in order; the last two are the error cases.
+_TOKEN_RE = re.compile(
+    r"""(?P<space>\s+)
+    | '(?P<single>(?:[^']|'')*)'(?!')
+    | "(?P<double>[^"]*)"
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<name>[^\W\d]\w*)
+    | (?P<op><=|>=|!=|<>|=|<|>)
+    | (?P<punct>[(),.*;])
+    | (?P<quote>['"])
+    | (?P<bad>.)""",
+    re.VERBOSE,
+)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == quote:
-                    if quote == "'" and j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise SqlSyntaxError("unterminated string literal", i)
-            tokens.append(_Token("string", "".join(buf), i))
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        matched_op = next((op for op in COMPARE_OPS if text.startswith(op, i)), None)
-        if matched_op:
-            tokens.append(_Token("op", "!=" if matched_op == "<>" else matched_op, i))
-            i += len(matched_op)
-            continue
-        if ch in "(),.*;":
-            tokens.append(_Token("punct", ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+        word, pos = m.group(kind), m.start()
+        if kind == "name":
+            tokens.append(_Token(kind, word, pos, word.upper()))
+        elif kind == "op" or kind == "punct":
+            word = "!=" if word == "<>" else word
+            tokens.append(_Token(kind, word, pos, word))
+        elif kind == "number":
+            tokens.append(_Token(kind, word, pos, ""))
+        elif kind == "single":
+            tokens.append(_Token("string", word.replace("''", "'"), pos, ""))
+        elif kind == "double":
+            tokens.append(_Token("string", word, pos, ""))
+        elif kind == "quote":
+            raise SqlSyntaxError("unterminated string literal", pos)
+        else:
+            raise SqlSyntaxError(f"unexpected character {word!r}", pos)
+    tokens.append(_Token("end", "", len(text), ""))
     return tokens
 
 
@@ -220,30 +208,19 @@ class _Parser:
             self.i += 1
         return tok
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text.upper() in words
-
-    def accept_keyword(self, *words: str) -> str | None:
-        if self.at_keyword(*words):
-            return self.advance().text.upper()
+    def accept(self, *keys: str) -> str | None:
+        """Consume the next token if its key is one of ``keys``; return the key."""
+        key = self.tokens[self.i].key
+        if key in keys:
+            self.i += 1
+            return key
         return None
 
-    def expect_keyword(self, word: str) -> None:
-        if not self.accept_keyword(word):
+    def expect(self, key: str) -> None:
+        if self.accept(key) is None:
             tok = self.peek()
-            raise SqlSyntaxError(f"expected {word}, found {tok.text or 'end'!r}", tok.pos)
-
-    def accept_punct(self, ch: str) -> bool:
-        if self.peek().kind == "punct" and self.peek().text == ch:
-            self.advance()
-            return True
-        return False
-
-    def expect_punct(self, ch: str) -> None:
-        if not self.accept_punct(ch):
-            tok = self.peek()
-            raise SqlSyntaxError(f"expected {ch!r}, found {tok.text or 'end'!r}", tok.pos)
+            wanted = key if key.isalpha() else repr(key)
+            raise SqlSyntaxError(f"expected {wanted}, found {tok.text or 'end'!r}", tok.pos)
 
     def fail(self, message: str) -> SqlSyntaxError:
         return SqlSyntaxError(message, self.peek().pos)
@@ -252,52 +229,52 @@ class _Parser:
 
     def query(self) -> SqlQuery:
         core = self.select_core()
-        op = self.accept_keyword(*SET_OPS)
+        op = self.accept(*SET_OPS)
         if op:
             rhs = self.query()
             core = replace(core, set_op=(op, rhs))
         return core
 
     def select_core(self) -> SqlQuery:
-        self.expect_keyword("SELECT")
-        distinct = self.accept_keyword("DISTINCT") is not None
+        self.expect("SELECT")
+        distinct = self.accept("DISTINCT") is not None
         items = [self.column_expr()]
-        while self.accept_punct(","):
+        while self.accept(","):
             items.append(self.column_expr())
 
         tables: list[str] = []
         joins: list[tuple[ColumnRef, ColumnRef]] = []
         aliases: dict[str, str] = {}
-        if self.accept_keyword("FROM"):
+        if self.accept("FROM"):
             self.table_source(tables, aliases)
             while True:
-                if self.accept_keyword("JOIN"):
+                if self.accept("JOIN"):
                     self.table_source(tables, aliases)
-                    if self.accept_keyword("ON"):
+                    if self.accept("ON"):
                         joins.append(self.join_condition())
-                        while self.accept_keyword("AND"):
+                        while self.accept("AND"):
                             joins.append(self.join_condition())
-                elif self.accept_punct(","):
+                elif self.accept(","):
                     self.table_source(tables, aliases)
                 else:
                     break
 
-        where = self.condition_list() if self.accept_keyword("WHERE") else None
+        where = self.condition_list() if self.accept("WHERE") else None
         group: list[ColumnRef] = []
-        if self.accept_keyword("GROUP"):
-            self.expect_keyword("BY")
+        if self.accept("GROUP"):
+            self.expect("BY")
             group.append(self.column_ref())
-            while self.accept_punct(","):
+            while self.accept(","):
                 group.append(self.column_ref())
-        having = self.condition_list() if self.accept_keyword("HAVING") else None
+        having = self.condition_list() if self.accept("HAVING") else None
         order: list[OrderItem] = []
-        if self.accept_keyword("ORDER"):
-            self.expect_keyword("BY")
+        if self.accept("ORDER"):
+            self.expect("BY")
             order.append(self.order_item())
-            while self.accept_punct(","):
+            while self.accept(","):
                 order.append(self.order_item())
         limit = None
-        if self.accept_keyword("LIMIT"):
+        if self.accept("LIMIT"):
             tok = self.advance()
             if tok.kind != "number" or not tok.text.isdecimal():
                 raise SqlSyntaxError("LIMIT takes an integer", tok.pos)
@@ -323,7 +300,7 @@ class _Parser:
         if tok.text.lower() in _RESERVED:
             raise SqlSyntaxError(f"reserved word {tok.text!r} cannot name a table", tok.pos)
         name = tok.text
-        if self.accept_keyword("AS"):
+        if self.accept("AS"):
             alias = self.advance()
             if alias.kind != "name":
                 raise SqlSyntaxError("expected alias name", alias.pos)
@@ -334,36 +311,33 @@ class _Parser:
 
     def join_condition(self) -> tuple[ColumnRef, ColumnRef]:
         left = self.column_ref()
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != "=":
-            raise SqlSyntaxError("join conditions must use '='", tok.pos)
+        if self.accept("=") is None:
+            raise self.fail("join conditions must use '='")
         right = self.column_ref()
         return (left, right)
 
     def column_expr(self) -> ColumnExpr:
         tok = self.peek()
-        if tok.kind == "name" and tok.text.upper() in Agg.__members__ and tok.text.upper() != "NONE":
-            if self.peek(1).kind == "punct" and self.peek(1).text == "(":
-                agg = Agg[self.advance().text.upper()]
-                self.expect_punct("(")
-                distinct = self.accept_keyword("DISTINCT") is not None
-                ref = self.column_ref()
-                self.expect_punct(")")
-                return ColumnExpr(ref, agg, distinct)
+        if tok.key in Agg.__members__ and tok.key != "NONE" and self.peek(1).key == "(":
+            agg = Agg[self.advance().key]
+            self.expect("(")
+            distinct = self.accept("DISTINCT") is not None
+            ref = self.column_ref()
+            self.expect(")")
+            return ColumnExpr(ref, agg, distinct)
         return ColumnExpr(self.column_ref())
 
     def column_ref(self) -> ColumnRef:
         tok = self.advance()
-        if tok.kind == "punct" and tok.text == STAR:
+        if tok.key == STAR:
             return ColumnRef(None, STAR)
         if tok.kind != "name":
             raise SqlSyntaxError("expected column reference", tok.pos)
         if tok.text.lower() in _RESERVED:
             raise SqlSyntaxError(f"reserved word {tok.text!r} cannot name a column", tok.pos)
-        if self.peek().kind == "punct" and self.peek().text == ".":
-            self.advance()
+        if self.accept("."):
             nxt = self.advance()
-            if nxt.kind == "punct" and nxt.text == STAR:
+            if nxt.key == STAR:
                 return ColumnRef(tok.text, STAR)
             if nxt.kind != "name":
                 raise SqlSyntaxError("expected column name after '.'", nxt.pos)
@@ -374,7 +348,7 @@ class _Parser:
         conditions = [self.condition()]
         connectors: list[str] = []
         while True:
-            word = self.accept_keyword("AND", "OR")
+            word = self.accept("AND", "OR")
             if word is None:
                 break
             connectors.append(word)
@@ -383,33 +357,33 @@ class _Parser:
 
     def condition(self) -> Condition:
         left = self.column_expr()
-        negated = self.accept_keyword("NOT") is not None
+        negated = self.accept("NOT") is not None
         tok = self.peek()
         if tok.kind == "op":
             if negated:
                 raise SqlSyntaxError("NOT cannot precede a comparison operator", tok.pos)
             op = self.advance().text
             return Condition(left, op, (self.value(),))
-        word = self.accept_keyword("IN", "LIKE", "BETWEEN")
+        word = self.accept("IN", "LIKE", "BETWEEN")
         if word == "BETWEEN":
             if negated:
                 raise self.fail("NOT BETWEEN is not supported")
             lo = self.value()
-            self.expect_keyword("AND")
+            self.expect("AND")
             hi = self.value()
             return Condition(left, "BETWEEN", (lo, hi))
         if word == "LIKE":
             return Condition(left, "NOT LIKE" if negated else "LIKE", (self.value(),))
         if word == "IN":
-            self.expect_punct("(")
-            if self.at_keyword("SELECT"):
+            self.expect("(")
+            if self.peek().key == "SELECT":
                 values: tuple[Value, ...] = (self.query(),)
             else:
                 items = [self.value()]
-                while self.accept_punct(","):
+                while self.accept(","):
                     items.append(self.value())
                 values = tuple(items)
-            self.expect_punct(")")
+            self.expect(")")
             return Condition(left, "NOT IN" if negated else "IN", values)
         raise self.fail("expected a condition operator")
 
@@ -421,10 +395,9 @@ class _Parser:
         if tok.kind == "string":
             self.advance()
             return Literal("string", tok.text)
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             sub = self.query()
-            self.expect_punct(")")
+            self.expect(")")
             return sub
         if tok.kind == "name":
             return self.column_ref()
@@ -432,7 +405,7 @@ class _Parser:
 
     def order_item(self) -> OrderItem:
         expr = self.column_expr()
-        word = self.accept_keyword("ASC", "DESC")
+        word = self.accept("ASC", "DESC")
         return OrderItem(expr, desc=(word == "DESC"))
 
 
@@ -538,10 +511,8 @@ def parse_sql(text: str, schema: DatabaseSchema | None = None) -> SqlQuery:
         raise SqlSyntaxError("empty query", 0)
     parser = _Parser(_lex(text))
     query = parser.query()
+    parser.accept(";")
     trailing = parser.peek()
-    if trailing.kind == "punct" and trailing.text == ";":
-        parser.advance()
-        trailing = parser.peek()
     if trailing.kind != "end":
         raise SqlSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
     if schema is not None:

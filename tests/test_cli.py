@@ -548,6 +548,34 @@ def test_unknown_config_key_is_config_error(tmp_path):
     for key in ("no_such_key", "oracle_prev_sql", "seed"):
         config_path.write_text(json.dumps({**paths, key: 1}), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR
+    # A value of the wrong type or below its range, and a file that is not a
+    # JSON object, are configuration errors too.
+    for bad in (
+        {"beam_width": "5"}, {"beam_width": True}, {"max_len": 0}, {"constrained": 1},
+        {"discourse": "no"}, {"content": 5}, {"scorer": None},
+    ):
+        config_path.write_text(json.dumps({**paths, **bad}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR, bad
+    for text in ("[]", "{", '"run"', ""):
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR, text
+
+
+@pytest.mark.parametrize("flag", ["--beam", "--max-len"])
+def test_run_below_one_is_config_error_before_any_output(corpus_dir, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "run",
+            "--data", str(corpus_dir / "examples.json"),
+            "--tables", str(corpus_dir / "tables.json"),
+            "--out-dir", str(out),
+            flag, "0",
+        ]
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_run_without_data_is_config_error():
@@ -555,16 +583,17 @@ def test_run_without_data_is_config_error():
 
 
 def test_bad_scorer_spec_is_config_error(corpus_dir, tmp_path):
-    code = main(
-        [
-            "run",
-            "--data", str(corpus_dir / "examples.json"),
-            "--tables", str(corpus_dir / "tables.json"),
-            "--out-dir", str(tmp_path / "out"),
-            "--scorer", "telepathy:please",
-        ]
-    )
-    assert code == EXIT_CONFIG_ERROR
+    for spec in ("telepathy:please", "random:abc", "random:1.5"):
+        code = main(
+            [
+                "run",
+                "--data", str(corpus_dir / "examples.json"),
+                "--tables", str(corpus_dir / "tables.json"),
+                "--out-dir", str(tmp_path / "out"),
+                "--scorer", spec,
+            ]
+        )
+        assert code == EXIT_CONFIG_ERROR, spec
 
 
 def test_all_eight_ablation_combinations_run(corpus_dir, tmp_path):

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.complete import _scope_tables
@@ -16,12 +17,15 @@ from structsql.sql_ast import (
     UnknownTable,
     UnresolvableColumn,
     _iter_refs,
+    _lex,
     component_set,
     map_query,
     parse_sql,
     render_sql,
 )
 from structsql.synth import random_query, random_schema_doc
+
+from util_checks import reference_lex
 
 
 def make_corpus(seed, n):
@@ -118,6 +122,62 @@ def test_non_integer_limit_rejected_at_its_token(count):
     with pytest.raises(SqlSyntaxError, match="LIMIT takes an integer") as err:
         parse_sql(text)
     assert err.value.position == text.index(count)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("SELECT a FROM t GROUP x", "expected BY, found 'x'", 22),
+        ("SELECT a FROM t ORDER", "expected BY, found 'end'", 21),
+        ("SELECT a FROM t WHERE a IN 1", "expected '(', found '1'", 27),
+        ("SELECT COUNT(a", "expected ')', found 'end'", 14),
+    ],
+)
+def test_expect_message_names_the_wanted_and_found_token(text, message, position):
+    with pytest.raises(SqlSyntaxError) as err:
+        parse_sql(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+# Pieces that meet at every lexer boundary: both quote kinds and the doubled
+# quote, '<>' and the other operators, exponents, Unicode whitespace, and
+# non-ASCII letters and digits.
+_SQL_PIECES = [
+    "'", '"', "''", "'it''s'", '"q"', "<>", "<", ">", "=", "!", "!=", "<=", ">=",
+    "-", "+", "1", "07", "2.5", "1.", ".5", "1e3", "1E+3", "2.0e-1", "5e", "e",
+    "E", ".", "x", "_a",
+    "select", "FROM", "é", "名", "٣", "²", " ", "\t", "\n", "\u00a0",
+    "\u2028", "\x1c", "(", ")", ",", "*", ";", "#", "\\", "`",
+]
+
+
+def _lexed(lex, text):
+    try:
+        return [(t.kind, t.text, t.pos) for t in lex(text)]
+    except SqlSyntaxError as exc:
+        return (str(exc), exc.position)
+
+
+# Any code point, half of them from the first 12k (Latin to Devanagari digits
+# and the Unicode spaces).  ``st.text()`` would first build Hypothesis's
+# Unicode table, about 2.5 s in a fresh checkout.
+_ANY_CHAR = st.one_of(st.integers(0, 0x2FFF), st.integers(0, sys.maxunicode)).map(chr)
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_SQL_PIECES), max_size=30),
+        st.lists(st.one_of(st.sampled_from(_SQL_PIECES), _ANY_CHAR), max_size=40),
+    ).map("".join)
+)
+@example("SELECT 'abc''")  # unterminated: reported at the opening quote
+@example('""""')
+@example("a<>1.e3 AND b<=.5E-3;")
+@example("'it''s'\t\n名٣ ² ſ")
+@settings(max_examples=200, deadline=None)
+def test_lexer_matches_reference(text):
+    assert _lexed(_lex, text) == _lexed(reference_lex, text)
 
 
 def test_empty_query_rejected():

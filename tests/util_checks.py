@@ -10,13 +10,15 @@ live hypothesis; ``advance`` and ``in_literal`` are its state helpers.
 name instead of probing the per-schema name index.  ``QuantizedScorer`` and
 ``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking;
 ``AdversarialScorer`` lures an unconstrained search off the schema.
+``reference_lex`` is the character-by-character SQL lexer that the one-regex
+lexer replaced.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from heapq import nsmallest
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -41,6 +43,7 @@ from structsql.linking import (
     _norm_token,
 )
 from structsql.schema import DatabaseSchema, name_tokens
+from structsql.sql_ast import SqlSyntaxError
 
 _SPLIT = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
 
@@ -448,3 +451,68 @@ def reference_name_link(question: QuestionTokens, schema: DatabaseSchema) -> lis
                     LinkAnnotation(start, start + n, kind, table, column)
                 )
     return _suppress_overlaps(candidates)
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str  # "name" | "number" | "string" | "op" | "punct" | "end"
+    text: str
+    pos: int
+
+
+_REF_NAME_RE = re.compile(r"[^\W\d]\w*", re.UNICODE)
+_REF_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_REF_COMPARE_OPS = ("<=", ">=", "!=", "<>", "=", "<", ">")
+
+
+def reference_lex(text: str) -> list[RefToken]:
+    """The SQL lexer as a character loop: each branch tests one token class
+    at the current character, in the order the package's master regex lists
+    its alternatives."""
+    tokens: list[RefToken] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "'\"":
+            quote = ch
+            j = i + 1
+            buf = []
+            while j < n:
+                if text[j] == quote:
+                    if quote == "'" and j + 1 < n and text[j + 1] == "'":
+                        buf.append("'")
+                        j += 2
+                        continue
+                    break
+                buf.append(text[j])
+                j += 1
+            if j >= n:
+                raise SqlSyntaxError("unterminated string literal", i)
+            tokens.append(RefToken("string", "".join(buf), i))
+            i = j + 1
+            continue
+        m = _REF_NUMBER_RE.match(text, i)
+        if m:
+            tokens.append(RefToken("number", m.group(), i))
+            i = m.end()
+            continue
+        m = _REF_NAME_RE.match(text, i)
+        if m:
+            tokens.append(RefToken("name", m.group(), i))
+            i = m.end()
+            continue
+        matched_op = next((op for op in _REF_COMPARE_OPS if text.startswith(op, i)), None)
+        if matched_op:
+            tokens.append(RefToken("op", "!=" if matched_op == "<>" else matched_op, i))
+            i += len(matched_op)
+            continue
+        if ch in "(),.*;":
+            tokens.append(RefToken("punct", ch, i))
+            i += 1
+            continue
+        raise SqlSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(RefToken("end", "", n))
+    return tokens
