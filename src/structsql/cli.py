@@ -85,14 +85,15 @@ class PipelineConfig:
                 raise ConfigError(f"config field {f.name} must be {f.type}, not {value!r}")
         if self.beam_width < 1 or self.max_len < 1:
             raise ConfigError(f"beam_width {self.beam_width} or max_len {self.max_len} is below 1")
+        _scorer_spec(self.scorer)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as f:
-            try:
+        try:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -189,7 +190,7 @@ def _annotation_for(
     if prev_sql_text:
         try:
             prev_sql = parse_sql(prev_sql_text, schema)
-        except Exception:  # noqa: BLE001 - a bad previous prediction is just dropped
+        except ValueError:  # a previous query that does not parse or resolve is dropped
             prev_sql = None
     return build_input(
         question,
@@ -203,6 +204,19 @@ def _annotation_for(
     )
 
 
+def _scorer_spec(spec: str) -> tuple[str, str | int]:
+    """Kind and argument of a scorer spec; a ``random`` seed is an int."""
+    kind, _, arg = spec.partition(":")
+    if kind == "random":
+        try:
+            return kind, int(arg) if arg else 0
+        except ValueError:
+            raise ConfigError(f"random scorer seed {arg!r} is not an integer") from None
+    if kind not in ("oracle", "extern"):
+        raise ConfigError(f"unknown scorer spec {spec!r}")
+    return kind, arg
+
+
 def make_scorer(
     spec: str, vocab: Vocabulary, targets: Sequence[str] | None = None
 ) -> Callable[[int], TokenScorer]:
@@ -212,10 +226,7 @@ def make_scorer(
     scores pseudo-randomly; ``extern:<host:port>`` proxies the wire protocol
     (overridable via STRUCTSQL_SCORER_ENDPOINT).
     """
-    env_endpoint = os.environ.get(SCORER_ENDPOINT_ENV)
-    kind, _, arg = spec.partition(":")
-    if env_endpoint and kind == "extern":
-        arg = env_endpoint
+    kind, arg = _scorer_spec(spec)
     if kind == "oracle":
         if arg:
             lines = Path(arg).read_text(encoding="utf-8").splitlines()
@@ -226,16 +237,11 @@ def make_scorer(
         oracles = [oracle_scorer(line, vocab) for line in lines]
         return lambda i: oracles[i]
     if kind == "random":
-        try:
-            base = int(arg) if arg else 0
-        except ValueError:
-            raise ConfigError(f"random scorer seed {arg!r} is not an integer") from None
-        return lambda i: RandomScorer(vocab, seed=base + i)
-    if kind == "extern":
-        if not arg:
-            raise ConfigError("extern scorer needs host:port")
-        return _SharedConnection(external_scorer_connect(arg, vocab))
-    raise ConfigError(f"unknown scorer spec {spec!r}")
+        return lambda i: RandomScorer(vocab, seed=arg + i)
+    endpoint = os.environ.get(SCORER_ENDPOINT_ENV) or arg
+    if not endpoint:
+        raise ConfigError("extern scorer needs host:port")
+    return _SharedConnection(external_scorer_connect(endpoint, vocab))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ time so the AST is always alias-free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Union
 
 from structsql.linking import normalize_value
-from structsql.schema import ColumnRef, ColumnType, DatabaseSchema, STAR
+from structsql.schema import ColumnRef, ColumnType, DatabaseSchema, STAR, TableDef
 
 
 class SqlSyntaxError(ValueError):
@@ -228,14 +228,6 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def query(self) -> SqlQuery:
-        core = self.select_core()
-        op = self.accept(*SET_OPS)
-        if op:
-            rhs = self.query()
-            core = replace(core, set_op=(op, rhs))
-        return core
-
-    def select_core(self) -> SqlQuery:
         self.expect("SELECT")
         distinct = self.accept("DISTINCT") is not None
         items = [self.column_expr()]
@@ -279,6 +271,7 @@ class _Parser:
             if tok.kind != "number" or not tok.text.isdecimal():
                 raise SqlSyntaxError("LIMIT takes an integer", tok.pos)
             limit = int(tok.text)
+        op = self.accept(*SET_OPS)
 
         query = SqlQuery(
             select=tuple(items),
@@ -290,8 +283,10 @@ class _Parser:
             having=having,
             order_by=tuple(order),
             limit=limit,
+            set_op=(op, self.query()) if op else None,
         )
-        return _strip_aliases(query, aliases)
+        # Aliases name this level's tables; the set-operation branch has its own.
+        return rebuild(query, lambda ref: _unalias(ref, aliases)) if aliases else query
 
     def table_source(self, tables: list[str], aliases: dict[str, str]) -> None:
         tok = self.advance()
@@ -410,45 +405,55 @@ class _Parser:
 
 
 # --------------------------------------------------------------------------
-# Walker: the one place that lists a level's clauses and walks the level tree
+# Walker: the one place that lists a level's clauses and builds a level
 
 
-def _map_conditions(
-    cl: ConditionList | None,
-    fix_left: Callable[[ColumnExpr], ColumnExpr],
-    fix_value: Callable[[Value], Value],
-) -> ConditionList | None:
-    if cl is None:
-        return None
-    return ConditionList(
-        tuple(
-            Condition(fix_left(c.left), c.op, tuple(fix_value(v) for v in c.values))
-            for c in cl.conditions
-        ),
-        cl.connectors,
-    )
+def _same(x):
+    return x
 
 
-def map_refs(level: SqlQuery, fix_ref: Callable[[ColumnRef], ColumnRef]) -> SqlQuery:
-    """Copy of one SELECT level with ``fix_ref`` applied to the column
-    references of its own clauses, in clause order: SELECT, JOIN ON, WHERE,
-    HAVING (left sides and ``ColumnRef`` values), GROUP BY, ORDER BY.
-    Subqueries and the set-operation chain are left as they are."""
+def rebuild(
+    level: SqlQuery,
+    fix_ref: Callable[[ColumnRef], ColumnRef] = _same,
+    fix_query: Callable[[SqlQuery], SqlQuery] = _same,
+    from_tables: tuple[str, ...] | None = None,
+) -> SqlQuery:
+    """Copy of one SELECT level: ``fix_ref`` maps the column references of its
+    own clauses, ``fix_query`` its WHERE/HAVING subqueries and then its
+    set-operation branch, and ``from_tables`` replaces FROM if given.  Calls
+    come in clause order (SELECT, JOIN ON, WHERE, HAVING, GROUP BY, ORDER BY,
+    set operation), the order in which the keyword arguments below are written."""
 
     def fix_expr(e: ColumnExpr) -> ColumnExpr:
         return ColumnExpr(fix_ref(e.ref), e.agg, e.distinct)
 
     def fix_value(v: Value) -> Value:
-        return fix_ref(v) if isinstance(v, ColumnRef) else v
+        if isinstance(v, ColumnRef):
+            return fix_ref(v)
+        return fix_query(v) if isinstance(v, SqlQuery) else v
 
-    return replace(
-        level,
+    def fix_conditions(cl: ConditionList | None) -> ConditionList | None:
+        if cl is None:
+            return None
+        return ConditionList(
+            tuple(
+                Condition(fix_expr(c.left), c.op, tuple(fix_value(v) for v in c.values))
+                for c in cl.conditions
+            ),
+            cl.connectors,
+        )
+
+    return SqlQuery(
         select=tuple(fix_expr(e) for e in level.select),
+        distinct=level.distinct,
+        from_tables=level.from_tables if from_tables is None else from_tables,
         join_conditions=tuple((fix_ref(a), fix_ref(b)) for a, b in level.join_conditions),
-        where=_map_conditions(level.where, fix_expr, fix_value),
-        having=_map_conditions(level.having, fix_expr, fix_value),
+        where=fix_conditions(level.where),
+        having=fix_conditions(level.having),
         group_by=tuple(fix_ref(r) for r in level.group_by),
         order_by=tuple(OrderItem(fix_expr(o.expr), o.desc) for o in level.order_by),
+        limit=level.limit,
+        set_op=None if level.set_op is None else (level.set_op[0], fix_query(level.set_op[1])),
     )
 
 
@@ -460,20 +465,7 @@ def map_query(q: SqlQuery, fn: Callable[[SqlQuery], SqlQuery]) -> SqlQuery:
     a level whose subqueries and set operation are not mapped yet; those of
     its result are mapped next.
     """
-    level = fn(q)
-
-    def same(e: ColumnExpr) -> ColumnExpr:
-        return e
-
-    def fix_value(v: Value) -> Value:
-        return map_query(v, fn) if isinstance(v, SqlQuery) else v
-
-    return replace(
-        level,
-        where=_map_conditions(level.where, same, fix_value),
-        having=_map_conditions(level.having, same, fix_value),
-        set_op=None if level.set_op is None else (level.set_op[0], map_query(level.set_op[1], fn)),
-    )
+    return rebuild(fn(q), fix_query=lambda sub: map_query(sub, fn))
 
 
 def _iter_refs(level: SqlQuery) -> list[ColumnRef]:
@@ -484,20 +476,14 @@ def _iter_refs(level: SqlQuery) -> list[ColumnRef]:
         refs.append(ref)
         return ref
 
-    map_refs(level, note)
+    rebuild(level, note)
     return refs
 
 
-def _strip_aliases(q: SqlQuery, aliases: dict[str, str]) -> SqlQuery:
-    if not aliases:
-        return q
-
-    def fix_ref(ref: ColumnRef) -> ColumnRef:
-        if ref.table and ref.table.lower() in aliases:
-            return ColumnRef(aliases[ref.table.lower()], ref.column)
-        return ref
-
-    return map_refs(q, fix_ref)
+def _unalias(ref: ColumnRef, aliases: dict[str, str]) -> ColumnRef:
+    if ref.table and ref.table.lower() in aliases:
+        return ColumnRef(aliases[ref.table.lower()], ref.column)
+    return ref
 
 
 def parse_sql(text: str, schema: DatabaseSchema | None = None) -> SqlQuery:
@@ -531,41 +517,35 @@ def resolve(q: SqlQuery, schema: DatabaseSchema) -> SqlQuery:
     """
 
     def resolve_level(level: SqlQuery) -> SqlQuery:
-        tables: list[str] = []
+        tables: list[TableDef] = []
         for name in level.from_tables:
             table = schema.table(name)
             if table is None:
                 raise UnknownTable(f"table {name!r} not in schema {schema.db_id!r}")
-            tables.append(table.name)
+            tables.append(table)
 
         def fix_ref(ref: ColumnRef) -> ColumnRef:
-            if ref.column == STAR:
-                if ref.table is None:
-                    return ref
-                table = schema.table(ref.table)
-                if table is None:
-                    raise UnknownTable(f"table {ref.table!r} not in schema")
-                return ColumnRef(table.name, STAR)
             if ref.table is not None:
                 table = schema.table(ref.table)
                 if table is None:
                     raise UnknownTable(f"table {ref.table!r} not in schema")
+                if ref.column == STAR:
+                    return ColumnRef(table.name, STAR)
                 col = table.column(ref.column)
                 if col is None:
                     raise UnresolvableColumn(f"{ref.table}.{ref.column} not in schema")
                 return ColumnRef(table.name, col.name)
-            owners = [
-                t for t in tables
-                if schema.table(t) is not None and schema.table(t).column(ref.column) is not None
-            ]
+            if ref.column == STAR:
+                return ref
+            owners = [(t.name, col.name) for t in tables if (col := t.column(ref.column)) is not None]
             if len(owners) == 1:
-                return ColumnRef(owners[0], schema.table(owners[0]).column(ref.column).name)
+                return ColumnRef(*owners[0])
             if not owners:
                 raise UnresolvableColumn(f"column {ref.column!r} not in any FROM table")
-            raise AmbiguousColumn(f"column {ref.column!r} owned by {owners}")
+            raise AmbiguousColumn(f"column {ref.column!r} owned by {[t for t, _ in owners]}")
 
-        resolved = replace(map_refs(level, fix_ref), from_tables=tuple(tables))
-        table_set = {t.lower() for t in tables}
+        resolved = rebuild(level, fix_ref, from_tables=tuple(t.name for t in tables))
+        table_set = {t.name.lower() for t in tables}
         for pair in resolved.join_conditions:
             for ref in pair:
                 if (ref.table or "").lower() not in table_set:

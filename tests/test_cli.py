@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import structsql
+from structsql import cli
 from structsql.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -559,6 +560,8 @@ def test_unknown_config_key_is_config_error(tmp_path):
     for text in ("[]", "{", '"run"', ""):
         config_path.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG_ERROR, text
+    # So is a config file that cannot be opened.
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG_ERROR
 
 
 @pytest.mark.parametrize("flag", ["--beam", "--max-len"])
@@ -582,7 +585,7 @@ def test_run_without_data_is_config_error():
     assert main(["run"]) == EXIT_CONFIG_ERROR
 
 
-def test_bad_scorer_spec_is_config_error(corpus_dir, tmp_path):
+def test_bad_scorer_spec_is_config_error(corpus_dir, tmp_path, capsys):
     for spec in ("telepathy:please", "random:abc", "random:1.5"):
         code = main(
             [
@@ -594,6 +597,9 @@ def test_bad_scorer_spec_is_config_error(corpus_dir, tmp_path):
             ]
         )
         assert code == EXIT_CONFIG_ERROR, spec
+        assert capsys.readouterr().err.startswith("config error: "), spec
+        # The spec is checked before ingest, so nothing is written.
+        assert not (tmp_path / "out").exists(), spec
 
 
 def test_all_eight_ablation_combinations_run(corpus_dir, tmp_path):
@@ -619,7 +625,8 @@ def test_all_eight_ablation_combinations_run(corpus_dir, tmp_path):
         assert report.qm == 1.0, (sp, ds, dc)
 
 
-def test_annotate_gold_prev_sql(tmp_path, tables_path):
+def _annotate_gold_prev_sql(tmp_path, tables_path) -> Path:
+    """Run ``annotate --prev-sql gold`` on two turns; return the source file."""
     data = tmp_path / "mt.json"
     data.write_text(
         json.dumps(
@@ -643,9 +650,24 @@ def test_annotate_gold_prev_sql(tmp_path, tables_path):
             "--prev-sql", "gold",
         ]
     )
-    lines = read(src).splitlines()
+    return src
+
+
+def test_annotate_gold_prev_sql(tmp_path, tables_path):
+    lines = read(_annotate_gold_prev_sql(tmp_path, tables_path)).splitlines()
     assert "SELECT Ranking.Year FROM Ranking" not in lines[0]
     assert "SELECT Ranking.Year FROM Ranking" in lines[1]
+
+
+def test_prev_sql_programming_error_propagates(tmp_path, tables_path, monkeypatch):
+    # Only a previous query that does not parse or resolve (a ValueError) is
+    # dropped; any other exception is a fault and must surface.
+    def broken_parse(*args, **kwargs):
+        raise TypeError("broken parser")
+
+    monkeypatch.setattr(cli, "parse_sql", broken_parse)
+    with pytest.raises(TypeError, match="broken parser"):
+        _annotate_gold_prev_sql(tmp_path, tables_path)
 
 
 def test_multi_turn_pipeline_with_discourse(tmp_path, tables_path, content_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 import sys
 
 import pytest
@@ -6,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.complete import _scope_tables
-from structsql.schema import ColumnRef, build_schema_graph, load_schema
+from structsql.schema import STAR, ColumnRef, build_schema_graph, load_schema
 from structsql.sql_ast import (
+    SET_OPS,
     Agg,
     AmbiguousColumn,
     ColumnExpr,
+    Condition,
     ConditionList,
+    SchemaResolutionError,
     SqlQuery,
     SqlSyntaxError,
     UnknownTable,
@@ -22,10 +27,11 @@ from structsql.sql_ast import (
     map_query,
     parse_sql,
     render_sql,
+    resolve,
 )
 from structsql.synth import random_query, random_schema_doc
 
-from util_checks import reference_lex
+from util_checks import reference_lex, reference_map_query, reference_map_refs, reference_resolve
 
 
 def make_corpus(seed, n):
@@ -218,6 +224,125 @@ def test_case_insensitive_resolution(tennis):
     q = parse_sql("select players.first_name from PLAYERS", tennis)
     assert q.from_tables == ("Players",)
     assert q.select[0].ref == ColumnRef("Players", "First_name")
+
+
+# -- every walk against the reference walkers ----------------------------------
+
+
+def _nested_query(rng, schema, graph, depth):
+    """A synth query with more to walk: an ``id IN (subquery)`` and a
+    column-to-column condition in WHERE or HAVING, and a set-operation branch,
+    nested up to ``depth`` levels.  Every qualified reference names a table of
+    its own level's FROM."""
+    q = random_query(rng, schema, graph)
+    own = ColumnExpr(ColumnRef(q.from_tables[0], "id"))
+    extra = []
+    if depth and rng.random() < 0.6:
+        sub = _nested_query(rng, schema, graph, depth - 1)
+        extra.append(Condition(own, rng.choice(("IN", "NOT IN")), (sub,)))
+    if rng.random() < 0.3:
+        extra.append(Condition(own, "=", (ColumnRef(q.from_tables[-1], "id"),)))
+    if extra:
+        clause = rng.choice(("where", "having"))
+        old = getattr(q, clause) or ConditionList(())
+        conditions = old.conditions + tuple(extra)
+        connectors = old.connectors + ("AND",) * (len(conditions) - 1 - len(old.connectors))
+        q = dataclasses.replace(q, **{clause: ConditionList(conditions, connectors)})
+    if depth and q.set_op is None and rng.random() < 0.3:
+        q = dataclasses.replace(
+            q, set_op=(rng.choice(SET_OPS), _nested_query(rng, schema, graph, depth - 1))
+        )
+    return q
+
+
+def _bad_ref(ref, rng, schema):
+    table, column = ref.table, ref.column
+    return rng.choice(
+        (
+            ColumnRef(None, column),  # unique, ambiguous or in no FROM table
+            ColumnRef(table and table.upper(), column.swapcase()),
+            ColumnRef("Nowhere", column),
+            ColumnRef(table, "nothing"),
+            ColumnRef(rng.choice(schema.table_names()), column),  # maybe outside FROM
+            ColumnRef(table and table.swapcase(), STAR),
+        )
+    )
+
+
+def _bad_from(tables, rng):
+    tables = list(tables)
+    i = rng.randrange(len(tables))
+    kind = rng.randrange(4)
+    if kind == 0:
+        tables[i] = tables[i].lower()
+    elif kind == 1:
+        tables[i] = "Nowhere"
+    elif kind == 2:
+        del tables[i]  # its join and unqualified references fall outside FROM
+    else:
+        tables.append(tables[i])  # its unqualified columns become ambiguous
+    return tuple(tables)
+
+
+def _mutated(node, rng, schema):
+    """Copy of the tree, built field by field, with some references and FROM
+    lists broken, independently on every level."""
+    if isinstance(node, ColumnRef):
+        return _bad_ref(node, rng, schema) if rng.random() < 0.1 else node
+    if isinstance(node, tuple):
+        return tuple(_mutated(item, rng, schema) for item in node)
+    if not dataclasses.is_dataclass(node):
+        return node
+    fields = {f.name: _mutated(getattr(node, f.name), rng, schema) for f in dataclasses.fields(node)}
+    if isinstance(node, SqlQuery) and node.from_tables and rng.random() < 0.15:
+        fields["from_tables"] = _bad_from(node.from_tables, rng)
+    return type(node)(**fields)
+
+
+def _aliased(text, rng):
+    """The query text with every FROM and JOIN table given an alias, which
+    every qualified reference uses instead of the table name."""
+    text = re.sub(r"\b([A-Za-z_]\w*)\.", r"A_\1.", text)
+    return re.sub(
+        r"\b(FROM|JOIN) (\w+)",
+        lambda m: f"{m[1]} {m[2]} {rng.choice(('AS ', ''))}a_{m[2].lower()}",
+        text,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SchemaResolutionError as exc:
+        return type(exc), str(exc)
+
+
+@given(seed=st.integers(0, 2**32 - 1), aliased=st.booleans())
+@example(seed=9, aliased=True)  # three levels: a subquery and a set operation
+@settings(max_examples=150, deadline=None)
+def test_walks_match_reference_walkers(seed, aliased):
+    rng = random.Random(seed)
+    doc, content = random_schema_doc(rng, "db", with_values=True)
+    schema = load_schema(doc, content=content or None)
+    graph = build_schema_graph(schema)
+    clean = _nested_query(rng, schema, graph, depth=2)
+    q = _mutated(clean, rng, schema)
+    assert _outcome(resolve, q, schema) == _outcome(reference_resolve, q, schema)
+
+    levels, reference_levels = [], []
+    assert map_query(q, lambda level: levels.append(level) or level) == q
+    reference_map_query(q, lambda level: reference_levels.append(level) or level)
+    assert levels == reference_levels
+    for level in levels:
+        refs = []
+        reference_map_refs(level, lambda ref: refs.append(ref) or ref)
+        assert _iter_refs(level) == refs
+
+    if aliased:
+        text = render_sql(clean)
+        alias_text = _aliased(text, rng)
+        assert parse_sql(alias_text) == parse_sql(text), alias_text
+        assert parse_sql(alias_text, schema) == parse_sql(text, schema) == clean
 
 
 # -- rendering ----------------------------------------------------------------

@@ -11,7 +11,9 @@ name instead of probing the per-schema name index.  ``QuantizedScorer`` and
 ``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking;
 ``AdversarialScorer`` lures an unconstrained search off the schema.
 ``reference_lex`` is the character-by-character SQL lexer that the one-regex
-lexer replaced.
+lexer replaced.  ``reference_resolve`` is schema resolution as it was before
+every walk went through ``rebuild``: ``reference_map_refs`` copies a level with
+``dataclasses.replace`` and ``reference_map_query`` walks the level tree.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from heapq import nsmallest
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from structsql.annotate import AnnotatedInput
 from structsql.decode import (
@@ -42,8 +44,19 @@ from structsql.linking import (
     QuestionTokens,
     _norm_token,
 )
-from structsql.schema import DatabaseSchema, name_tokens
-from structsql.sql_ast import SqlSyntaxError
+from structsql.schema import STAR, ColumnRef, DatabaseSchema, name_tokens
+from structsql.sql_ast import (
+    AmbiguousColumn,
+    ColumnExpr,
+    Condition,
+    ConditionList,
+    OrderItem,
+    SqlQuery,
+    SqlSyntaxError,
+    UnknownTable,
+    UnresolvableColumn,
+    Value,
+)
 
 _SPLIT = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
 
@@ -516,3 +529,119 @@ def reference_lex(text: str) -> list[RefToken]:
         raise SqlSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(RefToken("end", "", n))
     return tokens
+
+
+def _reference_map_conditions(
+    cl: ConditionList | None,
+    fix_left: Callable[[ColumnExpr], ColumnExpr],
+    fix_value: Callable[[Value], Value],
+) -> ConditionList | None:
+    if cl is None:
+        return None
+    return ConditionList(
+        tuple(
+            Condition(fix_left(c.left), c.op, tuple(fix_value(v) for v in c.values))
+            for c in cl.conditions
+        ),
+        cl.connectors,
+    )
+
+
+def reference_map_refs(level: SqlQuery, fix_ref: Callable[[ColumnRef], ColumnRef]) -> SqlQuery:
+    """Copy of one SELECT level with ``fix_ref`` applied to the column
+    references of its own clauses, in clause order: SELECT, JOIN ON, WHERE,
+    HAVING (left sides and ``ColumnRef`` values), GROUP BY, ORDER BY.
+    Subqueries and the set-operation chain are left as they are."""
+
+    def fix_expr(e: ColumnExpr) -> ColumnExpr:
+        return ColumnExpr(fix_ref(e.ref), e.agg, e.distinct)
+
+    def fix_value(v: Value) -> Value:
+        return fix_ref(v) if isinstance(v, ColumnRef) else v
+
+    return replace(
+        level,
+        select=tuple(fix_expr(e) for e in level.select),
+        join_conditions=tuple((fix_ref(a), fix_ref(b)) for a, b in level.join_conditions),
+        where=_reference_map_conditions(level.where, fix_expr, fix_value),
+        having=_reference_map_conditions(level.having, fix_expr, fix_value),
+        group_by=tuple(fix_ref(r) for r in level.group_by),
+        order_by=tuple(OrderItem(fix_expr(o.expr), o.desc) for o in level.order_by),
+    )
+
+
+def reference_map_query(q: SqlQuery, fn: Callable[[SqlQuery], SqlQuery]) -> SqlQuery:
+    """Apply ``fn`` to every SELECT level in pre-order and rebuild the tree.
+
+    The order is the level itself, then the subqueries among its WHERE and
+    HAVING values in clause order, then its set-operation chain.  ``fn`` sees
+    a level whose subqueries and set operation are not mapped yet; those of
+    its result are mapped next.
+    """
+    level = fn(q)
+
+    def same(e: ColumnExpr) -> ColumnExpr:
+        return e
+
+    def fix_value(v: Value) -> Value:
+        return reference_map_query(v, fn) if isinstance(v, SqlQuery) else v
+
+    return replace(
+        level,
+        where=_reference_map_conditions(level.where, same, fix_value),
+        having=_reference_map_conditions(level.having, same, fix_value),
+        set_op=None if level.set_op is None else (level.set_op[0], reference_map_query(level.set_op[1], fn)),
+    )
+
+
+def reference_resolve(q: SqlQuery, schema: DatabaseSchema) -> SqlQuery:
+    """Return a copy with canonical table casing and qualified columns.
+
+    Each query level resolves unqualified columns against its own FROM tables.
+    """
+
+    def resolve_level(level: SqlQuery) -> SqlQuery:
+        tables: list[str] = []
+        for name in level.from_tables:
+            table = schema.table(name)
+            if table is None:
+                raise UnknownTable(f"table {name!r} not in schema {schema.db_id!r}")
+            tables.append(table.name)
+
+        def fix_ref(ref: ColumnRef) -> ColumnRef:
+            if ref.column == STAR:
+                if ref.table is None:
+                    return ref
+                table = schema.table(ref.table)
+                if table is None:
+                    raise UnknownTable(f"table {ref.table!r} not in schema")
+                return ColumnRef(table.name, STAR)
+            if ref.table is not None:
+                table = schema.table(ref.table)
+                if table is None:
+                    raise UnknownTable(f"table {ref.table!r} not in schema")
+                col = table.column(ref.column)
+                if col is None:
+                    raise UnresolvableColumn(f"{ref.table}.{ref.column} not in schema")
+                return ColumnRef(table.name, col.name)
+            owners = [
+                t for t in tables
+                if schema.table(t) is not None and schema.table(t).column(ref.column) is not None
+            ]
+            if len(owners) == 1:
+                return ColumnRef(owners[0], schema.table(owners[0]).column(ref.column).name)
+            if not owners:
+                raise UnresolvableColumn(f"column {ref.column!r} not in any FROM table")
+            raise AmbiguousColumn(f"column {ref.column!r} owned by {owners}")
+
+        resolved = replace(reference_map_refs(level, fix_ref), from_tables=tuple(tables))
+        table_set = {t.lower() for t in tables}
+        for pair in resolved.join_conditions:
+            for ref in pair:
+                if (ref.table or "").lower() not in table_set:
+                    raise UnresolvableColumn(
+                        f"join condition references {ref}, not in FROM clause"
+                    )
+        return resolved
+
+    return reference_map_query(q, resolve_level)
