@@ -222,14 +222,23 @@ def make_scorer(
 ) -> Callable[[int], TokenScorer]:
     """Scorer factory from a spec string.
 
-    ``oracle`` / ``oracle:<file>`` follow gold targets; ``random:<seed>``
-    scores pseudo-randomly; ``extern:<host:port>`` proxies the wire protocol
-    (overridable via STRUCTSQL_SCORER_ENDPOINT).
+    ``oracle`` / ``oracle:<file>`` follow gold targets (a file needs one line
+    per target); ``random:<seed>`` scores pseudo-randomly;
+    ``extern:<host:port>`` proxies the wire protocol (overridable via
+    STRUCTSQL_SCORER_ENDPOINT).  A missing address, or an oracle file that
+    cannot be read or is short, is a ConfigError.
     """
     kind, arg = _scorer_spec(spec)
     if kind == "oracle":
         if arg:
-            lines = Path(arg).read_text(encoding="utf-8").splitlines()
+            try:
+                lines = Path(arg).read_text(encoding="utf-8").splitlines()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read oracle file {arg}: {exc}") from exc
+            if len(lines) < len(targets or ()):
+                raise ConfigError(
+                    f"oracle file {arg} has {len(lines)} lines for {len(targets)} examples"
+                )
         elif targets is not None:
             lines = list(targets)
         else:
@@ -297,16 +306,12 @@ def run_pipeline(
     config: PipelineConfig,
     scorer_factory: Callable[[int], TokenScorer] | None = None,
 ) -> metrics_mod.EvaluationReport:
-    """Full run over a dataset; writes per-stage artifacts under out_dir."""
+    """Full run over a dataset; writes per-stage artifacts under out_dir,
+    and nothing before the inputs, the vocabulary and the scorer are ready."""
     try:
         schemas, examples, graphs = _load_inputs(config.tables, config.content, config.data)
     except (OSError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
-
-    # Provenance is written only for a run that got past ingest.
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.resolved.json", config.to_dict())
 
     try:
         vocab = Vocabulary.build(
@@ -330,36 +335,40 @@ def run_pipeline(
 
     # Stage: annotate and decode, interaction by interaction so each turn
     # sees the previous turn's prediction
+    out = Path(config.out_dir)
     sources: dict[int, str] = {}
     raw_preds: dict[int, str] = {}
     try:
-        for group in _interactions(examples):
-            prev_text: str | None = None
-            for ex in group:
-                schema = schemas[ex.db_id]
-                ex_prev = prev_text if config.discourse and len(group) > 1 else None
-                annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
-                sources[ex.index] = annotated.render()
-                scorer = factory(ex.index)
-                try:
-                    hyps = beam_search(
-                        scorer,
-                        annotated,
-                        constraints[ex.db_id],
-                        beam_width=config.beam_width,
-                        max_len=config.max_len,
-                        constrained=config.constrained,
-                        example_id=str(ex.index),
-                    )
-                    # The scorer's vocabulary governs its output ids (an injected
-                    # scorer may extend the corpus vocabulary).
-                    text = hyps[0].text(scorer.vocab)
-                except NoValidHypothesis:
-                    text = ""
-                raw_preds[ex.index] = text
-                prev_text = text
-    except Exception as exc:  # noqa: BLE001
-        raise StageError("decode", exc) from exc
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "config.resolved.json", config.to_dict())
+        try:
+            for group in _interactions(examples):
+                prev_text: str | None = None
+                for ex in group:
+                    schema = schemas[ex.db_id]
+                    ex_prev = prev_text if config.discourse and len(group) > 1 else None
+                    annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
+                    sources[ex.index] = annotated.render()
+                    scorer = factory(ex.index)
+                    try:
+                        hyps = beam_search(
+                            scorer,
+                            annotated,
+                            constraints[ex.db_id],
+                            beam_width=config.beam_width,
+                            max_len=config.max_len,
+                            constrained=config.constrained,
+                            example_id=str(ex.index),
+                        )
+                        # The scorer's vocabulary governs its output ids (an injected
+                        # scorer may extend the corpus vocabulary).
+                        text = hyps[0].text(scorer.vocab)
+                    except NoValidHypothesis:
+                        text = ""
+                    raw_preds[ex.index] = text
+                    prev_text = text
+        except Exception as exc:  # noqa: BLE001
+            raise StageError("decode", exc) from exc
     finally:
         # A connection this run opened ends with decoding; an injected
         # factory belongs to the caller.

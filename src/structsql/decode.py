@@ -20,6 +20,7 @@ import socket
 import socketserver
 import struct
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Iterable, Sequence
@@ -225,9 +226,6 @@ class DecodeState:
     node: TrieNode | None = None
     score: float = 0.0
 
-    def key(self) -> tuple:
-        return (self.tokens, id(self.node))
-
 
 class LexiconConstraint:
     """Per-cursor allowed-token masks and transitions derived from the trie.
@@ -268,7 +266,7 @@ class LexiconConstraint:
 
         A terminal node that is also a prefix of a longer form yields both a
         deeper cursor and a fresh one.  The cursors are distinct, so
-        successors never share a ``key()``.
+        successors never share tokens and cursor.
         """
         if cursor is LITERAL:
             return (None,) if token_id == self.vocab.quote_id else (LITERAL,)
@@ -459,7 +457,6 @@ def beam_search(
     for _ in range(max_len):
         if not live:
             break
-        pool: dict[tuple, DecodeState] = {}
         if constrained:
             candidate_lists = [constraint.candidate_ids(state) for state in live]
         else:
@@ -468,41 +465,48 @@ def beam_search(
         batch = scorer.score_batch(
             src, [state.tokens for state in live], candidate_lists, example_id
         )
+        # Live states hold equally many tokens, so successors' tokens compare
+        # as (parent's rank among the live tuples, token), EOS being -1.  The
+        # pool holds (score, rank, token, cursor) keyed by (rank, token,
+        # cursor); tokens and states are built only for the step's winners.
+        prefixes = sorted({state.tokens for state in live})
+        rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
+        pool: dict[tuple, tuple] = {}
         for state, candidates, scores in zip(live, candidate_lists, batch):
-            # Every pair yields at least one successor, so a pair outside its
-            # parent's top 2*beam has 2*beam distinct states ranked above it
-            # and cannot reach the step's top 2*beam: only those pairs are
-            # advanced.  The key is the summed score the successor will
-            # carry, tie-broken as the step is: on the token, with EOS (whose
-            # successor keeps the parent's shorter tokens) first.
-            base, node = state.score, state.node
-            finishable = state.tokens and constraint.can_finish(state)
-            pairs = []
-            for token_id, token_score in zip(candidates, scores):
-                if token_id != eos:
-                    pairs.append((-(base + token_score), token_id))
-                elif finishable:
-                    pairs.append((-(base + token_score), -1))
-            for neg_score, token_id in nsmallest(2 * beam_width, pairs):
-                if token_id < 0:
-                    tokens, cursors = state.tokens, (FINISHED,)
+            # Every candidate yields at least one successor, so one outside
+            # its parent's top 2*beam cannot reach the step's top 2*beam:
+            # only those are advanced, ranked on their summed score.  The
+            # stable sort breaks ties as the step does, by token, EOS first.
+            base, node, rank = state.score, state.node, rank_of[state.tokens]
+            summed = [base + s for s in scores]
+            n = len(candidates)
+            at = bisect_left(candidates, eos)
+            if at < n and candidates[at] == eos:
+                rest = [*range(at), *range(at + 1, n)]
+                order = [at, *rest] if state.tokens and constraint.can_finish(state) else rest
+            else:
+                order = range(n)
+            for i in sorted(order, key=summed.__getitem__, reverse=True)[:2 * beam_width]:
+                token_id = candidates[i]
+                if token_id == eos:
+                    token_id, cursors = -1, (FINISHED,)
                 else:
-                    tokens, cursors = state.tokens + (token_id,), step(node, token_id)
+                    cursors = step(node, token_id)
                 for cursor in cursors:
-                    succ = DecodeState(tokens, cursor, -neg_score)
-                    key = succ.key()
+                    key = (rank, token_id, id(cursor))
                     prev = pool.get(key)
-                    if prev is None or succ.score > prev.score:
-                        pool[key] = succ
+                    if prev is None or summed[i] > prev[0]:
+                        pool[key] = (summed[i], rank, token_id, cursor)
 
         # Finished candidates within the step's top 2*beam go to the done
         # pool; the best beam_width unfinished ones stay live.
         live = []
-        for s in nsmallest(2 * beam_width, pool.values(), key=_rank):
-            if s.node is FINISHED:
-                done.append(s)
+        ranked = nsmallest(2 * beam_width, pool.values(), key=lambda e: (-e[0], e[1], e[2]))
+        for score, rank, token_id, cursor in ranked:
+            if cursor is FINISHED:
+                done.append(DecodeState(prefixes[rank], FINISHED, score))
             elif len(live) < beam_width:
-                live.append(s)
+                live.append(DecodeState(prefixes[rank] + (token_id,), cursor, score))
 
         # Stop once no live hypothesis can still beat the kept finished set
         # (exact for non-increasing scores, a standard heuristic otherwise).

@@ -602,6 +602,44 @@ def test_bad_scorer_spec_is_config_error(corpus_dir, tmp_path, capsys):
         assert not (tmp_path / "out").exists(), spec
 
 
+def _run_scorer(corpus_dir, out, spec):
+    return main(
+        [
+            "run",
+            "--data", str(corpus_dir / "examples.json"),
+            "--tables", str(corpus_dir / "tables.json"),
+            "--out-dir", str(out),
+            "--scorer", spec,
+        ]
+    )
+
+
+def test_extern_scorer_without_address_is_config_error(corpus_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.SCORER_ENDPOINT_ENV, raising=False)
+    assert _run_scorer(corpus_dir, tmp_path / "out", "extern:") == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: extern scorer needs host:port\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_oracle_file_is_config_error(corpus_dir, tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert _run_scorer(corpus_dir, tmp_path / "out", f"oracle:{missing}") == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"config error: cannot read oracle file {missing}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_short_oracle_file_is_config_error(corpus_dir, tmp_path, capsys):
+    examples = json.loads(read(corpus_dir / "examples.json"))
+    short = tmp_path / "short.sql"
+    short.write_text("\n".join(e["query"] for e in examples[:-1]) + "\n", encoding="utf-8")
+    assert _run_scorer(corpus_dir, tmp_path / "out", f"oracle:{short}") == EXIT_CONFIG_ERROR
+    n = len(examples)
+    assert capsys.readouterr().err == (
+        f"config error: oracle file {short} has {n - 1} lines for {n} examples\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_all_eight_ablation_combinations_run(corpus_dir, tmp_path):
     import itertools
 

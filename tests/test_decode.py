@@ -33,6 +33,7 @@ from util_checks import (
     node_at,
     reference_beam_search,
     sequence_explained,
+    state_key,
 )
 
 
@@ -233,7 +234,7 @@ def test_advance_successors_have_distinct_keys(seed, with_values, data):
     for _ in range(data.draw(st.integers(1, 30))):
         candidates = [c for c in constraint.candidate_ids(state) if c != vocab.eos_id]
         successors = advance(constraint, state, data.draw(st.sampled_from(candidates)), 0.0)
-        keys = [succ.key() for succ in successors]
+        keys = [state_key(succ) for succ in successors]
         assert len(set(keys)) == len(keys), keys
         state = data.draw(st.sampled_from(successors))
 
@@ -461,6 +462,60 @@ def test_beam_search_matches_reference_eos_not_first(seed, beam, max_len, constr
     assert _outcome(beam_search, scorer, trie, **kwargs) == _outcome(
         reference_beam_search, scorer, trie, **kwargs
     )
+
+
+class SharedTokensScorer(OracleScorer):
+    """Oracle plus quantized noise (ties everywhere) that counts the steps at
+    which two live hypotheses hold equal tokens."""
+
+    def __init__(self, vocab, target_ids, seed):
+        super().__init__(vocab, target_ids)
+        self.noise = QuantizedScorer(vocab, seed=seed)
+        self.shared_steps = 0
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        oracle = super().score_candidates(source, prefix, candidates, example_id)
+        noise = self.noise.score_candidates(source, prefix, candidates, example_id)
+        return [a + b / 2 for a, b in zip(oracle, noise)]
+
+    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
+        self.shared_steps += len(set(map(tuple, prefixes))) < len(prefixes)
+        return super().score_batch(source, prefixes, candidate_lists, example_id)
+
+
+@pytest.mark.parametrize("beam", [1, 2, 5])
+def test_beam_search_matches_reference_shared_tokens(beam):
+    # "a" is a table and the prefix of the table "a b", and "b" is a table:
+    # after "a b" one hypothesis is inside "a b" and one has started "b", so
+    # two parents hold equal tokens with different cursors, and a keyword
+    # after either gives both the same successor.
+    doc = {
+        "db_id": "shared",
+        "table_names_original": ["a", "b", "a b"],
+        "column_names_original": [[-1, "*"], [0, "x"], [1, "y"], [2, "x"]],
+        "column_types": ["text", "number", "number", "number"],
+        "primary_keys": [1],
+        "foreign_keys": [],
+    }
+    schema = load_schema(doc)
+    gold = "SELECT a b.x FROM a b"
+    vocab = Vocabulary.build([schema], corpus_texts=[gold])
+    trie = build_trie(schema, vocab)
+    a, b = vocab.id_of("a"), vocab.id_of("b")
+    after_a = DecodeState((a,), node_at(trie, (a,)))
+    assert len(advance(LexiconConstraint(trie, vocab), after_a, b, 0.0)) == 2
+    # Plain quantized scores also tie successors of parents whose scores and
+    # tokens rank in opposite orders.
+    shared = 0
+    kwargs = dict(beam_width=beam, max_len=12, constrained=True)
+    for seed in range(10):
+        tied = SharedTokensScorer(vocab, vocab.tokenize(gold), seed)
+        for scorer in (tied, QuantizedScorer(vocab, seed=seed)):
+            assert _outcome(beam_search, scorer, trie, **kwargs) == _outcome(
+                reference_beam_search, scorer, trie, **kwargs
+            ), (seed, type(scorer).__name__)
+        shared += tied.shared_steps
+    assert shared > 0 or beam == 1
 
 
 # -- schema faithfulness fuzz -----------------------------------------------------

@@ -5,7 +5,8 @@ subset enumeration with union-find, plain transitive closure, simple-path
 enumeration and a queue-based BFS instead of the bitmask graph search, and
 an NFA over surface strings instead of the trie.  ``reference_beam_search``
 is the unpruned beam search: it advances every allowed candidate of every
-live hypothesis; ``advance`` and ``in_literal`` are its state helpers.
+live hypothesis; ``advance``, ``state_key`` and ``in_literal`` are its state
+helpers.
 ``reference_name_link`` compares every question n-gram with every schema
 name instead of probing the per-schema name index.  ``QuantizedScorer`` and
 ``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking;
@@ -317,6 +318,11 @@ def advance(
     return [DecodeState(tokens, c, new_score) for c in constraint._next(state.node, token_id)]
 
 
+def state_key(state: DecodeState) -> tuple:
+    """Identity of a state in a step's pool: its tokens and its cursor."""
+    return (state.tokens, id(state.node))
+
+
 def in_literal(state: DecodeState) -> bool:
     """Whether the hypothesis is inside a quoted literal."""
     return state.node is LITERAL
@@ -375,9 +381,9 @@ def reference_beam_search(
                         )
                     ]
                 for succ in successors:
-                    prev = pool.get(succ.key())
+                    prev = pool.get(state_key(succ))
                     if prev is None or succ.score > prev.score:
-                        pool[succ.key()] = succ
+                        pool[state_key(succ)] = succ
 
         ranked = nsmallest(
             2 * beam_width,
