@@ -31,7 +31,6 @@ from structsql.linking import (
     MatchKind,
     QuestionTokens,
     name_link,
-    normalize_value,
     value_link,
 )
 from structsql.metrics import (
@@ -50,6 +49,7 @@ from structsql.schema import (
     build_schema_graph,
     load_schema,
     load_schemas,
+    normalize_value,
     to_spider_doc,
 )
 from structsql.sql_ast import (

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens
-from structsql.schema import ColumnType, DatabaseSchema, build_schema_graph
+from structsql.schema import DatabaseSchema, build_schema_graph
 from structsql.sql_ast import SqlQuery, render_sql
 
 TABLE_MARK = "[TABLE]"
@@ -24,12 +24,6 @@ MATCH_MARKS = {
     MatchKind.PARTIAL: "Partial-Match",
     MatchKind.VALUE: "Value-Match",
 }
-
-MARK_VOCABULARY = frozenset(
-    {TABLE_MARK, COLUMN_MARK, PRIMARY_KEY_MARK, AMP, LINKS_TO}
-    | set(MATCH_MARKS.values())
-    | {t.value for t in ColumnType}
-)
 
 
 class UnknownLinkTarget(ValueError):

@@ -162,14 +162,6 @@ def _load_inputs(
     return schemas, examples, {db: build_schema_graph(s) for db, s in schemas.items()}
 
 
-def _interactions(examples: list[Example]) -> list[list[Example]]:
-    """Examples grouped by interaction id, groups in order of first turn."""
-    groups: dict[str, list[Example]] = {}
-    for ex in examples:
-        groups.setdefault(ex.interaction_id, []).append(ex)
-    return list(groups.values())
-
-
 def _links_for(example: Example, schema: DatabaseSchema, language: str, with_values: bool):
     question = QuestionTokens.from_text(list(example.turns), language)
     links = name_link(question, schema)
@@ -333,40 +325,39 @@ def run_pipeline(
     except (OSError, ValueError) as exc:
         raise StageError("scorer", exc) from exc
 
-    # Stage: annotate and decode, interaction by interaction so each turn
-    # sees the previous turn's prediction
+    # Stage: annotate and decode in corpus order; each turn sees the latest
+    # prediction of its interaction as the previous turn
     out = Path(config.out_dir)
-    sources: dict[int, str] = {}
-    raw_preds: dict[int, str] = {}
+    sources: list[str] = []
+    decoded: list[str] = []
+    last_pred: dict[str, str] = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config.resolved.json", config.to_dict())
         try:
-            for group in _interactions(examples):
-                prev_text: str | None = None
-                for ex in group:
-                    schema = schemas[ex.db_id]
-                    ex_prev = prev_text if config.discourse and len(group) > 1 else None
-                    annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
-                    sources[ex.index] = annotated.render()
-                    scorer = factory(ex.index)
-                    try:
-                        hyps = beam_search(
-                            scorer,
-                            annotated,
-                            constraints[ex.db_id],
-                            beam_width=config.beam_width,
-                            max_len=config.max_len,
-                            constrained=config.constrained,
-                            example_id=str(ex.index),
-                        )
-                        # The scorer's vocabulary governs its output ids (an injected
-                        # scorer may extend the corpus vocabulary).
-                        text = hyps[0].text(scorer.vocab)
-                    except NoValidHypothesis:
-                        text = ""
-                    raw_preds[ex.index] = text
-                    prev_text = text
+            for ex in examples:
+                ex_prev = last_pred.get(ex.interaction_id) if config.discourse else None
+                schema = schemas[ex.db_id]
+                annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
+                sources.append(annotated.render())
+                scorer = factory(ex.index)
+                try:
+                    hyps = beam_search(
+                        scorer,
+                        annotated,
+                        constraints[ex.db_id],
+                        beam_width=config.beam_width,
+                        max_len=config.max_len,
+                        constrained=config.constrained,
+                        example_id=str(ex.index),
+                    )
+                    # The scorer's vocabulary governs its output ids (an injected
+                    # scorer may extend the corpus vocabulary).
+                    text = hyps[0].text(scorer.vocab)
+                except NoValidHypothesis:
+                    text = ""
+                decoded.append(text)
+                last_pred[ex.interaction_id] = text
         except Exception as exc:  # noqa: BLE001
             raise StageError("decode", exc) from exc
     finally:
@@ -375,8 +366,7 @@ def run_pipeline(
         if scorer_factory is None and isinstance(factory, _SharedConnection):
             factory.close()
 
-    decoded = [raw_preds[e.index] for e in examples]
-    _write_lines(out / "annotated.src", (sources[e.index] for e in examples))
+    _write_lines(out / "annotated.src", sources)
     _write_lines(out / "annotated.tgt", (e.query for e in examples))
     _write_lines(out / "decoded.sql", decoded)
 
@@ -449,13 +439,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         include_values=args.values,
         language=args.language,
     )
-    sources: dict[int, str] = {}
-    for group in _interactions(examples):
-        for idx, ex in enumerate(group):
-            prev = group[idx - 1].query if (idx > 0 and args.prev_sql == "gold") else None
-            annotated = _annotation_for(ex, schemas[ex.db_id], config, prev, graphs[ex.db_id])
-            sources[ex.index] = annotated.render()
-    _write_lines(args.src, (sources[e.index] for e in examples))
+    sources: list[str] = []
+    last_gold: dict[str, str] = {}
+    for ex in examples:
+        prev = last_gold.get(ex.interaction_id) if args.prev_sql == "gold" else None
+        annotated = _annotation_for(ex, schemas[ex.db_id], config, prev, graphs[ex.db_id])
+        sources.append(annotated.render())
+        last_gold[ex.interaction_id] = ex.query
+    _write_lines(args.src, sources)
     _write_lines(args.tgt, (e.query for e in examples))
     return EXIT_OK
 

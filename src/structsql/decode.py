@@ -287,11 +287,6 @@ class LexiconConstraint:
             out += (None,)
         return out
 
-    def can_finish(self, state: DecodeState) -> bool:
-        """Whether EOS may follow: at a free cursor or a trie terminal, never
-        inside a literal or an unfinished identifier."""
-        return state.node is None or state.node.terminal
-
 
 # --------------------------------------------------------------------------
 # Scorers
@@ -483,7 +478,7 @@ def beam_search(
             at = bisect_left(candidates, eos)
             if at < n and candidates[at] == eos:
                 rest = [*range(at), *range(at + 1, n)]
-                order = [at, *rest] if state.tokens and constraint.can_finish(state) else rest
+                order = [at, *rest] if state.tokens else rest
             else:
                 order = range(n)
             for i in sorted(order, key=summed.__getitem__, reverse=True)[:2 * beam_width]:

@@ -7,16 +7,11 @@ token-boundary containment comparison.  No edit-distance thresholds.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
-from datetime import datetime
-from decimal import Decimal, InvalidOperation
 from enum import Enum
 
-from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _stem
-
-logger = logging.getLogger(__name__)
+from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _parse_date, _stem, normalize_value
 
 # Longest question n-gram compared with a schema name or cell value.
 MAX_NGRAM = 5
@@ -153,22 +148,15 @@ def name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnno
 def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
     """Align question n-grams with stored cell values (normalized comparison).
 
-    Returns an empty list when the schema carries no content.
+    Values are looked up in ``schema.value_index``, built once per schema:
+    per n-gram, one normalization and one probe per column type.  Returns
+    an empty list when the schema carries no content.
     """
-    if not schema.has_content():
+    index = schema.value_index
+    if not index:
         return []
     tokens = question.all_tokens()
     norm = [_norm_token(t) for t in tokens]
-
-    # (table, column, type) -> normalized value -> original value
-    columns: list[tuple[str, str, ColumnType, dict[str, str]]] = []
-    for table, col in schema.iter_columns():
-        if not col.sample_values:
-            continue
-        normalized = {}
-        for value in col.sample_values:
-            normalized.setdefault(normalize_value(value, col.col_type), value)
-        columns.append((table.name, col.name, col.col_type, normalized))
 
     candidates: list[tuple] = []
     for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
@@ -176,90 +164,17 @@ def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnn
             if not norm[start] or not norm[start + n - 1]:
                 continue  # n-gram may contain punctuation but not start/end with it
             text = " ".join(tokens[start : start + n])
-            by_type: dict[ColumnType, str | None] = {}
-            for table, column, col_type, normalized in columns:
-                if col_type not in by_type:
-                    if col_type is ColumnType.DATE:
-                        # only a parseable date span can equal an ISO-normalized value
-                        by_type[col_type] = _parse_date(text)
-                    else:
-                        by_type[col_type] = normalize_value(text, col_type)
-                key = by_type[col_type]
-                if key is not None and key in normalized:
+            for col_type, holders in index.items():
+                # only a parseable date span can equal an ISO-normalized value
+                if col_type is ColumnType.DATE:
+                    key = _parse_date(text)
+                else:
+                    key = normalize_value(text, col_type)
+                for table, column, value in holders.get(key, ()):
                     candidates.append(
                         (
                             2, -n, start, column, (table.lower(), column.lower()),  # rank 2: value
-                            start + n, table, column, normalized[key],
+                            start + n, table, column, value,
                         )
                     )
     return _suppress_overlaps(candidates)
-
-
-_DATE_FORMATS = (
-    "%Y-%m-%d",
-    "%Y/%m/%d",
-    "%m/%d/%Y",
-    "%b %d, %Y",
-    "%B %d, %Y",
-    "%b %d %Y",
-    "%B %d %Y",
-    "%d %b %Y",
-    "%d %B %Y",
-    "%Y-%m-%d %H:%M:%S",
-)
-
-
-def _parse_date(raw: str) -> str | None:
-    cleaned = re.sub(r"\s+", " ", raw.strip())
-    cleaned = re.sub(r"\s*,\s*", ", ", cleaned)
-    for fmt in _DATE_FORMATS:
-        try:
-            return datetime.strptime(cleaned, fmt).date().isoformat()
-        except ValueError:
-            continue
-    return None
-
-
-def _canonical_number(raw: str) -> str | None:
-    cleaned = raw.strip().replace(",", "").replace(" ", "")
-    if not cleaned:
-        return None
-    try:
-        dec = Decimal(cleaned)
-    except InvalidOperation:
-        return None
-    if dec == dec.to_integral_value():
-        dec = dec.quantize(Decimal(1))
-    else:
-        dec = dec.normalize()
-    text = format(dec, "f")
-    return "0" if text in ("-0", "+0") else text.lstrip("+")
-
-
-def _normalize_text(raw: str) -> str:
-    return re.sub(r"\s+", " ", raw.strip().lower())
-
-
-def normalize_value(raw: str, hint: ColumnType | None = None) -> str:
-    """Canonicalize a cell value or question span for comparison.
-
-    Dates become ISO-8601, numbers canonical decimals (no separators, no
-    leading zeros), text is lowercased with whitespace collapsed.  A Date hint
-    that fails to parse falls back to text normalization.
-    """
-    if hint is ColumnType.DATE:
-        parsed = _parse_date(raw)
-        if parsed is not None:
-            return parsed
-        logger.warning("date-hinted value %r not parseable; using text form", raw)
-        return _normalize_text(raw)
-    if hint in (ColumnType.INTEGER, ColumnType.REAL):
-        number = _canonical_number(raw)
-        if number is not None:
-            return number
-        return _normalize_text(raw)
-    if hint is None:
-        number = _canonical_number(raw)
-        if number is not None:
-            return number
-    return _normalize_text(raw)

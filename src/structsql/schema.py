@@ -12,6 +12,8 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from datetime import datetime
+from decimal import MAX_EMAX, Context, Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -113,6 +115,74 @@ def parse_column_type(label: str) -> ColumnType:
         logger.warning("unknown column type %r mapped to Other", label)
         return ColumnType.OTHER
     return mapped
+
+
+_DATE_FORMATS = (
+    "%Y-%m-%d",
+    "%Y/%m/%d",
+    "%m/%d/%Y",
+    "%b %d, %Y",
+    "%B %d, %Y",
+    "%b %d %Y",
+    "%B %d %Y",
+    "%d %b %Y",
+    "%d %B %Y",
+    "%Y-%m-%d %H:%M:%S",
+)
+
+
+def _parse_date(raw: str) -> str | None:
+    cleaned = re.sub(r"\s+", " ", raw.strip())
+    cleaned = re.sub(r"\s*,\s*", ", ", cleaned)
+    for fmt in _DATE_FORMATS:
+        try:
+            return datetime.strptime(cleaned, fmt).date().isoformat()
+        except ValueError:
+            continue
+    return None
+
+
+def _canonical_number(raw: str) -> str | None:
+    """Canonical text of a finite decimal number, None for anything else.
+    An integer past the 28-digit context prints as its exact mantissa and
+    exponent (``1E+30``), so a huge exponent builds no long string."""
+    try:
+        dec = Decimal(raw.strip().replace(",", "").replace(" ", ""))
+    except InvalidOperation:
+        return None
+    if not dec.is_finite():
+        return None
+    if dec != dec.to_integral_value():
+        text = format(dec.normalize(), "f")
+    elif dec.adjusted() < 28 or not dec:
+        text = format(dec.quantize(Decimal(1)), "f")
+    else:
+        return str(dec.normalize(Context(prec=len(dec.as_tuple().digits), Emax=MAX_EMAX)))
+    return "0" if text == "-0" else text
+
+
+def _normalize_text(raw: str) -> str:
+    return re.sub(r"\s+", " ", raw.strip().lower())
+
+
+def normalize_value(raw: str, hint: ColumnType | None = None) -> str:
+    """Canonicalize a cell value or question span for comparison.
+
+    Dates become ISO-8601, finite numbers canonical decimals (no separators,
+    no leading zeros), text is lowercased with whitespace collapsed.  A value
+    that fails to parse as its hint's type falls back to text normalization.
+    """
+    if hint is ColumnType.DATE:
+        parsed = _parse_date(raw)
+        if parsed is not None:
+            return parsed
+        logger.warning("date-hinted value %r not parseable; using text form", raw)
+        return _normalize_text(raw)
+    if hint in (ColumnType.INTEGER, ColumnType.REAL, None):
+        number = _canonical_number(raw)
+        if number is not None:
+            return number
+    return _normalize_text(raw)
 
 
 @dataclass(frozen=True)
@@ -239,6 +309,21 @@ class DatabaseSchema:
                 partial.setdefault(sub, []).append(i)
         return NameIndex(targets, exact, partial)
 
+    @cached_property
+    def value_index(self) -> dict[ColumnType, dict[str, list[tuple[str, str, str]]]]:
+        """Column type -> normalized cell value -> its ``(table, column,
+        value)`` holders in schema column order, each column holding the
+        first of its values with that normalized form; empty without content."""
+        index: dict[ColumnType, dict[str, list[tuple[str, str, str]]]] = {}
+        for table, col in self.iter_columns():
+            first: dict[str, str] = {}
+            for value in col.sample_values or ():
+                first.setdefault(normalize_value(value, col.col_type), value)
+            for key, value in first.items():
+                holder = (table.name, col.name, value)
+                index.setdefault(col.col_type, {}).setdefault(key, []).append(holder)
+        return index
+
     def column(self, ref: ColumnRef) -> ColumnDef | None:
         if ref.table is None:
             return None
@@ -263,9 +348,6 @@ class DatabaseSchema:
     def surface_forms(self) -> list[str]:
         """All decodable schema surface forms: tables, Table.Column, "*"."""
         return self.table_names() + self.qualified_column_names() + [STAR]
-
-    def has_content(self) -> bool:
-        return any(c.sample_values for _, c in self.iter_columns())
 
 
 def load_schema(doc: Mapping, content: Mapping[str, list[str]] | None = None) -> DatabaseSchema:

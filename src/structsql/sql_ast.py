@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Union
 
-from structsql.linking import normalize_value
-from structsql.schema import ColumnRef, ColumnType, DatabaseSchema, STAR, TableDef
+from structsql.schema import STAR, ColumnRef, ColumnType, DatabaseSchema, TableDef, normalize_value
 
 
 class SqlSyntaxError(ValueError):

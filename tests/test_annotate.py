@@ -7,7 +7,8 @@ from structsql.annotate import (
     AMP,
     COLUMN_MARK,
     LINKS_TO,
-    MARK_VOCABULARY,
+    MATCH_MARKS,
+    PRIMARY_KEY_MARK,
     MarkConfig,
     TABLE_MARK,
     UnknownLinkTarget,
@@ -16,9 +17,16 @@ from structsql.annotate import (
     render_relations,
 )
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens, name_link, value_link
-from structsql.schema import load_schema
+from structsql.schema import ColumnType, load_schema
 from structsql.sql_ast import parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus
+
+# Every mark word the serialization emits.
+MARK_VOCABULARY = frozenset(
+    {TABLE_MARK, COLUMN_MARK, PRIMARY_KEY_MARK, AMP, LINKS_TO}
+    | set(MATCH_MARKS.values())
+    | {t.value for t in ColumnType}
+)
 
 
 def _column_segment(tokens, column):

@@ -78,6 +78,24 @@ def test_link_subcommand(corpus_dir, tmp_path, capsys):
     assert {"index", "db_id", "start", "end", "kind", "table", "column", "value"} <= set(records[0])
 
 
+@pytest.mark.parametrize("command", ["link", "run"])
+def test_infinity_question_with_values_exits_zero(tmp_path, tables_path, content_path, command):
+    # "infinity" parses as a Decimal but is no finite number: against the
+    # Integer sample values it must compare as text, not raise.
+    data = tmp_path / "inf.json"
+    data.write_text(
+        json.dumps([{"db_id": "tennis", "question": "players ranked to infinity",
+                     "query": "SELECT Ranking.Year FROM Ranking"}]),
+        encoding="utf-8",
+    )
+    inputs = ["--data", str(data), "--tables", str(tables_path), "--content", str(content_path)]
+    if command == "link":
+        outputs = ["--out", str(tmp_path / "links.jsonl")]
+    else:
+        outputs = ["--out-dir", str(tmp_path / "run"), "--scorer", "oracle"]
+    assert main([command, *inputs, "--values", *outputs]) == EXIT_OK
+
+
 def test_annotate_subcommand(corpus_dir, tmp_path):
     src, tgt = tmp_path / "x.src", tmp_path / "x.tgt"
     code = main(
@@ -663,20 +681,25 @@ def test_all_eight_ablation_combinations_run(corpus_dir, tmp_path):
         assert report.qm == 1.0, (sp, ds, dc)
 
 
-def _annotate_gold_prev_sql(tmp_path, tables_path) -> Path:
-    """Run ``annotate --prev-sql gold`` on two turns; return the source file."""
+# A second interaction's turn, put between the two turns of interaction "a".
+_OTHER_TURN = {"db_id": "tennis", "interaction_id": "b", "question": "countries",
+               "query": "SELECT Players.Country FROM Players"}
+
+
+def _annotate_gold_prev_sql(tmp_path, tables_path, interleaved=False) -> Path:
+    """Run ``annotate --prev-sql gold`` on two turns, with another
+    interaction's turn between them if ``interleaved``; return the source
+    file."""
+    examples = [
+        {"db_id": "tennis", "interaction_id": "a", "question": "years",
+         "query": "SELECT Ranking.Year FROM Ranking"},
+        {"db_id": "tennis", "interaction_id": "a", "question": "top one",
+         "query": "SELECT Ranking.Year FROM Ranking LIMIT 1"},
+    ]
+    if interleaved:
+        examples.insert(1, _OTHER_TURN)
     data = tmp_path / "mt.json"
-    data.write_text(
-        json.dumps(
-            [
-                {"db_id": "tennis", "interaction_id": "a", "question": "years",
-                 "query": "SELECT Ranking.Year FROM Ranking"},
-                {"db_id": "tennis", "interaction_id": "a", "question": "top one",
-                 "query": "SELECT Ranking.Year FROM Ranking LIMIT 1"},
-            ]
-        ),
-        encoding="utf-8",
-    )
+    data.write_text(json.dumps(examples), encoding="utf-8")
     src, tgt = tmp_path / "mt.src", tmp_path / "mt.tgt"
     main(
         [
@@ -691,10 +714,15 @@ def _annotate_gold_prev_sql(tmp_path, tables_path) -> Path:
     return src
 
 
-def test_annotate_gold_prev_sql(tmp_path, tables_path):
-    lines = read(_annotate_gold_prev_sql(tmp_path, tables_path)).splitlines()
-    assert "SELECT Ranking.Year FROM Ranking" not in lines[0]
-    assert "SELECT Ranking.Year FROM Ranking" in lines[1]
+@pytest.mark.parametrize("interleaved", [False, True], ids=["consecutive", "interleaved"])
+def test_annotate_gold_prev_sql(tmp_path, tables_path, interleaved):
+    lines = read(_annotate_gold_prev_sql(tmp_path, tables_path, interleaved)).splitlines()
+    first, second = lines[0], lines[-1]
+    assert "SELECT Ranking.Year FROM Ranking" not in first
+    assert "SELECT Ranking.Year FROM Ranking" in second
+    assert _OTHER_TURN["query"] not in second
+    if interleaved:
+        assert "SELECT Ranking.Year FROM Ranking" not in lines[1]
 
 
 def test_prev_sql_programming_error_propagates(tmp_path, tables_path, monkeypatch):
@@ -708,7 +736,8 @@ def test_prev_sql_programming_error_propagates(tmp_path, tables_path, monkeypatc
         _annotate_gold_prev_sql(tmp_path, tables_path)
 
 
-def test_multi_turn_pipeline_with_discourse(tmp_path, tables_path, content_path):
+@pytest.mark.parametrize("interleaved", [False, True], ids=["consecutive", "interleaved"])
+def test_multi_turn_pipeline_with_discourse(tmp_path, tables_path, content_path, interleaved):
     data = tmp_path / "data.json"
     examples = [
         {
@@ -724,6 +753,8 @@ def test_multi_turn_pipeline_with_discourse(tmp_path, tables_path, content_path)
             "query": "SELECT Ranking.Year FROM Ranking WHERE Ranking.Ranking = 1",
         },
     ]
+    if interleaved:
+        examples.insert(1, _OTHER_TURN)
     data.write_text(json.dumps(examples), encoding="utf-8")
     config = PipelineConfig(
         data=str(data),
@@ -737,6 +768,10 @@ def test_multi_turn_pipeline_with_discourse(tmp_path, tables_path, content_path)
     report = run_pipeline(config)
     assert report.qm == 1.0
     assert report.im == 1.0
-    # second turn's source carries the previous predicted SQL
+    # the second turn's source carries its interaction's previous predicted
+    # SQL, not the prediction made just before it for another interaction
     src_lines = read(tmp_path / "run" / "annotated.src").splitlines()
-    assert "SELECT Ranking.Year FROM Ranking" in src_lines[1]
+    assert "SELECT Ranking.Year FROM Ranking" in src_lines[-1]
+    assert _OTHER_TURN["query"] not in src_lines[-1]
+    if interleaved:
+        assert "SELECT Ranking.Year FROM Ranking" not in src_lines[1]

@@ -1,8 +1,9 @@
 import random
 import re
+from decimal import Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.linking import (
@@ -10,13 +11,13 @@ from structsql.linking import (
     MatchKind,
     QuestionTokens,
     name_link,
-    normalize_value,
+    tokenize,
     value_link,
 )
-from structsql.schema import ColumnType, load_schema, name_tokens
+from structsql.schema import ColumnType, load_schema, name_tokens, normalize_value
 from structsql.synth import random_schema_doc
 
-from util_checks import reference_name_link
+from util_checks import reference_canonical_number, reference_name_link, reference_value_link
 
 
 def by_target(links):
@@ -57,6 +58,46 @@ def linking_cases(draw):
 def test_name_link_matches_reference_scan(case):
     question, schema = case
     assert name_link(question, schema) == reference_name_link(question, schema)
+
+
+# Cell values, some sharing a normalized form under their column's type.
+_VALUES = (
+    "1,200", "1200", "1200.0", "007", "7", "3.50", "3.5", "2016",
+    "Jan 5, 2016", "2016-01-05", "2016/01/05", "sometime soon",
+    "USA", " usa", "New York", "new   york", "France",
+)
+_TYPE_LABELS = ("int", "real", "text", "date", "others")
+_COLUMN_NAMES = ("id", "name", "year", "country", "code")
+_QUESTION_WORDS = sorted({tok for v in _VALUES for tok in tokenize(v)})
+_QUESTION_WORDS += [*_VALUES, *_FILLER, *_PUNCT]
+
+
+@st.composite
+def value_linking_cases(draw):
+    """A schema whose columns of every type hold values that share normalized
+    forms (or hold none, or have no content at all), and a question made of
+    those values' tokens, fillers and punctuation.  Drawn from one seed, so a
+    draw costs the engine one integer."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    doc = {"db_id": "db", "table_names_original": [], "column_names_original": [],
+           "column_types": [], "primary_keys": [], "foreign_keys": []}
+    content: dict[str, list[str]] = {}
+    for t in range(rng.randint(1, 3)):
+        doc["table_names_original"].append(f"t{t}")
+        for column in rng.sample(_COLUMN_NAMES, rng.randint(1, 3)):
+            doc["column_names_original"].append([t, column])
+            doc["column_types"].append(rng.choice(_TYPE_LABELS))
+            if rng.random() < 0.8:  # otherwise the column has no content
+                content[f"t{t}.{column}"] = rng.choices(_VALUES, k=rng.randint(0, 4))
+    turns = [rng.choices(_QUESTION_WORDS, k=rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    return QuestionTokens.from_text([" ".join(t) for t in turns]), load_schema(doc, content)
+
+
+@given(value_linking_cases())
+@settings(max_examples=200, deadline=None)
+def test_value_link_matches_reference(case):
+    question, schema = case
+    assert value_link(question, schema) == reference_value_link(question, schema)
 
 
 def test_player_token_partial_matches_player_id(tennis):
@@ -250,6 +291,54 @@ def test_normalize_text_trim_lower():
 
 def test_normalize_unparseable_date_falls_back():
     assert normalize_value("sometime soon", ColumnType.DATE) == "sometime soon"
+
+
+_NUMBER_PIECES = [*"0123456789.eE+-,", " ", "inf", "infinity", "nan", "snan"]
+_HINTS = [None, *ColumnType]
+
+
+@given(
+    st.lists(st.sampled_from(_NUMBER_PIECES), max_size=12).map("".join),
+    st.sampled_from(_HINTS),
+)
+@example("inf", ColumnType.INTEGER)
+@example("-Infinity", ColumnType.REAL)
+@example("snan", None)
+@example("NaN", ColumnType.INTEGER)
+@example("1e28", None)
+@example("1.5e40", ColumnType.REAL)
+@example("1" * 29, ColumnType.INTEGER)
+@example("-0e50", ColumnType.INTEGER)
+@example("-1e-999999999", ColumnType.REAL)
+@example("1e999999999", ColumnType.INTEGER)
+@example("1,200", ColumnType.INTEGER)
+@settings(deadline=None)
+def test_normalize_value_never_raises_and_keeps_number_forms(raw, hint):
+    got = normalize_value(raw, hint)
+    assert isinstance(got, str)
+    if hint not in (None, ColumnType.INTEGER, ColumnType.REAL):
+        return
+    try:
+        dec = Decimal(raw.strip().replace(",", "").replace(" ", ""))
+    except InvalidOperation:
+        dec = None
+    if dec is None or not dec.is_finite():
+        assert got == " ".join(raw.lower().split())  # compared as text
+        return
+    # equal numbers normalize equal, however they are spelled
+    assert normalize_value(format(dec, "E"), hint) == got
+    try:
+        before = reference_canonical_number(raw)
+    except InvalidOperation:
+        return  # the old normalization raised here
+    assert got == before
+
+
+def test_normalize_huge_numbers_by_value():
+    forms = {normalize_value(raw) for raw in ("1e30", "1E+30", "1" + "0" * 30, "10e29")}
+    assert len(forms) == 1
+    assert normalize_value("1e30") != normalize_value("1e31")
+    assert normalize_value("1e999999999") == "1E+999999999"
 
 
 @given(st.integers(min_value=-10**9, max_value=10**9))

@@ -99,6 +99,15 @@ def test_parse_failure_counted_and_scored_zero(tennis):
     assert report.qm == 0.5
 
 
+def test_huge_literal_scores_and_matches_its_spellings(tennis):
+    gold = "SELECT Ranking.Year FROM Ranking WHERE Ranking.Ranking = 1e30"
+    preds = [gold, "SELECT Ranking.Year FROM Ranking WHERE Ranking.Ranking = 1" + "0" * 30]
+    report = score_corpus(
+        preds, [gold, gold], db_ids=["tennis", "tennis"], schemas={"tennis": tennis}
+    )
+    assert report.qm == report.lx == 1.0
+
+
 def test_limit_with_exponent_is_a_parse_failure(tennis):
     report = score_corpus(
         ["SELECT Players.First_name FROM Players LIMIT 1e3"],

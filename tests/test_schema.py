@@ -129,7 +129,9 @@ def test_star_pseudo_column_recorded(tennis):
 def test_content_sidecar_attached(tennis, tennis_plain):
     assert tennis.table("Ranking").column("Year").sample_values == ("2013", "2016")
     assert tennis_plain.table("Ranking").column("Year").sample_values is None
-    assert tennis.has_content() and not tennis_plain.has_content()
+    assert tennis.value_index[ColumnType.INTEGER]["2016"] == [("Ranking", "Year", "2016")]
+    assert tennis.value_index[ColumnType.TEXT]["usa"] == [("Players", "Country", "USA")]
+    assert tennis_plain.value_index == {}
 
 
 def test_round_trip_all_fixtures(tables_path):

@@ -5,12 +5,16 @@ subset enumeration with union-find, plain transitive closure, simple-path
 enumeration and a queue-based BFS instead of the bitmask graph search, and
 an NFA over surface strings instead of the trie.  ``reference_beam_search``
 is the unpruned beam search: it advances every allowed candidate of every
-live hypothesis; ``advance``, ``state_key`` and ``in_literal`` are its state
-helpers.
+live hypothesis; ``advance``, ``state_key``, ``in_literal`` and
+``can_finish`` are its state helpers.
 ``reference_name_link`` compares every question n-gram with every schema
-name instead of probing the per-schema name index.  ``QuantizedScorer`` and
-``MixedMagnitudeScorer`` are scorers whose ties stress the beam's ranking;
-``AdversarialScorer`` lures an unconstrained search off the schema.
+name instead of probing the per-schema name index; ``reference_value_link``
+normalizes every content column's values again for each question instead
+of probing the per-schema value index; ``reference_canonical_number`` is the
+number normalization that raised on non-finite and very large numbers.
+``QuantizedScorer`` and ``MixedMagnitudeScorer`` are scorers whose ties
+stress the beam's ranking; ``AdversarialScorer`` lures an unconstrained
+search off the schema.
 ``reference_lex`` is the character-by-character SQL lexer that the one-regex
 lexer replaced.  ``reference_resolve`` is schema resolution as it was before
 every walk went through ``rebuild``: ``reference_map_refs`` copies a level with
@@ -22,6 +26,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from decimal import Decimal, InvalidOperation
 from heapq import nsmallest
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
@@ -45,7 +50,16 @@ from structsql.linking import (
     QuestionTokens,
     _norm_token,
 )
-from structsql.schema import STAR, ColumnRef, DatabaseSchema, name_tokens
+from structsql.linking import _suppress_overlaps as _suppress_candidate_overlaps
+from structsql.schema import (
+    STAR,
+    ColumnRef,
+    ColumnType,
+    DatabaseSchema,
+    _parse_date,
+    name_tokens,
+    normalize_value,
+)
 from structsql.sql_ast import (
     AmbiguousColumn,
     ColumnExpr,
@@ -328,6 +342,12 @@ def in_literal(state: DecodeState) -> bool:
     return state.node is LITERAL
 
 
+def can_finish(state: DecodeState) -> bool:
+    """Whether EOS may follow: at a free cursor or a trie terminal, never
+    inside a literal or an unfinished identifier."""
+    return state.node is None or state.node.terminal
+
+
 def reference_beam_search(
     scorer,
     source,
@@ -363,7 +383,7 @@ def reference_beam_search(
             scores = scorer.score_candidates(src, state.tokens, candidates, example_id)
             for token_id, token_score in zip(candidates, scores):
                 if token_id == eos:
-                    if constrained and not constraint.can_finish(state):
+                    if constrained and not can_finish(state):
                         continue
                     if in_literal(state) or not state.tokens:
                         continue
@@ -470,6 +490,69 @@ def reference_name_link(question: QuestionTokens, schema: DatabaseSchema) -> lis
                     LinkAnnotation(start, start + n, kind, table, column)
                 )
     return _suppress_overlaps(candidates)
+
+
+def reference_value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
+    """``value_link`` as it was before the per-schema value index: every
+    content column's values normalized again for each question, and one
+    normalization per n-gram and column type, cached by type."""
+    if not any(c.sample_values for _, c in schema.iter_columns()):
+        return []
+    tokens = question.all_tokens()
+    norm = [_norm_token(t) for t in tokens]
+
+    # (table, column, type) -> normalized value -> original value
+    columns: list[tuple[str, str, ColumnType, dict[str, str]]] = []
+    for table, col in schema.iter_columns():
+        if not col.sample_values:
+            continue
+        normalized = {}
+        for value in col.sample_values:
+            normalized.setdefault(normalize_value(value, col.col_type), value)
+        columns.append((table.name, col.name, col.col_type, normalized))
+
+    candidates: list[tuple] = []
+    for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
+        for start in range(len(tokens) - n + 1):
+            if not norm[start] or not norm[start + n - 1]:
+                continue  # n-gram may contain punctuation but not start/end with it
+            text = " ".join(tokens[start : start + n])
+            by_type: dict[ColumnType, str | None] = {}
+            for table, column, col_type, normalized in columns:
+                if col_type not in by_type:
+                    if col_type is ColumnType.DATE:
+                        # only a parseable date span can equal an ISO-normalized value
+                        by_type[col_type] = _parse_date(text)
+                    else:
+                        by_type[col_type] = normalize_value(text, col_type)
+                key = by_type[col_type]
+                if key is not None and key in normalized:
+                    candidates.append(
+                        (
+                            2, -n, start, column, (table.lower(), column.lower()),  # rank 2: value
+                            start + n, table, column, normalized[key],
+                        )
+                    )
+    return _suppress_candidate_overlaps(candidates)
+
+
+def reference_canonical_number(raw: str) -> str | None:
+    """Number normalization before non-finite and very large numbers were
+    handled: raises ``decimal.InvalidOperation`` on ``inf``, ``snan`` and
+    integers of more than 28 digits, and returns ``"NaN"`` for ``nan``."""
+    cleaned = raw.strip().replace(",", "").replace(" ", "")
+    if not cleaned:
+        return None
+    try:
+        dec = Decimal(cleaned)
+    except InvalidOperation:
+        return None
+    if dec == dec.to_integral_value():
+        dec = dec.quantize(Decimal(1))
+    else:
+        dec = dec.normalize()
+    text = format(dec, "f")
+    return "0" if text in ("-0", "+0") else text.lstrip("+")
 
 
 @dataclass(frozen=True)
