@@ -12,17 +12,20 @@ external model plug in.
 
 from __future__ import annotations
 
-import base64
 import json
-import math
 import re
 import socket
 import socketserver
 import struct
+import sys
 import threading
+from array import array
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import nsmallest
+from itertools import chain
+from math import isfinite
 from typing import Iterable, Sequence
 
 from structsql.annotate import AnnotatedInput
@@ -519,134 +522,174 @@ def beam_search(
 
 
 # --------------------------------------------------------------------------
-# External scorer wire protocol, version 2
+# External scorer wire protocol, version 3
 #
-# Line-delimited JSON over a TCP socket, one scoring message per decode step.
-#   handshake: {"type": "hello", "protocol": 2}
-#           -> {"type": "vocab", "protocol": 2, "size": N, "eos_id": E,
+# One message per decode step over a TCP socket.  Every message is one UTF-8
+# JSON header line; a `score` or `scores` header is followed by a raw body of
+# exactly "bytes" bytes, and `hello`, `vocab` and `error` have no body.
+#   handshake: {"type": "hello", "protocol": 3}
+#           -> {"type": "vocab", "protocol": 3, "size": N, "eos_id": E,
 #               "tokenizer_tag": T}
 #   scoring:   {"type": "score", "example_id": X, "source": [s_1, ...],
-#               "prefixes": [[...], ...], "lengths": [n_1, ...], "candidates": B}
-#           -> {"type": "scores", "example_id": X, "scores": S}
+#               "prefix_lengths": [p_1, ...], "lengths": [n_1, ...],
+#               "bytes": 4 * (sum(prefix_lengths) + sum(lengths))}
+#              + little-endian int32: every prefix's ids back to back, then
+#                every candidate id back to back, lengths[i] for prefix i
+#           -> {"type": "scores", "example_id": X, "bytes": 8 * sum(lengths)}
+#              + little-endian float64: one score per candidate id, in order
 # The source is the annotated input's token strings, sent with every message
-# so that a stateless host can condition on it.
-# B is base64 of little-endian int32: the candidate ids of every prefix back
-# to back, lengths[i] of them for prefixes[i].  S is base64 of little-endian
-# float64, one score per id of B in the same order; packed float64 is
-# bit-exact, so the wire changes no score.  All fields are mandatory; any
-# deviation, a protocol version other than 2 included, is a
-# ProtocolViolation.
+# so that a stateless host can condition on it.  Packed float64 is bit-exact,
+# so the wire changes no score.  All header fields are mandatory; any
+# deviation, a protocol version other than 3 included, is a
+# ProtocolViolation.  A binary body can leave a stream out of step, so a
+# client that sees a fault uses the connection no more, and the server answers
+# a header it cannot parse or frame with `error` and closes the connection.
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+_SWAP = sys.byteorder != "little"
 
 
 def _require(message: dict, field_name: str):
     if field_name not in message:
-        raise ProtocolViolation(f"response missing field {field_name!r}: {message}")
+        raise ProtocolViolation(f"message missing field {field_name!r}: {message}")
     return message[field_name]
 
 
-def _pack(code: str, values: Sequence) -> str:
-    """Base64 of ``values`` as little-endian struct ``code`` items."""
-    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
-
-
-def _unpack(code: str, text, what: str) -> tuple:
-    """Inverse of :func:`_pack`; malformed input is a ProtocolViolation."""
-    if not isinstance(text, str):
-        raise ProtocolViolation(f"{what} must be a base64 string, got {text!r}")
+def _header(line: bytes) -> dict:
     try:
-        data = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error included
-        raise ProtocolViolation(f"{what} is not valid base64: {exc}") from exc
-    size = struct.calcsize(code)
-    if len(data) % size:
-        raise ProtocolViolation(f"{what}: {len(data)} bytes is not a multiple of {size}")
-    return struct.unpack(f"<{len(data) // size}{code}", data)
+        message = json.loads(line)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ProtocolViolation(f"header is not valid JSON: {line[:200]!r}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolViolation(f"header is not an object: {message!r}")
+    return message
 
 
-def _split(flat: Sequence, lengths: Sequence[int]) -> list[list]:
+def _line(message: dict) -> bytes:
+    return (json.dumps(message) + "\n").encode()
+
+
+def _unpack(code: str, body: bytes) -> list:
+    """The little-endian ``code`` items ("i" int32, "d" float64) of ``body``."""
+    values = array(code)
+    values.frombytes(body)
+    if _SWAP:
+        values.byteswap()
+    return values.tolist()
+
+
+def _split(flat: list, lengths: Sequence[int]) -> list[list]:
     """``flat`` cut into consecutive runs of the given lengths."""
     out, start = [], 0
     for n in lengths:
-        out.append(list(flat[start:start + n]))
+        out.append(flat[start:start + n])
         start += n
     return out
 
 
 class RemoteScorer(TokenScorer):
     """TokenScorer proxy speaking the wire protocol: one round trip per
-    ``score_batch`` call, so one per decode step."""
+    ``score_batch`` call, so one per decode step.  After any
+    ProtocolViolation or TransportError every call raises TransportError
+    without touching the connection again."""
 
     def __init__(self, vocab: Vocabulary, sock: socket.socket, timeout: float = 10.0):
         super().__init__(vocab)
         self._sock = sock
         self._sock.settimeout(timeout)
-        self._reader = sock.makefile("r", encoding="utf-8")
-        self._writer = sock.makefile("w", encoding="utf-8")
+        self._reader = sock.makefile("rb")
         self._lock = threading.Lock()
+        self._broken: str | None = None
+        # Example id and source repeat at every step of an example: their
+        # part of the score header is encoded once per example.
+        self._head: tuple = (None, None, "")
         self.tokenizer_tag: str | None = None
 
-    def _roundtrip(self, request: dict) -> dict:
+    @contextmanager
+    def _exclusive(self):
         with self._lock:
+            if self._broken is not None:
+                raise TransportError(f"scorer connection unusable after: {self._broken}")
             try:
-                self._writer.write(json.dumps(request) + "\n")
-                self._writer.flush()
-                line = self._reader.readline()
-            except socket.timeout as exc:
-                raise ScorerTimeout("scorer did not answer in time") from exc
-            except OSError as exc:
-                raise TransportError(f"scorer connection failed: {exc}") from exc
-        if not line:
-            raise TransportError("scorer closed the connection")
+                yield
+            except (ProtocolViolation, TransportError) as exc:
+                self._broken = f"{type(exc).__name__}: {exc}"
+                raise
+
+    def _roundtrip(self, message: bytes, body_bytes: int | None = None) -> tuple[dict, bytes]:
+        """Send ``message``; read the answer's header and, when ``body_bytes``
+        is given, the body of a ``scores`` header announcing that size."""
+        body = b""
         try:
-            message = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolViolation(f"response is not valid JSON: {line!r}") from exc
-        if not isinstance(message, dict):
-            raise ProtocolViolation(f"response is not an object: {message!r}")
-        return message
+            self._sock.sendall(message)
+            line = self._reader.readline()
+            if not line:
+                raise TransportError("scorer closed the connection")
+            header = _header(line)
+            if body_bytes is not None:
+                if _require(header, "type") != "scores":
+                    raise ProtocolViolation(f"expected scores response, got {header}")
+                size = _require(header, "bytes")
+                if type(size) is not int or size != body_bytes:
+                    raise ProtocolViolation(
+                        f"expected a {body_bytes}-byte scores body, header says {size!r}"
+                    )
+                body = self._reader.read(size)
+                if len(body) != size:
+                    raise TransportError("scorer closed the connection inside a message")
+        except socket.timeout as exc:
+            raise ScorerTimeout("scorer did not answer in time") from exc
+        except OSError as exc:
+            raise TransportError(f"scorer connection failed: {exc}") from exc
+        return header, body
 
     def handshake(self) -> dict:
-        message = self._roundtrip({"type": "hello", "protocol": PROTOCOL_VERSION})
-        if _require(message, "type") != "vocab":
-            raise ProtocolViolation(f"expected vocab response, got {message}")
-        protocol = _require(message, "protocol")
-        if protocol != PROTOCOL_VERSION:
-            raise ProtocolViolation(
-                f"scorer speaks protocol {protocol!r}, this client {PROTOCOL_VERSION}"
-            )
-        size = _require(message, "size")
-        eos_id = _require(message, "eos_id")
-        self.tokenizer_tag = _require(message, "tokenizer_tag")
-        if size != len(self.vocab) or eos_id != self.vocab.eos_id:
-            raise ProtocolViolation(
-                f"scorer vocabulary mismatch: remote size={size} eos={eos_id}, "
-                f"local size={len(self.vocab)} eos={self.vocab.eos_id}"
-            )
+        with self._exclusive():
+            message, _ = self._roundtrip(_line({"type": "hello", "protocol": PROTOCOL_VERSION}))
+            if _require(message, "type") != "vocab":
+                raise ProtocolViolation(f"expected vocab response, got {message}")
+            protocol = _require(message, "protocol")
+            if protocol != PROTOCOL_VERSION:
+                raise ProtocolViolation(
+                    f"scorer speaks protocol {protocol!r}, this client {PROTOCOL_VERSION}"
+                )
+            size = _require(message, "size")
+            eos_id = _require(message, "eos_id")
+            self.tokenizer_tag = _require(message, "tokenizer_tag")
+            if size != len(self.vocab) or eos_id != self.vocab.eos_id:
+                raise ProtocolViolation(
+                    f"scorer vocabulary mismatch: remote size={size} eos={eos_id}, "
+                    f"local size={len(self.vocab)} eos={self.vocab.eos_id}"
+                )
         return message
 
     def score_batch(self, source, prefixes, candidate_lists, example_id=None):
         """One round trip for the whole batch."""
+        if example_id is None:
+            example_id = "0"
+        cached_id, tokens, head = self._head
+        if example_id != cached_id or source != tokens:
+            tokens = tuple(source)
+            head = '{"type": "score", "example_id": %s, "source": %s, "prefix_lengths": ' % (
+                json.dumps(example_id), json.dumps(tokens)
+            )
+            self._head = example_id, tokens, head
+        prefix_lengths = [len(p) for p in prefixes]
         lengths = [len(c) for c in candidate_lists]
-        request = {
-            "type": "score",
-            "example_id": example_id if example_id is not None else "0",
-            "source": list(source),
-            "prefixes": [list(p) for p in prefixes],
-            "lengths": lengths,
-            "candidates": _pack("i", [i for c in candidate_lists for i in c]),
-        }
-        message = self._roundtrip(request)
-        if _require(message, "type") != "scores":
-            raise ProtocolViolation(f"expected scores response, got {message}")
-        if _require(message, "example_id") != request["example_id"]:
-            raise ProtocolViolation("response example_id does not match request")
-        scores = _unpack("d", _require(message, "scores"), "scores")
-        if len(scores) != sum(lengths):
-            raise ProtocolViolation(f"expected {sum(lengths)} scores, got {len(scores)}")
-        if not all(map(math.isfinite, scores)):
-            raise ProtocolViolation("scores must be finite")
+        total = sum(lengths)
+        n = sum(prefix_lengths) + total
+        # str() of an int list is its JSON: the line is json.dumps of the header.
+        header = f'{head}{prefix_lengths}, "lengths": {lengths}, "bytes": {4 * n}}}\n'
+        message = header.encode() + struct.pack(f"<{n}i", *chain(*prefixes, *candidate_lists))
+        with self._exclusive():
+            reply, body = self._roundtrip(message, 8 * total)
+            if _require(reply, "example_id") != example_id:
+                raise ProtocolViolation("response example_id does not match request")
+            scores = _unpack("d", body)
+            # A finite sum needs finite terms; only a non-finite one is searched.
+            if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
+                raise ProtocolViolation("scores must be finite")
         return _split(scores, lengths)
 
     def score_candidates(self, source, prefix, candidates, example_id=None):
@@ -654,7 +697,7 @@ class RemoteScorer(TokenScorer):
 
     def close(self) -> None:
         # The socket stays open while a file made from it is open.
-        for stream in (self._writer, self._reader, self._sock):
+        for stream in (self._reader, self._sock):
             try:
                 stream.close()
             except OSError:
@@ -681,6 +724,23 @@ def external_scorer_connect(
     return scorer
 
 
+def _frame(header: dict) -> tuple[list[int], list[int]]:
+    """``prefix_lengths`` and ``lengths`` of a ``score`` header whose
+    ``bytes`` field agrees with them; anything else is a ProtocolViolation."""
+    prefix_lengths, lengths = header.get("prefix_lengths"), header.get("lengths")
+    for name, value in (("prefix_lengths", prefix_lengths), ("lengths", lengths)):
+        if not (isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)):
+            raise ProtocolViolation(f"{name} must be a list of non-negative ints")
+    if len(prefix_lengths) != len(lengths):
+        raise ProtocolViolation(
+            f"{len(prefix_lengths)} prefix_lengths and {len(lengths)} lengths do not match"
+        )
+    size, want = header.get("bytes"), 4 * (sum(prefix_lengths) + sum(lengths))
+    if type(size) is not int or size != want:
+        raise ProtocolViolation(f"bytes must be {want} for these lengths, got {size!r}")
+    return prefix_lengths, lengths
+
+
 class ScorerServer:
     """Reference protocol server wrapping an in-process scorer.
 
@@ -694,17 +754,15 @@ class ScorerServer:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
-                for raw in self.rfile:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    try:
-                        request = json.loads(line)
-                        response = outer._respond(request)
-                    except Exception as exc:  # noqa: BLE001 - report, keep serving
-                        response = {"type": "error", "message": str(exc)}
-                    self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                    self.wfile.flush()
+                try:
+                    while line := self.rfile.readline():
+                        reply, framed = outer._answer(line, self.rfile)
+                        if reply:
+                            self.request.sendall(reply)
+                        if not framed:
+                            return
+                except OSError:  # the client went away
+                    return
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -724,47 +782,57 @@ class ScorerServer:
     def endpoint(self) -> str:
         return f"{self.host}:{self.port}"
 
-    def _respond(self, request: dict) -> dict:
-        kind = request.get("type")
-        if kind == "hello":
-            if request.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolViolation(
-                    f"client protocol {request.get('protocol')!r}, "
-                    f"this server speaks {PROTOCOL_VERSION}"
-                )
-            return {
-                "type": "vocab",
-                "protocol": PROTOCOL_VERSION,
-                "size": len(self.scorer.vocab),
-                "eos_id": self.scorer.eos_id,
-                "tokenizer_tag": TOKENIZER_TAG,
-            }
-        if kind == "score":
-            source = request.get("source")
-            if not isinstance(source, list) or not all(isinstance(t, str) for t in source):
-                raise ProtocolViolation("source must be a list of strings")
-            prefixes, lengths = request["prefixes"], request["lengths"]
-            if not (
-                isinstance(lengths, list) and all(type(n) is int and n >= 0 for n in lengths)
-                and isinstance(prefixes, list)
-                and all(isinstance(p, list) and all(type(t) is int for t in p) for p in prefixes)
-            ):
-                raise ProtocolViolation("lengths must be non-negative ints, prefixes int lists")
-            ids = _unpack("i", request["candidates"], "candidates")
-            if len(prefixes) != len(lengths) or len(ids) != sum(lengths):
-                raise ProtocolViolation(
-                    f"{len(prefixes)} prefixes, {len(lengths)} lengths and "
-                    f"{len(ids)} candidate ids do not match"
-                )
-            batch = self.scorer.score_batch(
-                tuple(source), prefixes, _split(ids, lengths), request["example_id"]
+    def _answer(self, line: bytes, rfile) -> tuple[bytes, bool]:
+        """The reply to the message whose header is ``line`` (its body, if
+        any, is read from ``rfile``), and whether the stream is still framed."""
+        try:
+            header = _header(line)
+            kind = header.get("type")
+            if kind == "score":
+                prefix_lengths, lengths = _frame(header)
+                body = rfile.read(header["bytes"])
+                if len(body) != header["bytes"]:
+                    return b"", False  # the client hung up inside the body
+        except ProtocolViolation as exc:
+            return _line({"type": "error", "message": str(exc)}), False
+        try:
+            if kind == "hello":
+                return self._hello(header), True
+            if kind == "score":
+                return self._score(header, prefix_lengths, lengths, body), True
+            raise ProtocolViolation(f"unknown request type {kind!r}")
+        except Exception as exc:  # noqa: BLE001 - report, keep serving
+            return _line({"type": "error", "message": str(exc)}), True
+
+    def _hello(self, header: dict) -> bytes:
+        if header.get("protocol") != PROTOCOL_VERSION:
+            raise ProtocolViolation(
+                f"client protocol {header.get('protocol')!r}, "
+                f"this server speaks {PROTOCOL_VERSION}"
             )
-            return {
-                "type": "scores",
-                "example_id": request["example_id"],
-                "scores": _pack("d", [s for scores in batch for s in scores]),
-            }
-        return {"type": "error", "message": f"unknown request type {kind!r}"}
+        return _line({
+            "type": "vocab",
+            "protocol": PROTOCOL_VERSION,
+            "size": len(self.scorer.vocab),
+            "eos_id": self.scorer.eos_id,
+            "tokenizer_tag": TOKENIZER_TAG,
+        })
+
+    def _score(self, header: dict, prefix_lengths: list, lengths: list, body: bytes) -> bytes:
+        source = header.get("source")
+        if not isinstance(source, list) or not set(map(type, source)) <= {str}:
+            raise ProtocolViolation("source must be a list of strings")
+        example_id = _require(header, "example_id")
+        runs = _split(_unpack("i", body), prefix_lengths + lengths)
+        batch = self.scorer.score_batch(
+            tuple(source), runs[:len(lengths)], runs[len(lengths):], example_id
+        )
+        n = sum(map(len, batch))
+        # Exactly _line of the header dict.
+        reply = b'{"type": "scores", "example_id": %b, "bytes": %d}\n' % (
+            json.dumps(example_id).encode(), 8 * n
+        )
+        return reply + struct.pack(f"<{n}d", *chain.from_iterable(batch))
 
     def close(self) -> None:
         self._server.shutdown()

@@ -131,14 +131,56 @@ _DATE_FORMATS = (
 )
 
 
+_MONTHS = (
+    "january", "february", "march", "april", "may", "june", "july", "august",
+    "september", "october", "november", "december",
+)
+_MONTH_NUMBERS = {n: i for i, name in enumerate(_MONTHS, 1) for n in (name, name[:3])}
+
+# The patterns datetime.strptime builds for these formats in the C locale,
+# compiled once: _strptime caches only five formats, and trying ten in turn
+# rebuilt one on almost every call.
+_DIRECTIVE_RES = {
+    "d": r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])",
+    "m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",
+    "Y": r"(?P<Y>\d\d\d\d)",
+    "H": r"(?P<H>2[0-3]|[0-1]\d|\d)",
+    "M": r"(?P<M>[0-5]\d|\d)",
+    "S": r"(?P<S>6[0-1]|[0-5]\d|\d)",
+    "b": f"(?P<b>{'|'.join(name[:3] for name in _MONTHS)})",
+    "B": f"(?P<B>{'|'.join(sorted(_MONTHS, key=len, reverse=True))})",
+}
+_DATE_RES = tuple(
+    re.compile(
+        re.sub(r"%(.)", lambda m: _DIRECTIVE_RES[m[1]], fmt.replace(" ", r"\s+")),
+        re.IGNORECASE,
+    )
+    for fmt in _DATE_FORMATS
+)
+
+
 def _parse_date(raw: str) -> str | None:
+    """ISO date of the first of ``_DATE_FORMATS`` that ``datetime.strptime``
+    accepts, None if none does; the same result, without strptime."""
     cleaned = re.sub(r"\s+", " ", raw.strip())
     cleaned = re.sub(r"\s*,\s*", ", ", cleaned)
-    for fmt in _DATE_FORMATS:
-        try:
-            return datetime.strptime(cleaned, fmt).date().isoformat()
-        except ValueError:
+    for pattern in _DATE_RES:
+        found = pattern.match(cleaned)
+        if found is None or found.end() != len(cleaned):
             continue
+        parts = found.groupdict()
+        name = parts.get("b") or parts.get("B")
+        month = int(parts["m"]) if name is None else _MONTH_NUMBERS.get(name.lower())
+        if month is None:
+            continue
+        try:
+            when = datetime(
+                int(parts["Y"]), month, int(parts["d"]),
+                int(parts.get("H", 0)), int(parts.get("M", 0)), int(parts.get("S", 0)),
+            )
+        except ValueError:  # no such day, or second 60/61
+            continue
+        return when.date().isoformat()
     return None
 
 

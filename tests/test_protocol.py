@@ -1,11 +1,15 @@
-import base64
 import json
 import math
+import os
 import socket
 import socketserver
 import struct
+import subprocess
+import sys
 import threading
 import time
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -41,13 +45,21 @@ def kit(tennis):
     return vocab, LexiconConstraint(build_trie(tennis, vocab), vocab), gold
 
 
-def packed(scores):
-    return base64.b64encode(struct.pack(f"<{len(scores)}d", *scores)).decode("ascii")
+HELLO = b'{"type": "hello", "protocol": 3}\n'
+
+
+def scores_message(example_id, scores, size=None):
+    """A v3 ``scores`` message; ``size`` overrides the header's byte count."""
+    body = struct.pack(f"<{len(scores)}d", *scores)
+    header = {"type": "scores", "example_id": example_id,
+              "bytes": len(body) if size is None else size}
+    return (json.dumps(header) + "\n").encode() + body
 
 
 class MisbehavingServer(socketserver.ThreadingTCPServer):
-    """Protocol v2 server with scriptable faults; ``ended`` is set once a
-    client connection has closed."""
+    """Protocol v3 server with scriptable faults; ``ended`` is set once a
+    client connection has closed, and ``raw_requests`` keeps the bytes of
+    every score message received."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -57,12 +69,18 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
-                for raw in self.rfile:
-                    request = json.loads(raw)
+                try:
+                    self.serve()
+                finally:
+                    outer.ended.set()
+
+            def serve(self):
+                while line := self.rfile.readline():
+                    request = json.loads(line)
                     if request["type"] == "hello":
                         reply = {
                             "type": "vocab",
-                            "protocol": 2,
+                            "protocol": 3,
                             "size": len(vocab),
                             "eos_id": vocab.eos_id,
                             "tokenizer_tag": "wordpiece-v1",
@@ -73,37 +91,41 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                             del reply["eos_id"], reply["tokenizer_tag"]
                         elif mode == "v1_hello":
                             del reply["protocol"]
-                        elif mode == "v3_hello":
-                            reply["protocol"] = 3
-                    else:
-                        n = sum(request["lengths"])
-                        reply = {
-                            "type": "scores",
-                            "example_id": request["example_id"],
-                            "scores": packed([0.0] * n),
-                        }
-                        if mode == "short_scores":
-                            reply["scores"] = packed([0.5])
-                        elif mode == "wrong_example":
-                            reply["example_id"] = "nope"
-                        elif mode == "not_json":
-                            self.wfile.write(b"garbage\n")
-                            self.wfile.flush()
-                            continue
-                        elif mode == "slow":
-                            time.sleep(0.8)
-                        elif mode == "nan":
-                            reply["scores"] = packed([float("nan")] * n)
-                        elif mode == "bad_base64":
-                            # Stray characters that a lax decoder would skip.
-                            reply["scores"] = "!" + packed([0.0] * n)
-                        elif mode == "odd_bytes":
-                            reply["scores"] = base64.b64encode(bytes(8 * n - 3)).decode()
-                    self.wfile.write((json.dumps(reply) + "\n").encode())
-                    self.wfile.flush()
-                outer.ended.set()
+                        elif mode == "v2_hello":
+                            reply["protocol"] = 2
+                        self.wfile.write((json.dumps(reply) + "\n").encode())
+                        continue
+                    outer.raw_requests.append(line + self.rfile.read(request["bytes"]))
+                    example_id, n = request["example_id"], sum(request["lengths"])
+                    reply = scores_message(example_id, [0.0] * n)
+                    if mode == "short_scores":
+                        reply = scores_message(example_id, [0.5])
+                    elif mode == "odd_bytes":
+                        reply = scores_message(example_id, [], size=8 * n - 3) + bytes(8 * n - 3)
+                    elif mode == "non_int_bytes":
+                        reply = scores_message(example_id, [0.0] * n, size=f"{8 * n}")
+                    elif mode == "wrong_example":
+                        reply = scores_message("nope", [0.0] * n)
+                    elif mode == "not_json":
+                        reply = b"garbage\n"
+                    elif mode == "slow":
+                        time.sleep(0.8)
+                    elif mode == "nan":
+                        reply = scores_message(example_id, [float("nan")] * n)
+                    elif mode == "cut_body":
+                        self.wfile.write(reply[:-5])
+                        return
+                    elif mode == "golden":
+                        reply = GOLDEN_RESPONSE
+                    elif mode == "desync":
+                        # A non-int byte count, then an answer that would fit
+                        # the next request if the client read on.
+                        reply = scores_message(example_id, [], size=f"{8 * n}")
+                        reply += scores_message(example_id, [0.0] * n)
+                    self.wfile.write(reply)
 
         self.ended = threading.Event()
+        self.raw_requests = []
         super().__init__(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(
             target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -120,17 +142,27 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
+class BatchRecorder(TokenScorer):
+    """Wraps a scorer and keeps every batch it is asked to score, as the
+    server decoded it."""
+
+    def __init__(self, inner, batches):
+        super().__init__(inner.vocab)
+        self.inner, self.batches = inner, batches
+
+    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
+        self.batches.append(
+            {"example_id": example_id, "prefixes": prefixes, "candidates": candidate_lists}
+        )
+        return self.inner.score_batch(source, prefixes, candidate_lists, example_id)
+
+
 class CountingServer(ScorerServer):
-    """Reference server that keeps every ``score`` request it answers."""
+    """Reference server that keeps every decoded ``score`` request it answers."""
 
     def __init__(self, scorer):
         self.score_requests = []
-        super().__init__(scorer)
-
-    def _respond(self, request):
-        if request.get("type") == "score":
-            self.score_requests.append(request)
-        return super()._respond(request)
+        super().__init__(BatchRecorder(scorer, self.score_requests))
 
 
 def test_handshake_echoes_vocab(kit):
@@ -192,7 +224,7 @@ def test_short_scores_is_protocol_violation(kit):
 
 
 @pytest.mark.parametrize(
-    "mode", ["wrong_example", "not_json", "nan", "bad_base64", "odd_bytes"]
+    "mode", ["wrong_example", "not_json", "nan", "non_int_bytes", "odd_bytes"]
 )
 def test_bad_responses_are_protocol_violations(kit, mode):
     vocab, _, _ = kit
@@ -201,6 +233,39 @@ def test_bad_responses_are_protocol_violations(kit, mode):
         scorer = external_scorer_connect(server.endpoint, vocab)
         with pytest.raises(ProtocolViolation):
             scorer.score_candidates([], [], [1, 2], "ex")
+        # The stream may be out of step now: the scorer does not use it again.
+        with pytest.raises(TransportError):
+            scorer.score_candidates([], [], [1, 2], "ex")
+        assert len(server.raw_requests) == 1
+        scorer.close()
+    finally:
+        server.close()
+
+
+def test_a_body_cut_short_is_a_transport_error(kit):
+    vocab, _, _ = kit
+    server = MisbehavingServer(vocab, "cut_body")
+    try:
+        scorer = external_scorer_connect(server.endpoint, vocab)
+        with pytest.raises(TransportError, match="closed"):
+            scorer.score_candidates([], [], [1, 2], "ex")
+        scorer.close()
+    finally:
+        server.close()
+
+
+def test_a_violation_leaves_the_rest_of_the_stream_unread(kit):
+    vocab, _, _ = kit
+    server = MisbehavingServer(vocab, "desync")
+    try:
+        scorer = external_scorer_connect(server.endpoint, vocab)
+        with pytest.raises(ProtocolViolation, match="bytes|body"):
+            scorer.score_batch([], [[]], [[1, 2]], "ex")
+        # A well-formed answer for exactly this request waits on the socket;
+        # reading it would make the call succeed.
+        with pytest.raises(TransportError, match="unusable"):
+            scorer.score_batch([], [[]], [[1, 2]], "ex")
+        assert len(server.raw_requests) == 1
         scorer.close()
     finally:
         server.close()
@@ -226,8 +291,8 @@ def test_missing_handshake_field_rejected(kit):
         server.close()
 
 
-@pytest.mark.parametrize("mode", ["v1_hello", "v3_hello"])
-def test_hello_without_protocol_2_rejected(kit, mode):
+@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello"])
+def test_hello_without_protocol_3_rejected(kit, mode):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, mode)
     try:
@@ -237,17 +302,45 @@ def test_hello_without_protocol_2_rejected(kit, mode):
         server.close()
 
 
-@pytest.mark.parametrize("hello", [{"type": "hello"}, {"type": "hello", "protocol": 1}])
+# -- the reference server on raw connections ----------------------------------
+
+
+def score_message(source=("q",), prefixes=((),), candidates=((1,),), **fields):
+    """A v3 ``score`` message; ``fields`` override header fields, and a
+    field set to ``...`` is left out."""
+    ids = [*chain(*prefixes, *candidates)]
+    header = {"type": "score", "example_id": "e", "source": source,
+              "prefix_lengths": [len(p) for p in prefixes],
+              "lengths": [len(c) for c in candidates], "bytes": 4 * len(ids)}
+    header.update(fields)
+    header = {k: v for k, v in header.items() if v is not ...}
+    return (json.dumps(header) + "\n").encode() + struct.pack(f"<{len(ids)}i", *ids)
+
+
+def exchange(server, data):
+    """Send ``data`` and then a hello on one connection: the reply to
+    ``data``, and whether the hello was still answered."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        with sock.makefile("rb") as stream:
+            sock.sendall(data)
+            reply = json.loads(stream.readline())
+            try:
+                sock.sendall(HELLO)
+                answered = bool(stream.readline())
+            except ConnectionError:
+                answered = False
+    return reply, answered
+
+
+@pytest.mark.parametrize("hello", [{"type": "hello"}, {"type": "hello", "protocol": 1},
+                                   {"type": "hello", "protocol": 2}])
 def test_server_answers_other_protocols_with_an_error(kit, hello):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
-        with socket.create_connection((server.host, server.port), timeout=5) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            stream.write(json.dumps(hello) + "\n")
-            stream.flush()
-            reply = json.loads(stream.readline())
+        reply, answered = exchange(server, (json.dumps(hello) + "\n").encode())
         assert reply["type"] == "error" and "protocol" in reply["message"]
+        assert answered
     finally:
         server.close()
 
@@ -256,42 +349,85 @@ def test_server_answers_other_protocols_with_an_error(kit, hello):
 def test_server_rejects_a_score_message_without_a_string_list_source(kit, source):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
-    request = {"type": "score", "example_id": "e", "prefixes": [[]], "lengths": [1],
-               "candidates": base64.b64encode(struct.pack("<i", 1)).decode("ascii")}
-    if source is not None:
-        request["source"] = source
     try:
-        with socket.create_connection((server.host, server.port), timeout=5) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            stream.write(json.dumps(request) + "\n")
-            stream.flush()
-            reply = json.loads(stream.readline())
+        # The frame itself is sound, so the connection stays in use.
+        reply, answered = exchange(
+            server, score_message(source=... if source is None else source)
+        )
         assert reply["type"] == "error" and "source" in reply["message"]
+        assert answered
     finally:
         server.close()
 
 
 @pytest.mark.parametrize(
-    "prefixes, lengths",
-    [([[], [3]], [-1, 2]), ([[]], [1.0]), ([[]], [True]), ([["a"]], [1]), ([None], [1]),
-     ([[]], 1)],
+    "prefix_lengths, lengths",
+    [([0, 1], [-1, 2]), ([0], [1.0]), ([0], [True]), (["a"], [1]), ([None], [1]),
+     ([0], 1)],
     ids=["negative-length", "float-length", "bool-length", "string-prefix", "null-prefix",
          "scalar-lengths"],
 )
-def test_server_rejects_malformed_lengths_and_prefixes(kit, prefixes, lengths):
-    # Each request has one candidate id, so the length sum alone checks nothing here.
+def test_server_rejects_malformed_lengths_and_prefixes(kit, prefix_lengths, lengths):
+    # Each message has a body of one id: the byte count alone checks nothing here.
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
-    request = {"type": "score", "example_id": "e", "source": ["q"], "prefixes": prefixes,
-               "lengths": lengths,
-               "candidates": base64.b64encode(struct.pack("<i", 1)).decode("ascii")}
     try:
-        with socket.create_connection((server.host, server.port), timeout=5) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            stream.write(json.dumps(request) + "\n")
-            stream.flush()
-            reply = json.loads(stream.readline())
+        reply, answered = exchange(
+            server, score_message(prefix_lengths=prefix_lengths, lengths=lengths, bytes=4)
+        )
         assert reply["type"] == "error" and "lengths" in reply["message"]
+        assert not answered  # the body cannot be framed: the server hangs up
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize(
+    "size", [..., -4, 8, 4.0, "4", None, True],
+    ids=["missing", "negative", "mismatched", "float", "string", "null", "bool"],
+)
+def test_server_closes_a_connection_whose_body_it_cannot_frame(kit, size):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        reply, answered = exchange(server, score_message(bytes=size))
+        assert reply["type"] == "error" and "bytes" in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+
+
+def test_server_closes_on_a_header_that_is_not_json(kit):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        reply, answered = exchange(server, b"\x00\x01garbage\n")
+        assert reply["type"] == "error" and "JSON" in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+
+
+def _handler_threads():
+    return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+
+
+def test_server_serves_a_second_client_while_one_is_stuck_inside_a_body(kit):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    before = len(_handler_threads())
+    try:
+        stuck = socket.create_connection((server.host, server.port), timeout=5)
+        with stuck:
+            stuck.sendall(score_message(candidates=((1, 2, 3),))[:-5])
+            remote = external_scorer_connect(server.endpoint, vocab)
+            target = vocab.tokenize(gold)
+            assert remote.score_candidates([], [], [target[0]], "e") == [1.0]
+            remote.close()
+        # The stuck client hung up inside its body: its handler returns.
+        deadline = time.monotonic() + 5
+        while len(_handler_threads()) > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(_handler_threads()) == before
     finally:
         server.close()
 
@@ -452,19 +588,127 @@ class FixedScorer(TokenScorer):
 
 def test_packed_scores_come_back_bit_identical(kit):
     vocab, _, _ = kit
-    values = [-0.0, 5e-324, -1e308, -1 - 2**-52]
+    top = sys.float_info.max
+    values = [-0.0, 5e-324, -1e308, -1 - 2**-52, top, -top]
     server = ScorerServer(FixedScorer(vocab, values))
     try:
         remote = external_scorer_connect(server.endpoint, vocab)
-        batch = remote.score_batch([], [[], [3]], [[0, 1], [2, 3, 0]], "ex")
+        # The third list sums past the largest double, the fourth below the
+        # smallest: every score is still finite.
+        batch = remote.score_batch(
+            [], [[], [3], [1], [2]], [[0, 1], [2, 3, 0], [4, 4, 5], [5, 2, 4]], "ex"
+        )
         remote.close()
     finally:
         server.close()
-    want = [values[:2], values[2:] + values[:1]]
+    want = [values[:2], values[2:4] + values[:1], [top, top, -top], [-top, -1e308, top]]
     assert [struct.pack(f"<{len(s)}d", *s) for s in batch] == [
         struct.pack(f"<{len(s)}d", *s) for s in want
     ]
     assert math.copysign(1.0, batch[0][0]) == -1.0
+
+
+# The README's scoring example, byte for byte: little-endian on every host.
+GOLDEN_REQUEST = (
+    b'{"type": "score", "example_id": "17", "source": ["how", "many", "|", "singer"], '
+    b'"prefix_lengths": [2, 2], "lengths": [3, 2], "bytes": 36}\n'
+    + bytes.fromhex("04 00 00 00 5b 00 00 00 04 00 00 00 0c 00 00 00"
+                    "07 00 00 00 0c 00 00 00 00 00 00 00 05 00 00 00 00 00 00 00")
+)
+GOLDEN_RESPONSE = (
+    b'{"type": "scores", "example_id": "17", "bytes": 40}\n'
+    + bytes.fromhex("9a 99 99 99 99 99 c9 bf cd cc cc cc cc cc 08 c0 cd cc cc cc cc cc 23 c0"
+                    "00 00 00 00 00 00 e0 bf 00 00 00 00 00 00 f4 bf")
+)
+GOLDEN_SOURCE = ("how", "many", "|", "singer")
+GOLDEN_PREFIXES, GOLDEN_CANDIDATES = [[4, 91], [4, 12]], [[7, 12, 0], [5, 0]]
+GOLDEN_SCORES = [[-0.2, -3.1, -9.9], [-0.5, -1.25]]
+
+
+class GoldenScorer(TokenScorer):
+    """The README example's scores, for its prefixes and candidates only."""
+
+    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
+        assert (source, prefixes, candidate_lists, example_id) == (
+            GOLDEN_SOURCE, GOLDEN_PREFIXES, GOLDEN_CANDIDATES, "17"
+        )
+        return GOLDEN_SCORES
+
+
+def test_readme_example_is_the_wire_bytes():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Scorer wire protocol", 1)[1].split("```")[1]
+    messages = []
+    for line in block.splitlines():
+        if line.startswith(("-> ", "<- ")):
+            messages.append(line[3:].encode() + b"\n")
+        elif line.strip():
+            messages[-1] += bytes.fromhex(line)
+    assert messages[0] == HELLO
+    assert messages[2:] == [GOLDEN_REQUEST, GOLDEN_RESPONSE]
+
+
+def test_client_sends_and_reads_the_golden_bytes(kit):
+    vocab, _, _ = kit
+    server = MisbehavingServer(vocab, "golden")
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        scores = remote.score_batch(GOLDEN_SOURCE, GOLDEN_PREFIXES, GOLDEN_CANDIDATES, "17")
+        remote.close()
+    finally:
+        server.close()
+    assert server.raw_requests == [GOLDEN_REQUEST]
+    assert scores == GOLDEN_SCORES
+
+
+def test_server_answers_the_golden_request_with_the_golden_bytes(kit):
+    vocab, _, _ = kit
+    server = ScorerServer(GoldenScorer(vocab))
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            with sock.makefile("rb") as stream:
+                sock.sendall(GOLDEN_REQUEST)
+                line = stream.readline()
+                reply = line + stream.read(json.loads(line)["bytes"])
+    finally:
+        server.close()
+    assert reply == GOLDEN_RESPONSE
+
+
+class SourceScorer(TokenScorer):
+    """Scores that tell which example and source asked."""
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        return [float(1000 * int(example_id) + 100 * len(source) + c) for c in candidates]
+
+
+def test_threads_sharing_a_remote_scorer_get_their_own_scores(kit):
+    vocab, _, _ = kit
+    server = ScorerServer(SourceScorer(vocab))
+    remote = external_scorer_connect(server.endpoint, vocab)
+    wrong = []
+
+    def worker(k):
+        source = ("q",) * k
+        for step in range(40):
+            got = remote.score_batch(source, [[step]], [[1, 2]], str(k))
+            if got != [[1000 * k + 100 * k + 1.0, 1000 * k + 100 * k + 2.0]]:
+                wrong.append((k, step, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 7)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        remote.close()
+        server.close()
+    assert wrong == []
 
 
 def test_score_batch_default_loops_score_candidates(kit):
@@ -533,3 +777,29 @@ def test_run_pipeline_leaves_an_injected_scorer_open(small_corpus, tmp_path):
         assert server.ended.wait(timeout=5)
     finally:
         server.close()
+
+
+def test_a_host_exits_when_its_stdin_closes_even_with_a_client_inside_a_body(kit):
+    vocab, _, _ = kit
+    host = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from structsql.decode import ScorerServer, Vocabulary, EOS_TOKEN, RandomScorer\n"
+         "server = ScorerServer(RandomScorer(Vocabulary([EOS_TOKEN, 'a']), seed=1))\n"
+         "print(server.endpoint, flush=True)\n"
+         "sys.stdin.read()\n"
+         "server.close()\n"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    try:
+        host_name, _, port = host.stdout.readline().strip().rpartition(":")
+        with socket.create_connection((host_name, int(port)), timeout=5) as stuck:
+            stuck.sendall(score_message(candidates=((1, 0),))[:-3])
+            host.stdin.close()
+            assert host.wait(timeout=10) == 0
+    finally:
+        if host.poll() is None:
+            host.kill()
+            host.wait()
+        host.stdout.close()

@@ -1,11 +1,14 @@
+import calendar
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.schema import (
+    _DATE_FORMATS,
     ColumnType,
     DanglingReference,
     DuplicateName,
@@ -13,11 +16,12 @@ from structsql.schema import (
     build_schema_graph,
     load_schema,
     load_schemas,
+    _parse_date,
     to_spider_doc,
 )
 from structsql.synth import random_schema_doc
 
-from util_checks import transitive_closure_connected
+from util_checks import reference_parse_date, transitive_closure_connected
 
 
 def test_fixture_tables_load(tables_path):
@@ -203,3 +207,56 @@ def test_graph_deterministic(tennis):
     g2 = build_schema_graph(tennis)
     assert g1.links == g2.links
     assert g1.tables == g2.tables
+
+
+# -- date normalization ---------------------------------------------------------
+
+_MONTHS = [*calendar.month_abbr[1:], *calendar.month_name[1:], "Sept", "Mayo", "ſep"]
+
+
+def _field(low, high, wide, width=1):
+    """Mostly in range, sometimes past it; with and without zero padding."""
+    value = st.one_of(st.integers(low, high), st.integers(low, high), st.integers(0, wide))
+    return value.flatmap(lambda v: st.sampled_from([str(v), f"{v:0{width}d}"]))
+
+
+_DATE_PIECES = {
+    "Y": _field(1000, 2999, 99999, width=4),
+    "m": _field(1, 12, 13, width=2),
+    "d": _field(1, 28, 32, width=2) | st.integers(1, 9).map(" {}".format),
+    "H": _field(0, 23, 25),
+    "M": _field(0, 59, 61, width=2),
+    "S": _field(0, 59, 62, width=2),
+    "b": st.sampled_from(_MONTHS).flatmap(lambda n: st.sampled_from([n, n.upper(), n.lower()])),
+}
+_DATE_PIECES["B"] = _DATE_PIECES["b"]
+_NOISE = st.sampled_from(["", "", " ", "  ", "\t", "\n ", ","])
+
+
+@st.composite
+def date_like(draw):
+    """A string in one of the date formats, its fields drawn in and out of
+    range, with whitespace and comma noise around and between them."""
+    fmt = draw(st.sampled_from(_DATE_FORMATS))
+    filled = re.sub(r"%(.)", lambda m: draw(_DATE_PIECES[m[1]]), fmt)
+    filled = re.sub(r"[ ,]", lambda m: draw(st.sampled_from([m[0], m[0], " ,", " , ", "  "])),
+                    filled)
+    return draw(_NOISE) + filled + draw(_NOISE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    date_like(),
+    st.text(alphabet="0123456789 ,-/:JanFebMayjunSEPtember\t", max_size=24),
+    st.text(max_size=16),
+))
+@example("Jan 5, 2016")
+@example("jan 5 , 2016")
+@example("5 January 2016")
+@example("2016-01-05 10:20:60")
+@example("2016-02-30")
+@example("0000-01-01")
+@example("٢٠١٦-٠١-٠٥")
+@example("ſep 5 2016")
+def test_parse_date_matches_strptime_formats(raw):
+    assert _parse_date(raw) == reference_parse_date(raw)

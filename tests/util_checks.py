@@ -11,7 +11,9 @@ live hypothesis; ``advance``, ``state_key``, ``in_literal`` and
 name instead of probing the per-schema name index; ``reference_value_link``
 normalizes every content column's values again for each question instead
 of probing the per-schema value index; ``reference_canonical_number`` is the
-number normalization that raised on non-finite and very large numbers.
+number normalization that raised on non-finite and very large numbers;
+``reference_parse_date`` is date parsing as ten ``datetime.strptime``
+formats tried in turn, before their patterns were compiled once.
 ``QuantizedScorer`` and ``MixedMagnitudeScorer`` are scorers whose ties
 stress the beam's ranking; ``AdversarialScorer`` lures an unconstrained
 search off the schema.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from heapq import nsmallest
 from itertools import combinations
@@ -56,6 +59,7 @@ from structsql.schema import (
     ColumnRef,
     ColumnType,
     DatabaseSchema,
+    _DATE_FORMATS,
     _parse_date,
     name_tokens,
     normalize_value,
@@ -553,6 +557,18 @@ def reference_canonical_number(raw: str) -> str | None:
         dec = dec.normalize()
     text = format(dec, "f")
     return "0" if text in ("-0", "+0") else text.lstrip("+")
+
+
+def reference_parse_date(raw: str) -> str | None:
+    """Date normalization as ten ``datetime.strptime`` formats tried in turn."""
+    cleaned = re.sub(r"\s+", " ", raw.strip())
+    cleaned = re.sub(r"\s*,\s*", ", ", cleaned)
+    for fmt in _DATE_FORMATS:
+        try:
+            return datetime.strptime(cleaned, fmt).date().isoformat()
+        except ValueError:
+            continue
+    return None
 
 
 @dataclass(frozen=True)
