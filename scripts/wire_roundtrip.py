@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Time scorer wire round trips against a scorer that does no work.
 
-Usage: python3 scripts/wire_roundtrip.py [--calls 3000] [--warmup 300]
+Usage: python3 scripts/wire_roundtrip.py
 
 Pins itself to one CPU (the child inherits the pin, as ``bench/run.py`` pins
 a run and its ``lm_host.py``), starts a child process serving a zero-cost
 scorer through ``ScorerServer``, and sends one reference request per call:
 5 prefixes of 11 ids, 5 x 92 candidates and a 115-token source.  Prints the
-p50 and p90 microseconds per ``score_batch`` round trip, so what is measured
-is encoding, decoding, checks and transport, never scoring.  Only the
-standard library and ``src`` are used.
+p50 and p90 microseconds per ``score_batch`` round trip over CALLS calls
+that follow WARMUP untimed ones, so what is measured is encoding, decoding,
+checks and transport, never scoring.  Only the standard library and ``src``
+are used.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -33,6 +33,7 @@ from structsql.decode import (  # noqa: E402
 
 VOCAB_SIZE = 600
 PREFIXES, PREFIX_LEN, CANDIDATES, SOURCE_LEN = 5, 11, 92, 115
+CALLS, WARMUP = 3000, 300
 
 
 class ZeroScorer(TokenScorer):
@@ -63,7 +64,7 @@ def reference_request() -> tuple[tuple, list, list]:
     return source, prefixes, candidates
 
 
-def measure(calls: int, warmup: int) -> list[float]:
+def measure() -> list[float]:
     child = subprocess.Popen(
         [sys.executable, __file__, "--serve"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
@@ -76,7 +77,7 @@ def measure(calls: int, warmup: int) -> list[float]:
         try:
             source, prefixes, candidates = reference_request()
             timings = []
-            for i in range(warmup + calls):
+            for i in range(WARMUP + CALLS):
                 start = time.perf_counter()
                 scorer.score_batch(source, prefixes, candidates, str(i // 20))
                 timings.append(time.perf_counter() - start)
@@ -86,20 +87,17 @@ def measure(calls: int, warmup: int) -> list[float]:
         child.stdin.close()
         child.wait(timeout=30)
         child.stdout.close()
-    return timings[warmup:]
+    return timings[WARMUP:]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--calls", type=int, default=3000)
-    parser.add_argument("--warmup", type=int, default=300)
-    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.serve:
+    if sys.argv[1:] == ["--serve"]:
         return serve()
+    if sys.argv[1:]:
+        sys.exit(__doc__)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    timings = sorted(measure(args.calls, args.warmup))
+    timings = sorted(measure())
     p50, p90 = (timings[int(q * (len(timings) - 1))] * 1e6 for q in (0.5, 0.9))
     print(f"round trips {len(timings)}  p50 {p50:.0f} us  p90 {p90:.0f} us")
     return 0

@@ -601,9 +601,6 @@ class RemoteScorer(TokenScorer):
         self._reader = sock.makefile("rb")
         self._lock = threading.Lock()
         self._broken: str | None = None
-        # Example id and source repeat at every step of an example: their
-        # part of the score header is encoded once per example.
-        self._head: tuple = (None, None, "")
         self.tokenizer_tag: str | None = None
 
     @contextmanager
@@ -668,20 +665,14 @@ class RemoteScorer(TokenScorer):
         """One round trip for the whole batch."""
         if example_id is None:
             example_id = "0"
-        cached_id, tokens, head = self._head
-        if example_id != cached_id or source != tokens:
-            tokens = tuple(source)
-            head = '{"type": "score", "example_id": %s, "source": %s, "prefix_lengths": ' % (
-                json.dumps(example_id), json.dumps(tokens)
-            )
-            self._head = example_id, tokens, head
         prefix_lengths = [len(p) for p in prefixes]
         lengths = [len(c) for c in candidate_lists]
         total = sum(lengths)
         n = sum(prefix_lengths) + total
-        # str() of an int list is its JSON: the line is json.dumps of the header.
-        header = f'{head}{prefix_lengths}, "lengths": {lengths}, "bytes": {4 * n}}}\n'
-        message = header.encode() + struct.pack(f"<{n}i", *chain(*prefixes, *candidate_lists))
+        message = _line({
+            "type": "score", "example_id": example_id, "source": list(source),
+            "prefix_lengths": prefix_lengths, "lengths": lengths, "bytes": 4 * n,
+        }) + struct.pack(f"<{n}i", *chain(*prefixes, *candidate_lists))
         with self._exclusive():
             reply, body = self._roundtrip(message, 8 * total)
             if _require(reply, "example_id") != example_id:
@@ -724,13 +715,15 @@ def external_scorer_connect(
     return scorer
 
 
-def _frame(header: dict) -> tuple[list[int], list[int]]:
+def _frame(header: dict, vocab_size: int) -> tuple[list[int], list[int]]:
     """``prefix_lengths`` and ``lengths`` of a ``score`` header whose
     ``bytes`` field agrees with them; anything else is a ProtocolViolation."""
     prefix_lengths, lengths = header.get("prefix_lengths"), header.get("lengths")
     for name, value in (("prefix_lengths", prefix_lengths), ("lengths", lengths)):
         if not (isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)):
             raise ProtocolViolation(f"{name} must be a list of non-negative ints")
+    if any(n > vocab_size for n in lengths):
+        raise ProtocolViolation(f"lengths must not exceed the vocabulary size {vocab_size}")
     if len(prefix_lengths) != len(lengths):
         raise ProtocolViolation(
             f"{len(prefix_lengths)} prefix_lengths and {len(lengths)} lengths do not match"
@@ -739,6 +732,17 @@ def _frame(header: dict) -> tuple[list[int], list[int]]:
     if type(size) is not int or size != want:
         raise ProtocolViolation(f"bytes must be {want} for these lengths, got {size!r}")
     return prefix_lengths, lengths
+
+
+def _read_body(rfile, size: int) -> bytes:
+    """``size`` bytes of ``rfile``, fewer if the stream ends first.  Read in
+    bounded chunks, so memory follows the bytes that arrive, not the size a
+    header announces."""
+    chunks = []
+    while size > 0 and (chunk := rfile.read(min(size, 1 << 16))):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 class ScorerServer:
@@ -789,8 +793,8 @@ class ScorerServer:
             header = _header(line)
             kind = header.get("type")
             if kind == "score":
-                prefix_lengths, lengths = _frame(header)
-                body = rfile.read(header["bytes"])
+                prefix_lengths, lengths = _frame(header, len(self.scorer.vocab))
+                body = _read_body(rfile, header["bytes"])
                 if len(body) != header["bytes"]:
                     return b"", False  # the client hung up inside the body
         except ProtocolViolation as exc:
@@ -828,11 +832,9 @@ class ScorerServer:
             tuple(source), runs[:len(lengths)], runs[len(lengths):], example_id
         )
         n = sum(map(len, batch))
-        # Exactly _line of the header dict.
-        reply = b'{"type": "scores", "example_id": %b, "bytes": %d}\n' % (
-            json.dumps(example_id).encode(), 8 * n
+        return _line({"type": "scores", "example_id": example_id, "bytes": 8 * n}) + struct.pack(
+            f"<{n}d", *chain.from_iterable(batch)
         )
-        return reply + struct.pack(f"<{n}d", *chain.from_iterable(batch))
 
     def close(self) -> None:
         self._server.shutdown()

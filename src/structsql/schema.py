@@ -139,7 +139,10 @@ _MONTH_NUMBERS = {n: i for i, name in enumerate(_MONTHS, 1) for n in (name, name
 
 # The patterns datetime.strptime builds for these formats in the C locale,
 # compiled once: _strptime caches only five formats, and trying ten in turn
-# rebuilt one on almost every call.
+# rebuilt one on almost every call.  They mirror CPython 3.11's
+# _strptime.TimeRE; on a Python upgrade, run
+# tests/test_schema.py::test_parse_date_matches_strptime_formats, which
+# compares this parser with the strptime loop.
 _DIRECTIVE_RES = {
     "d": r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])",
     "m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",

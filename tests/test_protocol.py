@@ -396,6 +396,39 @@ def test_server_closes_a_connection_whose_body_it_cannot_frame(kit, size):
         server.close()
 
 
+def test_server_refuses_more_candidates_than_the_vocabulary(kit):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        huge = 10**17  # a body this size could never be allocated
+        header = {"type": "score", "example_id": "e", "source": ["q"],
+                  "prefix_lengths": [0], "lengths": [huge], "bytes": 4 * huge}
+        reply, answered = exchange(server, (json.dumps(header) + "\n").encode())
+        assert reply["type"] == "error" and "vocabulary" in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+
+
+def test_server_reads_a_huge_announced_body_only_as_it_arrives(kit, capsys):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        huge = 10**17
+        message = score_message(prefix_lengths=[huge], bytes=4 * (huge + 1))
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            with sock.makefile("rb") as stream:
+                sock.sendall(message)
+                sock.shutdown(socket.SHUT_WR)  # hang up inside the body
+                assert stream.read() == b""  # no reply; the server closed
+        remote = external_scorer_connect(server.endpoint, vocab)
+        assert remote.score_candidates([], [], [vocab.tokenize(gold)[0]], "e") == [1.0]
+        remote.close()
+        assert "Traceback" not in capsys.readouterr().err
+    finally:
+        server.close()
+
+
 def test_server_closes_on_a_header_that_is_not_json(kit):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
