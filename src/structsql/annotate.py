@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens
-from structsql.schema import DatabaseSchema, build_schema_graph
+from structsql.schema import DatabaseSchema
 from structsql.sql_ast import SqlQuery, render_sql
 
 TABLE_MARK = "[TABLE]"
@@ -131,9 +131,8 @@ def render_relations(schema: DatabaseSchema, graph=None) -> list[str]:
     Foreign-key column pairs are not rendered separately; the table relation
     subsumes them.
     """
-    graph = graph or build_schema_graph(schema)
     out: list[str] = []
-    for a, b in graph.links:
+    for a, b in (graph or schema.graph).links:
         out.extend((a, LINKS_TO, b))
     return out
 

@@ -34,7 +34,7 @@ from structsql.decode import (
     oracle_scorer,
 )
 from structsql.linking import QuestionTokens, name_link, value_link
-from structsql.schema import DatabaseSchema, SchemaGraph, build_schema_graph, load_schemas
+from structsql.schema import DatabaseSchema, load_schemas
 from structsql.sql_ast import SqlSyntaxError, parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, write_corpus
 
@@ -151,15 +151,14 @@ def load_examples(path: str | Path) -> list[Example]:
 
 def _load_inputs(
     tables: str, content: str | None, data: str
-) -> tuple[dict[str, DatabaseSchema], list[Example], dict[str, SchemaGraph]]:
-    """Schemas, examples (each checked to name a loaded schema) and the
-    schemas' graphs."""
+) -> tuple[dict[str, DatabaseSchema], list[Example]]:
+    """Schemas and examples, each checked to name a loaded schema."""
     schemas = load_schemas(tables, content)
     examples = load_examples(data)
     for ex in examples:
         if ex.db_id not in schemas:
             raise ValueError(f"example {ex.index}: no schema has db_id {ex.db_id!r}")
-    return schemas, examples, {db: build_schema_graph(s) for db, s in schemas.items()}
+    return schemas, examples
 
 
 def _links_for(example: Example, schema: DatabaseSchema, language: str, with_values: bool):
@@ -175,7 +174,6 @@ def _annotation_for(
     schema: DatabaseSchema,
     config: PipelineConfig,
     prev_sql_text: str | None,
-    graph: SchemaGraph,
 ) -> AnnotatedInput:
     question, links = _links_for(example, schema, config.language, config.include_values)
     prev_sql = None
@@ -192,7 +190,6 @@ def _annotation_for(
         include_values=config.include_values,
         config=config.mark_config(),
         example_id=str(example.index),
-        graph=graph,
     )
 
 
@@ -273,7 +270,7 @@ def _plan_entry(
     return entry
 
 
-def _complete_all(examples, texts, schemas, graphs) -> tuple[list[str], list[dict]]:
+def _complete_all(examples, texts, schemas) -> tuple[list[str], list[dict]]:
     """Complete each example's prediction.  A blank one stays blank; one that
     does not parse or cannot be completed is kept as it was, and its plan
     entry says why."""
@@ -284,7 +281,7 @@ def _complete_all(examples, texts, schemas, graphs) -> tuple[list[str], list[dic
             text = ""
         else:
             try:
-                fixed, found = complete_sql(parse_sql(text, schema), schema, graphs[ex.db_id])
+                fixed, found = complete_sql(parse_sql(text, schema), schema, schema.graph)
             except (SqlSyntaxError, ValueError) as exc:
                 plan = _plan_entry(ex.index, error=exc)
             else:
@@ -301,7 +298,7 @@ def run_pipeline(
     """Full run over a dataset; writes per-stage artifacts under out_dir,
     and nothing before the inputs, the vocabulary and the scorer are ready."""
     try:
-        schemas, examples, graphs = _load_inputs(config.tables, config.content, config.data)
+        schemas, examples = _load_inputs(config.tables, config.content, config.data)
     except (OSError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
 
@@ -338,7 +335,7 @@ def run_pipeline(
             for ex in examples:
                 ex_prev = last_pred.get(ex.interaction_id) if config.discourse else None
                 schema = schemas[ex.db_id]
-                annotated = _annotation_for(ex, schema, config, ex_prev, graphs[ex.db_id])
+                annotated = _annotation_for(ex, schema, config, ex_prev)
                 sources.append(annotated.render())
                 scorer = factory(ex.index)
                 try:
@@ -373,7 +370,7 @@ def run_pipeline(
     # Stage: complete
     try:
         if config.completion:
-            completed, plans = _complete_all(examples, decoded, schemas, graphs)
+            completed, plans = _complete_all(examples, decoded, schemas)
         else:
             completed, plans = decoded, [_plan_entry(e.index) for e in examples]
     except Exception as exc:  # noqa: BLE001
@@ -408,7 +405,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    schemas, examples, _ = _load_inputs(args.tables, args.content, args.data)
+    schemas, examples = _load_inputs(args.tables, args.content, args.data)
     records = []
     for ex in examples:
         schema = schemas[ex.db_id]
@@ -431,7 +428,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    schemas, examples, graphs = _load_inputs(args.tables, args.content, args.data)
+    schemas, examples = _load_inputs(args.tables, args.content, args.data)
     config = PipelineConfig(
         schema_property=not args.no_schema_property,
         database_structure=not args.no_database_structure,
@@ -443,7 +440,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     last_gold: dict[str, str] = {}
     for ex in examples:
         prev = last_gold.get(ex.interaction_id) if args.prev_sql == "gold" else None
-        annotated = _annotation_for(ex, schemas[ex.db_id], config, prev, graphs[ex.db_id])
+        annotated = _annotation_for(ex, schemas[ex.db_id], config, prev)
         sources.append(annotated.render())
         last_gold[ex.interaction_id] = ex.query
     _write_lines(args.src, sources)
@@ -452,7 +449,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    schemas, examples, graphs = _load_inputs(args.tables, args.content, args.data)
+    schemas, examples = _load_inputs(args.tables, args.content, args.data)
     lines = Path(args.sql).read_text(encoding="utf-8").splitlines()
     if len(lines) != len(examples):
         raise StageError(
@@ -460,7 +457,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
             metrics_mod.MismatchedLengths(f"{len(lines)} SQL lines vs {len(examples)} examples"),
         )
     # An empty line is a prediction `run` could not decode: it stays empty.
-    completed, plans = _complete_all(examples, lines, schemas, graphs)
+    completed, plans = _complete_all(examples, lines, schemas)
     _write_lines(args.out, completed)
     if args.plan:
         _write_jsonl(args.plan, plans)

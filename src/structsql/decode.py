@@ -21,7 +21,7 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import chain
@@ -750,7 +750,8 @@ class ScorerServer:
 
     Meant for tests and for bridging a locally loaded model; each connection
     is served on its own thread, and each scoring message is one
-    ``score_batch`` call on the wrapped scorer.
+    ``score_batch`` call on the wrapped scorer.  ``close()`` also ends the
+    live connections and waits for their threads.
     """
 
     def __init__(self, scorer: TokenScorer, host: str = "127.0.0.1", port: int = 0):
@@ -758,6 +759,10 @@ class ScorerServer:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
+                with outer._lock:
+                    if outer._closed:
+                        return
+                    outer._live.add(self.request)
                 try:
                     while line := self.rfile.readline():
                         reply, framed = outer._answer(line, self.rfile)
@@ -765,14 +770,19 @@ class ScorerServer:
                             self.request.sendall(reply)
                         if not framed:
                             return
-                except OSError:  # the client went away
+                except OSError:  # the client went away, or close() cut it
                     return
+                finally:
+                    with outer._lock:
+                        outer._live.discard(self.request)
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
-            daemon_threads = True
 
         self.scorer = scorer
+        self._lock = threading.Lock()
+        self._live: set[socket.socket] = set()
+        self._closed = False
         self._server = Server((host, port), Handler)
         self.host, self.port = self._server.server_address
         # shutdown() waits for serve_forever's next poll; a short interval
@@ -838,4 +848,9 @@ class ScorerServer:
 
     def close(self) -> None:
         self._server.shutdown()
-        self._server.server_close()
+        with self._lock:
+            self._closed = True
+            for sock in self._live:
+                with suppress(OSError):  # the peer may have reset it already
+                    sock.shutdown(socket.SHUT_RDWR)  # the handler's read ends
+        self._server.server_close()  # joins the handler threads

@@ -17,6 +17,7 @@ from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _parse_date, _
 MAX_NGRAM = 5
 
 _WORD_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]", re.UNICODE)
+_WORD_CHAR_RE = re.compile(r"\w", re.UNICODE)
 
 
 class MatchKind(Enum):
@@ -83,9 +84,7 @@ def tokenize(text: str, language: str = "en") -> list[str]:
 def _norm_token(token: str) -> str:
     """Lowercased, stemmed token; empty string for pure punctuation."""
     t = token.lower().strip()
-    if not t or not re.search(r"\w", t, re.UNICODE):
-        return ""
-    return _stem(t)
+    return _stem(t) if _WORD_CHAR_RE.search(t) else ""
 
 
 # Match kinds by rank: an exact match outranks a partial one.

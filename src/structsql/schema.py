@@ -2,8 +2,9 @@
 
 Schemas arrive as Spider-format documents (``tables.json`` entries) and are
 turned into immutable :class:`DatabaseSchema` values.  A :class:`SchemaGraph`
-of foreign-key links between tables, searched by :func:`bfs`, backs
-join-path discovery.
+of foreign-key links between tables, built once per schema as
+``DatabaseSchema.graph`` and searched by :func:`bfs`, backs join-path
+discovery.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ REQUIRED_DOC_FIELDS = (
 )
 
 _CJK_RE = re.compile(r"[\u3400-\u9fff\uf900-\ufaff]")
+_NAME_SPLIT_RE = re.compile(r"[_\s]+")
+_SPACES_RE = re.compile(r"\s+")
+_COMMA_RE = re.compile(r"\s*,\s*")
 
 
 def _stem(token: str) -> str:
@@ -43,9 +47,8 @@ def _stem(token: str) -> str:
 
 def name_tokens(name: str) -> tuple[str, ...]:
     """Normalized token decomposition of a schema name."""
-    raw = re.split(r"[_\s]+", name.strip())
     out: list[str] = []
-    for piece in raw:
+    for piece in _NAME_SPLIT_RE.split(name.strip()):
         if not piece:
             continue
         if _CJK_RE.search(piece):
@@ -165,8 +168,7 @@ _DATE_RES = tuple(
 def _parse_date(raw: str) -> str | None:
     """ISO date of the first of ``_DATE_FORMATS`` that ``datetime.strptime``
     accepts, None if none does; the same result, without strptime."""
-    cleaned = re.sub(r"\s+", " ", raw.strip())
-    cleaned = re.sub(r"\s*,\s*", ", ", cleaned)
+    cleaned = _COMMA_RE.sub(", ", _SPACES_RE.sub(" ", raw.strip()))
     for pattern in _DATE_RES:
         found = pattern.match(cleaned)
         if found is None or found.end() != len(cleaned):
@@ -207,7 +209,7 @@ def _canonical_number(raw: str) -> str | None:
 
 
 def _normalize_text(raw: str) -> str:
-    return re.sub(r"\s+", " ", raw.strip().lower())
+    return _SPACES_RE.sub(" ", raw.strip().lower())
 
 
 def normalize_value(raw: str, hint: ColumnType | None = None) -> str:
@@ -353,6 +355,11 @@ class DatabaseSchema:
             for sub in {toks[a:b] for a in range(n) for b in range(a + 1, n + 1) if b - a < n}:
                 partial.setdefault(sub, []).append(i)
         return NameIndex(targets, exact, partial)
+
+    @cached_property
+    def graph(self) -> SchemaGraph:
+        """The table-link graph of the foreign keys, built once."""
+        return SchemaGraph(self)
 
     @cached_property
     def value_index(self) -> dict[ColumnType, dict[str, list[tuple[str, str, str]]]]:
@@ -579,7 +586,6 @@ class SchemaGraph:
     """
 
     def __init__(self, schema: DatabaseSchema):
-        self.db_id = schema.db_id
         self.tables: tuple[str, ...] = tuple(schema.table_names())
         self._index = {name.lower(): i for i, name in enumerate(self.tables)}
 
@@ -635,5 +641,5 @@ class SchemaGraph:
 
 
 def build_schema_graph(schema: DatabaseSchema) -> SchemaGraph:
-    """Construct the table-link graph for a validated schema."""
-    return SchemaGraph(schema)
+    """The table-link graph of a validated schema (``schema.graph``)."""
+    return schema.graph

@@ -15,7 +15,6 @@ from structsql.schema import (
     ColumnRef,
     DatabaseSchema,
     SchemaGraph,
-    build_schema_graph,
     load_schema,
 )
 from structsql.sql_ast import (
@@ -264,7 +263,6 @@ def generate_synthetic_corpus(
     schema_docs: list[dict] = []
     content: dict[str, dict[str, list[str]]] = {}
     loaded: list[DatabaseSchema] = []
-    graphs: list[SchemaGraph] = []
     for i in range(n_schemas):
         db_id = f"synth_{i:03d}"
         doc, values = random_schema_doc(
@@ -275,13 +273,12 @@ def generate_synthetic_corpus(
             content[db_id] = values
         schema = load_schema(doc, content=values or None)
         loaded.append(schema)
-        graphs.append(build_schema_graph(schema))
 
     examples: list[dict] = []
     for i in range(n_queries):
         pick = rng.randrange(n_schemas)
-        schema, graph = loaded[pick], graphs[pick]
-        query = random_query(rng, schema, graph)
+        schema = loaded[pick]
+        query = random_query(rng, schema, schema.graph)
         text = render_sql(query)
         parse_sql(text, schema)  # self-check: every target parses and resolves
         examples.append(

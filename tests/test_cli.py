@@ -775,3 +775,38 @@ def test_multi_turn_pipeline_with_discourse(tmp_path, tables_path, content_path,
     assert _OTHER_TURN["query"] not in src_lines[-1]
     if interleaved:
         assert "SELECT Ranking.Year FROM Ranking" not in src_lines[1]
+
+
+def test_unparseable_previous_prediction_is_left_out(tmp_path, tables_path):
+    # The first turn's prediction tokenizes but does not parse, so the second
+    # turn is annotated as if it had no previous query; the run goes on.
+    data = tmp_path / "data.json"
+    data.write_text(
+        json.dumps(
+            [
+                {"db_id": "tennis", "interaction_id": "a", "question": "show the years",
+                 "query": "SELECT Ranking.Year FROM Ranking"},
+                {"db_id": "tennis", "interaction_id": "a",
+                 "question": ["show the years", "only for rank one"],
+                 "query": "SELECT Ranking.Year FROM Ranking WHERE Ranking.Ranking = 1"},
+            ]
+        ),
+        encoding="utf-8",
+    )
+    predictions = [
+        "SELECT Ranking.Year FROM",
+        "SELECT Ranking.Year FROM Ranking WHERE Ranking.Ranking = 1",
+    ]
+    targets = tmp_path / "targets.sql"
+    targets.write_text("\n".join(predictions) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    config = PipelineConfig(
+        data=str(data), tables=str(tables_path), out_dir=str(out),
+        scorer=f"oracle:{targets}", beam_width=1, max_len=40,
+    )
+    report = run_pipeline(config)
+    assert read(out / "decoded.sql").splitlines() == predictions
+    second = read(out / "annotated.src").splitlines()[1].split(" ")
+    assert "SELECT" not in second
+    assert report.to_dict()["counts"]["parse_failure"] == 1
+    assert report.qm == 0.5

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsql.annotate import render_relations
 from structsql.complete import (
     Disconnected,
     _connect_exact,
@@ -535,3 +536,32 @@ def test_completion_on_disconnected_mentions_raises():
     q = parse_sql("SELECT a.id FROM a WHERE b.id = 1", schema)
     with pytest.raises(Disconnected):
         complete_sql(q, schema, graph)
+
+
+def test_self_referencing_key_makes_no_link_and_completion_joins_through_others():
+    schema = load_schema(
+        {
+            "db_id": "staff",
+            "table_names_original": ["department", "employee", "project"],
+            "column_names_original": [
+                [-1, "*"], [0, "id"], [1, "id"], [1, "manager_id"], [1, "dept_id"],
+                [2, "id"], [2, "lead_id"],
+            ],
+            "column_types": ["text", *["integer"] * 6],
+            "primary_keys": [1, 2, 5],
+            # employee.manager_id -> employee.id refers to its own table
+            "foreign_keys": [[3, 2], [4, 1], [6, 2]],
+        }
+    )
+    graph = schema.graph
+    assert graph.links == (("department", "employee"), ("employee", "project"))
+    assert graph.neighbors("employee") == ["department", "project"]
+    assert graph.foreign_keys_between("employee", "employee") == ()
+    assert " ".join(render_relations(schema)) == (
+        "department links to employee employee links to project"
+    )
+    q = parse_sql("SELECT department.id FROM department WHERE project.id = 1", schema)
+    fixed, plan = complete_sql(q, schema, graph)
+    assert plan.added_tables == ("employee", "project")
+    conds = {(str(a), str(b)) for a, b in fixed.join_conditions}
+    assert conds == {("employee.dept_id", "department.id"), ("project.lead_id", "employee.id")}

@@ -211,6 +211,27 @@ def test_server_close_returns_promptly(kit):
     assert time.perf_counter() - start < 0.25
 
 
+def test_server_close_ends_live_connections(kit):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    before = set(threading.enumerate())
+    remote = external_scorer_connect(server.endpoint, vocab)
+    try:
+        target = vocab.tokenize(gold)
+        assert remote.score_batch(("q",), [[]], [[target[0]]], "ex0") == [[1.0]]
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        with pytest.raises(TransportError):
+            remote.score_batch(("q",), [[]], [[target[0]]], "ex0")
+        handlers = set(threading.enumerate()) - before
+        assert not [t for t in handlers if "process_request" in t.name]
+    finally:
+        remote.close()
+        server.close()
+
+
 def test_short_scores_is_protocol_violation(kit):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, "short_scores")

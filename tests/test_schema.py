@@ -202,9 +202,11 @@ def test_connectivity_matches_transitive_closure(seed, pair):
     )
 
 
-def test_graph_deterministic(tennis):
+def test_graph_deterministic(tennis, tennis_plain):
     g1 = build_schema_graph(tennis)
-    g2 = build_schema_graph(tennis)
+    g2 = build_schema_graph(tennis_plain)
+    assert g1 is tennis.graph  # built once per schema
+    assert g1 is not g2
     assert g1.links == g2.links
     assert g1.tables == g2.tables
 

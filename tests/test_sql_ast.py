@@ -382,6 +382,32 @@ def test_render_parse_render_idempotent(seed):
         assert render_sql(parse_sql(text, schema)) == text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT Players.First_name FROM Players WHERE Players.First_name LIKE '%an%'",
+        "SELECT Players.First_name FROM Players WHERE Players.Country NOT LIKE 'U%'",
+        "SELECT Ranking.Player_id FROM Ranking "
+        "WHERE Ranking.Ranking = (SELECT MIN(Ranking.Ranking) FROM Ranking)",
+        "SELECT Players.First_name FROM Players WHERE Players.Country IN ('USA', 'Spain')",
+        "SELECT Ranking.Year FROM Ranking WHERE Ranking.Year NOT IN (2015, 2016)",
+        "SELECT Players.First_name FROM Players JOIN Matches "
+        "ON Matches.Winner_id = Players.Player_id AND Matches.Id = Players.Player_id",
+        "SELECT Players.Country, Players.First_name, COUNT(*) FROM Players "
+        "GROUP BY Players.Country, Players.First_name",
+        "SELECT Players.First_name FROM Players "
+        "ORDER BY Players.Country DESC, Players.First_name ASC",
+        "SELECT T1.* FROM Players AS T1 JOIN Matches AS T2 ON T2.Winner_id = T1.Player_id",
+        "SELECT Matches.Id FROM Matches WHERE Matches.Winner_id = Matches.Id",
+    ],
+    ids=["like", "not-like", "scalar-subquery", "in-list", "not-in-list", "two-on-conjuncts",
+         "group-by-two", "order-by-two", "table-star", "column-value"],
+)
+def test_grammar_path_round_trips(tennis, text):
+    q = parse_sql(text, tennis)
+    assert parse_sql(render_sql(q), tennis) == q
+
+
 # -- mentioned schema: what the walker visits ------------------------------------
 
 
@@ -496,6 +522,16 @@ def test_component_conjunct_permutation_oracle(tennis):
         if reference is None:
             reference = cs
         assert cs == reference
+
+
+def test_component_column_valued_condition(tennis):
+    def cs(where):
+        return component_set(parse_sql("SELECT Matches.Id FROM Matches WHERE " + where, tennis))
+
+    same = cs("Matches.Winner_id = Matches.Id AND Matches.Score = 'x'")
+    assert cs("Matches.Score = 'x' AND Matches.Winner_id = Matches.Id") == same
+    # a column operand is compared by name, even value-insensitively
+    assert cs("Matches.Winner_id = Matches.Score AND Matches.Score = 'x'") != same
 
 
 def test_component_value_insensitive_by_default(tennis):
