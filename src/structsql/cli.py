@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -23,9 +24,10 @@ from structsql.complete import CompletionPlan, complete_sql
 from structsql.decode import (
     LexiconConstraint,
     NoValidHypothesis,
+    ProtocolViolation,
     RandomScorer,
-    RemoteScorer,
     TokenScorer,
+    TransportError,
     Untokenizable,
     Vocabulary,
     beam_search,
@@ -39,8 +41,6 @@ from structsql.sql_ast import SqlSyntaxError, parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, write_corpus
 
 logger = logging.getLogger(__name__)
-
-SCORER_ENDPOINT_ENV = "STRUCTSQL_SCORER_ENDPOINT"
 
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 1
@@ -207,52 +207,36 @@ def _scorer_spec(spec: str) -> tuple[str, str | int]:
 
 
 def make_scorer(
-    spec: str, vocab: Vocabulary, targets: Sequence[str] | None = None
+    spec: str, vocab: Vocabulary, targets: Sequence[str], stack: ExitStack
 ) -> Callable[[int], TokenScorer]:
     """Scorer factory from a spec string.
 
-    ``oracle`` / ``oracle:<file>`` follow gold targets (a file needs one line
-    per target); ``random:<seed>`` scores pseudo-randomly;
-    ``extern:<host:port>`` proxies the wire protocol (overridable via
-    STRUCTSQL_SCORER_ENDPOINT).  A missing address, or an oracle file that
-    cannot be read or is short, is a ConfigError.
+    ``oracle`` follows the gold ``targets`` and ``oracle:<file>`` the lines
+    of a file (one per target); ``random:<seed>`` scores pseudo-randomly;
+    ``extern:<host:port>`` hands every example one connection speaking the
+    wire protocol, closed when ``stack`` closes.  A missing address, or an
+    oracle file that cannot be read or is short, is a ConfigError.
     """
     kind, arg = _scorer_spec(spec)
     if kind == "oracle":
+        lines = targets
         if arg:
             try:
                 lines = Path(arg).read_text(encoding="utf-8").splitlines()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read oracle file {arg}: {exc}") from exc
-            if len(lines) < len(targets or ()):
+            if len(lines) < len(targets):
                 raise ConfigError(
                     f"oracle file {arg} has {len(lines)} lines for {len(targets)} examples"
                 )
-        elif targets is not None:
-            lines = list(targets)
-        else:
-            raise ConfigError("oracle scorer needs targets or a file argument")
         oracles = [oracle_scorer(line, vocab) for line in lines]
         return lambda i: oracles[i]
     if kind == "random":
         return lambda i: RandomScorer(vocab, seed=arg + i)
-    endpoint = os.environ.get(SCORER_ENDPOINT_ENV) or arg
-    if not endpoint:
+    if not arg:
         raise ConfigError("extern scorer needs host:port")
-    return _SharedConnection(external_scorer_connect(endpoint, vocab))
-
-
-@dataclass(frozen=True)
-class _SharedConnection:
-    """Scorer factory that hands every example one open remote scorer."""
-
-    remote: RemoteScorer
-
-    def __call__(self, index: int) -> RemoteScorer:
-        return self.remote
-
-    def close(self) -> None:
-        self.remote.close()
+    remote = stack.enter_context(closing(external_scorer_connect(arg, vocab)))
+    return lambda i: remote
 
 
 def _plan_entry(
@@ -313,22 +297,23 @@ def run_pipeline(
     except Untokenizable as exc:
         raise StageError("vocabulary", exc) from exc
 
-    try:
-        factory = scorer_factory or make_scorer(
-            config.scorer, vocab, targets=[e.query for e in examples]
-        )
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise StageError("scorer", exc) from exc
-
     # Stage: annotate and decode in corpus order; each turn sees the latest
-    # prediction of its interaction as the previous turn
+    # prediction of its interaction as the previous turn.  A connection this
+    # run opens closes with the stack, right after decoding; an injected
+    # factory belongs to the caller.
     out = Path(config.out_dir)
     sources: list[str] = []
     decoded: list[str] = []
     last_pred: dict[str, str] = {}
-    try:
+    with ExitStack() as stack:
+        try:
+            factory = scorer_factory or make_scorer(
+                config.scorer, vocab, [e.query for e in examples], stack
+            )
+        except ConfigError:
+            raise
+        except (OSError, ValueError, TransportError, ProtocolViolation) as exc:
+            raise StageError("scorer", exc) from exc
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config.resolved.json", config.to_dict())
         try:
@@ -357,11 +342,6 @@ def run_pipeline(
                 last_pred[ex.interaction_id] = text
         except Exception as exc:  # noqa: BLE001
             raise StageError("decode", exc) from exc
-    finally:
-        # A connection this run opened ends with decoding; an injected
-        # factory belongs to the caller.
-        if scorer_factory is None and isinstance(factory, _SharedConnection):
-            factory.close()
 
     _write_lines(out / "annotated.src", sources)
     _write_lines(out / "annotated.tgt", (e.query for e in examples))
@@ -432,7 +412,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         schema_property=not args.no_schema_property,
         database_structure=not args.no_database_structure,
-        discourse=not args.no_discourse,
         include_values=args.values,
         language=args.language,
     )
@@ -557,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prev-sql", choices=("none", "gold"), default="none")
     p.add_argument("--no-schema-property", action="store_true")
     p.add_argument("--no-database-structure", action="store_true")
-    p.add_argument("--no-discourse", action="store_true")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("complete", help="repair FROM/JOIN clauses")
@@ -608,13 +586,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("STRUCTSQL_LOG", "WARNING"))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
     try:
+        level = os.environ.get("STRUCTSQL_LOG") or "WARNING"
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ConfigError(f"STRUCTSQL_LOG={level!r} is not a logging level name")
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

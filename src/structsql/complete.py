@@ -33,10 +33,6 @@ class Disconnected(ValueError):
         self.pair = (a, b)
 
 
-class MissingJoinKey(RuntimeError):
-    """A table-link edge has no foreign key pair (impossible by construction)."""
-
-
 @dataclass(frozen=True)
 class CompletionPlan:
     """Record of what completion added and why."""
@@ -133,9 +129,8 @@ def _conditions_span(from_tables: Sequence[str], conditions) -> bool:
 
 
 def _first_fk(graph: SchemaGraph, a: str, b: str) -> tuple[ColumnRef, ColumnRef]:
+    # Every table link comes from a foreign key pair, so there is at least one.
     fks = graph.foreign_keys_between(a, b)
-    if not fks:
-        raise MissingJoinKey(f"table link {a!r}-{b!r} lost its foreign key")
     if len(fks) > 1:
         logger.info(
             "tables %r and %r share %d foreign keys; using the first declared",

@@ -540,10 +540,11 @@ def beam_search(
 # The source is the annotated input's token strings, sent with every message
 # so that a stateless host can condition on it.  Packed float64 is bit-exact,
 # so the wire changes no score.  All header fields are mandatory; any
-# deviation, a protocol version other than 3 included, is a
-# ProtocolViolation.  A binary body can leave a stream out of step, so a
-# client that sees a fault uses the connection no more, and the server answers
-# a header it cannot parse or frame with `error` and closes the connection.
+# deviation, a protocol version other than 3 or a tokenizer_tag other than
+# TOKENIZER_TAG included, is a ProtocolViolation.  A binary body can leave a
+# stream out of step, so a client that sees a fault uses the connection no
+# more, and the server answers a header it cannot parse or frame with `error`
+# and closes the connection.
 
 PROTOCOL_VERSION = 3
 
@@ -601,7 +602,6 @@ class RemoteScorer(TokenScorer):
         self._reader = sock.makefile("rb")
         self._lock = threading.Lock()
         self._broken: str | None = None
-        self.tokenizer_tag: str | None = None
 
     @contextmanager
     def _exclusive(self):
@@ -653,11 +653,12 @@ class RemoteScorer(TokenScorer):
                 )
             size = _require(message, "size")
             eos_id = _require(message, "eos_id")
-            self.tokenizer_tag = _require(message, "tokenizer_tag")
-            if size != len(self.vocab) or eos_id != self.vocab.eos_id:
+            tag = _require(message, "tokenizer_tag")
+            if size != len(self.vocab) or eos_id != self.vocab.eos_id or tag != TOKENIZER_TAG:
                 raise ProtocolViolation(
-                    f"scorer vocabulary mismatch: remote size={size} eos={eos_id}, "
-                    f"local size={len(self.vocab)} eos={self.vocab.eos_id}"
+                    f"scorer vocabulary mismatch: remote size={size} eos={eos_id} "
+                    f"tokenizer={tag!r}, local size={len(self.vocab)} "
+                    f"eos={self.vocab.eos_id} tokenizer={TOKENIZER_TAG!r}"
                 )
         return message
 

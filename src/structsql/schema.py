@@ -500,7 +500,14 @@ def load_schema(doc: Mapping, content: Mapping[str, list[str]] | None = None) ->
 
 
 def to_spider_doc(schema: DatabaseSchema) -> dict:
-    """Re-serialize to the Spider document format (the fields this toolkit reads)."""
+    """Re-serialize to the Spider document format (the fields this toolkit reads).
+
+    The ``*`` entry comes first, then the columns grouped by table in table
+    order, and the primary keys in table order.  A document in that layout,
+    as Spider's are, comes back field for field; one whose columns
+    interleave tables or whose primary keys do not ascend comes back
+    grouped, and the grouped document loads to an equal schema.
+    """
     column_names: list[list] = []
     column_types: list[str] = []
     index_of: dict[tuple[str, str], int] = {}

@@ -125,12 +125,40 @@ def test_annotate_toggles_produce_vanilla(corpus_dir, tmp_path):
             "--tgt", str(tgt),
             "--no-schema-property",
             "--no-database-structure",
-            "--no-discourse",
         ]
     )
     line = read(src).splitlines()[0]
     assert "links to" not in line
     assert "Primary-Key" not in line and "&" not in line
+
+
+@pytest.mark.parametrize(
+    "value, code, level",
+    [("debug", EXIT_OK, "10"), ("Info", EXIT_OK, "20"), ("", EXIT_OK, "30"),
+     ("loud", EXIT_CONFIG_ERROR, "")],
+)
+def test_structsql_log_names_a_level_in_any_case(tmp_path, value, code, level):
+    # A fresh process: under pytest the root logger already has handlers,
+    # and basicConfig then ignores its level without checking it.
+    src_root = Path(structsql.__file__).resolve().parents[1]
+    env = dict(os.environ, STRUCTSQL_LOG=value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_root), env.get("PYTHONPATH")]))
+    script = (
+        "import logging, sys\n"
+        "from structsql.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(logging.getLogger().level if code == 0 else '')\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "gen", "--n-schemas", "1", "--n-queries", "1",
+         "--out-dir", str(tmp_path / "gen")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (code, level)
+    if code == EXIT_CONFIG_ERROR:
+        assert done.stderr == "config error: STRUCTSQL_LOG='loud' is not a logging level name\n"
+        assert not (tmp_path / "gen").exists()
 
 
 def test_run_pipeline_oracle_qm_one(corpus_dir, tmp_path):
@@ -632,8 +660,7 @@ def _run_scorer(corpus_dir, out, spec):
     )
 
 
-def test_extern_scorer_without_address_is_config_error(corpus_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(cli.SCORER_ENDPOINT_ENV, raising=False)
+def test_extern_scorer_without_address_is_config_error(corpus_dir, tmp_path, capsys):
     assert _run_scorer(corpus_dir, tmp_path / "out", "extern:") == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err == "config error: extern scorer needs host:port\n"
     assert not (tmp_path / "out").exists()

@@ -23,6 +23,7 @@ from structsql.decode import (
     RandomScorer,
     ScorerServer,
     ScorerTimeout,
+    TOKENIZER_TAG,
     TokenScorer,
     TransportError,
     Vocabulary,
@@ -87,6 +88,8 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                         }
                         if mode == "bad_vocab":
                             reply.update(size=1, eos_id=0, tokenizer_tag="x")
+                        elif mode == "bad_tag":
+                            reply["tokenizer_tag"] = "x"
                         elif mode == "missing_field":
                             del reply["eos_id"], reply["tokenizer_tag"]
                         elif mode == "v1_hello":
@@ -170,7 +173,10 @@ def test_handshake_echoes_vocab(kit):
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         scorer = external_scorer_connect(server.endpoint, vocab)
-        assert scorer.tokenizer_tag == "wordpiece-v1"
+        assert scorer.handshake() == {
+            "type": "vocab", "protocol": 3, "size": len(vocab), "eos_id": vocab.eos_id,
+            "tokenizer_tag": TOKENIZER_TAG,
+        }
         scorer.close()
     finally:
         server.close()
@@ -297,6 +303,17 @@ def test_vocab_mismatch_rejected(kit):
     server = MisbehavingServer(vocab, "bad_vocab")
     try:
         with pytest.raises(ProtocolViolation):
+            external_scorer_connect(server.endpoint, vocab)
+    finally:
+        server.close()
+
+
+def test_other_tokenizer_rejected(kit):
+    # Same vocabulary size and EOS id, but another tokenizer's ids.
+    vocab, _, _ = kit
+    server = MisbehavingServer(vocab, "bad_tag")
+    try:
+        with pytest.raises(ProtocolViolation, match="tokenizer='x'"):
             external_scorer_connect(server.endpoint, vocab)
     finally:
         server.close()
@@ -498,36 +515,24 @@ def test_timeout(kit):
         server.close()
 
 
-def test_unreachable_endpoint_is_transport_error(kit):
-    vocab, _, _ = kit
+def _closed_port():
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
     port = sock.getsockname()[1]
     sock.close()  # nothing listening here any more
+    return port
+
+
+def test_unreachable_endpoint_is_transport_error(kit):
+    vocab, _, _ = kit
     with pytest.raises(TransportError):
-        external_scorer_connect(f"127.0.0.1:{port}", vocab, timeout=0.5)
+        external_scorer_connect(f"127.0.0.1:{_closed_port()}", vocab, timeout=0.5)
 
 
 def test_bad_endpoint_spec(kit):
     vocab, _, _ = kit
     with pytest.raises(TransportError):
         external_scorer_connect("nonsense", vocab)
-
-
-def test_env_var_overrides_extern_endpoint(kit, monkeypatch):
-    from structsql.cli import SCORER_ENDPOINT_ENV, make_scorer
-
-    vocab, _, gold = kit
-    server = ScorerServer(oracle_scorer(gold, vocab))
-    try:
-        monkeypatch.setenv(SCORER_ENDPOINT_ENV, server.endpoint)
-        factory = make_scorer("extern:10.255.255.1:9", vocab)  # spec endpoint ignored
-        scorer = factory(0)
-        target = vocab.tokenize(gold)
-        assert scorer.score_candidates([], [], [target[0]], "e") == [1.0]
-        scorer.close()
-    finally:
-        server.close()
 
 
 # -- one message per decode step, and the same search -------------------------
@@ -831,6 +836,50 @@ def test_run_pipeline_leaves_an_injected_scorer_open(small_corpus, tmp_path):
         assert server.ended.wait(timeout=5)
     finally:
         server.close()
+
+
+def _run_argv(corpus, out_dir, endpoint):
+    return [
+        "run", "--data", str(corpus / "examples.json"), "--tables", str(corpus / "tables.json"),
+        "--content", str(corpus / "content.json"), "--out-dir", str(out_dir),
+        "--scorer", f"extern:{endpoint}", "--beam", "2", "--max-len", "12",
+    ]
+
+
+def test_run_uses_the_scorer_its_config_names(small_corpus, tmp_path, monkeypatch):
+    # No environment variable redirects the scorer a run's config names.
+    corpus, vocab = small_corpus
+    monkeypatch.setenv("STRUCTSQL_SCORER_ENDPOINT", f"127.0.0.1:{_closed_port()}")
+    server = MisbehavingServer(vocab, "ok")
+    try:
+        assert cli.main(_run_argv(corpus, tmp_path / "out", server.endpoint)) == 0
+    finally:
+        server.close()
+    assert server.raw_requests
+    resolved = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
+    assert resolved["scorer"] == f"extern:{server.endpoint}"
+
+
+def test_unreachable_extern_scorer_is_a_scorer_stage_error(small_corpus, tmp_path, capsys):
+    corpus, _ = small_corpus
+    endpoint = f"127.0.0.1:{_closed_port()}"
+    assert cli.main(_run_argv(corpus, tmp_path / "out", endpoint)) == cli.EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith(
+        f"stage error: [scorer] cannot connect to {endpoint}: "
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_handshake_is_a_scorer_stage_error(small_corpus, tmp_path, capsys):
+    corpus, vocab = small_corpus
+    server = MisbehavingServer(vocab, "bad_tag")
+    try:
+        code = cli.main(_run_argv(corpus, tmp_path / "out", server.endpoint))
+    finally:
+        server.close()
+    assert code == cli.EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith("stage error: [scorer] scorer vocabulary mismatch")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_host_exits_when_its_stdin_closes_even_with_a_client_inside_a_body(kit):

@@ -152,6 +152,28 @@ def test_round_trip_generated_docs(seed):
     assert to_spider_doc(load_schema(doc)) == doc
 
 
+def test_interleaved_doc_comes_back_grouped_by_table():
+    doc = {
+        "db_id": "db",
+        "table_names_original": ["A", "B"],
+        "column_names_original": [[-1, "*"], [0, "a_id"], [1, "b_id"], [0, "a_name"], [1, "a_ref"]],
+        "column_types": ["text", "number", "time", "text", "number"],
+        "primary_keys": [2, 1],
+        "foreign_keys": [[4, 1]],
+    }
+    grouped = to_spider_doc(load_schema(doc))
+    assert grouped == {
+        "db_id": "db",
+        "table_names_original": ["A", "B"],
+        "column_names_original": [[-1, "*"], [0, "a_id"], [0, "a_name"], [1, "b_id"], [1, "a_ref"]],
+        "column_types": ["text", "number", "text", "time", "number"],
+        "primary_keys": [1, 3],
+        "foreign_keys": [[4, 1]],
+    }
+    assert load_schema(grouped) == load_schema(doc)
+    assert to_spider_doc(load_schema(grouped)) == grouped
+
+
 def test_graph_fig_topology(tennis_graph):
     assert set(tennis_graph.links) == {("Players", "Matches"), ("Matches", "Ranking")}
     players, ranking = (tennis_graph.table_index(t) for t in ("Players", "Ranking"))
