@@ -9,14 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens
-from structsql.schema import DatabaseSchema
+from structsql.schema import AMP, DatabaseSchema
 from structsql.sql_ast import SqlQuery, render_sql
 
 TABLE_MARK = "[TABLE]"
 COLUMN_MARK = "[COLUMN]"
-AMP = "&"
 LINKS_TO = "links to"
-PRIMARY_KEY_MARK = "Primary-Key"
 TURN_SEPARATOR = "|"
 
 MATCH_MARKS = {
@@ -50,37 +48,15 @@ class AnnotatedInput:
         return " ".join(self.tokens)
 
 
-def _validate_links(schema: DatabaseSchema, links: list[LinkAnnotation]) -> None:
-    for ann in links:
-        table = schema.table(ann.table)
-        if table is None:
-            raise UnknownLinkTarget(f"no table {ann.table!r} in schema {schema.db_id!r}")
-        if ann.column is not None and table.column(ann.column) is None:
-            raise UnknownLinkTarget(
-                f"no column {ann.table}.{ann.column} in schema {schema.db_id!r}"
-            )
-
-
-def _group_links(links: list[LinkAnnotation]):
-    kinds: dict[tuple[str, str | None], set[MatchKind]] = {}
-    values: dict[tuple[str, str], list[str]] = {}
-    for ann in links:
-        key = ann.target_key()
-        kinds.setdefault(key, set()).add(ann.kind)
-        if ann.kind is MatchKind.VALUE and ann.column is not None:
-            bucket = values.setdefault((key[0], key[1]), [])
-            if ann.value not in bucket:
-                bucket.append(ann.value)
-    return kinds, values
-
-
-def _mark_prefix(marks: list[str]) -> list[str]:
-    tokens: list[str] = []
-    for i, mark in enumerate(marks):
-        if i:
-            tokens.append(AMP)
-        tokens.append(mark)
-    return tokens
+# Match kinds as bits of a mask, and the marks each mask writes before a
+# column's template marks (each followed by "&") and before a table (joined
+# by "&").
+_KIND_BITS = {kind: 1 << i for i, kind in enumerate(MatchKind)}
+_COLUMN_PREFIXES = tuple(
+    tuple(tok for kind, bit in _KIND_BITS.items() if mask & bit for tok in (MATCH_MARKS[kind], AMP))
+    for mask in range(1 << len(MatchKind))
+)
+_TABLE_PREFIXES = tuple(prefix[:-1] for prefix in _COLUMN_PREFIXES)
 
 
 def linearize_schema(
@@ -96,31 +72,43 @@ def linearize_schema(
     Column marks are joined with "&" in fixed order: match kinds, then
     Primary-Key, then the column type.  A type mark is emitted for every
     column.  With ``include_values``, matched cell values follow the column,
-    each preceded by "&".
+    each preceded by "&".  Only the linked items' marks and values are
+    written into the schema's ``serial_template``.  The first link naming no
+    schema item raises ``UnknownLinkTarget`` before any output.
     """
-    _validate_links(schema, links)
-    kinds, values = _group_links(links)
+    template = schema.serial_template
+    index = template.index
+    kinds: dict[int, int] = {}
+    values: dict[int, list[str]] = {}
+    for ann in links:
+        column = ann.column
+        pos = index.get((ann.table.lower(), None if column is None else column.lower()))
+        if pos is None:
+            if schema.table(ann.table) is None:
+                raise UnknownLinkTarget(f"no table {ann.table!r} in schema {schema.db_id!r}")
+            raise UnknownLinkTarget(f"no column {ann.table}.{ann.column} in schema {schema.db_id!r}")
+        kinds[pos] = kinds.get(pos, 0) | _KIND_BITS[ann.kind]
+        if ann.kind is MatchKind.VALUE and column is not None:
+            bucket = values.setdefault(pos, [])
+            if ann.value not in bucket:
+                bucket.append(ann.value)
 
     out: list[str] = [TABLE_MARK]
-    for table in schema.tables:
-        if schema_property:
-            present = kinds.get((table.name.lower(), None), set())
-            out.extend(_mark_prefix([MATCH_MARKS[k] for k in MatchKind if k in present]))
+    for pos, table in enumerate(schema.tables):
+        if schema_property and pos in kinds:
+            out.extend(_TABLE_PREFIXES[kinds[pos]])
         out.append(table.name)
 
     out.append(COLUMN_MARK)
-    for table, col in schema.iter_columns():
-        key = (table.name.lower(), col.name.lower())
+    surfaces = template.qualified if database_structure else template.bare
+    for pos, (marks, surface) in enumerate(zip(template.marks, surfaces), len(schema.tables)):
         if schema_property:
-            present = kinds.get(key, set())
-            marks = [MATCH_MARKS[k] for k in MatchKind if k in present]
-            if col.is_primary:
-                marks.append(PRIMARY_KEY_MARK)
-            marks.append(col.col_type.value)
-            out.extend(_mark_prefix(marks))
-        out.append(f"{table.name}.{col.name}" if database_structure else col.name)
-        if include_values:
-            for value in values.get(key, ()):
+            if pos in kinds:
+                out.extend(_COLUMN_PREFIXES[kinds[pos]])
+            out.extend(marks)
+        out.append(surface)
+        if include_values and pos in values:
+            for value in values[pos]:
                 out.extend((AMP, value))
     return out
 

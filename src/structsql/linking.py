@@ -43,9 +43,6 @@ class LinkAnnotation:
         if self.kind is MatchKind.VALUE and self.value is None:
             raise ValueError("value matches must carry the matched value")
 
-    def target_key(self) -> tuple[str, str | None]:
-        return (self.table.lower(), self.column.lower() if self.column else None)
-
 
 @dataclass(frozen=True)
 class QuestionTokens:

@@ -2,8 +2,8 @@
 
 Exact set match (EM) compares canonical clause components with condition
 values replaced by a placeholder; logical form match (LX) also compares
-normalized literal values.  QM is the per-question EM rate, IM the rate of
-interactions whose every question matches.
+normalized literal values, so LX implies EM.  QM is the per-question EM
+rate, IM the rate of interactions whose every question matches.
 """
 
 from __future__ import annotations
@@ -141,8 +141,10 @@ def score_corpus(
             except SchemaResolutionError:
                 error = "schema_violation"
             else:
-                em = exact_set_match(pred, gold, schema)
+                # Value-sensitive keys map onto value-insensitive ones, so LX
+                # implies EM and an LX match needs no second comparison.
                 lx = logical_form_match(pred, gold, schema)
+                em = lx or exact_set_match(pred, gold, schema)
                 if not em:
                     counts["mismatch"] += 1
         if error is not None:

@@ -2,13 +2,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structsql.annotate import (
     AMP,
     COLUMN_MARK,
     LINKS_TO,
     MATCH_MARKS,
-    PRIMARY_KEY_MARK,
     MarkConfig,
     TABLE_MARK,
     UnknownLinkTarget,
@@ -17,9 +18,10 @@ from structsql.annotate import (
     render_relations,
 )
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens, name_link, value_link
-from structsql.schema import ColumnType, load_schema
+from structsql.schema import PRIMARY_KEY_MARK, ColumnType, load_schema
 from structsql.sql_ast import parse_sql, render_sql
-from structsql.synth import generate_synthetic_corpus
+from structsql.synth import generate_synthetic_corpus, random_schema_doc
+from util_checks import reference_linearize_schema
 
 # Every mark word the serialization emits.
 MARK_VOCABULARY = frozenset(
@@ -72,9 +74,15 @@ def test_value_attachment(tennis):
 
 
 def test_unknown_link_target(tennis):
-    bad = [LinkAnnotation(0, 1, MatchKind.EXACT, "Nonexistent")]
-    with pytest.raises(UnknownLinkTarget):
-        linearize_schema(tennis, bad)
+    good = LinkAnnotation(0, 1, MatchKind.EXACT, "Players", "Country")
+    for table, column, message in (
+        ("Nonexistent", None, "no table 'Nonexistent' in schema 'tennis'"),
+        ("Players", "Nonexistent", "no column Players.Nonexistent in schema 'tennis'"),
+        ("Ranking", "First_name", "no column Ranking.First_name in schema 'tennis'"),
+    ):
+        bad = LinkAnnotation(1, 2, MatchKind.EXACT, table, column)
+        with pytest.raises(UnknownLinkTarget, match=f"^{re.escape(message)}$"):
+            linearize_schema(tennis, [good, bad])
 
 
 def test_relations_fig_statements(tennis):
@@ -234,3 +242,60 @@ def test_serialization_injective_on_generated_corpus():
                         assert other_render != rendered
                 seen[fingerprint] = rendered
     assert count >= 72
+
+
+_CASES = (str, str.lower, str.upper, str.title)
+_TYPE_LABELS = ("int", "real", "text", "date", "bool", "others")
+_LINK_VALUES = ("2016", "red", "Red", "New York")
+
+
+@st.composite
+def serialization_cases(draw):
+    """A synth schema with names in any case and columns of every type;
+    links onto a few of its tables and columns, so that targets collect
+    several match kinds and repeated values, naming them in any case and now
+    and then naming a table or column the schema lacks; and the three
+    serialization toggles.  All but the toggles come from one drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    doc, content = random_schema_doc(rng, "db", max_tables=5, with_values=True)
+    rename = rng.choice(_CASES)
+    doc["table_names_original"] = [rename(t) for t in doc["table_names_original"]]
+    doc["column_names_original"] = [[t, rename(c)] for t, c in doc["column_names_original"]]
+    doc["column_types"] = [rng.choice(_TYPE_LABELS) for _ in doc["column_types"]]
+    schema = load_schema(doc, content)
+    targets = rng.sample(schema.name_index.targets, min(4, len(schema.name_index.targets)))
+    links = []
+    for _ in range(rng.randint(0, 14)):
+        table, column = rng.choice(targets)
+        roll = rng.random()
+        if roll < 0.02:
+            table = "nowhere"
+        elif roll < 0.04:
+            column = "nowhere"
+        elif roll < 0.06 and column is not None:
+            table = rng.choice(schema.tables).name  # maybe a table without it
+        kind = rng.choice(list(MatchKind))
+        value = rng.choice(_LINK_VALUES) if kind is MatchKind.VALUE else None
+        spell = rng.choice(_CASES)
+        column = None if column is None else spell(column)
+        links.append(LinkAnnotation(0, 1, kind, spell(table), column, value=value))
+    flags = draw(st.fixed_dictionaries({
+        "include_values": st.booleans(),
+        "schema_property": st.booleans(),
+        "database_structure": st.booleans(),
+    }))
+    return schema, links, flags
+
+
+@given(serialization_cases())
+@settings(max_examples=200, deadline=None)
+def test_linearize_schema_matches_reference(case):
+    schema, links, flags = case
+
+    def outcome(linearize):
+        try:
+            return linearize(schema, links, **flags)
+        except UnknownLinkTarget as exc:
+            return str(exc)
+
+    assert outcome(linearize_schema) == outcome(reference_linearize_schema)

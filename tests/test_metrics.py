@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from structsql.metrics import (
     score_corpus,
 )
 from structsql.schema import build_schema_graph, load_schema
-from structsql.sql_ast import parse_sql, render_sql
+from structsql.sql_ast import Agg, Condition, ConditionList, Literal, SqlQuery, parse_sql, render_sql
 from structsql.synth import random_query, random_schema_doc
 
 
@@ -227,3 +228,50 @@ def test_report_serialization(tennis):
     assert payload["qm"] == 1.0
     assert payload["verdicts"][0]["em"] is True
     assert "EM" in report.summary()
+
+
+def _perturb(rng: random.Random, q: SqlQuery) -> SqlQuery:
+    """A copy of ``q`` with some literals respelled ("5" as "5.0" or "05",
+    "red" as "RED" or " red ") or replaced, some aggregates swapped and its
+    conjuncts in another order."""
+
+    def expr(e):
+        return replace(e, agg=rng.choice(list(Agg))) if rng.random() < 0.1 else e
+
+    def value(v):
+        roll = rng.random()
+        if not isinstance(v, Literal) or roll < 0.4:
+            return v
+        if roll < 0.85:
+            number = v.kind == "number"
+            spellings = (v.text + ".0", "0" + v.text) if number else (v.text.upper(), f" {v.text} ")
+            return Literal(v.kind, rng.choice(spellings))
+        return Literal(v.kind, "7" if v.kind == "number" else "blue")
+
+    def conditions(cl):
+        if cl is None:
+            return None
+        conds = [Condition(expr(c.left), c.op, tuple(map(value, c.values))) for c in cl.conditions]
+        rng.shuffle(conds)
+        return ConditionList(tuple(conds), cl.connectors)
+
+    return replace(
+        q,
+        select=tuple(expr(e) for e in q.select),
+        where=conditions(q.where),
+        having=conditions(q.having),
+    )
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_logical_form_match_implies_exact_set_match(seed):
+    rng = random.Random(seed)
+    doc, content = random_schema_doc(rng, "db", min_tables=2, max_tables=5, with_values=True)
+    schema = load_schema(doc, content)
+    gold = random_query(rng, schema, schema.graph)
+    preds = [random_query(rng, schema, schema.graph)] + [_perturb(rng, gold) for _ in range(4)]
+    for pred in preds:
+        for hints in (schema, None):
+            if logical_form_match(pred, gold, hints):
+                assert exact_set_match(pred, gold, hints)

@@ -21,6 +21,10 @@ search off the schema.
 lexer replaced.  ``reference_resolve`` is schema resolution as it was before
 every walk went through ``rebuild``: ``reference_map_refs`` copies a level with
 ``dataclasses.replace`` and ``reference_map_query`` walks the level tree.
+``reference_linearize_schema`` serializes the whole schema again for each
+question, with ``_validate_links`` and ``_group_links``, instead of writing
+the links into the per-schema serialization template; ``_target_key`` is
+the link key those helpers and ``_suppress_overlaps`` group by.
 """
 
 from __future__ import annotations
@@ -34,7 +38,14 @@ from heapq import nsmallest
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from structsql.annotate import AnnotatedInput
+from structsql.annotate import (
+    AMP,
+    COLUMN_MARK,
+    MATCH_MARKS,
+    TABLE_MARK,
+    AnnotatedInput,
+    UnknownLinkTarget,
+)
 from structsql.decode import (
     LITERAL,
     DecodeState,
@@ -55,6 +66,7 @@ from structsql.linking import (
 )
 from structsql.linking import _suppress_overlaps as _suppress_candidate_overlaps
 from structsql.schema import (
+    PRIMARY_KEY_MARK,
     STAR,
     ColumnRef,
     ColumnType,
@@ -438,6 +450,10 @@ def reference_beam_search(
     return [Hypothesis(s.tokens, s.score) for s in ranked_done]
 
 
+def _target_key(ann: LinkAnnotation) -> tuple[str, str | None]:
+    return (ann.table.lower(), ann.column.lower() if ann.column else None)
+
+
 def _is_sublist(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
     if len(short) >= len(long):
         return False
@@ -455,7 +471,7 @@ def _suppress_overlaps(candidates: list[LinkAnnotation]) -> list[LinkAnnotation]
     accepted: list[LinkAnnotation] = []
     spans: dict[tuple, list[tuple[int, int]]] = {}
     for ann in ranked:
-        key = ann.target_key()
+        key = _target_key(ann)
         if any(ann.start < e and s < ann.end for s, e in spans.get(key, [])):
             continue
         accepted.append(ann)
@@ -750,3 +766,78 @@ def reference_resolve(q: SqlQuery, schema: DatabaseSchema) -> SqlQuery:
         return resolved
 
     return reference_map_query(q, resolve_level)
+
+
+def _validate_links(schema: DatabaseSchema, links: list[LinkAnnotation]) -> None:
+    for ann in links:
+        table = schema.table(ann.table)
+        if table is None:
+            raise UnknownLinkTarget(f"no table {ann.table!r} in schema {schema.db_id!r}")
+        if ann.column is not None and table.column(ann.column) is None:
+            raise UnknownLinkTarget(
+                f"no column {ann.table}.{ann.column} in schema {schema.db_id!r}"
+            )
+
+
+def _group_links(links: list[LinkAnnotation]):
+    kinds: dict[tuple[str, str | None], set[MatchKind]] = {}
+    values: dict[tuple[str, str], list[str]] = {}
+    for ann in links:
+        key = _target_key(ann)
+        kinds.setdefault(key, set()).add(ann.kind)
+        if ann.kind is MatchKind.VALUE and ann.column is not None:
+            bucket = values.setdefault((key[0], key[1]), [])
+            if ann.value not in bucket:
+                bucket.append(ann.value)
+    return kinds, values
+
+
+def _mark_prefix(marks: list[str]) -> list[str]:
+    tokens: list[str] = []
+    for i, mark in enumerate(marks):
+        if i:
+            tokens.append(AMP)
+        tokens.append(mark)
+    return tokens
+
+
+def reference_linearize_schema(
+    schema: DatabaseSchema,
+    links: list[LinkAnnotation] | tuple = (),
+    include_values: bool = False,
+    *,
+    schema_property: bool = True,
+    database_structure: bool = True,
+) -> list[str]:
+    """Flatten the schema into mark-prefixed surface tokens.
+
+    Column marks are joined with "&" in fixed order: match kinds, then
+    Primary-Key, then the column type.  A type mark is emitted for every
+    column.  With ``include_values``, matched cell values follow the column,
+    each preceded by "&".
+    """
+    _validate_links(schema, links)
+    kinds, values = _group_links(links)
+
+    out: list[str] = [TABLE_MARK]
+    for table in schema.tables:
+        if schema_property:
+            present = kinds.get((table.name.lower(), None), set())
+            out.extend(_mark_prefix([MATCH_MARKS[k] for k in MatchKind if k in present]))
+        out.append(table.name)
+
+    out.append(COLUMN_MARK)
+    for table, col in schema.iter_columns():
+        key = (table.name.lower(), col.name.lower())
+        if schema_property:
+            present = kinds.get(key, set())
+            marks = [MATCH_MARKS[k] for k in MatchKind if k in present]
+            if col.is_primary:
+                marks.append(PRIMARY_KEY_MARK)
+            marks.append(col.col_type.value)
+            out.extend(_mark_prefix(marks))
+        out.append(f"{table.name}.{col.name}" if database_structure else col.name)
+        if include_values:
+            for value in values.get(key, ()):
+                out.extend((AMP, value))
+    return out
