@@ -50,8 +50,6 @@ EXIT_CONFIG_ERROR = 2
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 class ConfigError(ValueError):
@@ -386,23 +384,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_link(args: argparse.Namespace) -> int:
     schemas, examples = _load_inputs(args.tables, args.content, args.data)
-    records = []
-    for ex in examples:
-        schema = schemas[ex.db_id]
-        question, links = _links_for(ex, schema, args.language, args.values)
-        for ann in links:
-            records.append(
-                {
-                    "index": ex.index,
-                    "db_id": ex.db_id,
-                    "start": ann.start,
-                    "end": ann.end,
-                    "kind": ann.kind.value,
-                    "table": ann.table,
-                    "column": ann.column,
-                    "value": ann.value,
-                }
-            )
+    records = [
+        {**dataclasses.asdict(ann), "kind": ann.kind.value, "index": ex.index, "db_id": ex.db_id}
+        for ex in examples
+        for ann in _links_for(ex, schemas[ex.db_id], args.language, args.values)[1]
+    ]
     _write_jsonl(args.out, records)
     return EXIT_OK
 

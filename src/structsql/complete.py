@@ -1,13 +1,14 @@
 """SQL completion: infer missing FROM/JOIN tables and join keys from the schema graph.
 
 Mentioned tables are treated as terminals; the connector is the smallest
-table set whose induced table-link subgraph is connected.  Small graphs are
-solved exactly by subset enumeration, larger ones by greedy pairwise merging
-of closest components.  Every graph question is one breadth-first search
-(:func:`~structsql.schema.bfs`) over the neighbour bitmasks: whether a table
-set is connected, the shortest path between components, the join order (the
-BFS tree over the connector), the pair named by :class:`Disconnected`, and
-the terminal-pair paths behind each rationale.
+table set whose induced table-link subgraph is connected.  One search from
+the lowest terminal first checks that every terminal is reachable.  Small
+graphs are then solved exactly by subset enumeration, larger ones by greedy
+pairwise merging of closest components.  Every graph question is one
+breadth-first search (:func:`~structsql.schema.bfs`) over the neighbour
+bitmasks: whether a table set is connected, the shortest path between
+components, the join order (the BFS tree over the connector), the pair named
+by :class:`Disconnected`, and the terminal-pair paths behind each rationale.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Disconnected(ValueError):
 
     def __init__(self, a: str, b: str):
         super().__init__(f"no join path between {a!r} and {b!r}")
-        self.pair = (a, b)
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,9 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     """Minimal table set containing the terminals whose induced table-link
     subgraph is connected, in schema declaration order.
 
+    When a terminal is unreachable from the lowest-indexed one, raises
+    :class:`Disconnected` naming the lowest terminal and the lowest unreached
+    one, whatever the graph size.
     Graphs of up to ``EXACT_TABLE_LIMIT`` tables are solved exactly by subset
     enumeration, larger ones by greedy pairwise component merge along
     shortest paths.  Ties are broken toward smaller declaration indices, so
@@ -58,6 +61,10 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     term_indices = sorted({graph.table_index(t) for t in terminals})
     if not term_indices:
         raise ValueError("at least one terminal table is required")
+    reached = bfs(graph.adj, 1 << term_indices[0])
+    missing = next((i for i in term_indices if i not in reached), None)
+    if missing is not None:
+        raise Disconnected(graph.tables[term_indices[0]], graph.tables[missing])
     if len(graph.tables) <= EXACT_TABLE_LIMIT:
         indices = _connect_exact(graph, term_indices)
     else:
@@ -66,38 +73,25 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
 
 
 def _connect_exact(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
-    term_mask = 0
-    for i in term_indices:
-        term_mask |= 1 << i
+    term_mask = sum(1 << i for i in term_indices)
     others = [i for i in range(len(graph.tables)) if not term_mask >> i & 1]
-    for size in range(len(others) + 1):
-        for combo in combinations(others, size):
-            mask = term_mask
-            for i in combo:
-                mask |= 1 << i
-            if len(bfs(graph.adj, mask & -mask, mask)) == mask.bit_count():
-                return [i for i in range(len(graph.tables)) if mask >> i & 1]
-    # The first terminal's component misses some terminal; name the first.
-    reached = bfs(graph.adj, 1 << term_indices[0])
-    missing = next(i for i in term_indices if i not in reached)
-    raise Disconnected(graph.tables[term_indices[0]], graph.tables[missing])
+    masks = (
+        term_mask | sum(1 << i for i in combo)
+        for size in range(len(others) + 1)
+        for combo in combinations(others, size)
+    )
+    mask = next(m for m in masks if len(bfs(graph.adj, m & -m, m)) == m.bit_count())
+    return [i for i in range(len(graph.tables)) if mask >> i & 1]
 
 
 def _connect_greedy(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
     components = [1 << i for i in term_indices]
     while len(components) > 1:
-        best: tuple | None = None
-        for a, b in combinations(range(len(components)), 2):
-            path = graph.path(components[a], components[b])
-            if path is None:
-                continue
-            key = (len(path), tuple(path), a, b)
-            if best is None or key < best[0]:
-                best = (key, a, b, path)
-        if best is None:
-            a, b = ((c & -c).bit_length() - 1 for c in components[:2])
-            raise Disconnected(graph.tables[a], graph.tables[b])
-        _, a, b, path = best
+        _, path, a, b = min(
+            (len(path), path, a, b)
+            for a, b in combinations(range(len(components)), 2)
+            for path in [graph.path(components[a], components[b])]
+        )
         merged = components[a] | components[b]
         for i in path:
             merged |= 1 << i

@@ -212,17 +212,16 @@ def build_trie(schema: DatabaseSchema, vocab: Vocabulary) -> TrieNode:
 # --------------------------------------------------------------------------
 # Decode state and constraint
 
-# Cursor sentinels beside ``None`` (free) and trie nodes: inside a quoted
-# literal, and after EOS.  Neither has children or is terminal.
+# Cursor sentinel beside ``None`` (free) and trie nodes: inside a quoted
+# literal.  It has no children and is not terminal.
 LITERAL = TrieNode()
-FINISHED = TrieNode()
 
 
 @dataclass(frozen=True)
 class DecodeState:
     """Beam hypothesis: emitted ids, cursor and summed score.
 
-    The cursor is ``None`` (free), ``LITERAL``, ``FINISHED`` or a trie node.
+    The cursor is ``None`` (free), ``LITERAL`` or a trie node.
     """
 
     tokens: tuple[int, ...] = ()
@@ -364,12 +363,10 @@ class OracleScorer(TokenScorer):
         return [1.0 if c == expected else 0.0 for c in candidates]
 
 
-def oracle_scorer(target: Sequence[int] | str, vocab: Vocabulary) -> OracleScorer:
-    """Build an oracle scorer from target token ids or target text."""
-    ids = vocab.tokenize(target) if isinstance(target, str) else list(target)
-    if not ids:
-        raise ValueError("oracle target must be non-empty")
-    return OracleScorer(vocab, ids)
+def oracle_scorer(target: str, vocab: Vocabulary) -> OracleScorer:
+    """Build an oracle scorer from target text; blank text raises
+    :class:`Untokenizable`."""
+    return OracleScorer(vocab, vocab.tokenize(target))
 
 
 _MASK64 = (1 << 64) - 1
@@ -412,9 +409,9 @@ class Hypothesis:
         return vocab.detokenize(self.token_ids)
 
 
-def _rank(state: DecodeState) -> tuple:
-    """Step ranking: higher summed score first, then lower token ids."""
-    return (-state.score, state.tokens)
+def _rank(hyp: Hypothesis) -> tuple:
+    """Result ranking: higher summed score first, then lower token ids."""
+    return (-hyp.score, hyp.token_ids)
 
 
 def beam_search(
@@ -451,7 +448,7 @@ def beam_search(
     # The hypotheses that finish in one step have as many tokens as that
     # step's live ones, and the pool keeps one per token tuple: no two
     # finished hypotheses share tokens.
-    done: list[DecodeState] = []
+    done: list[Hypothesis] = []
     for _ in range(max_len):
         if not live:
             break
@@ -464,9 +461,10 @@ def beam_search(
             src, [state.tokens for state in live], candidate_lists, example_id
         )
         # Live states hold equally many tokens, so successors' tokens compare
-        # as (parent's rank among the live tuples, token), EOS being -1.  The
-        # pool holds (score, rank, token, cursor) keyed by (rank, token,
-        # cursor); tokens and states are built only for the step's winners.
+        # as (parent's rank among the live tuples, token), EOS being -1 with
+        # cursor None.  The pool holds (score, rank, token, cursor) keyed by
+        # (rank, token, cursor); tokens, states and hypotheses are built only
+        # for the step's winners.
         prefixes = sorted({state.tokens for state in live})
         rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
         pool: dict[tuple, tuple] = {}
@@ -487,7 +485,7 @@ def beam_search(
             for i in sorted(order, key=summed.__getitem__, reverse=True)[:2 * beam_width]:
                 token_id = candidates[i]
                 if token_id == eos:
-                    token_id, cursors = -1, (FINISHED,)
+                    token_id, cursors = -1, (None,)
                 else:
                     cursors = step(node, token_id)
                 for cursor in cursors:
@@ -501,8 +499,8 @@ def beam_search(
         live = []
         ranked = nsmallest(2 * beam_width, pool.values(), key=lambda e: (-e[0], e[1], e[2]))
         for score, rank, token_id, cursor in ranked:
-            if cursor is FINISHED:
-                done.append(DecodeState(prefixes[rank], FINISHED, score))
+            if token_id < 0:
+                done.append(Hypothesis(prefixes[rank], score))
             elif len(live) < beam_width:
                 live.append(DecodeState(prefixes[rank] + (token_id,), cursor, score))
 
@@ -518,7 +516,7 @@ def beam_search(
             f"no hypothesis finished within {max_len} steps (beam {beam_width})"
         )
 
-    return [Hypothesis(s.tokens, s.score) for s in sorted(done, key=_rank)[:beam_width]]
+    return sorted(done, key=_rank)[:beam_width]
 
 
 # --------------------------------------------------------------------------

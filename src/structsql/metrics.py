@@ -89,9 +89,9 @@ def score_corpus(
     predictions: Sequence[str],
     golds: Sequence[str],
     *,
+    db_ids: Sequence[str],
+    schemas: Mapping[str, DatabaseSchema],
     interaction_ids: Sequence[str] | None = None,
-    db_ids: Sequence[str] | None = None,
-    schemas: Mapping[str, DatabaseSchema] | DatabaseSchema | None = None,
 ) -> EvaluationReport:
     """Score prediction texts against gold texts.
 
@@ -101,8 +101,8 @@ def score_corpus(
     and are tallied under ``parse_failure``; predictions that parse but
     reference schema items that do not exist are tallied under
     ``schema_violation``.  IM is None when every interaction has one turn.
-    With a mapping of schemas, every db id must name one of them; an unknown
-    id raises ``ValueError``.
+    Example ``i`` resolves against ``schemas[db_ids[i]]``; an unknown db id
+    raises ``ValueError``.
     """
     if len(predictions) != len(golds):
         raise MismatchedLengths(
@@ -110,7 +110,7 @@ def score_corpus(
         )
     if interaction_ids is not None and len(interaction_ids) != len(golds):
         raise MismatchedLengths("interaction id count does not match corpus size")
-    if db_ids is not None and len(db_ids) != len(golds):
+    if len(db_ids) != len(golds):
         raise MismatchedLengths("db id count does not match corpus size")
     if not golds:
         raise EmptyCorpus("no examples to score")
@@ -119,12 +119,9 @@ def score_corpus(
     counts = {"decode_failure": 0, "parse_failure": 0, "schema_violation": 0, "mismatch": 0}
     for i, (pred_text, gold_text) in enumerate(zip(predictions, golds)):
         interaction = interaction_ids[i] if interaction_ids is not None else f"q{i}"
-        schema = schemas
-        if isinstance(schemas, Mapping):
-            db_id = db_ids[i] if db_ids is not None else None
-            if db_id not in schemas:
-                raise ValueError(f"example {i}: no schema has db_id {db_id!r}")
-            schema = schemas[db_id]
+        schema = schemas.get(db_ids[i])
+        if schema is None:
+            raise ValueError(f"example {i}: no schema has db_id {db_ids[i]!r}")
         try:
             gold = parse_sql(gold_text, schema)
         except (SqlSyntaxError, SchemaResolutionError) as exc:

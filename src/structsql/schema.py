@@ -226,7 +226,7 @@ def normalize_value(raw: str, hint: ColumnType | None = None) -> str:
         parsed = _parse_date(raw)
         if parsed is not None:
             return parsed
-        logger.warning("date-hinted value %r not parseable; using text form", raw)
+        logger.debug("date-hinted value %r not parseable; using text form", raw)
         return _normalize_text(raw)
     if hint in (ColumnType.INTEGER, ColumnType.REAL, None):
         number = _canonical_number(raw)
@@ -435,16 +435,26 @@ class DatabaseSchema:
         return self.table_names() + self.qualified_column_names() + [STAR]
 
 
-def load_schema(doc: Mapping, content: Mapping[str, list[str]] | None = None) -> DatabaseSchema:
+def _typed(value, kind: type, field: str):
+    """``value`` if its type is exactly ``kind`` (a bool is no int), else
+    :class:`MalformedDocument` naming ``field``."""
+    if type(value) is not kind:
+        raise MalformedDocument(f"{field}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def load_schema(doc: Mapping, content: dict[str, list[str]] | None = None) -> DatabaseSchema:
     """Build a validated DatabaseSchema from one Spider-format document.
 
     ``content`` optionally maps "Table.Column" to a list of cell values;
-    absence simply disables value linking.
+    absence simply disables value linking.  Names must be strings and indices
+    ints; a cell value with no non-space character is dropped, since it spells
+    no token.
     """
     for fieldname in REQUIRED_DOC_FIELDS:
         if fieldname not in doc:
             raise MalformedDocument(f"missing field {fieldname!r}")
-    table_names = list(doc["table_names_original"])
+    table_names = [_typed(t, str, "table_names_original") for t in doc["table_names_original"]]
     if not table_names:
         raise MalformedDocument("schema document declares zero tables")
 
@@ -462,6 +472,8 @@ def load_schema(doc: Mapping, content: Mapping[str, list[str]] | None = None) ->
             t_idx, name = entry
         except (TypeError, ValueError) as exc:
             raise MalformedDocument(f"bad column entry at index {idx}: {entry!r}") from exc
+        where = f"column_names_original[{idx}]"
+        t_idx, name = _typed(t_idx, int, where), _typed(name, str, where)
         if t_idx == -1:
             if name != STAR:
                 raise MalformedDocument(f"table-less column {name!r} at index {idx}")
@@ -475,13 +487,17 @@ def load_schema(doc: Mapping, content: Mapping[str, list[str]] | None = None) ->
 
     primary_by_table: dict[int, list[str]] = {}
     for pk_idx in doc["primary_keys"]:
+        _typed(pk_idx, int, "primary_keys")
         if not 0 <= pk_idx < len(global_refs) or global_refs[pk_idx] is None:
             raise DanglingReference(f"primary key index {pk_idx} out of range")
         ref = global_refs[pk_idx]
         t_idx = next(i for i, n in enumerate(table_names) if n == ref.table)
         primary_by_table.setdefault(t_idx, []).append(ref.column)
 
-    content_map = {k.lower(): tuple(str(v) for v in vals) for k, vals in (content or {}).items()}
+    content_map = {
+        k.lower(): tuple(v for v in map(str, _typed(vals, list, f"content {k!r}")) if v.strip())
+        for k, vals in _typed(content or {}, dict, f"content of {doc['db_id']!r}").items()
+    }
 
     tables: list[TableDef] = []
     for t_idx, name in enumerate(table_names):
@@ -520,7 +536,7 @@ def load_schema(doc: Mapping, content: Mapping[str, list[str]] | None = None) ->
         except (TypeError, ValueError) as exc:
             raise MalformedDocument(f"bad foreign key entry {pair!r}") from exc
         for i in (a, b):
-            if not 0 <= i < len(global_refs) or global_refs[i] is None:
+            if not 0 <= _typed(i, int, "foreign_keys") < len(global_refs) or global_refs[i] is None:
                 raise DanglingReference(f"foreign key index {i} out of range")
         fks.append((global_refs[a], global_refs[b]))
 
@@ -582,7 +598,7 @@ def load_schemas(
     content_all: dict = {}
     if content_path is not None:
         with open(content_path, encoding="utf-8") as f:
-            content_all = json.load(f)
+            content_all = _typed(json.load(f), dict, "content file")
     schemas: dict[str, DatabaseSchema] = {}
     for doc in docs:
         schema = load_schema(doc, content=content_all.get(doc.get("db_id")))

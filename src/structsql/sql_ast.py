@@ -361,7 +361,7 @@ class _Parser:
         word = self.accept("IN", "LIKE", "BETWEEN")
         if word == "BETWEEN":
             if negated:
-                raise self.fail("NOT BETWEEN is not supported")
+                raise SqlSyntaxError("NOT BETWEEN is not supported", tok.pos)
             lo = self.value()
             self.expect("AND")
             hi = self.value()

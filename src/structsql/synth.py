@@ -133,9 +133,11 @@ def _random_value(rng: random.Random, schema: DatabaseSchema, ref: ColumnRef) ->
     return Literal("string", rng.choice(_VALUE_WORDS))
 
 
-def random_query(rng: random.Random, schema: DatabaseSchema, graph: SchemaGraph,
-                 allow_set_op: bool = True) -> SqlQuery:
+def random_query(
+    rng: random.Random, schema: DatabaseSchema, *, allow_set_op: bool = True
+) -> SqlQuery:
     """A random valid query whose FROM clause is already join-connected."""
+    graph = schema.graph
     size = rng.choice((1, 1, 2, 2, 3))
     tables = _join_subset(rng, graph, min(size, len(graph.tables)))
 
@@ -212,7 +214,7 @@ def random_query(rng: random.Random, schema: DatabaseSchema, graph: SchemaGraph,
         limit=limit,
     )
     if allow_set_op and rng.random() < 0.08:
-        rhs = random_query(rng, schema, graph, allow_set_op=False)
+        rhs = random_query(rng, schema, allow_set_op=False)
         query = replace(query, set_op=(rng.choice(("UNION", "INTERSECT", "EXCEPT")), rhs))
     return query
 
@@ -278,7 +280,7 @@ def generate_synthetic_corpus(
     for i in range(n_queries):
         pick = rng.randrange(n_schemas)
         schema = loaded[pick]
-        query = random_query(rng, schema, schema.graph)
+        query = random_query(rng, schema)
         text = render_sql(query)
         parse_sql(text, schema)  # self-check: every target parses and resolves
         examples.append(

@@ -262,18 +262,17 @@ def test_criterion_4_completion_optimality(tennis, tennis_graph):
 def _uniform_corpus(rng):
     doc, _ = random_schema_doc(rng, "db", min_tables=2, max_tables=5)
     schema = load_schema(doc)
-    graph = build_schema_graph(schema)
     turns = rng.randint(1, 3)
     n_interactions = rng.randint(1, 4)
     golds, preds, ids = [], [], []
     for i in range(n_interactions):
         for _ in range(turns):
-            golds.append(render_sql(random_query(rng, schema, graph)))
+            golds.append(render_sql(random_query(rng, schema)))
             roll = rng.random()
             if roll < 0.55:
                 preds.append(golds[-1])
             elif roll < 0.85:
-                preds.append(render_sql(random_query(rng, schema, graph)))
+                preds.append(render_sql(random_query(rng, schema)))
             else:
                 preds.append("NOT ( SQL")
             ids.append(f"i{i}")
@@ -286,7 +285,10 @@ def test_criterion_5_metric_properties():
         checked = 0
         for _ in range(1_000):
             preds, golds, ids, schema = _uniform_corpus(rng)
-            report = score_corpus(preds, golds, interaction_ids=ids, schemas=schema)
+            report = score_corpus(
+                preds, golds, interaction_ids=ids, db_ids=[schema.db_id] * len(golds),
+                schemas={schema.db_id: schema},
+            )
             if report.im is not None:
                 assert report.im <= report.qm + 1e-12
                 checked += 1
@@ -298,8 +300,7 @@ def test_criterion_5_metric_properties():
         while pairs < 500:
             doc, _ = random_schema_doc(rng, "db", with_values=True)
             schema = load_schema(doc)
-            graph = build_schema_graph(schema)
-            query = random_query(rng, schema, graph)
+            query = random_query(rng, schema)
             if query.where is None or len(query.where.conditions) < 2:
                 continue
             if not all(c == "AND" for c in query.where.connectors):
@@ -324,7 +325,10 @@ def test_criterion_5_metric_properties():
         rng = random.Random(557)
         for _ in range(20):
             _, golds, ids, schema = _uniform_corpus(rng)
-            report = score_corpus(golds, golds, interaction_ids=ids, schemas=schema)
+            report = score_corpus(
+                golds, golds, interaction_ids=ids, db_ids=[schema.db_id] * len(golds),
+                schemas={schema.db_id: schema},
+            )
             assert report.qm == report.em == report.lx == 1.0
             if report.im is not None:
                 assert report.im == 1.0
@@ -380,9 +384,8 @@ def test_criterion_7_round_trips(tables_path):
         while produced < 1_000:
             doc, content = random_schema_doc(rng, "db", with_values=True)
             schema = load_schema(doc, content=content or None)
-            graph = build_schema_graph(schema)
             for _ in range(10):
-                query = random_query(rng, schema, graph)
+                query = random_query(rng, schema)
                 assert parse_sql(render_sql(query), schema) == query
                 produced += 1
 

@@ -454,6 +454,48 @@ def test_evaluate_subcommand(corpus_dir, tmp_path, capsys):
     assert "QM" in capsys.readouterr().out
 
 
+def test_evaluate_with_data_takes_interaction_ids_from_it(tables_path, tmp_path, capsys):
+    # The gold file has no tabs: --data supplies the db ids and interactions.
+    right = "SELECT Players.First_name FROM Players"
+    examples = [
+        {"question": "q", "db_id": "tennis", "query": right, "interaction_id": i}
+        for i in ("A", "A", "B")
+    ]
+    data, pred, gold = tmp_path / "data.json", tmp_path / "pred.sql", tmp_path / "gold.sql"
+    data.write_text(json.dumps(examples), encoding="utf-8")
+    pred.write_text(f"{right}\nSELECT Players.Country FROM Players\n{right}\n", encoding="utf-8")
+    gold.write_text(f"{right}\n" * 3, encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--tables", str(tables_path), "--pred", str(pred), "--gold", str(gold)]
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == EXIT_OK
+    report = json.loads(read(out))
+    assert report["n_interactions"] == 2
+    assert report["im"] == 0.5
+    assert [v["interaction_id"] for v in report["verdicts"]] == ["A", "A", "B"]
+
+    # Without --data the same gold file names no database.
+    out.unlink()
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "gold file must carry db ids" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_complete_with_too_few_sql_lines_is_stage_error(corpus_dir, tmp_path, capsys):
+    sql, out = tmp_path / "in.sql", tmp_path / "out.sql"
+    sql.write_text("SELECT * FROM t\n", encoding="utf-8")
+    argv = [
+        "complete",
+        "--data", str(corpus_dir / "examples.json"),
+        "--tables", str(corpus_dir / "tables.json"),
+        "--sql", str(sql),
+        "--out", str(out),
+    ]
+    assert main(argv) == EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith("stage error: [complete] 1 SQL lines vs 25 examples")
+    assert not out.exists()
+
+
 def test_evaluate_rejects_an_unknown_db_id(tables_path, tmp_path, capsys):
     pred = tmp_path / "pred.sql"
     gold = tmp_path / "gold.sql"
@@ -585,6 +627,96 @@ def test_malformed_dataset_is_ingest_error(tables_path, tmp_path, capsys, entry)
         assert main(argv) == EXIT_STAGE_ERROR, argv[0]
         assert "example 1" in capsys.readouterr().err
     assert not any(path.exists() for path in outputs)
+
+
+def _with_column(entry):
+    """A tennis document edit that replaces column 2 (Players.First_name)."""
+    def edit(doc):
+        columns = [list(c) for c in doc["column_names_original"]]
+        columns[2] = entry
+        return dict(doc, column_names_original=columns)
+    return edit
+
+
+_TENNIS_CONTENT = {"tennis": {"Players.Country": ["USA", "France"]}}
+
+
+@pytest.mark.parametrize(
+    "edit, content, message",
+    [
+        (lambda d: dict(d, primary_keys=["1"]), _TENNIS_CONTENT, "primary_keys: expected int"),
+        (lambda d: dict(d, foreign_keys=[["6", 1]]), _TENNIS_CONTENT, "foreign_keys: expected int"),
+        (_with_column([0.5, "x"]), _TENNIS_CONTENT, "column_names_original[2]: expected int"),
+        (_with_column([True, "x"]), _TENNIS_CONTENT, "column_names_original[2]: expected int"),
+        (_with_column([0, 3]), _TENNIS_CONTENT, "column_names_original[2]: expected str"),
+        (
+            lambda d: dict(d, table_names_original=["Players", 7, "Ranking"]),
+            _TENNIS_CONTENT,
+            "table_names_original: expected str",
+        ),
+        (lambda d: d, ["USA"], "content file: expected dict"),
+        (lambda d: d, {"tennis": ["USA"]}, "content of 'tennis': expected dict"),
+        (lambda d: d, {"tennis": {"Players.Country": "USA"}}, "content 'Players.Country'"),
+        # Shapes and ranges that were already refused.
+        (lambda d: dict(d, column_types=d["column_types"][:-1]), None, "column_types length 10"),
+        (_with_column([0]), None, "bad column entry at index 2"),
+        (_with_column([-1, "x"]), None, "table-less column 'x' at index 2"),
+        (_with_column([5, "x"]), None, "column 'x' references table index 5"),
+        (lambda d: dict(d, foreign_keys=[[6]]), None, "bad foreign key entry [6]"),
+    ],
+    ids=[
+        "string-primary-key", "string-foreign-key", "float-table-index", "bool-table-index",
+        "number-column-name", "number-table-name", "content-file-list", "content-db-list",
+        "content-string-values", "short-column-types", "short-column-entry", "tableless-column",
+        "table-index-out-of-range", "short-foreign-key",
+    ],
+)
+def test_malformed_schema_or_content_is_ingest_error(
+    tennis_doc, tmp_path, capsys, edit, content, message
+):
+    tables, data = tmp_path / "tables.json", tmp_path / "examples.json"
+    tables.write_text(json.dumps([edit(dict(tennis_doc))]), encoding="utf-8")
+    data.write_text(
+        json.dumps([{"question": "Show all players", "db_id": "tennis",
+                     "query": "SELECT * FROM Players"}]),
+        encoding="utf-8",
+    )
+    inputs = ["--data", str(data), "--tables", str(tables)]
+    if content is not None:
+        (tmp_path / "content.json").write_text(json.dumps(content), encoding="utf-8")
+        inputs += ["--content", str(tmp_path / "content.json")]
+    assert main(["run", *inputs, "--out-dir", str(tmp_path / "out")]) == EXIT_STAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("stage error: [ingest] ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_blank_cell_value_is_dropped(tmp_path):
+    corpus = generate_synthetic_corpus(1, 2, 12, with_values=True)
+    write_corpus(corpus, tmp_path / "plain")
+    db_id = next(iter(corpus.content))
+    column = next(iter(corpus.content[db_id]))
+    corpus.content[db_id][column] += ["", " \t"]
+    write_corpus(corpus, tmp_path / "blank")
+    outputs = {}
+    for name in ("plain", "blank"):
+        corpus_dir = tmp_path / name
+        argv = [
+            "run",
+            "--data", str(corpus_dir / "examples.json"),
+            "--tables", str(corpus_dir / "tables.json"),
+            "--content", str(corpus_dir / "content.json"),
+            "--out-dir", str(corpus_dir / "out"),
+            "--values",
+        ]
+        assert main(argv) == EXIT_OK, name
+        outputs[name] = {
+            path.name: read(path)
+            for path in sorted((corpus_dir / "out").iterdir())
+            if path.name != "config.resolved.json"
+        }
+    assert len(outputs["blank"]) == 6
+    assert outputs["blank"] == outputs["plain"]
 
 
 def test_unknown_config_key_is_config_error(tmp_path):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsql import complete as complete_mod
 from structsql.annotate import render_relations
 from structsql.complete import (
+    EXACT_TABLE_LIMIT,
     Disconnected,
     _connect_exact,
     _connect_greedy,
@@ -101,6 +103,29 @@ def test_disconnected_raises():
     graph = build_schema_graph(load_schema(doc))
     with pytest.raises(Disconnected):
         connect_terminals(graph, ["a", "b"])
+
+
+@pytest.mark.parametrize("limit", [EXACT_TABLE_LIMIT, 12], ids=["greedy", "exact"])
+def test_disconnected_names_lowest_terminal_and_first_unreached(monkeypatch, limit):
+    # t0..t10 form a chain and t11 links to nothing: 12 tables take the greedy
+    # path unless the exact limit is raised to cover them.
+    n = 12
+    doc = {
+        "db_id": "chain_and_island",
+        "table_names_original": [f"t{t}" for t in range(n)],
+        "column_names_original": [[-1, "*"]]
+        + [[t, "id"] for t in range(n)]
+        + [[t, "prev_id"] for t in range(1, n - 1)],
+        "column_types": ["text"] + ["integer"] * (2 * n - 2),
+        "primary_keys": list(range(1, n + 1)),
+        # prev_id of table t is column n + t; id of table t is column 1 + t.
+        "foreign_keys": [[n + t, t] for t in range(1, n - 1)],
+    }
+    graph = build_schema_graph(load_schema(doc))
+    assert len(graph.tables) > EXACT_TABLE_LIMIT
+    monkeypatch.setattr(complete_mod, "EXACT_TABLE_LIMIT", limit)
+    with pytest.raises(Disconnected, match=r"^no join path between 't0' and 't11'$"):
+        connect_terminals(graph, ["t11", "t5", "t0"])
 
 
 def test_empty_terminals_rejected(tennis_graph):
@@ -321,7 +346,7 @@ def test_idempotence_random():
         doc, _ = random_schema_doc(rng, "db", min_tables=2, max_tables=6)
         schema = load_schema(doc)
         graph = build_schema_graph(schema)
-        q = random_query(rng, schema, graph)
+        q = random_query(rng, schema)
         once, _ = complete_sql(q, schema, graph)
         twice, plan2 = complete_sql(once, schema, graph)
         assert once == twice
@@ -334,7 +359,7 @@ def test_soundness_output_connected_and_fk_backed():
         doc, _ = random_schema_doc(rng, "db", min_tables=3, max_tables=7)
         schema = load_schema(doc)
         graph = build_schema_graph(schema)
-        q = random_query(rng, schema, graph)
+        q = random_query(rng, schema)
         fixed, plan = complete_sql(q, schema, graph)
         fk_pairs = {
             (str(a), str(b)) for a, b in schema.foreign_keys
@@ -448,8 +473,8 @@ def test_nested_levels_completed_minimal_and_fk_backed(seed, data):
     doc, _ = random_schema_doc(rng, "db", min_tables=2, max_tables=7)
     schema = load_schema(doc)
     graph = build_schema_graph(schema)
-    outer = random_query(rng, schema, graph)
-    inner = random_query(rng, schema, graph)
+    outer = random_query(rng, schema)
+    inner = random_query(rng, schema)
     keep = data.draw(st.sets(st.sampled_from(inner.from_tables), min_size=1))
     inner = replace(
         inner,

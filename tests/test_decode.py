@@ -19,7 +19,7 @@ from structsql.decode import (
     build_trie,
     oracle_scorer,
 )
-from structsql.schema import DatabaseSchema, build_schema_graph, load_schema
+from structsql.schema import DatabaseSchema, load_schema
 from structsql.sql_ast import render_sql
 from structsql.synth import random_query, random_schema_doc
 
@@ -293,7 +293,7 @@ def test_oracle_eos_behavior(tennis_kit):
 def test_oracle_empty_target_rejected(tennis_kit):
     vocab, _ = tennis_kit
     with pytest.raises(ValueError):
-        oracle_scorer([], vocab)
+        oracle_scorer("", vocab)
 
 
 def test_oracle_against_schema_violating_target(tennis):
@@ -372,9 +372,9 @@ def test_ranking_deterministic(tennis_kit):
     assert all(x.score >= y.score for x, y in zip(a, a[1:]))
 
 
-def test_oracle_property_random_queries(tennis, tennis_graph):
+def test_oracle_property_random_queries(tennis):
     rng = random.Random(77)
-    corpus = [render_sql(random_query(rng, tennis, tennis_graph)) for _ in range(25)]
+    corpus = [render_sql(random_query(rng, tennis)) for _ in range(25)]
     vocab = Vocabulary.build([tennis], corpus_texts=corpus)
     constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     for gold in corpus:
@@ -409,8 +409,7 @@ def test_beam_search_matches_reference(seed, with_values, beam, max_len, constra
     rng = random.Random(seed)
     doc, content = random_schema_doc(rng, "db", max_tables=4, with_values=with_values)
     schema = load_schema(doc, content=content or None)
-    graph = build_schema_graph(schema)
-    corpus = [render_sql(random_query(rng, schema, graph)) for _ in range(3)]
+    corpus = [render_sql(random_query(rng, schema)) for _ in range(3)]
     vocab = Vocabulary.build([schema], corpus_texts=corpus)
     if kind == "oracle":
         scorer = oracle_scorer(corpus[0], vocab)
@@ -450,7 +449,7 @@ def test_beam_search_matches_reference_eos_not_first(seed, beam, max_len, constr
     rng = random.Random(seed)
     doc, content = random_schema_doc(rng, "db", max_tables=3, with_values=True)
     schema = load_schema(doc, content=content or None)
-    corpus = [render_sql(random_query(rng, schema, build_schema_graph(schema)))]
+    corpus = [render_sql(random_query(rng, schema))]
     built = Vocabulary.build([schema], corpus_texts=corpus)
     tokens = [built.surface(i) for i in built.all_ids if i != built.eos_id]
     tokens.insert(rng.randrange(1, len(tokens) + 1), EOS_TOKEN)

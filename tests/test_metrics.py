@@ -12,7 +12,7 @@ from structsql.metrics import (
     logical_form_match,
     score_corpus,
 )
-from structsql.schema import build_schema_graph, load_schema
+from structsql.schema import load_schema
 from structsql.sql_ast import Agg, Condition, ConditionList, Literal, SqlQuery, parse_sql, render_sql
 from structsql.synth import random_query, random_schema_doc
 
@@ -136,16 +136,36 @@ def test_gold_must_parse(tennis):
         score_corpus(["SELECT 1"], ["definitely not sql"], db_ids=["tennis"], schemas={"tennis": tennis})
 
 
+def test_unparseable_date_literal_logs_no_warning(tennis, caplog):
+    # 'last year' is no date: it compares as text, which is no fault of the run.
+    query = "SELECT Players.First_name FROM Players WHERE Players.Birth_date > 'last year'"
+    with caplog.at_level("DEBUG", logger="structsql.schema"):
+        report = score_corpus(
+            [query] * 3, [query] * 3, db_ids=["tennis"] * 3, schemas={"tennis": tennis}
+        )
+    assert report.em == 1.0
+    assert any(r.name == "structsql.schema" for r in caplog.records)
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 def test_empty_corpus():
     with pytest.raises(EmptyCorpus):
-        score_corpus([], [])
+        score_corpus([], [], db_ids=[], schemas={})
 
 
-def test_mismatched_lengths():
+def test_mismatched_lengths(tennis):
+    schemas = {"tennis": tennis}
     with pytest.raises(MismatchedLengths):
-        score_corpus(["SELECT a FROM t"], [])
+        score_corpus(["SELECT a FROM t"], [], db_ids=[], schemas=schemas)
     with pytest.raises(MismatchedLengths):
-        score_corpus(["SELECT a FROM t"], ["SELECT a FROM t"], interaction_ids=["x", "y"])
+        score_corpus(
+            ["SELECT a FROM t"], ["SELECT a FROM t"], db_ids=["tennis"], schemas=schemas,
+            interaction_ids=["x", "y"],
+        )
+    with pytest.raises(MismatchedLengths, match="db id count"):
+        score_corpus(
+            ["SELECT a FROM t"], ["SELECT a FROM t"], db_ids=["tennis", "tennis"], schemas=schemas
+        )
 
 
 def test_order_shuffle_invariance(tennis):
@@ -180,19 +200,18 @@ def random_corpus(seed):
     rng = random.Random(seed)
     doc, _ = random_schema_doc(rng, "db", min_tables=2, max_tables=5)
     schema = load_schema(doc)
-    graph = build_schema_graph(schema)
     turns = rng.randint(1, 3)
     n_interactions = rng.randint(1, 4)
     golds, preds, ids = [], [], []
     for i in range(n_interactions):
         for _ in range(turns):
-            gold = random_query(rng, schema, graph)
+            gold = random_query(rng, schema)
             golds.append(render_sql(gold))
             roll = rng.random()
             if roll < 0.5:
                 preds.append(golds[-1])
             elif roll < 0.8:
-                preds.append(render_sql(random_query(rng, schema, graph)))
+                preds.append(render_sql(random_query(rng, schema)))
             else:
                 preds.append("BROKEN (")
             ids.append(f"i{i}")
@@ -203,7 +222,10 @@ def random_corpus(seed):
 @settings(max_examples=60, deadline=None)
 def test_im_never_exceeds_qm(seed):
     preds, golds, ids, schema = random_corpus(seed)
-    report = score_corpus(preds, golds, interaction_ids=ids, schemas=schema)
+    report = score_corpus(
+        preds, golds, interaction_ids=ids, db_ids=[schema.db_id] * len(golds),
+        schemas={schema.db_id: schema},
+    )
     if report.im is not None:
         assert report.im <= report.qm + 1e-12
 
@@ -211,7 +233,10 @@ def test_im_never_exceeds_qm(seed):
 def test_reflexivity_on_random_corpora():
     for seed in range(10):
         _, golds, ids, schema = random_corpus(seed)
-        report = score_corpus(golds, golds, interaction_ids=ids, schemas=schema)
+        report = score_corpus(
+            golds, golds, interaction_ids=ids, db_ids=[schema.db_id] * len(golds),
+            schemas={schema.db_id: schema},
+        )
         assert report.qm == report.lx == 1.0
         if report.im is not None:
             assert report.im == 1.0
@@ -269,8 +294,8 @@ def test_logical_form_match_implies_exact_set_match(seed):
     rng = random.Random(seed)
     doc, content = random_schema_doc(rng, "db", min_tables=2, max_tables=5, with_values=True)
     schema = load_schema(doc, content)
-    gold = random_query(rng, schema, schema.graph)
-    preds = [random_query(rng, schema, schema.graph)] + [_perturb(rng, gold) for _ in range(4)]
+    gold = random_query(rng, schema)
+    preds = [random_query(rng, schema)] + [_perturb(rng, gold) for _ in range(4)]
     for pred in preds:
         for hints in (schema, None):
             if logical_form_match(pred, gold, hints):

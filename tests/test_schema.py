@@ -2,6 +2,7 @@ import calendar
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from structsql.schema import (
     _DATE_FORMATS,
+    ColumnRef,
     ColumnType,
     DanglingReference,
+    DatabaseSchema,
     DuplicateName,
     MalformedDocument,
     build_schema_graph,
@@ -90,6 +93,17 @@ def test_dangling_primary_key(tennis_doc):
     doc["primary_keys"] = [42]
     with pytest.raises(DanglingReference):
         load_schema(doc)
+
+
+def test_schema_rejects_keys_that_name_no_column(tennis_plain):
+    # load_schema builds keys from column indices; a schema built directly
+    # is checked too.
+    players = tennis_plain.table("Players")
+    with pytest.raises(DanglingReference, match="primary key 'nope' not a column of 'Players'"):
+        DatabaseSchema("db", (replace(players, primary_key="nope"),))
+    fk = (ColumnRef("Players", "nope"), ColumnRef("Players", "Player_id"))
+    with pytest.raises(DanglingReference, match="foreign key endpoint Players.nope unresolved"):
+        DatabaseSchema("db", (players,), (fk,))
 
 
 def test_duplicate_table_name(tennis_doc):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsql.complete import _scope_tables
-from structsql.schema import STAR, ColumnRef, build_schema_graph, load_schema
+from structsql.schema import STAR, ColumnRef, load_schema
 from structsql.sql_ast import (
     SET_OPS,
     Agg,
@@ -40,9 +40,8 @@ def make_corpus(seed, n):
     while len(out) < n:
         doc, content = random_schema_doc(rng, f"db{len(out)}", with_values=True)
         schema = load_schema(doc, content=content or None)
-        graph = build_schema_graph(schema)
         for _ in range(min(n - len(out), 5)):
-            out.append((schema, random_query(rng, schema, graph)))
+            out.append((schema, random_query(rng, schema)))
     return out
 
 
@@ -146,6 +145,27 @@ def test_expect_message_names_the_wanted_and_found_token(text, message, position
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("SELECT a FROM select", "reserved word 'select' cannot name a table", 14),
+        ("SELECT a FROM t AS (", "expected alias name", 19),
+        ("SELECT a FROM t JOIN u ON t.a < u.b", "join conditions must use '='", 30),
+        ("SELECT t.( FROM t", "expected column name after '.'", 9),
+        ("SELECT a FROM t WHERE a NOT = 1", "NOT cannot precede a comparison operator", 28),
+        # Like NOT =, NOT BETWEEN is reported at the word NOT negates.
+        ("SELECT a FROM t WHERE a NOT BETWEEN 1 AND 2", "NOT BETWEEN is not supported", 28),
+        ("SELECT a FROM t WHERE a 1", "expected a condition operator", 24),
+        ("SELECT a FROM t WHERE a = ,", "expected a value", 26),
+    ],
+)
+def test_parser_error_message_and_position(text, message, position):
+    with pytest.raises(SqlSyntaxError) as err:
+        parse_sql(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 # Pieces that meet at every lexer boundary: both quote kinds and the doubled
 # quote, '<>' and the other operators, exponents, Unicode whitespace, and
 # non-ASCII letters and digits.
@@ -229,16 +249,16 @@ def test_case_insensitive_resolution(tennis):
 # -- every walk against the reference walkers ----------------------------------
 
 
-def _nested_query(rng, schema, graph, depth):
+def _nested_query(rng, schema, depth):
     """A synth query with more to walk: an ``id IN (subquery)`` and a
     column-to-column condition in WHERE or HAVING, and a set-operation branch,
     nested up to ``depth`` levels.  Every qualified reference names a table of
     its own level's FROM."""
-    q = random_query(rng, schema, graph)
+    q = random_query(rng, schema)
     own = ColumnExpr(ColumnRef(q.from_tables[0], "id"))
     extra = []
     if depth and rng.random() < 0.6:
-        sub = _nested_query(rng, schema, graph, depth - 1)
+        sub = _nested_query(rng, schema, depth - 1)
         extra.append(Condition(own, rng.choice(("IN", "NOT IN")), (sub,)))
     if rng.random() < 0.3:
         extra.append(Condition(own, "=", (ColumnRef(q.from_tables[-1], "id"),)))
@@ -250,7 +270,7 @@ def _nested_query(rng, schema, graph, depth):
         q = dataclasses.replace(q, **{clause: ConditionList(conditions, connectors)})
     if depth and q.set_op is None and rng.random() < 0.3:
         q = dataclasses.replace(
-            q, set_op=(rng.choice(SET_OPS), _nested_query(rng, schema, graph, depth - 1))
+            q, set_op=(rng.choice(SET_OPS), _nested_query(rng, schema, depth - 1))
         )
     return q
 
@@ -324,8 +344,7 @@ def test_walks_match_reference_walkers(seed, aliased):
     rng = random.Random(seed)
     doc, content = random_schema_doc(rng, "db", with_values=True)
     schema = load_schema(doc, content=content or None)
-    graph = build_schema_graph(schema)
-    clean = _nested_query(rng, schema, graph, depth=2)
+    clean = _nested_query(rng, schema, depth=2)
     q = _mutated(clean, rng, schema)
     assert _outcome(resolve, q, schema) == _outcome(reference_resolve, q, schema)
 
@@ -605,8 +624,7 @@ def test_component_invariant_under_conjunct_shuffle(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     doc, _ = random_schema_doc(rng, "db")
     schema = load_schema(doc)
-    graph = build_schema_graph(schema)
-    query = random_query(rng, schema, graph)
+    query = random_query(rng, schema)
     if query.where is None or len(query.where.conditions) < 2:
         return
     order = list(range(len(query.where.conditions)))
