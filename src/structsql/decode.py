@@ -25,7 +25,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import chain
-from math import isfinite
+from math import inf, isfinite
 from typing import Iterable, Sequence
 
 from structsql.annotate import AnnotatedInput
@@ -324,9 +324,12 @@ class TokenScorer:
 
         A score must be deterministic and depend only on the example (its
         source and id), the prefix and the candidate token itself, never on
-        which other candidates are in the list: ``beam_search`` advances
-        only each hypothesis's best ``2*beam`` candidates, and that cut is
-        exact only under this contract.
+        which other candidates are in the list.  ``beam_search`` advances
+        only each hypothesis's best ``2*beam`` candidates, and of those only
+        the ones at or above the step's score floor, set by an earlier
+        hypothesis that advanced a full ``2*beam``.  Both cuts are exact
+        only under this contract: the floor also relies on two hypotheses
+        with equal tokens getting equal scores for the same candidate.
         """
         raise NotImplementedError
 
@@ -468,6 +471,15 @@ def beam_search(
         prefixes = sorted({state.tokens for state in live})
         rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
         pool: dict[tuple, tuple] = {}
+        # A parent that advances a full 2*beam puts as many distinct keys
+        # (one per token) in the pool at or above its lowest summed score,
+        # and pool scores only rise.  So a later parent's candidate strictly
+        # below that floor cannot reach the step's top 2*beam, and it is not
+        # sorted.  Nor could it open a key that a later parent raises past
+        # the floor: live is ranked, so a later parent with equal tokens
+        # sums no higher on the same token.  Ties at the floor are kept.
+        width = 2 * beam_width
+        floor = -inf
         for state, candidates, scores in zip(live, candidate_lists, batch):
             # Every candidate yields at least one successor, so one outside
             # its parent's top 2*beam cannot reach the step's top 2*beam:
@@ -482,7 +494,12 @@ def beam_search(
                 order = [at, *rest] if state.tokens else rest
             else:
                 order = range(n)
-            for i in sorted(order, key=summed.__getitem__, reverse=True)[:2 * beam_width]:
+            if floor > -inf:
+                order = [i for i in order if summed[i] >= floor]
+            top = sorted(order, key=summed.__getitem__, reverse=True)[:width]
+            if len(top) == width:
+                floor = summed[top[-1]]
+            for i in top:
                 token_id = candidates[i]
                 if token_id == eos:
                     token_id, cursors = -1, (None,)
@@ -497,7 +514,7 @@ def beam_search(
         # Finished candidates within the step's top 2*beam go to the done
         # pool; the best beam_width unfinished ones stay live.
         live = []
-        ranked = nsmallest(2 * beam_width, pool.values(), key=lambda e: (-e[0], e[1], e[2]))
+        ranked = sorted(pool.values(), key=lambda e: (-e[0], e[1], e[2]))[:width]
         for score, rank, token_id, cursor in ranked:
             if token_id < 0:
                 done.append(Hypothesis(prefixes[rank], score))

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _parse_date, _stem, normalize_value
+from structsql.schema import _CJK_RE, DatabaseSchema, _stem, normalize_value
 
 # Longest question n-gram compared with a schema name or cell value.
 MAX_NGRAM = 5
@@ -161,11 +161,7 @@ def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnn
                 continue  # n-gram may contain punctuation but not start/end with it
             text = " ".join(tokens[start : start + n])
             for col_type, holders in index.items():
-                # only a parseable date span can equal an ISO-normalized value
-                if col_type is ColumnType.DATE:
-                    key = _parse_date(text)
-                else:
-                    key = normalize_value(text, col_type)
+                key = normalize_value(text, col_type)
                 for table, column, value in holders.get(key, ()):
                     candidates.append(
                         (

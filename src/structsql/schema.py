@@ -256,11 +256,8 @@ class ColumnDef:
     is_primary: bool = False
     # None means "no content available", distinct from an empty list.
     sample_values: tuple[str, ...] | None = None
-    # Original type label, kept so re-serialization is lossless.
+    # Original type label, as the document spelled it.
     raw_type: str | None = None
-
-    def type_label(self) -> str:
-        return self.raw_type if self.raw_type is not None else self.col_type.name.lower()
 
 
 @dataclass(frozen=True)
@@ -546,43 +543,6 @@ def load_schema(doc: Mapping, content: dict[str, list[str]] | None = None) -> Da
         foreign_keys=tuple(fks),
         star_label=star_label,
     )
-
-
-def to_spider_doc(schema: DatabaseSchema) -> dict:
-    """Re-serialize to the Spider document format (the fields this toolkit reads).
-
-    The ``*`` entry comes first, then the columns grouped by table in table
-    order, and the primary keys in table order.  A document in that layout,
-    as Spider's are, comes back field for field; one whose columns
-    interleave tables or whose primary keys do not ascend comes back
-    grouped, and the grouped document loads to an equal schema.
-    """
-    column_names: list[list] = []
-    column_types: list[str] = []
-    index_of: dict[tuple[str, str], int] = {}
-    if schema.star_label is not None:
-        column_names.append([-1, STAR])
-        column_types.append(schema.star_label)
-    for t_idx, table in enumerate(schema.tables):
-        for col in table.columns:
-            index_of[(table.name.lower(), col.name.lower())] = len(column_names)
-            column_names.append([t_idx, col.name])
-            column_types.append(col.type_label())
-    primary_keys = []
-    for table in schema.tables:
-        for key in ((table.primary_key,) if table.primary_key else ()) + table.extra_primary_keys:
-            primary_keys.append(index_of[(table.name.lower(), key.lower())])
-    foreign_keys = [
-        [index_of[src.key()], index_of[dst.key()]] for src, dst in schema.foreign_keys
-    ]
-    return {
-        "db_id": schema.db_id,
-        "table_names_original": [t.name for t in schema.tables],
-        "column_names_original": column_names,
-        "column_types": column_types,
-        "primary_keys": primary_keys,
-        "foreign_keys": foreign_keys,
-    }
 
 
 def load_schemas(

@@ -28,7 +28,6 @@ from structsql.schema import (
     TableDef,
     build_schema_graph,
     load_schema,
-    to_spider_doc,
 )
 from structsql.sql_ast import component_set, parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, random_query, random_schema_doc
@@ -39,6 +38,7 @@ from util_checks import (
     brute_force_connector,
     identifier_run_violations,
     node_at,
+    to_spider_doc,
 )
 
 

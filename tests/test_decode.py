@@ -482,22 +482,25 @@ class SharedTokensScorer(OracleScorer):
         return super().score_batch(source, prefixes, candidate_lists, example_id)
 
 
+# "a" is a table and the prefix of the table "a b", and "b" is a table: after
+# "a b" one hypothesis is inside "a b" and one has started "b", so two parents
+# hold equal tokens with different cursors, and a keyword after either gives
+# both the same successor.
+SHARED_DOC = {
+    "db_id": "shared",
+    "table_names_original": ["a", "b", "a b"],
+    "column_names_original": [[-1, "*"], [0, "x"], [1, "y"], [2, "x"]],
+    "column_types": ["text", "number", "number", "number"],
+    "primary_keys": [1],
+    "foreign_keys": [],
+}
+SHARED_GOLD = "SELECT a b.x FROM a b"
+
+
 @pytest.mark.parametrize("beam", [1, 2, 5])
 def test_beam_search_matches_reference_shared_tokens(beam):
-    # "a" is a table and the prefix of the table "a b", and "b" is a table:
-    # after "a b" one hypothesis is inside "a b" and one has started "b", so
-    # two parents hold equal tokens with different cursors, and a keyword
-    # after either gives both the same successor.
-    doc = {
-        "db_id": "shared",
-        "table_names_original": ["a", "b", "a b"],
-        "column_names_original": [[-1, "*"], [0, "x"], [1, "y"], [2, "x"]],
-        "column_types": ["text", "number", "number", "number"],
-        "primary_keys": [1],
-        "foreign_keys": [],
-    }
-    schema = load_schema(doc)
-    gold = "SELECT a b.x FROM a b"
+    schema = load_schema(SHARED_DOC)
+    gold = SHARED_GOLD
     vocab = Vocabulary.build([schema], corpus_texts=[gold])
     trie = build_trie(schema, vocab)
     a, b = vocab.id_of("a"), vocab.id_of("b")
@@ -515,6 +518,70 @@ def test_beam_search_matches_reference_shared_tokens(beam):
             ), (seed, type(scorer).__name__)
         shared += tied.shared_steps
     assert shared > 0 or beam == 1
+
+
+class SteppedScorer(OracleScorer):
+    """Oracle of a target plus random noise rounded to multiples of
+    ``quantum``, each nudged up by ``nudge`` or not: the summed scores of
+    different parents tie exactly or differ by a nudge.  EOS noise lies in
+    the top quarter, so hypotheses finish at most steps.  Every prefix
+    scored is logged, in order."""
+
+    def __init__(self, vocab, target_ids, seed, quantum, nudge):
+        super().__init__(vocab, target_ids)
+        self.noise = RandomScorer(vocab, seed=seed)
+        self.quantum, self.nudge = quantum, nudge
+        self.prefixes = []
+
+    def _step(self, raw, candidate):
+        if candidate == self.eos_id:
+            raw = (raw + 3) / 4
+        return round(raw / self.quantum) * self.quantum + self.nudge * (int(raw * 1024) & 1)
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        self.prefixes.append(tuple(prefix))
+        oracle = super().score_candidates(source, prefix, candidates, example_id)
+        noise = self.noise.score_candidates(source, prefix, candidates, example_id)
+        return [a + self._step(raw, c) for a, raw, c in zip(oracle, noise, candidates)]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    shared=st.booleans(),
+    beam=st.integers(min_value=1, max_value=5),
+    max_len=st.integers(min_value=1, max_value=24),
+    constrained=st.booleans(),
+    quantum=st.sampled_from([1 / 4, 1 / 16, 1 / 64]),
+    nudge=st.sampled_from([0.0, 2.0**-30]),
+)
+# Ties at the floor: a later parent's candidate sums exactly to the floor, and
+# its smaller tokens rank it before the full parent's 2*beam-th.
+@example(seed=2612, shared=True, beam=4, max_len=16, constrained=False, quantum=1 / 4, nudge=0.0)
+# Merged keys: two parents with equal tokens reach the same (token, cursor),
+# which is one pool key however many parents reach it.
+@example(seed=6212, shared=True, beam=5, max_len=8, constrained=True, quantum=1 / 4, nudge=2.0**-30)
+@settings(max_examples=60, deadline=None)
+def test_beam_search_matches_reference_at_the_score_floor(
+    seed, shared, beam, max_len, constrained, quantum, nudge
+):
+    # Coarse steps tie the summed scores of many live parents, so a step's
+    # score floor often equals, or lies a nudge from, later candidates'.
+    rng = random.Random(seed)
+    if shared:
+        schema, corpus = load_schema(SHARED_DOC), [SHARED_GOLD]
+    else:
+        doc, content = random_schema_doc(rng, "db", max_tables=3, with_values=True)
+        schema = load_schema(doc, content=content or None)
+        corpus = [render_sql(random_query(rng, schema)) for _ in range(2)]
+    vocab = Vocabulary.build([schema], corpus_texts=corpus)
+    trie = build_trie(schema, vocab) if constrained else None
+    kwargs = dict(beam_width=beam, max_len=max_len, constrained=constrained)
+    # The scored prefixes are every step's live hypotheses, in beam order.
+    runs = []
+    for search in (beam_search, reference_beam_search):
+        scorer = SteppedScorer(vocab, vocab.tokenize(corpus[0]), seed, quantum, nudge)
+        runs.append((_outcome(search, scorer, trie, **kwargs), scorer.prefixes))
+    assert runs[0] == runs[1]
 
 
 # -- schema faithfulness fuzz -----------------------------------------------------

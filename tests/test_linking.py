@@ -240,6 +240,16 @@ def test_value_link_date_normalization(tennis):
     )
 
 
+def test_value_link_unparseable_date_cell(tennis_doc):
+    # A DATE cell that no date format reads is indexed under its text form,
+    # and a question span reaches it the same way.
+    schema = load_schema(tennis_doc, {"Players.Birth_date": ["2013"]})
+    question = QuestionTokens.from_text("players born in 2013")
+    links = value_link(question, schema)
+    assert [(a.table, a.column, a.value) for a in links] == [("Players", "Birth_date", "2013")]
+    assert links == reference_value_link(question, schema)
+
+
 def test_value_link_text_case(tennis):
     q = QuestionTokens.from_text("who comes from usa")
     links = value_link(q, tennis)

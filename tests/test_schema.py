@@ -20,11 +20,10 @@ from structsql.schema import (
     load_schema,
     load_schemas,
     _parse_date,
-    to_spider_doc,
 )
 from structsql.synth import random_schema_doc
 
-from util_checks import reference_parse_date, transitive_closure_connected
+from util_checks import reference_parse_date, to_spider_doc, transitive_closure_connected
 
 
 def test_fixture_tables_load(tables_path):

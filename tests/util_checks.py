@@ -25,6 +25,8 @@ every walk went through ``rebuild``: ``reference_map_refs`` copies a level with
 question, with ``_validate_links`` and ``_group_links``, instead of writing
 the links into the per-schema serialization template; ``_target_key`` is
 the link key those helpers and ``_suppress_overlaps`` group by.
+``to_spider_doc`` writes a loaded schema back as a Spider document, so that
+loading can be checked by a round trip.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from structsql.schema import (
     ColumnType,
     DatabaseSchema,
     _DATE_FORMATS,
-    _parse_date,
     name_tokens,
     normalize_value,
 )
@@ -296,6 +297,45 @@ def transitive_closure_connected(
                 if not reach[i][j]:
                     reach[i][j] = any(reach[i][k] and reach[k][j] for k in range(n_tables))
     return reach[a][b]
+
+
+def to_spider_doc(schema: DatabaseSchema) -> dict:
+    """Re-serialize a schema to the Spider document format (the fields the
+    loader reads), for round-trip checks of ``load_schema``.
+
+    The ``*`` entry comes first, then the columns grouped by table in table
+    order, and the primary keys in table order.  A document in that layout,
+    as Spider's are, comes back field for field; one whose columns
+    interleave tables or whose primary keys do not ascend comes back
+    grouped, and the grouped document loads to an equal schema.
+    """
+    column_names: list[list] = []
+    column_types: list[str] = []
+    index_of: dict[tuple[str, str], int] = {}
+    if schema.star_label is not None:
+        column_names.append([-1, STAR])
+        column_types.append(schema.star_label)
+    for t_idx, table in enumerate(schema.tables):
+        for col in table.columns:
+            index_of[(table.name.lower(), col.name.lower())] = len(column_names)
+            column_names.append([t_idx, col.name])
+            label = col.raw_type if col.raw_type is not None else col.col_type.name.lower()
+            column_types.append(label)
+    primary_keys = []
+    for table in schema.tables:
+        for key in ((table.primary_key,) if table.primary_key else ()) + table.extra_primary_keys:
+            primary_keys.append(index_of[(table.name.lower(), key.lower())])
+    foreign_keys = [
+        [index_of[src.key()], index_of[dst.key()]] for src, dst in schema.foreign_keys
+    ]
+    return {
+        "db_id": schema.db_id,
+        "table_names_original": [t.name for t in schema.tables],
+        "column_names_original": column_names,
+        "column_types": column_types,
+        "primary_keys": primary_keys,
+        "foreign_keys": foreign_keys,
+    }
 
 
 class QuantizedScorer(RandomScorer):
@@ -537,16 +577,12 @@ def reference_value_link(question: QuestionTokens, schema: DatabaseSchema) -> li
             if not norm[start] or not norm[start + n - 1]:
                 continue  # n-gram may contain punctuation but not start/end with it
             text = " ".join(tokens[start : start + n])
-            by_type: dict[ColumnType, str | None] = {}
+            by_type: dict[ColumnType, str] = {}
             for table, column, col_type, normalized in columns:
                 if col_type not in by_type:
-                    if col_type is ColumnType.DATE:
-                        # only a parseable date span can equal an ISO-normalized value
-                        by_type[col_type] = _parse_date(text)
-                    else:
-                        by_type[col_type] = normalize_value(text, col_type)
+                    by_type[col_type] = normalize_value(text, col_type)
                 key = by_type[col_type]
-                if key is not None and key in normalized:
+                if key in normalized:
                     candidates.append(
                         (
                             2, -n, start, column, (table.lower(), column.lower()),  # rank 2: value
