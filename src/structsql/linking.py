@@ -11,13 +11,15 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from structsql.schema import _CJK_RE, DatabaseSchema, _stem, normalize_value
+from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _canonical_number, _parse_date
+from structsql.schema import _stem
 
 # Longest question n-gram compared with a schema name or cell value.
 MAX_NGRAM = 5
 
 _WORD_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]", re.UNICODE)
 _WORD_CHAR_RE = re.compile(r"\w", re.UNICODE)
+_DIGIT_RE = re.compile(r"\d")  # each date format has %Y, each finite Decimal a digit
 
 
 class MatchKind(Enum):
@@ -93,19 +95,21 @@ def _suppress_overlaps(candidates: list[tuple]) -> list[LinkAnnotation]:
     spans beat contained or overlapping shorter spans.
 
     A candidate is ``(rank, -length, start, column or "", target, end, table,
-    column, value)``: ``rank`` indexes ``_KINDS`` and ``target`` is one key per
-    schema item.  Only accepted candidates become annotations.
+    column, value)``: ``rank`` indexes ``_KINDS``, whose values sort in rank
+    order, and ``target`` is one key per schema item.  Accepted candidates are
+    sorted as tuples led by ``(start, end, table.lower(), column or "", rank)``,
+    then become annotations.
     """
-    accepted: list[LinkAnnotation] = []
+    accepted: list[tuple] = []
     spans: dict[object, list[tuple[int, int]]] = {}
-    for rank, _, start, _, target, end, table, column, value in sorted(candidates):
+    for rank, _, start, col_key, target, end, table, column, value in sorted(candidates):
         taken = spans.setdefault(target, [])
-        if any(start < e and s < end for s, e in taken):
+        if taken and any(start < e and s < end for s, e in taken):
             continue
         taken.append((start, end))
-        accepted.append(LinkAnnotation(start, end, _KINDS[rank], table, column, value))
-    accepted.sort(key=lambda a: (a.start, a.end, a.table.lower(), a.column or "", a.kind.value))
-    return accepted
+        accepted.append((start, end, table.lower(), col_key, rank, table, column, value))
+    accepted.sort()
+    return [LinkAnnotation(s, e, _KINDS[r], t, c, v) for s, e, _, _, r, t, c, v in accepted]
 
 
 def name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
@@ -116,27 +120,28 @@ def name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnno
     token-subsequence of the other.  Shorter matches overlapping an accepted
     longer span with the same target are suppressed.
 
-    Names are looked up in ``schema.name_index``, built once per schema: one
-    probe per n-gram for the names equal to it and one for the names
-    containing it.  A name inside a longer n-gram is not looked up: its own
-    ExactMatch on the shorter span always suppresses that PartialMatch.
+    From each start token the n-gram grows with two probes into the cached
+    ``schema.name_index`` (names equal to it, names containing it) until a
+    punctuation token or an n-gram no name contains.  A name inside a longer
+    n-gram is not looked up: its own ExactMatch on the shorter span always
+    suppresses that PartialMatch.
     """
     index = schema.name_index
-    tokens = question.all_tokens()
-    norm = [_norm_token(t) for t in tokens]
+    norm = [_norm_token(t) for t in question.all_tokens()]
 
     candidates: list[tuple] = []
-    for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
-        for start in range(len(tokens) - n + 1):
-            gram = tuple(norm[start : start + n])
-            if "" in gram:
-                continue
-            matches = (index.exact.get(gram, ()), index.partial.get(gram, ()))
-            for rank, targets in enumerate(matches):  # rank 0 exact, 1 partial
+    for start in range(len(norm)):
+        gram: tuple[str, ...] = ()
+        for end in range(start + 1, min(start + MAX_NGRAM, len(norm)) + 1):
+            gram += (norm[end - 1],)  # punctuation normalizes to "", in no name
+            exact, partial = index.exact.get(gram), index.partial.get(gram)
+            if exact is None and partial is None:
+                break
+            for rank, targets in ((0, exact or ()), (1, partial or ())):
                 for target in targets:
                     table, column = index.targets[target]
                     candidates.append(
-                        (rank, -n, start, column or "", target, start + n, table, column, None)
+                        (rank, start - end, start, column or "", target, end, table, column, None)
                     )
     return _suppress_overlaps(candidates)
 
@@ -144,29 +149,39 @@ def name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnno
 def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
     """Align question n-grams with stored cell values (normalized comparison).
 
-    Values are looked up in ``schema.value_index``, built once per schema:
-    per n-gram, one normalization and one probe per column type.  Returns
-    an empty list when the schema carries no content.
+    Each start token's n-gram grows with its text key (lower-cased tokens
+    joined by spaces) and, unless it starts or ends with punctuation, probes
+    the cached ``schema.value_index`` (empty without content) per column type.
+    Only an n-gram with a digit is parsed: as a number, or as a date joined by
+    spaces, then by nothing (``2016-01-05``); a failed parse probes the text key.
     """
     index = schema.value_index
     if not index:
         return []
     tokens = question.all_tokens()
-    norm = [_norm_token(t) for t in tokens]
+    lower = [t.lower() for t in tokens]
+    word = [_WORD_CHAR_RE.search(t) for t in lower]  # None for punctuation
+    digit = [_DIGIT_RE.search(t) for t in tokens]
 
     candidates: list[tuple] = []
-    for n in range(min(MAX_NGRAM, len(tokens)), 0, -1):
-        for start in range(len(tokens) - n + 1):
-            if not norm[start] or not norm[start + n - 1]:
-                continue  # n-gram may contain punctuation but not start/end with it
-            text = " ".join(tokens[start : start + n])
+    for start in range(len(tokens)):
+        if not word[start]:
+            continue  # n-gram may contain punctuation but not start/end with it
+        key, has_digit = "", None
+        for end in range(start + 1, min(start + MAX_NGRAM, len(tokens)) + 1):
+            key = f"{key} {lower[end - 1]}" if key else lower[end - 1]
+            has_digit = has_digit or digit[end - 1]
+            if not word[end - 1]:
+                continue
             for col_type, holders in index.items():
-                key = normalize_value(text, col_type)
-                for table, column, value in holders.get(key, ()):
+                probe = key
+                if has_digit and col_type is ColumnType.DATE:
+                    span = tokens[start:end]
+                    probe = _parse_date(" ".join(span)) or _parse_date("".join(span)) or key
+                elif has_digit and col_type in (ColumnType.INTEGER, ColumnType.REAL):
+                    probe = _canonical_number(" ".join(tokens[start:end])) or key
+                for table, column, value in holders.get(probe, ()):
                     candidates.append(
-                        (
-                            2, -n, start, column, (table.lower(), column.lower()),  # rank 2: value
-                            start + n, table, column, value,
-                        )
+                        (2, start - end, start, column, (table, column), end, table, column, value)
                     )
     return _suppress_overlaps(candidates)

@@ -29,6 +29,9 @@ def by_target(links):
 
 _FILLER = ("the", "of", "show", "all", "with", "per", "is", "s")
 _PUNCT = (",", "?", "'", "-", "(", ".", "_")
+# Lower-casing that is context- or length-sensitive (final sigma, dotted I),
+# Unicode digits, number-like words without a digit, and dates.
+_UNUSUAL = ("ΟΔΟΣ", "İstanbul", "٢٠١٦", "nan", "Infinity", "2016-01-05", "5/1/2016", "Jan 5, 2016")
 
 
 @st.composite
@@ -39,13 +42,14 @@ def linking_cases(draw):
     extra = len(doc["table_names_original"])
     doc["table_names_original"].append("排名_年份")
     doc["column_names_original"] += [[extra, "_"], [extra, "id_id"], [extra, "年份"], [extra, "City_Code"]]
-    doc["column_types"] += ["text"] * 4
+    doc["column_names_original"] += [[extra, "ΟΔΟΣ_İstanbul"], [extra, "nan_2016"]]
+    doc["column_types"] += ["text"] * 6
     schema = load_schema(doc)
 
     names = [t.name for t in schema.tables] + [c.name for _, c in schema.iter_columns()]
     pieces = sorted({p for name in names for p in re.split(r"_+", name) if p})
     pool = pieces + [p + "s" for p in pieces] + [f"{p} {p}" for p in pieces] + list("排名年份")
-    pool += list(_FILLER) + list(_PUNCT)
+    pool += list(_FILLER) + list(_PUNCT) + list(_UNUSUAL)
     words = st.sampled_from(pool).map(lambda w: w.upper() if len(w) == 2 else w)
     turns = draw(st.lists(st.lists(words, min_size=1, max_size=12), min_size=1, max_size=3))
     language = draw(st.sampled_from(["en", "zh"]))
@@ -53,7 +57,15 @@ def linking_cases(draw):
     return question, schema
 
 
+_PINNED_NAMES = load_schema({
+    "db_id": "db", "table_names_original": ["Οδοί", "İstanbul_ΟΔΟΣ"],
+    "column_names_original": [[0, "ΟΔΟΣ"], [1, "İstanbul"], [1, "nan"]],
+    "column_types": ["text"] * 3, "primary_keys": [], "foreign_keys": [],
+})
+
+
 @given(linking_cases())
+@example((QuestionTokens.from_text("the İSTANBUL ΟΔΟΣ , İstanbul οδος nan ?"), _PINNED_NAMES))
 @settings(max_examples=60, deadline=None)
 def test_name_link_matches_reference_scan(case):
     question, schema = case
@@ -65,6 +77,7 @@ _VALUES = (
     "1,200", "1200", "1200.0", "007", "7", "3.50", "3.5", "2016",
     "Jan 5, 2016", "2016-01-05", "2016/01/05", "sometime soon",
     "USA", " usa", "New York", "new   york", "France",
+    *_UNUSUAL, "οδος", "٢٠١٦/01/05", "Studio 54",
 )
 _TYPE_LABELS = ("int", "real", "text", "date", "others")
 _COLUMN_NAMES = ("id", "name", "year", "country", "code")
@@ -93,7 +106,18 @@ def value_linking_cases(draw):
     return QuestionTokens.from_text([" ".join(t) for t in turns]), load_schema(doc, content)
 
 
+_PINNED_VALUES = load_schema(
+    {"db_id": "db", "table_names_original": ["t0"],
+     "column_names_original": [[0, "name"], [0, "born"], [0, "year"]],
+     "column_types": ["text", "date", "int"], "primary_keys": [], "foreign_keys": []},
+    {"t0.name": ["ΟΔΟΣ", "İstanbul"], "t0.born": ["2016-01-05", "5/1/2016", "Studio 54"],
+     "t0.year": ["2016", "Studio 54"]},
+)
+
+
 @given(value_linking_cases())
+@example((QuestionTokens.from_text("from οδος or İSTANBUL , ΟΔΟΣ ?"), _PINNED_VALUES))
+@example((QuestionTokens.from_text("born 2016-01-05 , 5/1/2016 or ٢٠١٦ at Studio 54"), _PINNED_VALUES))
 @settings(max_examples=200, deadline=None)
 def test_value_link_matches_reference(case):
     question, schema = case
@@ -238,6 +262,23 @@ def test_value_link_date_normalization(tennis):
         (a.table, a.column, a.value) == ("Players", "Birth_date", "2016-01-05")
         for a in links
     )
+
+
+def test_value_link_numeric_date(tennis):
+    # "2016-01-05" is five tokens; spaced they read as no date, unspaced they do.
+    q = QuestionTokens.from_text("players born on 2016-01-05")
+    links = value_link(q, tennis)
+    assert LinkAnnotation(3, 8, MatchKind.VALUE, "Players", "Birth_date", "2016-01-05") in links
+    assert links == reference_value_link(q, tennis)
+
+
+def test_value_link_logs_nothing_for_question_spans(tennis, caplog):
+    tennis.value_index  # cells log their own fallbacks when the index is built
+    q = QuestionTokens.from_text("which players from the USA were born in 2013")
+    with caplog.at_level("DEBUG", logger="structsql"):
+        links = value_link(q, tennis)
+    assert len(links) == 2
+    assert caplog.records == []
 
 
 def test_value_link_unparseable_date_cell(tennis_doc):

@@ -555,7 +555,8 @@ def reference_name_link(question: QuestionTokens, schema: DatabaseSchema) -> lis
 def reference_value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:
     """``value_link`` as it was before the per-schema value index: every
     content column's values normalized again for each question, and one
-    normalization per n-gram and column type, cached by type."""
+    normalization per n-gram and column type, cached by type.  A DATE column
+    whose n-gram does not read as a date tries its tokens joined unspaced."""
     if not any(c.sample_values for _, c in schema.iter_columns()):
         return []
     tokens = question.all_tokens()
@@ -581,6 +582,10 @@ def reference_value_link(question: QuestionTokens, schema: DatabaseSchema) -> li
             for table, column, col_type, normalized in columns:
                 if col_type not in by_type:
                     by_type[col_type] = normalize_value(text, col_type)
+                    if col_type is ColumnType.DATE and reference_parse_date(text) is None:
+                        # "2016-01-05" tokenizes to five tokens; read them unspaced too
+                        joined = reference_parse_date("".join(tokens[start : start + n]))
+                        by_type[col_type] = joined or by_type[col_type]
                 key = by_type[col_type]
                 if key in normalized:
                     candidates.append(
