@@ -48,13 +48,17 @@ class LinkAnnotation:
 
 @dataclass(frozen=True)
 class QuestionTokens:
-    """Tokenized question turns, most recent last."""
+    """Tokenized question turns, most recent last.  Tokens are non-empty and
+    hold no whitespace, as ``tokenize`` makes them: ``value_link``'s text key
+    joins them with single spaces."""
 
     turns: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.turns or any(not t for t in self.turns):
             raise ValueError("every turn must be non-empty after tokenization")
+        if any(tok.split() != [tok] for turn in self.turns for tok in turn):
+            raise ValueError("every token must be non-empty and hold no whitespace")
 
     @classmethod
     def from_text(cls, text: str | list[str], language: str = "en") -> "QuestionTokens":

@@ -132,7 +132,7 @@ def score_corpus(
             error = "decode_failure"
         else:
             try:
-                pred = parse_sql(pred_text, schema)
+                pred = gold if pred_text == gold_text else parse_sql(pred_text, schema)
             except SqlSyntaxError:
                 error = "parse_failure"
             except SchemaResolutionError:

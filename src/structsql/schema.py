@@ -268,12 +268,12 @@ class TableDef:
     # Composite declarations beyond the first; kept for lossless round-trip.
     extra_primary_keys: tuple[str, ...] = ()
 
+    @cached_property
+    def _column_map(self) -> dict[str, ColumnDef]:
+        return {col.name.lower(): col for col in reversed(self.columns)}  # the first one wins
+
     def column(self, name: str) -> ColumnDef | None:
-        low = name.lower()
-        for col in self.columns:
-            if col.name.lower() == low:
-                return col
-        return None
+        return self._column_map.get(name.lower())
 
 
 class NameIndex(NamedTuple):

@@ -3,8 +3,9 @@
 The grammar covers single-level SELECT cores with aggregates, explicit or
 comma-form joins, flat AND/OR condition lists, GROUP BY / HAVING / ORDER BY /
 LIMIT, set operations, and nested queries as condition values.  Anything
-outside that subset is rejected loudly.  Aliases are resolved away at parse
-time so the AST is always alias-free.
+outside that subset is rejected loudly.  The parser builds each SELECT level
+once, after its FROM list: aliases are resolved away, so the AST is always
+alias-free, and given a schema every table and column is resolved then too.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Union
 
-from structsql.schema import STAR, ColumnRef, ColumnType, DatabaseSchema, TableDef, normalize_value
+from structsql.schema import STAR, ColumnRef, ColumnType, DatabaseSchema, normalize_value
 
 
 class SqlSyntaxError(ValueError):
@@ -51,6 +53,7 @@ class Agg(Enum):
 
 
 SET_OPS = ("UNION", "INTERSECT", "EXCEPT")
+_AGGS = {agg.value: agg for agg in Agg if agg is not Agg.NONE}
 
 _RESERVED = frozenset(
     """select distinct from join on where group by having order limit and or not
@@ -148,39 +151,40 @@ class _Token(NamedTuple):
     key: str
 
 
-# The alternatives are tried in order; the last two are the error cases.
+# Tried in order after any whitespace; the last three are the errors and the end.
 _TOKEN_RE = re.compile(
-    r"""(?P<space>\s+)
-    | '(?P<single>(?:[^']|'')*)'(?!')
+    r"""\s*(?:'(?P<single>(?:[^']|'')*)'(?!')
     | "(?P<double>[^"]*)"
     | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<name>[^\W\d]\w*)
     | (?P<op><=|>=|!=|<>|=|<|>)
     | (?P<punct>[(),.*;])
     | (?P<quote>['"])
-    | (?P<bad>.)""",
+    | (?P<bad>\S)
+    | $)""",
     re.VERBOSE,
 )
+_token = partial(tuple.__new__, _Token)  # _Token(...) without NamedTuple's Python-level __new__
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "space":
-            continue
-        word, pos = m.group(kind), m.start()
+        if kind is None:  # only whitespace is left
+            break
+        word, pos = m[kind], m.start(kind)
         if kind == "name":
-            tokens.append(_Token(kind, word, pos, word.upper()))
+            tokens.append(_token((kind, word, pos, word.upper())))
         elif kind == "op" or kind == "punct":
             word = "!=" if word == "<>" else word
-            tokens.append(_Token(kind, word, pos, word))
+            tokens.append(_token((kind, word, pos, word)))
         elif kind == "number":
-            tokens.append(_Token(kind, word, pos, ""))
-        elif kind == "single":
-            tokens.append(_Token("string", word.replace("''", "'"), pos, ""))
+            tokens.append(_token((kind, word, pos, "")))
+        elif kind == "single":  # a string token sits at its opening quote
+            tokens.append(_token(("string", word.replace("''", "'"), pos - 1, "")))
         elif kind == "double":
-            tokens.append(_Token("string", word, pos, ""))
+            tokens.append(_token(("string", word, pos - 1, "")))
         elif kind == "quote":
             raise SqlSyntaxError("unterminated string literal", pos)
         else:
@@ -194,12 +198,15 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], schema: DatabaseSchema | None):
         self.tokens = tokens
         self.i = 0
+        self.schema = schema
+        # The first resolution error in pre-order (SELECT token order), with that index.
+        self.failure: tuple[int, SchemaResolutionError] | None = None
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.i]
@@ -221,49 +228,43 @@ class _Parser:
             wanted = key if key.isalpha() else repr(key)
             raise SqlSyntaxError(f"expected {wanted}, found {tok.text or 'end'!r}", tok.pos)
 
-    def fail(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(message, self.peek().pos)
+    def commas(self, item: Callable[[], object]) -> list:
+        """One or more ``item``s, separated by commas."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
     # -- grammar ----------------------------------------------------------
 
     def query(self) -> SqlQuery:
+        start = self.i
         self.expect("SELECT")
         distinct = self.accept("DISTINCT") is not None
-        items = [self.column_expr()]
-        while self.accept(","):
-            items.append(self.column_expr())
+        items = self.commas(self.column_expr)
 
         tables: list[str] = []
-        joins: list[tuple[ColumnRef, ColumnRef]] = []
+        joins: list[tuple] = []
         aliases: dict[str, str] = {}
         if self.accept("FROM"):
             self.table_source(tables, aliases)
-            while True:
-                if self.accept("JOIN"):
-                    self.table_source(tables, aliases)
-                    if self.accept("ON"):
+            while (sep := self.accept("JOIN", ",")) is not None:
+                self.table_source(tables, aliases)
+                if sep == "JOIN" and self.accept("ON"):
+                    joins.append(self.join_condition())
+                    while self.accept("AND"):
                         joins.append(self.join_condition())
-                        while self.accept("AND"):
-                            joins.append(self.join_condition())
-                elif self.accept(","):
-                    self.table_source(tables, aliases)
-                else:
-                    break
 
         where = self.condition_list() if self.accept("WHERE") else None
-        group: list[ColumnRef] = []
+        group: list[tuple] = []
         if self.accept("GROUP"):
             self.expect("BY")
-            group.append(self.column_ref())
-            while self.accept(","):
-                group.append(self.column_ref())
+            group = self.commas(self.column_ref)
         having = self.condition_list() if self.accept("HAVING") else None
-        order: list[OrderItem] = []
+        order: list[tuple] = []
         if self.accept("ORDER"):
             self.expect("BY")
-            order.append(self.order_item())
-            while self.accept(","):
-                order.append(self.order_item())
+            order = self.commas(self.order_item)
         limit = None
         if self.accept("LIMIT"):
             tok = self.advance()
@@ -271,21 +272,82 @@ class _Parser:
                 raise SqlSyntaxError("LIMIT takes an integer", tok.pos)
             limit = int(tok.text)
         op = self.accept(*SET_OPS)
+        set_op = (op, self.query()) if op else None
 
-        query = SqlQuery(
-            select=tuple(items),
+        try:
+            return self.build(tables, aliases, distinct, items, joins, where, having, group, order,
+                              limit, set_op)
+        except SchemaResolutionError as exc:
+            # Held until the whole text has parsed, so that a syntax error wins;
+            # parse_sql raises it and never returns the stand-in below.
+            if self.failure is None or start < self.failure[0]:
+                self.failure = (start, exc)
+            return SqlQuery(select=())
+
+    def build(self, tables, aliases, distinct, items, joins, where, having, group, order, limit,
+              set_op) -> SqlQuery:
+        """The level's one frozen build from the grammar methods' plain tuples,
+        where a raw column reference is (table as written or None, column):
+        aliases removed and, given a schema, every reference resolved against
+        the level's own FROM tables, failing in clause order (keyword order below)."""
+        schema = self.schema
+        if schema is not None:
+            defs = [schema.table(name) for name in tables]
+            for name, table in zip(tables, defs):
+                if table is None:
+                    raise UnknownTable(f"table {name!r} not in schema {schema.db_id!r}")
+            tables = [t.name for t in defs]
+
+        def ref(raw: tuple) -> ColumnRef:
+            table, column = raw
+            if table is None:
+                if schema is None or column == STAR:
+                    return ColumnRef(None, column)
+                owners = [(t.name, col.name) for t in defs if (col := t.column(column)) is not None]
+                if len(owners) == 1:
+                    return ColumnRef(*owners[0])
+                if not owners:
+                    raise UnresolvableColumn(f"column {column!r} not in any FROM table")
+                raise AmbiguousColumn(f"column {column!r} owned by {[t for t, _ in owners]}")
+            table = aliases.get(table.lower(), table)
+            if schema is None:
+                return ColumnRef(table, column)
+            if (found := schema.table(table)) is None:
+                raise UnknownTable(f"table {table!r} not in schema")
+            if column == STAR:
+                return ColumnRef(found.name, STAR)
+            if (col := found.column(column)) is None:
+                raise UnresolvableColumn(f"{table}.{column} not in schema")
+            return ColumnRef(found.name, col.name)
+
+        def expr(e: tuple) -> ColumnExpr:
+            return ColumnExpr(ref(e[0]), e[1], e[2])
+
+        def conditions(cl: tuple | None) -> ConditionList | None:
+            return None if cl is None else ConditionList(tuple([
+                Condition(expr(e), op, tuple([ref(v) if type(v) is tuple else v for v in values]))
+                for e, op, values in cl[0]
+            ]), cl[1])
+
+        level = SqlQuery(
+            select=tuple([expr(e) for e in items]),
             distinct=distinct,
             from_tables=tuple(tables),
-            join_conditions=tuple(joins),
-            where=where,
-            group_by=tuple(group),
-            having=having,
-            order_by=tuple(order),
+            join_conditions=tuple([(ref(a), ref(b)) for a, b in joins]),
+            where=conditions(where),
+            having=conditions(having),
+            group_by=tuple([ref(r) for r in group]),
+            order_by=tuple([OrderItem(expr(e), desc) for e, desc in order]),
             limit=limit,
-            set_op=(op, self.query()) if op else None,
+            set_op=set_op,
         )
-        # Aliases name this level's tables; the set-operation branch has its own.
-        return rebuild(query, lambda ref: _unalias(ref, aliases)) if aliases else query
+        if schema is not None:
+            names = {t.lower() for t in tables}
+            for pair in level.join_conditions:
+                for r in pair:
+                    if (r.table or "").lower() not in names:
+                        raise UnresolvableColumn(f"join condition references {r}, not in FROM clause")
+        return level
 
     def table_source(self, tables: list[str], aliases: dict[str, str]) -> None:
         tok = self.advance()
@@ -303,28 +365,26 @@ class _Parser:
             aliases[self.advance().text.lower()] = name
         tables.append(name)
 
-    def join_condition(self) -> tuple[ColumnRef, ColumnRef]:
+    def join_condition(self) -> tuple:
         left = self.column_ref()
         if self.accept("=") is None:
-            raise self.fail("join conditions must use '='")
-        right = self.column_ref()
-        return (left, right)
+            raise SqlSyntaxError("join conditions must use '='", self.peek().pos)
+        return (left, self.column_ref())
 
-    def column_expr(self) -> ColumnExpr:
-        tok = self.peek()
-        if tok.key in Agg.__members__ and tok.key != "NONE" and self.peek(1).key == "(":
-            agg = Agg[self.advance().key]
-            self.expect("(")
+    def column_expr(self) -> tuple:
+        agg = _AGGS.get(self.peek().key)
+        if agg is not None and self.tokens[self.i + 1].key == "(":  # an aggregate is never the end
+            self.i += 2
             distinct = self.accept("DISTINCT") is not None
             ref = self.column_ref()
             self.expect(")")
-            return ColumnExpr(ref, agg, distinct)
-        return ColumnExpr(self.column_ref())
+            return (ref, agg, distinct)
+        return (self.column_ref(), Agg.NONE, False)
 
-    def column_ref(self) -> ColumnRef:
+    def column_ref(self) -> tuple:
         tok = self.advance()
         if tok.key == STAR:
-            return ColumnRef(None, STAR)
+            return (None, STAR)
         if tok.kind != "name":
             raise SqlSyntaxError("expected column reference", tok.pos)
         if tok.text.lower() in _RESERVED:
@@ -332,13 +392,13 @@ class _Parser:
         if self.accept("."):
             nxt = self.advance()
             if nxt.key == STAR:
-                return ColumnRef(tok.text, STAR)
+                return (tok.text, STAR)
             if nxt.kind != "name":
                 raise SqlSyntaxError("expected column name after '.'", nxt.pos)
-            return ColumnRef(tok.text, nxt.text)
-        return ColumnRef(None, tok.text)
+            return (tok.text, nxt.text)
+        return (None, tok.text)
 
-    def condition_list(self) -> ConditionList:
+    def condition_list(self) -> tuple:
         conditions = [self.condition()]
         connectors: list[str] = []
         while True:
@@ -347,9 +407,9 @@ class _Parser:
                 break
             connectors.append(word)
             conditions.append(self.condition())
-        return ConditionList(tuple(conditions), tuple(connectors))
+        return (conditions, tuple(connectors))
 
-    def condition(self) -> Condition:
+    def condition(self) -> tuple:
         left = self.column_expr()
         negated = self.accept("NOT") is not None
         tok = self.peek()
@@ -357,7 +417,7 @@ class _Parser:
             if negated:
                 raise SqlSyntaxError("NOT cannot precede a comparison operator", tok.pos)
             op = self.advance().text
-            return Condition(left, op, (self.value(),))
+            return (left, op, (self.value(),))
         word = self.accept("IN", "LIKE", "BETWEEN")
         if word == "BETWEEN":
             if negated:
@@ -365,30 +425,24 @@ class _Parser:
             lo = self.value()
             self.expect("AND")
             hi = self.value()
-            return Condition(left, "BETWEEN", (lo, hi))
+            return (left, "BETWEEN", (lo, hi))
         if word == "LIKE":
-            return Condition(left, "NOT LIKE" if negated else "LIKE", (self.value(),))
+            return (left, "NOT LIKE" if negated else "LIKE", (self.value(),))
         if word == "IN":
             self.expect("(")
             if self.peek().key == "SELECT":
-                values: tuple[Value, ...] = (self.query(),)
+                values: tuple = (self.query(),)
             else:
-                items = [self.value()]
-                while self.accept(","):
-                    items.append(self.value())
-                values = tuple(items)
+                values = tuple(self.commas(self.value))
             self.expect(")")
-            return Condition(left, "NOT IN" if negated else "IN", values)
-        raise self.fail("expected a condition operator")
+            return (left, "NOT IN" if negated else "IN", values)
+        raise SqlSyntaxError("expected a condition operator", tok.pos)
 
-    def value(self) -> Value:
+    def value(self) -> Value | tuple:
         tok = self.peek()
-        if tok.kind == "number":
+        if tok.kind == "number" or tok.kind == "string":
             self.advance()
-            return Literal("number", tok.text)
-        if tok.kind == "string":
-            self.advance()
-            return Literal("string", tok.text)
+            return Literal(tok.kind, tok.text)
         if self.accept("("):
             sub = self.query()
             self.expect(")")
@@ -397,10 +451,8 @@ class _Parser:
             return self.column_ref()
         raise SqlSyntaxError("expected a value", tok.pos)
 
-    def order_item(self) -> OrderItem:
-        expr = self.column_expr()
-        word = self.accept("ASC", "DESC")
-        return OrderItem(expr, desc=(word == "DESC"))
+    def order_item(self) -> tuple:
+        return (self.column_expr(), self.accept("ASC", "DESC") == "DESC")
 
 
 # --------------------------------------------------------------------------
@@ -415,13 +467,11 @@ def rebuild(
     level: SqlQuery,
     fix_ref: Callable[[ColumnRef], ColumnRef] = _same,
     fix_query: Callable[[SqlQuery], SqlQuery] = _same,
-    from_tables: tuple[str, ...] | None = None,
 ) -> SqlQuery:
-    """Copy of one SELECT level: ``fix_ref`` maps the column references of its
-    own clauses, ``fix_query`` its WHERE/HAVING subqueries and then its
-    set-operation branch, and ``from_tables`` replaces FROM if given.  Calls
-    come in clause order (SELECT, JOIN ON, WHERE, HAVING, GROUP BY, ORDER BY,
-    set operation), the order in which the keyword arguments below are written."""
+    """Copy of one SELECT level: ``fix_ref`` maps the references of its own
+    clauses, ``fix_query`` its WHERE/HAVING subqueries, then its set-operation
+    branch.  Calls come in clause order (SELECT, JOIN ON, WHERE, HAVING,
+    GROUP BY, ORDER BY, set operation), the order of the keyword arguments below."""
 
     def fix_expr(e: ColumnExpr) -> ColumnExpr:
         return ColumnExpr(fix_ref(e.ref), e.agg, e.distinct)
@@ -445,7 +495,7 @@ def rebuild(
     return SqlQuery(
         select=tuple(fix_expr(e) for e in level.select),
         distinct=level.distinct,
-        from_tables=level.from_tables if from_tables is None else from_tables,
+        from_tables=level.from_tables,
         join_conditions=tuple((fix_ref(a), fix_ref(b)) for a, b in level.join_conditions),
         where=fix_conditions(level.where),
         having=fix_conditions(level.having),
@@ -479,81 +529,26 @@ def _iter_refs(level: SqlQuery) -> list[ColumnRef]:
     return refs
 
 
-def _unalias(ref: ColumnRef, aliases: dict[str, str]) -> ColumnRef:
-    if ref.table and ref.table.lower() in aliases:
-        return ColumnRef(aliases[ref.table.lower()], ref.column)
-    return ref
-
-
 def parse_sql(text: str, schema: DatabaseSchema | None = None) -> SqlQuery:
-    """Parse SQL text into a canonical AST; resolve against a schema if given.
+    """Parse SQL text into a canonical AST, building each SELECT level once.
 
-    Aliases are always resolved away.  With a schema, unqualified columns are
-    attributed to their unique owning table among the FROM tables or rejected
-    (:class:`UnresolvableColumn` / :class:`AmbiguousColumn`).
+    Aliases are always resolved away.  With a schema, each level is resolved
+    against its own FROM tables as it is built: unqualified columns go to their
+    unique owning table or are rejected (:class:`UnresolvableColumn` /
+    :class:`AmbiguousColumn`).  A syntax error anywhere wins; of several
+    resolution errors, the first in :func:`map_query` pre-order is raised.
     """
     if not text.strip():
         raise SqlSyntaxError("empty query", 0)
-    parser = _Parser(_lex(text))
+    parser = _Parser(_lex(text), schema)
     query = parser.query()
     parser.accept(";")
     trailing = parser.peek()
     if trailing.kind != "end":
         raise SqlSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
-    if schema is not None:
-        query = resolve(query, schema)
+    if parser.failure is not None:
+        raise parser.failure[1]
     return query
-
-
-# --------------------------------------------------------------------------
-# Schema resolution
-
-
-def resolve(q: SqlQuery, schema: DatabaseSchema) -> SqlQuery:
-    """Return a copy with canonical table casing and qualified columns.
-
-    Each query level resolves unqualified columns against its own FROM tables.
-    """
-
-    def resolve_level(level: SqlQuery) -> SqlQuery:
-        tables: list[TableDef] = []
-        for name in level.from_tables:
-            table = schema.table(name)
-            if table is None:
-                raise UnknownTable(f"table {name!r} not in schema {schema.db_id!r}")
-            tables.append(table)
-
-        def fix_ref(ref: ColumnRef) -> ColumnRef:
-            if ref.table is not None:
-                table = schema.table(ref.table)
-                if table is None:
-                    raise UnknownTable(f"table {ref.table!r} not in schema")
-                if ref.column == STAR:
-                    return ColumnRef(table.name, STAR)
-                col = table.column(ref.column)
-                if col is None:
-                    raise UnresolvableColumn(f"{ref.table}.{ref.column} not in schema")
-                return ColumnRef(table.name, col.name)
-            if ref.column == STAR:
-                return ref
-            owners = [(t.name, col.name) for t in tables if (col := t.column(ref.column)) is not None]
-            if len(owners) == 1:
-                return ColumnRef(*owners[0])
-            if not owners:
-                raise UnresolvableColumn(f"column {ref.column!r} not in any FROM table")
-            raise AmbiguousColumn(f"column {ref.column!r} owned by {[t for t, _ in owners]}")
-
-        resolved = rebuild(level, fix_ref, from_tables=tuple(t.name for t in tables))
-        table_set = {t.name.lower() for t in tables}
-        for pair in resolved.join_conditions:
-            for ref in pair:
-                if (ref.table or "").lower() not in table_set:
-                    raise UnresolvableColumn(
-                        f"join condition references {ref}, not in FROM clause"
-                    )
-        return resolved
-
-    return map_query(q, resolve_level)
 
 
 # --------------------------------------------------------------------------

@@ -317,6 +317,15 @@ def test_question_tokens_invariants():
         QuestionTokens(turns=((),))
 
 
+@pytest.mark.parametrize("token", ["", "New  York", "a b", "x\t", "\u00a0"])
+def test_question_tokens_reject_empty_and_whitespace_tokens(token):
+    # value_link's text key joins tokens with single spaces, so a token must
+    # be what tokenize makes: non-empty, with no whitespace.
+    with pytest.raises(ValueError):
+        QuestionTokens(turns=(("in", token),))
+    assert QuestionTokens.from_text(f"in {token}").all_tokens() == ["in", *token.split()]
+
+
 # -- normalize_value ---------------------------------------------------------
 
 

@@ -27,7 +27,6 @@ from structsql.sql_ast import (
     map_query,
     parse_sql,
     render_sql,
-    resolve,
 )
 from structsql.synth import random_query, random_schema_doc
 
@@ -333,8 +332,12 @@ def _aliased(text, rng):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except SchemaResolutionError as exc:
+    except (SqlSyntaxError, SchemaResolutionError) as exc:
         return type(exc), str(exc)
+
+
+def _reference_parse(text, schema):
+    return reference_resolve(parse_sql(text), schema)
 
 
 @given(seed=st.integers(0, 2**32 - 1), aliased=st.booleans())
@@ -346,7 +349,8 @@ def test_walks_match_reference_walkers(seed, aliased):
     schema = load_schema(doc, content=content or None)
     clean = _nested_query(rng, schema, depth=2)
     q = _mutated(clean, rng, schema)
-    assert _outcome(resolve, q, schema) == _outcome(reference_resolve, q, schema)
+    text = render_sql(q)
+    assert _outcome(parse_sql, text, schema) == _outcome(_reference_parse, text, schema)
 
     levels, reference_levels = [], []
     assert map_query(q, lambda level: levels.append(level) or level) == q
@@ -362,6 +366,51 @@ def test_walks_match_reference_walkers(seed, aliased):
         alias_text = _aliased(text, rng)
         assert parse_sql(alias_text) == parse_sql(text), alias_text
         assert parse_sql(alias_text, schema) == parse_sql(text, schema) == clean
+
+
+@given(seed=st.integers(0, 2**32 - 1), aliased=st.booleans(), mutated=st.booleans(), text=st.none())
+# (a) The outer ORDER BY and the WHERE subquery both fail: the outer level's
+# error comes first in pre-order, though the subquery is built first.
+@example(
+    seed=0, aliased=False, mutated=False,
+    text="SELECT Players.First_name FROM Players WHERE Players.Player_id IN "
+    "(SELECT Ranking.Player_id FROM Rankings) ORDER BY Players.Nothing ASC",
+)
+# (b) A resolution error, then a syntax error later in the text: the syntax
+# error wins, inside a later level or as trailing input.
+@example(
+    seed=0, aliased=False, mutated=False,
+    text="SELECT Nope FROM Players WHERE Players.Player_id IN (SELECT Ranking.Player_id FROM)",
+)
+@example(seed=0, aliased=False, mutated=False, text="SELECT Nope FROM Players LIMIT 3 extra")
+# (c) A bad column in a set-operation branch, alone and after a failing
+# WHERE subquery of the level before it.
+@example(
+    seed=0, aliased=False, mutated=False,
+    text="SELECT Players.First_name FROM Players UNION SELECT Ranking.Nope FROM Ranking",
+)
+@example(
+    seed=0, aliased=False, mutated=False,
+    text="SELECT Players.Country FROM Players WHERE Players.Player_id IN (SELECT Id FROM Matches "
+    "JOIN Ranking ON Ranking.Player_id = Players.Player_id) EXCEPT SELECT Year FROM Matches",
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_with_schema_matches_reference_resolve(tennis, seed, aliased, mutated, text):
+    """``parse_sql(text, schema)`` builds each level once, resolving as it
+    goes; it returns what the reference parse-then-resolve returns, or raises
+    the same error class and message.  A drawn case renders a nested synth
+    query on a synth schema, broken by ``_mutated`` if ``mutated``, with
+    aliases if ``aliased``; a pinned ``text`` is on the tennis schema."""
+    schema = tennis
+    if text is None:
+        rng = random.Random(seed)
+        doc, content = random_schema_doc(rng, "db", with_values=True)
+        schema = load_schema(doc, content=content or None)
+        q = _nested_query(rng, schema, depth=2)
+        text = render_sql(_mutated(q, rng, schema) if mutated else q)
+        if aliased:
+            text = _aliased(text, rng)
+    assert _outcome(parse_sql, text, schema) == _outcome(_reference_parse, text, schema), text
 
 
 # -- rendering ----------------------------------------------------------------
