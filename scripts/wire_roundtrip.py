@@ -6,7 +6,8 @@ Usage: python3 scripts/wire_roundtrip.py
 Pins itself to one CPU (the child inherits the pin, as ``bench/run.py`` pins
 a run and its ``lm_host.py``), starts a child process serving a zero-cost
 scorer through ``ScorerServer``, and sends one reference request per call:
-5 prefixes of 11 ids, 5 x 92 candidates and a 115-token source.  Prints the
+5 prefixes of 11 ids, 5 x 63 candidates and a 115-token source, the mean
+shape of an untraced ``pipeline-local`` decode step at seed 101.  Prints the
 p50 and p90 microseconds per ``score_batch`` round trip over CALLS calls
 that follow WARMUP untimed ones, so what is measured is encoding, decoding,
 checks and transport, never scoring.  Only the standard library and ``src``
@@ -32,7 +33,7 @@ from structsql.decode import (  # noqa: E402
 )
 
 VOCAB_SIZE = 600
-PREFIXES, PREFIX_LEN, CANDIDATES, SOURCE_LEN = 5, 11, 92, 115
+PREFIXES, PREFIX_LEN, CANDIDATES, SOURCE_LEN = 5, 11, 63, 115
 CALLS, WARMUP = 3000, 300
 
 

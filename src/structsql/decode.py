@@ -2,7 +2,8 @@
 
 No SQL grammar automaton is involved: keywords and literals decode freely,
 but once a token starts a schema surface form the following tokens must spell
-a complete trie path.  The trie is suspended inside quoted string literals.
+a complete trie path.  The trie is suspended inside quoted string literals,
+and a number is spelled one digit token at a time.
 The neural scorer is abstracted behind :class:`TokenScorer`, whose one
 method, ``score_candidates``, scores the allowed next tokens of a prefix.
 The beam asks once per step, for every live hypothesis, through
@@ -42,12 +43,16 @@ SQL_KEYWORD_TOKENS: tuple[str, ...] = (
 )
 
 _PIECE_RE = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?$")
+# The vocabulary's split: every digit is a token and a word starts with a
+# non-digit; inside single quotes every whitespace character is a token too.
+_PLAIN_RE = re.compile(r"\d|[^\W\d]\w*|<=|>=|!=|<>|[^\w\s]")
+_QUOTED_RE = re.compile(r"\d|[^\W\d]\w*|<=|>=|!=|<>|[^\w\s]|\s")
+_WORD = re.compile(r"\w")
 _NO_SPACE_BEFORE = {".", ",", ")", ";"}
 _NO_SPACE_AFTER = {".", "("}
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
-TOKENIZER_TAG = "wordpiece-v1"
+TOKENIZER_TAG = "wordpiece-v2"
 
 
 class Untokenizable(ValueError):
@@ -71,16 +76,47 @@ class ProtocolViolation(RuntimeError):
 
 
 def pieces(text: str) -> list[str]:
-    """Deterministic sub-word split shared by the vocabulary and tokenizers."""
+    """Deterministic sub-word split of ``text`` with numbers kept whole.  It
+    is not the scorer vocabulary's split, which spells a number digit by
+    digit (``Vocabulary.tokenize``)."""
     return _PIECE_RE.findall(text)
+
+
+def _token_split(text: str) -> list[str]:
+    """The vocabulary's tokens of ``text``."""
+    if QUOTE_TOKEN not in text:
+        return _PLAIN_RE.findall(text)
+    runs = text.split(QUOTE_TOKEN)
+    out = _PLAIN_RE.findall(runs[0])
+    for i in range(1, len(runs)):
+        out.append(QUOTE_TOKEN)
+        out += (_QUOTED_RE if i % 2 else _PLAIN_RE).findall(runs[i])
+    return out
+
+
+def _token_split_all(texts: Iterable[str]) -> tuple[list[str], list[str]]:
+    """The vocabulary's tokens of ``texts`` in order, save whitespace inside
+    quotes, and every token inside quotes.  A token never spans a quote, and
+    inside quotes the split differs only by its whitespace tokens, so one
+    regex pass over the joined texts finds the first list and one over
+    their quoted runs the second."""
+    texts = list(texts)
+    joined = " ".join(texts)
+    quoted: list[str] = []
+    if QUOTE_TOKEN in joined:
+        runs = (run for text in texts for run in text.split(QUOTE_TOKEN)[1::2])
+        quoted = _QUOTED_RE.findall(" ".join(runs))
+    return _PLAIN_RE.findall(joined), quoted
 
 
 class Vocabulary:
     """Token id <-> surface form map with keyword/literal categories.
 
     ``keyword_ids`` are SQL keywords and punctuation; ``literal_ids`` are
-    tokens that may appear as free-standing values (numbers, the quote, and
-    words observed inside string literals or cell values).
+    tokens that may appear as free-standing values (the digits, the quote,
+    and the words observed inside string literals or cell values).  A number is
+    spelled one digit token at a time, and so is every whitespace character
+    inside quotes, so quoted text comes back exactly.
     """
 
     def __init__(self, tokens: Sequence[str], literal_forms: Iterable[str] = ()):
@@ -97,10 +133,15 @@ class Vocabulary:
         self.keyword_ids: frozenset[int] = frozenset(
             self._index[t] for t in SQL_KEYWORD_TOKENS if t in self._index
         )
-        literal = {self._index[t] for t in literal_forms if t in self._index}
+        self.digit_ids: frozenset[int] = frozenset(
+            i for i, t in enumerate(self._tokens) if len(t) == 1 and t.isdecimal()
+        )
+        # Punctuation and whitespace spell quoted text; only a word stands
+        # for a value.
+        literal = {self._index[t] for t in literal_forms if t in self._index and _WORD.match(t)}
         if self.quote_id is not None:
             literal.add(self.quote_id)
-        literal |= {i for i, t in enumerate(self._tokens) if _NUMBER_RE.match(t)}
+        literal |= self.digit_ids
         literal.discard(self.eos_id)
         self.literal_ids: frozenset[int] = frozenset(literal)
         self.all_ids: tuple[int, ...] = tuple(range(len(self._tokens)))
@@ -111,31 +152,23 @@ class Vocabulary:
         schemas: Iterable[DatabaseSchema],
         corpus_texts: Iterable[str] = (),
     ) -> "Vocabulary":
-        """Assemble a vocabulary covering keywords, schema names, and corpus text.
+        """Assemble a vocabulary covering keywords, digits, schema names, and
+        corpus text.
 
         Words observed inside quoted literals of ``corpus_texts`` and all cell
         values become literal tokens; everything else stays plain.
         """
-        ordered: list[str] = [EOS_TOKEN, *SQL_KEYWORD_TOKENS, QUOTE_TOKEN, ".", STAR]
+        ordered: list[str] = [EOS_TOKEN, *SQL_KEYWORD_TOKENS, QUOTE_TOKEN, ".", STAR, *"0123456789", " "]
         literal_forms: list[str] = []
         for schema in schemas:
-            for form in schema.surface_forms():
-                ordered.extend(pieces(form))
-            for _, col in schema.iter_columns():
-                for value in col.sample_values or ():
-                    value_pieces = pieces(value)
-                    ordered.extend(value_pieces)
-                    literal_forms.extend(value_pieces)
-        for text in corpus_texts:
-            in_quote = False
-            for piece in pieces(text):
-                if piece == QUOTE_TOKEN:
-                    in_quote = not in_quote
-                    continue
-                ordered.append(piece)
-                if in_quote:
-                    literal_forms.append(piece)
-        return cls(ordered, literal_forms=literal_forms)
+            ordered += chain(*_token_split_all(schema.surface_forms()))
+            values = _token_split_all(
+                v for _, col in schema.iter_columns() for v in col.sample_values or ()
+            )
+            ordered += chain(*values)
+            literal_forms += chain(*values)
+        tokens, quoted = _token_split_all(corpus_texts)
+        return cls(ordered + tokens + quoted, literal_forms=literal_forms + quoted)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -150,31 +183,41 @@ class Vocabulary:
             raise Untokenizable(f"token {token!r} not in vocabulary") from None
 
     def tokenize(self, text: str) -> list[int]:
-        split = pieces(text)
+        split = _token_split(text)
         if not split:
             raise Untokenizable(f"nothing to tokenize in {text!r}")
-        return [self.id_of(p) for p in split]
+        index = self._index
+        try:
+            return [index[p] for p in split]
+        except KeyError as exc:
+            raise Untokenizable(f"token {exc.args[0]!r} not in vocabulary") from None
 
     def detokenize(self, ids: Sequence[int]) -> str:
+        """Text of ``ids``: quoted text joined with nothing added, a digit
+        run outside quotes joined into one number, and other tokens spaced
+        by the renderer's rules."""
         out: list[str] = []
         in_quote = False
-        for i, token_id in enumerate(ids):
+        prev, prev_id = "", -1
+        for token_id in ids:
             tok = self.surface(token_id)
-            if not out:
+            if in_quote or not out:
                 out.append(tok)
             elif tok == QUOTE_TOKEN:
-                out.append(tok if in_quote else " " + tok)
-            elif in_quote:
-                prev = self.surface(ids[i - 1])
+                # A quote right after a closing one reopens it: a '' escape.
                 out.append(tok if prev == QUOTE_TOKEN else " " + tok)
-            elif tok in _NO_SPACE_BEFORE or self.surface(ids[i - 1]) in _NO_SPACE_AFTER:
-                out.append(tok)
-            elif tok == "(" and self.surface(ids[i - 1]) in _AGGREGATES:
+            elif (
+                tok in _NO_SPACE_BEFORE
+                or prev in _NO_SPACE_AFTER
+                or (tok == "(" and prev in _AGGREGATES)
+                or (token_id in self.digit_ids and prev_id in self.digit_ids)
+            ):
                 out.append(tok)
             else:
                 out.append(" " + tok)
             if tok == QUOTE_TOKEN:
                 in_quote = not in_quote
+            prev, prev_id = tok, token_id
         return "".join(out)
 
 
@@ -221,7 +264,8 @@ LITERAL = TrieNode()
 class DecodeState:
     """Beam hypothesis: emitted ids, cursor and summed score.
 
-    The cursor is ``None`` (free), ``LITERAL`` or a trie node.
+    The cursor is ``None`` (free), ``LITERAL`` or a trie node, the
+    constraint's number cursor included.
     """
 
     tokens: tuple[int, ...] = ()
@@ -235,11 +279,21 @@ class LexiconConstraint:
     Masks live in one table keyed by cursor identity, so a lookup costs a
     dictionary probe regardless of schema size.  The free and literal masks
     are filled at construction, trie-node masks on first use.
+
+    A digit moves to the terminal ``number`` cursor, where the number may
+    end or go on: another digit keeps it, and its only child, ".", leads to
+    the digits of a fraction.  So "." is never free after a name.
     """
 
     def __init__(self, root: TrieNode, vocab: Vocabulary):
         self.root = root
         self.vocab = vocab
+        self.number = TrieNode()
+        self.number.terminal = True
+        with suppress(Untokenizable):  # a vocabulary without "." spells no fraction
+            point = TrieNode()
+            point.children = dict.fromkeys(vocab.digit_ids, self.number)
+            self.number.children[vocab.id_of(".")] = point
         self._free_base = vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
         self._allowed: dict[int, tuple[int, ...]] = {
             id(None): tuple(sorted(self._free_base | set(root.children))),
@@ -249,10 +303,11 @@ class LexiconConstraint:
     def candidate_ids(self, state: DecodeState) -> tuple[int, ...]:
         """Legal next token ids for a hypothesis, in ascending order.
 
-        Free cursor: keywords, trie-root children, literals, EOS.
-        Mid-path: trie children only.  At a terminal: children plus the
-        free set (the identifier may end here or extend).  Inside a quoted
-        literal: every id but EOS.
+        Free cursor: keywords, trie-root children, literals (digits among
+        them), EOS.  Mid-path: trie children only.  At a terminal, the
+        number cursor included: children plus the free set (the identifier
+        or number may end here or extend).  Inside a quoted literal: every
+        id but EOS.
         """
         node = state.node
         allowed = self._allowed.get(id(node))
@@ -267,11 +322,15 @@ class LexiconConstraint:
         """Cursors after emitting a non-EOS token, in successor order.
 
         A terminal node that is also a prefix of a longer form yields both a
-        deeper cursor and a fresh one.  The cursors are distinct, so
-        successors never share tokens and cursor.
+        deeper cursor and a fresh one.  A digit yields the number cursor
+        first, and a digit after a digit only that.  The cursors are
+        distinct, so successors never share tokens and cursor.
         """
         if cursor is LITERAL:
             return (None,) if token_id == self.vocab.quote_id else (LITERAL,)
+        digit = token_id in self.vocab.digit_ids
+        if digit and cursor is self.number:
+            return (cursor,)
         out: tuple[TrieNode | None, ...] = ()
         if cursor is not None:
             child = cursor.children.get(token_id)
@@ -279,13 +338,15 @@ class LexiconConstraint:
                 out = (child,)
             if not cursor.terminal:
                 return out
-        # A fresh identifier run, a literal or a keyword starts here.
+        # A fresh identifier run, a number, a literal or a keyword starts here.
         if token_id == self.vocab.quote_id:
             return out + (LITERAL,)
+        if digit:
+            out = (self.number, *out)
         child = self.root.children.get(token_id)
         if child is not None:
             out += (child,)
-        if token_id in self.vocab.keyword_ids or token_id in self.vocab.literal_ids:
+        if not digit and (token_id in self.vocab.keyword_ids or token_id in self.vocab.literal_ids):
             out += (None,)
         return out
 

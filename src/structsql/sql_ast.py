@@ -597,7 +597,8 @@ def _render_from(q: SqlQuery) -> str:
     pos = {t.lower(): i for i, t in enumerate(q.from_tables)}
     conds_at: dict[int, list[str]] = {}
     for a, b in q.join_conditions:
-        anchor = max(pos.get((a.table or "").lower(), 0), pos.get((b.table or "").lower(), 0))
+        # A condition on the first table alone is written at the first JOIN.
+        anchor = max(pos.get((a.table or "").lower(), 0), pos.get((b.table or "").lower(), 0), 1)
         conds_at.setdefault(anchor, []).append(f"{a} = {b}")
     parts = [f"FROM {q.from_tables[0]}"]
     for i, table in enumerate(q.from_tables[1:], start=1):

@@ -228,9 +228,9 @@ def test_report_separates_decode_and_parse_failures(corpus_dir, tmp_path):
     ]
     assert main(argv) == EXIT_OK
     counts = json.loads(read(out / "report.json"))["counts"]
-    assert counts["decode_failure"] == 6
-    assert counts["parse_failure"] == 19
-    assert read(out / "decoded.sql").splitlines().count("") == 6
+    assert counts["decode_failure"] == 5
+    assert counts["parse_failure"] == 20
+    assert read(out / "decoded.sql").splitlines().count("") == 5
 
 
 def test_run_without_completion_keeps_decoded_sql(tmp_path, tables_path):

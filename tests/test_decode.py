@@ -20,8 +20,8 @@ from structsql.decode import (
     oracle_scorer,
 )
 from structsql.schema import DatabaseSchema, load_schema
-from structsql.sql_ast import render_sql
-from structsql.synth import random_query, random_schema_doc
+from structsql.sql_ast import parse_sql, render_sql
+from structsql.synth import generate_synthetic_corpus, random_query, random_schema_doc
 
 from util_checks import (
     AdversarialScorer,
@@ -70,7 +70,9 @@ def tennis_kit(tennis):
 def test_vocab_categories(tennis_kit):
     vocab, _ = tennis_kit
     assert vocab.id_of("SELECT") in vocab.keyword_ids
-    assert vocab.id_of("2016") in vocab.literal_ids
+    assert vocab.id_of("2") in vocab.literal_ids  # a number is spelled digit by digit
+    with pytest.raises(Untokenizable):
+        vocab.id_of("2016")
     assert vocab.id_of("USA") in vocab.literal_ids  # observed inside quotes
     assert vocab.id_of("Ranking") not in vocab.literal_ids
     assert vocab.eos_id not in vocab.literal_ids
@@ -80,6 +82,51 @@ def test_detokenize_round_trip(tennis_kit):
     vocab, _ = tennis_kit
     text = "SELECT Players.First_name FROM Players WHERE Players.Country = 'USA'"
     assert vocab.detokenize(vocab.tokenize(text)) == text
+
+
+# Literal forms the grammar admits that a whole-number, space-dropping
+# token space could not spell back.
+EXACT_LITERALS = ["'a  b'", "' lead'", "'a,b'", "'ümlaut-x'", "'1 2'", "'O''Brien'", "1.5"]
+
+
+def literal_query(tennis, literal):
+    text = f"SELECT Players.First_name FROM Players WHERE Players.Country = {literal}"
+    return render_sql(parse_sql(text, tennis))
+
+
+@pytest.mark.parametrize("literal", EXACT_LITERALS)
+def test_token_round_trip_is_exact(tennis, literal):
+    text = literal_query(tennis, literal)
+    assert literal in text
+    vocab = Vocabulary.build([tennis], corpus_texts=[text])
+    assert vocab.detokenize(vocab.tokenize(text)) == text
+
+
+def test_token_round_trip_synth_queries():
+    corpus = generate_synthetic_corpus(5, 6, 200, with_values=True)
+    schemas = {d["db_id"]: load_schema(d, corpus.content.get(d["db_id"])) for d in corpus.schema_docs}
+    texts = [render_sql(parse_sql(e["query"], schemas[e["db_id"]])) for e in corpus.examples]
+    vocab = Vocabulary.build(schemas.values(), corpus_texts=texts)
+    for text in texts:
+        assert vocab.detokenize(vocab.tokenize(text)) == text
+
+
+def test_free_mask_holds_no_corpus_number():
+    # Numbers are spelled with digit tokens, so the free mask does not grow
+    # with the corpus.  Words quoted in the gold still enter it; they are set
+    # aside here, since they are not what this test is about.
+    masks = []
+    for n in (50, 200, 800):
+        corpus = generate_synthetic_corpus(0, 4, n)
+        schemas = [load_schema(d) for d in corpus.schema_docs]
+        texts = [e["query"] for e in corpus.examples]
+        vocab = Vocabulary.build(schemas, corpus_texts=texts)
+        quoted = {w for t in texts for run in t.split("'")[1::2] for w in run.split()}
+        constraint = LexiconConstraint(build_trie(schemas[0], vocab), vocab)
+        free = {vocab.surface(i) for i in constraint.candidate_ids(DecodeState())}
+        masks.append(free - quoted)
+    assert masks[0] == masks[1] == masks[2]
+    assert set("0123456789") <= masks[0]
 
 
 def test_tokenize_unknown_raises(tennis_kit):
@@ -211,6 +258,26 @@ def test_allowed_inside_literal_suspends_trie(tennis_kit):
     assert len(allowed) == len(vocab) - 1
 
 
+def test_number_cursor(tennis_kit):
+    vocab, trie = tennis_kit
+    constraint = LexiconConstraint(trie, vocab)
+    two, five, dot = vocab.id_of("2"), vocab.id_of("5"), vocab.id_of(".")
+    free = allowed_set(constraint, DecodeState())
+    assert dot not in free
+    # The tennis cells 2013, 2016 and 2016-01-05 make "2" a trie root child
+    # too: the number cursor comes first.
+    after_two = advance(constraint, DecodeState(), two, 0.0)
+    assert [s.node for s in after_two] == [constraint.number, trie.children[two]]
+    number = after_two[0]
+    # The number may end (EOS, keywords), go on, or take a fraction.
+    free_base = vocab.keyword_ids | vocab.literal_ids | {vocab.eos_id}
+    assert allowed_set(constraint, number) == free_base | {dot}
+    assert [s.node for s in advance(constraint, number, five, 0.0)] == [constraint.number]
+    (point,) = advance(constraint, number, dot, 0.0)
+    assert allowed_set(constraint, point) == vocab.digit_ids
+    assert [s.node for s in advance(constraint, point, five, 0.0)] == [constraint.number]
+
+
 def test_no_keyword_leak_mid_identifier(tennis_kit):
     vocab, trie = tennis_kit
     constraint = LexiconConstraint(trie, vocab)
@@ -256,6 +323,16 @@ def test_oracle_reproduces_gold(tennis, gold, width):
     vocab = Vocabulary.build([tennis], corpus_texts=GOLD_QUERIES)
     constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
     hyps = beam_search(oracle_scorer(gold, vocab), ["q"], constraint, beam_width=width, max_len=120)
+    assert hyps[0].text(vocab) == gold
+
+
+@pytest.mark.parametrize("literal", ["'O''Brien'", "'a  b'", "1.5"])
+@pytest.mark.parametrize("width", [1, 5])
+def test_oracle_reproduces_exact_literals(tennis, literal, width):
+    gold = literal_query(tennis, literal)
+    vocab = Vocabulary.build([tennis], corpus_texts=[gold])
+    constraint = LexiconConstraint(build_trie(tennis, vocab), vocab)
+    hyps = beam_search(oracle_scorer(gold, vocab), ["q"], constraint, beam_width=width, max_len=60)
     assert hyps[0].text(vocab) == gold
 
 

@@ -84,7 +84,7 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                             "protocol": 3,
                             "size": len(vocab),
                             "eos_id": vocab.eos_id,
-                            "tokenizer_tag": "wordpiece-v1",
+                            "tokenizer_tag": "wordpiece-v2",
                         }
                         if mode == "bad_vocab":
                             reply.update(size=1, eos_id=0, tokenizer_tag="x")

@@ -429,6 +429,18 @@ def test_render_uses_explicit_join_syntax(tennis):
     assert "FROM Players JOIN Matches" in render_sql(q)
 
 
+def test_render_keeps_a_join_condition_on_the_first_table(tennis):
+    # Both references name the first FROM table: the condition is written at
+    # the first JOIN, not dropped.
+    q = parse_sql(
+        "SELECT Players.First_name FROM Players JOIN Matches "
+        "ON Players.Player_id = Players.Player_id",
+        tennis,
+    )
+    assert q.join_conditions
+    assert parse_sql(render_sql(q), tennis) == q
+
+
 def test_render_string_escaping():
     q = parse_sql("SELECT a FROM t WHERE b = 'o''brien'")
     assert "'o''brien'" in render_sql(q)

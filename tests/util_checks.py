@@ -90,10 +90,12 @@ from structsql.sql_ast import (
     Value,
 )
 
-_SPLIT = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
+_SPLIT = re.compile(r"\d|[^\W\d]\w*|<=|>=|!=|<>|[^\w\s]")
 
 FREE = "free"
 LITERAL = "literal"
+NUMBER = "number"  # after a digit: free, and "." may follow
+POINT = "point"  # after a number's ".": a digit must follow
 
 
 def split_pieces(text: str) -> tuple[str, ...]:
@@ -121,6 +123,45 @@ def iter_terminals(root: TrieNode) -> Iterator[tuple[tuple[int, ...], TrieNode]]
             stack.append((path + (token_id,), node.children[token_id]))
 
 
+def _is_digit(token: str) -> bool:
+    return len(token) == 1 and token.isdecimal()
+
+
+def _step_states(
+    states: set, token: str, forms: list[tuple[str, ...]], keywords: set[str], literal_words: set[str]
+) -> set:
+    """The NFA states after ``token``: free, inside a literal, in a number,
+    after a number's ".", or at a position inside a schema form."""
+    next_states: set = set()
+    for state in states:
+        if state == LITERAL:
+            next_states.add(FREE if token == "'" else LITERAL)
+            continue
+        if state == POINT:
+            if _is_digit(token):
+                next_states.add(NUMBER)
+            continue
+        if state in (FREE, NUMBER):
+            if state == NUMBER and token == ".":
+                next_states.add(POINT)
+            if token == "'":
+                next_states.add(LITERAL)
+                continue
+            if _is_digit(token):
+                next_states.add(NUMBER)
+            elif token in keywords or token in literal_words:
+                next_states.add(FREE)
+            for fi, form in enumerate(forms):
+                if form and form[0] == token:
+                    next_states.add(FREE if len(form) == 1 else (fi, 1))
+            continue
+        fi, pos = state
+        form = forms[fi]
+        if form[pos] == token:
+            next_states.add(FREE if pos + 1 == len(form) else (fi, pos + 1))
+    return next_states
+
+
 def identifier_run_violations(
     surface_tokens: list[str],
     schema_forms: set[str],
@@ -128,7 +169,7 @@ def identifier_run_violations(
     literal_words: set[str],
 ) -> int:
     """Count positions where the token stream cannot be explained as keywords,
-    literals, quoted spans, or complete schema surface forms.
+    literals, numbers, quoted spans, or complete schema surface forms.
 
     Simulates a set of possible parses (NFA); a dead transition counts one
     violation and resets to the free state.  Trailing incomplete runs are not
@@ -138,35 +179,10 @@ def identifier_run_violations(
     states: set = {FREE}
     violations = 0
     for token in surface_tokens:
-        next_states: set = set()
-        for state in states:
-            if state == LITERAL:
-                next_states.add(FREE if token == "'" else LITERAL)
-                continue
-            if state == FREE:
-                if token == "'":
-                    next_states.add(LITERAL)
-                    continue
-                if token in keywords or token in literal_words or re.fullmatch(r"\d+(\.\d+)?", token):
-                    next_states.add(FREE)
-                for fi, form in enumerate(forms):
-                    if form and form[0] == token:
-                        if len(form) == 1:
-                            next_states.add(FREE)
-                        else:
-                            next_states.add((fi, 1))
-                continue
-            fi, pos = state
-            form = forms[fi]
-            if form[pos] == token:
-                if pos + 1 == len(form):
-                    next_states.add(FREE)
-                else:
-                    next_states.add((fi, pos + 1))
-        if not next_states:
+        states = _step_states(states, token, forms, keywords, literal_words)
+        if not states:
             violations += 1
-            next_states = {FREE}
-        states = next_states
+            states = {FREE}
     return violations
 
 
@@ -176,34 +192,16 @@ def sequence_explained(
     keywords: set[str],
     literal_words: set[str],
 ) -> bool:
-    """True when the full stream parses with every identifier run complete."""
-    if identifier_run_violations(surface_tokens, schema_forms, keywords, literal_words):
-        return False
-    # Re-run and require a FREE end state (no dangling run or open literal).
+    """True when the full stream parses with every identifier run complete:
+    no dead transition, and no dangling run, open literal or bare "." at
+    the end."""
     forms = [split_pieces(f) for f in schema_forms]
     states: set = {FREE}
     for token in surface_tokens:
-        nxt: set = set()
-        for state in states:
-            if state == LITERAL:
-                nxt.add(FREE if token == "'" else LITERAL)
-            elif state == FREE:
-                if token == "'":
-                    nxt.add(LITERAL)
-                    continue
-                if token in keywords or token in literal_words or re.fullmatch(r"\d+(\.\d+)?", token):
-                    nxt.add(FREE)
-                for fi, form in enumerate(forms):
-                    if form and form[0] == token:
-                        nxt.add(FREE if len(form) == 1 else (fi, 1))
-            else:
-                fi, pos = state
-                if forms[fi][pos] == token:
-                    nxt.add(FREE if pos + 1 == len(forms[fi]) else (fi, pos + 1))
-        states = nxt
+        states = _step_states(states, token, forms, keywords, literal_words)
         if not states:
             return False
-    return FREE in states
+    return FREE in states or NUMBER in states
 
 
 def brute_force_connector(
