@@ -5,13 +5,17 @@ Usage: python3 scripts/wire_roundtrip.py
 
 Pins itself to one CPU (the child inherits the pin, as ``bench/run.py`` pins
 a run and its ``lm_host.py``), starts a child process serving a zero-cost
-scorer through ``ScorerServer``, and sends one reference request per call:
-5 prefixes of 11 ids, 5 x 63 candidates and a 115-token source, the mean
-shape of an untraced ``pipeline-local`` decode step at seed 101.  Prints the
-p50 and p90 microseconds per ``score_batch`` round trip over CALLS calls
-that follow WARMUP untimed ones, so what is measured is encoding, decoding,
-checks and transport, never scoring.  Only the standard library and ``src``
-are used.
+scorer through ``ScorerServer``, and times ``score_batch`` round trips of two
+reference shapes.  Each example in them has 5 prefixes of 11 ids, 5 x 63
+candidates and a 115-token source, the mean shape of one example's decode
+step in ``pipeline-remote`` at seed 101.  "one example" sends one such
+example per message, as a search driven alone does; "lockstep step" sends
+35, the examples ``run`` steps together at the start of that round.  For
+each shape it prints the p50 and p90 microseconds per message and per
+example-step (a message's time over its examples) over the timed calls that
+``SHAPES`` gives, after its untimed warm-up calls, so what is measured is
+encoding, decoding, checks and transport, never scoring.  Only the standard
+library and ``src`` are used.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from structsql.decode import (  # noqa: E402
     EOS_TOKEN,
+    ScoreRequest,
     ScorerServer,
     TokenScorer,
     Vocabulary,
@@ -34,12 +39,13 @@ from structsql.decode import (  # noqa: E402
 
 VOCAB_SIZE = 600
 PREFIXES, PREFIX_LEN, CANDIDATES, SOURCE_LEN = 5, 11, 63, 115
-CALLS, WARMUP = 3000, 300
+# Examples per message, timed calls, warm-up calls.
+SHAPES = {"one example": (1, 3000, 300), "lockstep step": (35, 300, 30)}
 
 
 class ZeroScorer(TokenScorer):
-    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
-        return [[0.0] * len(c) for c in candidate_lists]
+    def score_batch(self, requests):
+        return [[[0.0] * len(c) for c in r.candidate_lists] for r in requests]
 
 
 def vocabulary() -> Vocabulary:
@@ -57,38 +63,42 @@ def serve() -> int:
     return 0
 
 
-def reference_request() -> tuple[tuple, list, list]:
+def reference_requests(examples: int) -> list[ScoreRequest]:
     source = tuple(f"w{i % 40}" for i in range(SOURCE_LEN))
     prefixes = [tuple((7 * i + 3 * j) % VOCAB_SIZE for j in range(PREFIX_LEN))
                 for i in range(PREFIXES)]
     candidates = [tuple(range(i, i + 5 * CANDIDATES, 5)) for i in range(PREFIXES)]
-    return source, prefixes, candidates
+    return [ScoreRequest(source, str(k), prefixes, candidates) for k in range(examples)]
 
 
-def measure() -> list[float]:
+def measure() -> dict[str, list[float]]:
     child = subprocess.Popen(
         [sys.executable, __file__, "--serve"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     )
+    timings: dict[str, list[float]] = {}
     try:
         endpoint = child.stdout.readline().strip()
         if not endpoint:
             raise RuntimeError("the scorer child exited before serving")
         scorer = external_scorer_connect(endpoint, vocabulary())
         try:
-            source, prefixes, candidates = reference_request()
-            timings = []
-            for i in range(WARMUP + CALLS):
-                start = time.perf_counter()
-                scorer.score_batch(source, prefixes, candidates, str(i // 20))
-                timings.append(time.perf_counter() - start)
+            for name, (examples, calls, warmup) in SHAPES.items():
+                requests = reference_requests(examples)
+                times = []
+                for _ in range(warmup + calls):
+                    start = time.perf_counter()
+                    for _ in scorer.score_batch(requests):  # unpack every example
+                        pass
+                    times.append(time.perf_counter() - start)
+                timings[name] = times[warmup:]
         finally:
             scorer.close()
     finally:
         child.stdin.close()
         child.wait(timeout=30)
         child.stdout.close()
-    return timings[WARMUP:]
+    return timings
 
 
 def main() -> int:
@@ -98,9 +108,15 @@ def main() -> int:
         sys.exit(__doc__)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    timings = sorted(measure())
-    p50, p90 = (timings[int(q * (len(timings) - 1))] * 1e6 for q in (0.5, 0.9))
-    print(f"round trips {len(timings)}  p50 {p50:.0f} us  p90 {p90:.0f} us")
+    for name, times in measure().items():
+        times.sort()
+        examples = SHAPES[name][0]
+        p50, p90 = (times[int(q * (len(times) - 1))] * 1e6 for q in (0.5, 0.9))
+        print(
+            f"{name}: {len(times)} round trips of {examples} example(s)"
+            f"  per message p50 {p50:.0f} us p90 {p90:.0f} us"
+            f"  per example-step p50 {p50 / examples:.0f} us p90 {p90 / examples:.0f} us"
+        )
     return 0
 
 

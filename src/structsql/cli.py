@@ -16,7 +16,7 @@ import sys
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from structsql import metrics as metrics_mod
 from structsql.annotate import AnnotatedInput, MarkConfig, build_input
@@ -26,11 +26,12 @@ from structsql.decode import (
     NoValidHypothesis,
     ProtocolViolation,
     RandomScorer,
+    ScoreRequest,
     TokenScorer,
     TransportError,
     Untokenizable,
     Vocabulary,
-    beam_search,
+    beam_steps,
     build_trie,
     external_scorer_connect,
     oracle_scorer,
@@ -273,6 +274,82 @@ def _complete_all(examples, texts, schemas) -> tuple[list[str], list[dict]]:
     return completed, plans
 
 
+@dataclass
+class _Search:
+    """One turn's beam search in flight, with the later turns of its chain."""
+
+    example: Example
+    later: Iterator[Example]
+    scorer: TokenScorer
+    steps: Generator
+    request: ScoreRequest | None = None
+
+
+def _decode_all(
+    examples: list[Example],
+    schemas: dict[str, DatabaseSchema],
+    constraints: dict[str, LexiconConstraint],
+    config: PipelineConfig,
+    factory: Callable[[int], TokenScorer],
+) -> tuple[list[str], list[str]]:
+    """Annotated sources and decoded texts of ``examples``, in corpus order.
+
+    Each interaction is a chain of turns in corpus order (with discourse off,
+    each example is a chain of its own).  The first turn of every chain
+    starts at once, and the searches step in lockstep: each step asks every
+    distinct scorer once, for the requests of all the searches it serves.
+    When a search ends, its text (blank if no hypothesis finished) is the
+    previous SQL of the chain's next turn, which starts in the next step.
+    """
+    chains: dict = {}
+    for ex in examples:
+        chains.setdefault(ex.interaction_id if config.discourse else ex.index, []).append(ex)
+    sources: dict[int, str] = {}
+    decoded: dict[int, str] = {}
+    ready: list[tuple[Iterator[Example], str | None]] = [(iter(c), None) for c in chains.values()]
+    live: list[_Search] = []
+
+    def advance(search: _Search, scores) -> bool:
+        """Send ``scores`` to the search: True while it asks for more, and
+        once it ends, its text is recorded and its chain is ready."""
+        try:
+            search.request = search.steps.send(scores)
+            return True
+        except StopIteration as stop:
+            # The scorer's vocabulary governs its output ids (an injected
+            # scorer may extend the corpus vocabulary).
+            text = stop.value[0].text(search.scorer.vocab)
+        except NoValidHypothesis:
+            text = ""
+        decoded[search.example.index] = text
+        ready.append((search.later, text))
+        return False
+
+    while ready or live:
+        starting, ready = ready, []
+        for later, prev in starting:
+            ex = next(later, None)
+            if ex is None:
+                continue
+            annotated = _annotation_for(ex, schemas[ex.db_id], config, prev)
+            sources[ex.index] = annotated.render()
+            scorer = factory(ex.index)
+            search = _Search(ex, later, scorer, beam_steps(
+                scorer.vocab, annotated, constraints[ex.db_id], config.beam_width,
+                config.max_len, constrained=config.constrained, example_id=str(ex.index),
+            ))
+            if advance(search, None):
+                live.append(search)
+        groups: dict[int, list[_Search]] = {}
+        for search in live:
+            groups.setdefault(id(search.scorer), []).append(search)
+        live = []
+        for group in groups.values():
+            batch = group[0].scorer.score_batch([search.request for search in group])
+            live += [s for s, scores in zip(group, batch, strict=True) if advance(s, scores)]
+    return [sources[e.index] for e in examples], [decoded[e.index] for e in examples]
+
+
 def run_pipeline(
     config: PipelineConfig,
     scorer_factory: Callable[[int], TokenScorer] | None = None,
@@ -295,14 +372,11 @@ def run_pipeline(
     except Untokenizable as exc:
         raise StageError("vocabulary", exc) from exc
 
-    # Stage: annotate and decode in corpus order; each turn sees the latest
-    # prediction of its interaction as the previous turn.  A connection this
-    # run opens closes with the stack, right after decoding; an injected
-    # factory belongs to the caller.
+    # Stage: annotate and decode, every interaction's turns in order and all
+    # interactions in lockstep, with one scorer call per step for every ready
+    # example (see _decode_all).  A connection this run opens closes with the
+    # stack, right after decoding; an injected factory belongs to the caller.
     out = Path(config.out_dir)
-    sources: list[str] = []
-    decoded: list[str] = []
-    last_pred: dict[str, str] = {}
     with ExitStack() as stack:
         try:
             factory = scorer_factory or make_scorer(
@@ -315,29 +389,7 @@ def run_pipeline(
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config.resolved.json", config.to_dict())
         try:
-            for ex in examples:
-                ex_prev = last_pred.get(ex.interaction_id) if config.discourse else None
-                schema = schemas[ex.db_id]
-                annotated = _annotation_for(ex, schema, config, ex_prev)
-                sources.append(annotated.render())
-                scorer = factory(ex.index)
-                try:
-                    hyps = beam_search(
-                        scorer,
-                        annotated,
-                        constraints[ex.db_id],
-                        beam_width=config.beam_width,
-                        max_len=config.max_len,
-                        constrained=config.constrained,
-                        example_id=str(ex.index),
-                    )
-                    # The scorer's vocabulary governs its output ids (an injected
-                    # scorer may extend the corpus vocabulary).
-                    text = hyps[0].text(scorer.vocab)
-                except NoValidHypothesis:
-                    text = ""
-                decoded.append(text)
-                last_pred[ex.interaction_id] = text
+            sources, decoded = _decode_all(examples, schemas, constraints, config, factory)
         except Exception as exc:  # noqa: BLE001
             raise StageError("decode", exc) from exc
 

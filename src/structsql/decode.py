@@ -6,9 +6,12 @@ a complete trie path.  The trie is suspended inside quoted string literals,
 and a number is spelled one digit token at a time.
 The neural scorer is abstracted behind :class:`TokenScorer`, whose one
 method, ``score_candidates``, scores the allowed next tokens of a prefix.
-The beam asks once per step, for every live hypothesis, through
-``score_batch``; a wire protocol that sends one message per step lets an
-external model plug in.
+The search itself is a generator, ``beam_steps``: each decode step it yields
+one :class:`ScoreRequest` for every live hypothesis of its example and is
+sent back the scores.  ``beam_search`` drives one such search; a caller that
+drives several at once asks ``score_batch`` for all of their requests in
+one call, and the wire protocol carries that call as one message, so an
+external model scores every ready example of a step in one round trip.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import json
 import re
 import socket
 import socketserver
-import struct
 import sys
 import threading
 from array import array
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import chain
 from math import inf, isfinite
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from structsql.annotate import AnnotatedInput
 from structsql.schema import DatabaseSchema, STAR
@@ -355,15 +357,27 @@ class LexiconConstraint:
 # Scorers
 
 
+class ScoreRequest(NamedTuple):
+    """One example's share of a scoring call: its source and id, and the
+    prefixes of one decode step with the candidate ids of each."""
+
+    source: tuple[str, ...]
+    example_id: str | None
+    prefixes: Sequence[Sequence[int]]
+    candidate_lists: Sequence[Sequence[int]]
+
+
 class TokenScorer:
     """Behavioral contract standing in for an autoregressive language model.
 
     Implementations provide a vocabulary (which fixes the end-of-sequence
-    id) and one method, :meth:`score_candidates`.  ``beam_search`` calls
-    :meth:`score_batch` once per step; its default loops over
-    ``score_candidates``, and a scorer that can batch (a remote host, a GPU
-    model) overrides it.  Batching changes no score, so the exactness
-    contract below holds either way.
+    id) and one method, :meth:`score_candidates`.  Searches ask through
+    :meth:`score_batch`, once per step for every search they drive; its
+    default loops over ``score_candidates``, and a scorer that can batch (a
+    remote host, a GPU model) overrides it.  A score depends only on its own
+    example, prefix and token, so batching, within an example or across
+    examples, changes no score and the exactness contract below holds
+    either way.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -394,20 +408,20 @@ class TokenScorer:
         """
         raise NotImplementedError
 
-    def score_batch(
-        self,
-        source: Sequence[str],
-        prefixes: Sequence[Sequence[int]],
-        candidate_lists: Sequence[Sequence[int]],
-        example_id: str | None = None,
-    ) -> list[list[float]]:
-        """``score_candidates`` for several prefixes of one example: one
-        score list per prefix, each equal to what ``score_candidates`` gives
-        for that prefix and its candidates."""
-        return [
-            self.score_candidates(source, prefix, candidates, example_id)
-            for prefix, candidates in zip(prefixes, candidate_lists)
-        ]
+    def score_batch(self, requests: Sequence[ScoreRequest]) -> Iterable[list[list[float]]]:
+        """``score_candidates`` for the requests of several examples: per
+        request, in order, one score list per prefix, each equal to what
+        ``score_candidates`` gives for that prefix and its candidates.  Each
+        request's lists are made only as the caller iterates to them, so a
+        caller that uses them one request at a time holds one request's
+        scores at a time."""
+        return (
+            [
+                self.score_candidates(source, prefix, candidates, example_id)
+                for prefix, candidates in zip(prefixes, candidate_lists)
+            ]
+            for source, example_id, prefixes, candidate_lists in requests
+        )
 
 
 class OracleScorer(TokenScorer):
@@ -490,6 +504,41 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Constrained beam search; returns finished hypotheses, best first.
 
+    Drives one :func:`beam_steps` search, with one ``score_batch`` call per
+    step; a beam width or maximum length below 1 raises ValueError before
+    any scoring.
+    """
+    search = beam_steps(
+        scorer.vocab, source, constraint, beam_width, max_len,
+        constrained=constrained, example_id=example_id,
+    )
+    try:
+        request = next(search)
+        while True:
+            [scores] = scorer.score_batch([request])
+            request = search.send(scores)
+    except StopIteration as stop:
+        return stop.value
+
+
+def beam_steps(
+    vocab: Vocabulary,
+    source: AnnotatedInput | Sequence[str],
+    constraint: LexiconConstraint,
+    beam_width: int = 5,
+    max_len: int = 200,
+    *,
+    constrained: bool = True,
+    example_id: str | None = None,
+) -> Generator[ScoreRequest, list[list[float]], list[Hypothesis]]:
+    """Constrained beam search over the scorer vocabulary ``vocab``, one
+    decode step per yield.
+
+    Each step yields a :class:`ScoreRequest` for every live hypothesis and
+    must be sent one score list per prefix, as ``score_batch`` gives them.
+    The search returns its finished hypotheses, best first, or raises
+    NoValidHypothesis.
+
     Every finished hypothesis leaves no dangling schema prefix: EOS is only
     reachable outside an identifier run or at a trie terminal.  With
     ``constrained=False`` every token is a candidate and every hypothesis
@@ -504,8 +553,8 @@ def beam_search(
             example_id = source.example_id
         source = source.tokens
     src = tuple(source)
-    eos = scorer.eos_id
-    all_sorted = tuple(scorer.vocab.all_ids)
+    eos = vocab.eos_id
+    all_sorted = tuple(vocab.all_ids)
     step = constraint._next if constrained else lambda cursor, token_id: (None,)
 
     live: list[DecodeState] = [DecodeState()]
@@ -520,67 +569,12 @@ def beam_search(
             candidate_lists = [constraint.candidate_ids(state) for state in live]
         else:
             candidate_lists = [all_sorted] * len(live)
-        # One scorer call per step, for every live hypothesis at once.
-        batch = scorer.score_batch(
-            src, [state.tokens for state in live], candidate_lists, example_id
-        )
-        # Live states hold equally many tokens, so successors' tokens compare
-        # as (parent's rank among the live tuples, token), EOS being -1 with
-        # cursor None.  The pool holds (score, rank, token, cursor) keyed by
-        # (rank, token, cursor); tokens, states and hypotheses are built only
-        # for the step's winners.
-        prefixes = sorted({state.tokens for state in live})
-        rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
-        pool: dict[tuple, tuple] = {}
-        # A parent that advances a full 2*beam puts as many distinct keys
-        # (one per token) in the pool at or above its lowest summed score,
-        # and pool scores only rise.  So a later parent's candidate strictly
-        # below that floor cannot reach the step's top 2*beam, and it is not
-        # sorted.  Nor could it open a key that a later parent raises past
-        # the floor: live is ranked, so a later parent with equal tokens
-        # sums no higher on the same token.  Ties at the floor are kept.
-        width = 2 * beam_width
-        floor = -inf
-        for state, candidates, scores in zip(live, candidate_lists, batch):
-            # Every candidate yields at least one successor, so one outside
-            # its parent's top 2*beam cannot reach the step's top 2*beam:
-            # only those are advanced, ranked on their summed score.  The
-            # stable sort breaks ties as the step does, by token, EOS first.
-            base, node, rank = state.score, state.node, rank_of[state.tokens]
-            summed = [base + s for s in scores]
-            n = len(candidates)
-            at = bisect_left(candidates, eos)
-            if at < n and candidates[at] == eos:
-                rest = [*range(at), *range(at + 1, n)]
-                order = [at, *rest] if state.tokens else rest
-            else:
-                order = range(n)
-            if floor > -inf:
-                order = [i for i in order if summed[i] >= floor]
-            top = sorted(order, key=summed.__getitem__, reverse=True)[:width]
-            if len(top) == width:
-                floor = summed[top[-1]]
-            for i in top:
-                token_id = candidates[i]
-                if token_id == eos:
-                    token_id, cursors = -1, (None,)
-                else:
-                    cursors = step(node, token_id)
-                for cursor in cursors:
-                    key = (rank, token_id, id(cursor))
-                    prev = pool.get(key)
-                    if prev is None or summed[i] > prev[0]:
-                        pool[key] = (summed[i], rank, token_id, cursor)
-
-        # Finished candidates within the step's top 2*beam go to the done
-        # pool; the best beam_width unfinished ones stay live.
-        live = []
-        ranked = sorted(pool.values(), key=lambda e: (-e[0], e[1], e[2]))[:width]
-        for score, rank, token_id, cursor in ranked:
-            if token_id < 0:
-                done.append(Hypothesis(prefixes[rank], score))
-            elif len(live) < beam_width:
-                live.append(DecodeState(prefixes[rank] + (token_id,), cursor, score))
+        # One request per step, for every live hypothesis at once.  A
+        # suspended search holds no scores: they live only inside _expand.
+        live, finished = _expand(live, candidate_lists, (yield ScoreRequest(
+            src, example_id, [state.tokens for state in live], candidate_lists
+        )), eos, step, beam_width)
+        done += finished
 
         # Stop once no live hypothesis can still beat the kept finished set
         # (exact for non-increasing scores, a standard heuristic otherwise).
@@ -597,32 +591,108 @@ def beam_search(
     return sorted(done, key=_rank)[:beam_width]
 
 
-# --------------------------------------------------------------------------
-# External scorer wire protocol, version 3
-#
-# One message per decode step over a TCP socket.  Every message is one UTF-8
-# JSON header line; a `score` or `scores` header is followed by a raw body of
-# exactly "bytes" bytes, and `hello`, `vocab` and `error` have no body.
-#   handshake: {"type": "hello", "protocol": 3}
-#           -> {"type": "vocab", "protocol": 3, "size": N, "eos_id": E,
-#               "tokenizer_tag": T}
-#   scoring:   {"type": "score", "example_id": X, "source": [s_1, ...],
-#               "prefix_lengths": [p_1, ...], "lengths": [n_1, ...],
-#               "bytes": 4 * (sum(prefix_lengths) + sum(lengths))}
-#              + little-endian int32: every prefix's ids back to back, then
-#                every candidate id back to back, lengths[i] for prefix i
-#           -> {"type": "scores", "example_id": X, "bytes": 8 * sum(lengths)}
-#              + little-endian float64: one score per candidate id, in order
-# The source is the annotated input's token strings, sent with every message
-# so that a stateless host can condition on it.  Packed float64 is bit-exact,
-# so the wire changes no score.  All header fields are mandatory; any
-# deviation, a protocol version other than 3 or a tokenizer_tag other than
-# TOKENIZER_TAG included, is a ProtocolViolation.  A binary body can leave a
-# stream out of step, so a client that sees a fault uses the connection no
-# more, and the server answers a header it cannot parse or frame with `error`
-# and closes the connection.
+def _expand(
+    live: list[DecodeState],
+    candidate_lists: list[Sequence[int]],
+    batch: Iterable[list[float]],
+    eos: int,
+    step,
+    beam_width: int,
+) -> tuple[list[DecodeState], list[Hypothesis]]:
+    """One decode step of ``beam_steps``: the live hypotheses after scoring
+    ``candidate_lists`` with ``batch``, and the ones that finished."""
+    # Live states hold equally many tokens, so successors' tokens compare
+    # as (parent's rank among the live tuples, token), EOS being -1 with
+    # cursor None.  The pool holds (score, rank, token, cursor) keyed by
+    # (rank, token, cursor); tokens, states and hypotheses are built only
+    # for the step's winners.
+    prefixes = sorted({state.tokens for state in live})
+    rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
+    pool: dict[tuple, tuple] = {}
+    # A parent that advances a full 2*beam puts as many distinct keys
+    # (one per token) in the pool at or above its lowest summed score,
+    # and pool scores only rise.  So a later parent's candidate strictly
+    # below that floor cannot reach the step's top 2*beam, and it is not
+    # sorted.  Nor could it open a key that a later parent raises past
+    # the floor: live is ranked, so a later parent with equal tokens
+    # sums no higher on the same token.  Ties at the floor are kept.
+    width = 2 * beam_width
+    floor = -inf
+    for state, candidates, scores in zip(live, candidate_lists, batch):
+        # Every candidate yields at least one successor, so one outside
+        # its parent's top 2*beam cannot reach the step's top 2*beam:
+        # only those are advanced, ranked on their summed score.  The
+        # stable sort breaks ties as the step does, by token, EOS first.
+        base, node, rank = state.score, state.node, rank_of[state.tokens]
+        summed = [base + s for s in scores]
+        n = len(candidates)
+        at = bisect_left(candidates, eos)
+        if at < n and candidates[at] == eos:
+            rest = [*range(at), *range(at + 1, n)]
+            order = [at, *rest] if state.tokens else rest
+        else:
+            order = range(n)
+        if floor > -inf:
+            order = [i for i in order if summed[i] >= floor]
+        top = sorted(order, key=summed.__getitem__, reverse=True)[:width]
+        if len(top) == width:
+            floor = summed[top[-1]]
+        for i in top:
+            token_id = candidates[i]
+            if token_id == eos:
+                token_id, cursors = -1, (None,)
+            else:
+                cursors = step(node, token_id)
+            for cursor in cursors:
+                key = (rank, token_id, id(cursor))
+                prev = pool.get(key)
+                if prev is None or summed[i] > prev[0]:
+                    pool[key] = (summed[i], rank, token_id, cursor)
 
-PROTOCOL_VERSION = 3
+    # Finished candidates within the step's top 2*beam go to the done
+    # pool; the best beam_width unfinished ones stay live.
+    successors: list[DecodeState] = []
+    finished: list[Hypothesis] = []
+    ranked = sorted(pool.values(), key=lambda e: (-e[0], e[1], e[2]))[:width]
+    for score, rank, token_id, cursor in ranked:
+        if token_id < 0:
+            finished.append(Hypothesis(prefixes[rank], score))
+        elif len(successors) < beam_width:
+            successors.append(DecodeState(prefixes[rank] + (token_id,), cursor, score))
+    return successors, finished
+
+
+# --------------------------------------------------------------------------
+# External scorer wire protocol, version 4
+#
+# One message per ``score_batch`` call over a TCP socket, so one per decode
+# step for every example a caller steps together.  Every message is one
+# UTF-8 JSON header line; a `score` or `scores` header is followed by a raw
+# body of exactly "bytes" bytes, and `hello`, `vocab` and `error` have no
+# body.
+#   handshake: {"type": "hello", "protocol": 4}
+#           -> {"type": "vocab", "protocol": 4, "size": N, "eos_id": E,
+#               "tokenizer_tag": T}
+#   scoring:   {"type": "score", "examples": [{"example_id": X,
+#               "source": [s_1, ...], "prefix_lengths": [p_1, ...],
+#               "lengths": [n_1, ...]}, ...],
+#               "bytes": 4 * (every sum(prefix_lengths) + sum(lengths))}
+#              + little-endian int32, example by example: its prefixes' ids
+#                back to back, then its candidate ids back to back,
+#                lengths[i] for prefix i
+#           -> {"type": "scores", "example_ids": [X, ...],
+#               "bytes": 8 * (every sum(lengths))}
+#              + little-endian float64: one score per candidate id, in order
+# Each example's source is the annotated input's token strings, sent with
+# every message so that a stateless host can condition on it.  Packed
+# float64 is bit-exact, so the wire changes no score.  All header fields are
+# mandatory; any deviation, a protocol version other than 4 or a
+# tokenizer_tag other than TOKENIZER_TAG included, is a ProtocolViolation.
+# A binary body can leave a stream out of step, so a client that sees a
+# fault uses the connection no more, and the server answers a header it
+# cannot parse or frame with `error` and closes the connection.
+
+PROTOCOL_VERSION = 4
 
 _SWAP = sys.byteorder != "little"
 
@@ -647,16 +717,27 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode()
 
 
-def _unpack(code: str, body: bytes) -> list:
-    """The little-endian ``code`` items ("i" int32, "d" float64) of ``body``."""
+def _pack(code: str, runs: Iterable[Sequence]) -> bytes:
+    """The items of ``runs``, back to back, as little-endian ``code`` items
+    ("i" int32, "d" float64)."""
+    packed = array(code)
+    for run in runs:
+        packed.fromlist(list(run))
+    if _SWAP:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpack(code: str, body: bytes) -> array:
+    """The little-endian ``code`` items of ``body``."""
     values = array(code)
     values.frombytes(body)
     if _SWAP:
         values.byteswap()
-    return values.tolist()
+    return values
 
 
-def _split(flat: list, lengths: Sequence[int]) -> list[list]:
+def _split(flat: Sequence, lengths: Sequence[int]) -> list:
     """``flat`` cut into consecutive runs of the given lengths."""
     out, start = [], 0
     for n in lengths:
@@ -665,9 +746,18 @@ def _split(flat: list, lengths: Sequence[int]) -> list[list]:
     return out
 
 
+def _per_example(scores: array, lengths: list[list[int]]) -> Iterator[list[list[float]]]:
+    """Each example's score lists, made from ``scores`` only when reached."""
+    start = 0
+    for example_lengths in lengths:
+        end = start + sum(example_lengths)
+        yield _split(scores[start:end].tolist(), example_lengths)
+        start = end
+
+
 class RemoteScorer(TokenScorer):
     """TokenScorer proxy speaking the wire protocol: one round trip per
-    ``score_batch`` call, so one per decode step.  After any
+    ``score_batch`` call, whatever the number of examples in it.  After any
     ProtocolViolation or TransportError every call raises TransportError
     without touching the connection again."""
 
@@ -738,30 +828,37 @@ class RemoteScorer(TokenScorer):
                 )
         return message
 
-    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
-        """One round trip for the whole batch."""
-        if example_id is None:
-            example_id = "0"
-        prefix_lengths = [len(p) for p in prefixes]
-        lengths = [len(c) for c in candidate_lists]
-        total = sum(lengths)
-        n = sum(prefix_lengths) + total
-        message = _line({
-            "type": "score", "example_id": example_id, "source": list(source),
-            "prefix_lengths": prefix_lengths, "lengths": lengths, "bytes": 4 * n,
-        }) + struct.pack(f"<{n}i", *chain(*prefixes, *candidate_lists))
+    def score_batch(self, requests):
+        """One round trip for every request.  The reply is checked whole, and
+        each request's score lists are made as the caller iterates to them."""
+        examples, lengths = [], []
+        for source, example_id, prefixes, candidate_lists in requests:
+            example_lengths = [len(c) for c in candidate_lists]
+            examples.append({
+                "example_id": "0" if example_id is None else example_id,
+                "source": list(source),
+                "prefix_lengths": [len(p) for p in prefixes],
+                "lengths": example_lengths,
+            })
+            lengths.append(example_lengths)
+        ids = _pack(
+            "i", chain.from_iterable(chain(r.prefixes, r.candidate_lists) for r in requests)
+        )
+        message = _line({"type": "score", "examples": examples, "bytes": len(ids)}) + ids
         with self._exclusive():
-            reply, body = self._roundtrip(message, 8 * total)
-            if _require(reply, "example_id") != example_id:
-                raise ProtocolViolation("response example_id does not match request")
+            reply, body = self._roundtrip(message, 8 * sum(map(sum, lengths)))
+            if _require(reply, "example_ids") != [e["example_id"] for e in examples]:
+                raise ProtocolViolation("response example_ids do not match the request")
             scores = _unpack("d", body)
             # A finite sum needs finite terms; only a non-finite one is searched.
             if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
                 raise ProtocolViolation("scores must be finite")
-        return _split(scores, lengths)
+        return _per_example(scores, lengths)
 
     def score_candidates(self, source, prefix, candidates, example_id=None):
-        return self.score_batch(source, [prefix], [candidates], example_id)[0]
+        request = ScoreRequest(tuple(source), example_id, [prefix], [candidates])
+        [[scores]] = self.score_batch([request])
+        return scores
 
     def close(self) -> None:
         # The socket stays open while a file made from it is open.
@@ -792,23 +889,32 @@ def external_scorer_connect(
     return scorer
 
 
-def _frame(header: dict, vocab_size: int) -> tuple[list[int], list[int]]:
-    """``prefix_lengths`` and ``lengths`` of a ``score`` header whose
-    ``bytes`` field agrees with them; anything else is a ProtocolViolation."""
-    prefix_lengths, lengths = header.get("prefix_lengths"), header.get("lengths")
-    for name, value in (("prefix_lengths", prefix_lengths), ("lengths", lengths)):
-        if not (isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)):
-            raise ProtocolViolation(f"{name} must be a list of non-negative ints")
-    if any(n > vocab_size for n in lengths):
-        raise ProtocolViolation(f"lengths must not exceed the vocabulary size {vocab_size}")
-    if len(prefix_lengths) != len(lengths):
-        raise ProtocolViolation(
-            f"{len(prefix_lengths)} prefix_lengths and {len(lengths)} lengths do not match"
-        )
-    size, want = header.get("bytes"), 4 * (sum(prefix_lengths) + sum(lengths))
+def _frame(header: dict, vocab_size: int) -> list[tuple[dict, list[int], list[int]]]:
+    """Each entry of a ``score`` header's ``examples`` with its
+    ``prefix_lengths`` and ``lengths``, when the header's ``bytes`` field
+    agrees with them; anything else is a ProtocolViolation."""
+    entries = header.get("examples")
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ProtocolViolation("examples must be a list of objects")
+    frames, want = [], 0
+    for entry in entries:
+        prefix_lengths, lengths = entry.get("prefix_lengths"), entry.get("lengths")
+        for name, value in (("prefix_lengths", prefix_lengths), ("lengths", lengths)):
+            if not (isinstance(value, list) and set(map(type, value)) <= {int}
+                    and min(value, default=0) >= 0):
+                raise ProtocolViolation(f"{name} must be a list of non-negative ints")
+        if max(lengths, default=0) > vocab_size:
+            raise ProtocolViolation(f"lengths must not exceed the vocabulary size {vocab_size}")
+        if len(prefix_lengths) != len(lengths):
+            raise ProtocolViolation(
+                f"{len(prefix_lengths)} prefix_lengths and {len(lengths)} lengths do not match"
+            )
+        frames.append((entry, prefix_lengths, lengths))
+        want += 4 * (sum(prefix_lengths) + sum(lengths))
+    size = header.get("bytes")
     if type(size) is not int or size != want:
         raise ProtocolViolation(f"bytes must be {want} for these lengths, got {size!r}")
-    return prefix_lengths, lengths
+    return frames
 
 
 def _read_body(rfile, size: int) -> bytes:
@@ -880,7 +986,7 @@ class ScorerServer:
             header = _header(line)
             kind = header.get("type")
             if kind == "score":
-                prefix_lengths, lengths = _frame(header, len(self.scorer.vocab))
+                frames = _frame(header, len(self.scorer.vocab))
                 body = _read_body(rfile, header["bytes"])
                 if len(body) != header["bytes"]:
                     return b"", False  # the client hung up inside the body
@@ -890,7 +996,7 @@ class ScorerServer:
             if kind == "hello":
                 return self._hello(header), True
             if kind == "score":
-                return self._score(header, prefix_lengths, lengths, body), True
+                return self._score(frames, body), True
             raise ProtocolViolation(f"unknown request type {kind!r}")
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             return _line({"type": "error", "message": str(exc)}), True
@@ -909,19 +1015,25 @@ class ScorerServer:
             "tokenizer_tag": TOKENIZER_TAG,
         })
 
-    def _score(self, header: dict, prefix_lengths: list, lengths: list, body: bytes) -> bytes:
-        source = header.get("source")
-        if not isinstance(source, list) or not set(map(type, source)) <= {str}:
-            raise ProtocolViolation("source must be a list of strings")
-        example_id = _require(header, "example_id")
-        runs = _split(_unpack("i", body), prefix_lengths + lengths)
-        batch = self.scorer.score_batch(
-            tuple(source), runs[:len(lengths)], runs[len(lengths):], example_id
+    def _score(self, frames: list, body: bytes) -> bytes:
+        runs = _split(
+            _unpack("i", body).tolist(), [n for _, p, lengths in frames for n in p + lengths]
         )
-        n = sum(map(len, batch))
-        return _line({"type": "scores", "example_id": example_id, "bytes": 8 * n}) + struct.pack(
-            f"<{n}d", *chain.from_iterable(batch)
-        )
+        requests, at = [], 0
+        for entry, _, lengths in frames:
+            source = entry.get("source")
+            if not isinstance(source, list) or not set(map(type, source)) <= {str}:
+                raise ProtocolViolation("source must be a list of strings")
+            k = len(lengths)
+            prefixes, candidate_lists = runs[at:at + k], runs[at + k:at + 2 * k]
+            requests.append(
+                ScoreRequest(tuple(source), _require(entry, "example_id"), prefixes, candidate_lists)
+            )
+            at += 2 * k
+        scores = _pack("d", chain.from_iterable(self.scorer.score_batch(requests)))
+        return _line({
+            "type": "scores", "example_ids": [r.example_id for r in requests], "bytes": len(scores)
+        }) + scores
 
     def close(self) -> None:
         self._server.shutdown()

@@ -554,9 +554,10 @@ class SharedTokensScorer(OracleScorer):
         noise = self.noise.score_candidates(source, prefix, candidates, example_id)
         return [a + b / 2 for a, b in zip(oracle, noise)]
 
-    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
-        self.shared_steps += len(set(map(tuple, prefixes))) < len(prefixes)
-        return super().score_batch(source, prefixes, candidate_lists, example_id)
+    def score_batch(self, requests):
+        for request in requests:
+            self.shared_steps += len(set(map(tuple, request.prefixes))) < len(request.prefixes)
+        return super().score_batch(requests)
 
 
 # "a" is a table and the prefix of the table "a b", and "b" is a table: after

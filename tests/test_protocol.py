@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from structsql.decode import (
     NoValidHypothesis,
     ProtocolViolation,
     RandomScorer,
+    ScoreRequest,
     ScorerServer,
     ScorerTimeout,
     TOKENIZER_TAG,
@@ -46,19 +48,23 @@ def kit(tennis):
     return vocab, LexiconConstraint(build_trie(tennis, vocab), vocab), gold
 
 
-HELLO = b'{"type": "hello", "protocol": 3}\n'
+HELLO = b'{"type": "hello", "protocol": 4}\n'
 
 
-def scores_message(example_id, scores, size=None):
-    """A v3 ``scores`` message; ``size`` overrides the header's byte count."""
+def scores_message(example_ids, scores, size=None):
+    """A v4 ``scores`` message; ``size`` overrides the header's byte count."""
     body = struct.pack(f"<{len(scores)}d", *scores)
-    header = {"type": "scores", "example_id": example_id,
+    header = {"type": "scores", "example_ids": example_ids,
               "bytes": len(body) if size is None else size}
     return (json.dumps(header) + "\n").encode() + body
 
 
+def score_request(example_id, prefixes, candidates, source=("q",)):
+    return ScoreRequest(source, example_id, prefixes, candidates)
+
+
 class MisbehavingServer(socketserver.ThreadingTCPServer):
-    """Protocol v3 server with scriptable faults; ``ended`` is set once a
+    """Protocol v4 server with scriptable faults; ``ended`` is set once a
     client connection has closed, and ``raw_requests`` keeps the bytes of
     every score message received."""
 
@@ -81,7 +87,7 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                     if request["type"] == "hello":
                         reply = {
                             "type": "vocab",
-                            "protocol": 3,
+                            "protocol": 4,
                             "size": len(vocab),
                             "eos_id": vocab.eos_id,
                             "tokenizer_tag": "wordpiece-v2",
@@ -96,25 +102,35 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                             del reply["protocol"]
                         elif mode == "v2_hello":
                             reply["protocol"] = 2
+                        elif mode == "v3_hello":
+                            reply["protocol"] = 3
                         self.wfile.write((json.dumps(reply) + "\n").encode())
                         continue
                     outer.raw_requests.append(line + self.rfile.read(request["bytes"]))
-                    example_id, n = request["example_id"], sum(request["lengths"])
-                    reply = scores_message(example_id, [0.0] * n)
+                    example_ids = [e["example_id"] for e in request["examples"]]
+                    counts = [sum(e["lengths"]) for e in request["examples"]]
+                    n = sum(counts)
+                    reply = scores_message(example_ids, [0.0] * n)
                     if mode == "short_scores":
-                        reply = scores_message(example_id, [0.5])
+                        reply = scores_message(example_ids, [0.5])
                     elif mode == "odd_bytes":
-                        reply = scores_message(example_id, [], size=8 * n - 3) + bytes(8 * n - 3)
+                        reply = scores_message(example_ids, [], size=8 * n - 3) + bytes(8 * n - 3)
                     elif mode == "non_int_bytes":
-                        reply = scores_message(example_id, [0.0] * n, size=f"{8 * n}")
+                        reply = scores_message(example_ids, [0.0] * n, size=f"{8 * n}")
+                    elif mode == "first_example_bytes":
+                        reply = scores_message(example_ids, [0.0] * counts[0])
                     elif mode == "wrong_example":
-                        reply = scores_message("nope", [0.0] * n)
+                        reply = scores_message(["nope"] * len(example_ids), [0.0] * n)
+                    elif mode == "swapped_examples":
+                        reply = scores_message(example_ids[::-1], [0.0] * n)
                     elif mode == "not_json":
                         reply = b"garbage\n"
                     elif mode == "slow":
                         time.sleep(0.8)
                     elif mode == "nan":
-                        reply = scores_message(example_id, [float("nan")] * n)
+                        reply = scores_message(example_ids, [float("nan")] * n)
+                    elif mode == "last_inf":
+                        reply = scores_message(example_ids, [0.0] * (n - 1) + [-math.inf])
                     elif mode == "cut_body":
                         self.wfile.write(reply[:-5])
                         return
@@ -123,8 +139,8 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                     elif mode == "desync":
                         # A non-int byte count, then an answer that would fit
                         # the next request if the client read on.
-                        reply = scores_message(example_id, [], size=f"{8 * n}")
-                        reply += scores_message(example_id, [0.0] * n)
+                        reply = scores_message(example_ids, [], size=f"{8 * n}")
+                        reply += scores_message(example_ids, [0.0] * n)
                     self.wfile.write(reply)
 
         self.ended = threading.Event()
@@ -147,21 +163,20 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
 
 class BatchRecorder(TokenScorer):
     """Wraps a scorer and keeps every batch it is asked to score, as the
-    server decoded it."""
+    server decoded it: one list of requests per call."""
 
     def __init__(self, inner, batches):
         super().__init__(inner.vocab)
         self.inner, self.batches = inner, batches
 
-    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
-        self.batches.append(
-            {"example_id": example_id, "prefixes": prefixes, "candidates": candidate_lists}
-        )
-        return self.inner.score_batch(source, prefixes, candidate_lists, example_id)
+    def score_batch(self, requests):
+        self.batches.append(list(requests))
+        return self.inner.score_batch(requests)
 
 
 class CountingServer(ScorerServer):
-    """Reference server that keeps every decoded ``score`` request it answers."""
+    """Reference server that keeps the requests of every ``score`` message it
+    answers."""
 
     def __init__(self, scorer):
         self.score_requests = []
@@ -174,7 +189,7 @@ def test_handshake_echoes_vocab(kit):
     try:
         scorer = external_scorer_connect(server.endpoint, vocab)
         assert scorer.handshake() == {
-            "type": "vocab", "protocol": 3, "size": len(vocab), "eos_id": vocab.eos_id,
+            "type": "vocab", "protocol": 4, "size": len(vocab), "eos_id": vocab.eos_id,
             "tokenizer_tag": TOKENIZER_TAG,
         }
         scorer.close()
@@ -224,13 +239,13 @@ def test_server_close_ends_live_connections(kit):
     remote = external_scorer_connect(server.endpoint, vocab)
     try:
         target = vocab.tokenize(gold)
-        assert remote.score_batch(("q",), [[]], [[target[0]]], "ex0") == [[1.0]]
+        assert list(remote.score_batch([score_request("ex0", [[]], [[target[0]]])])) == [[[1.0]]]
         closer = threading.Thread(target=server.close)
         closer.start()
         closer.join(timeout=5)
         assert not closer.is_alive()
         with pytest.raises(TransportError):
-            remote.score_batch(("q",), [[]], [[target[0]]], "ex0")
+            remote.score_batch([score_request("ex0", [[]], [[target[0]]])])
         handlers = set(threading.enumerate()) - before
         assert not [t for t in handlers if "process_request" in t.name]
     finally:
@@ -269,6 +284,42 @@ def test_bad_responses_are_protocol_violations(kit, mode):
         server.close()
 
 
+@pytest.mark.parametrize("mode", ["first_example_bytes", "last_inf", "swapped_examples"])
+def test_client_rejects_a_faulty_reply_to_several_examples(kit, mode):
+    vocab, _, _ = kit
+    server = MisbehavingServer(vocab, mode)
+    try:
+        scorer = external_scorer_connect(server.endpoint, vocab)
+        requests = [score_request("a", [[]], [[1, 2]]),
+                    score_request("b", [[3], [4]], [[1], [2, 5]])]
+        # The whole reply is checked before any example's scores are handed out.
+        with pytest.raises(ProtocolViolation):
+            scorer.score_batch(requests)
+        with pytest.raises(TransportError, match="unusable"):
+            scorer.score_batch(requests)
+        assert len(server.raw_requests) == 1
+        scorer.close()
+    finally:
+        server.close()
+
+
+def test_one_message_scores_several_examples_as_each_alone(kit):
+    vocab, _, _ = kit
+    local = SourceScorer(vocab)
+    server = CountingServer(local)
+    requests = [score_request("1", [[], [5]], [[1, 2], [3]]),
+                score_request("2", [[4]], [[0, 6, 7]], ("r", "s")),
+                score_request("3", [], [])]
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        got = list(remote.score_batch(requests))
+        remote.close()
+    finally:
+        server.close()
+    assert got == list(local.score_batch(requests))
+    assert server.score_requests == [requests]
+
+
 def test_a_body_cut_short_is_a_transport_error(kit):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, "cut_body")
@@ -287,11 +338,11 @@ def test_a_violation_leaves_the_rest_of_the_stream_unread(kit):
     try:
         scorer = external_scorer_connect(server.endpoint, vocab)
         with pytest.raises(ProtocolViolation, match="bytes|body"):
-            scorer.score_batch([], [[]], [[1, 2]], "ex")
+            scorer.score_batch([score_request("ex", [[]], [[1, 2]], source=())])
         # A well-formed answer for exactly this request waits on the socket;
         # reading it would make the call succeed.
         with pytest.raises(TransportError, match="unusable"):
-            scorer.score_batch([], [[]], [[1, 2]], "ex")
+            scorer.score_batch([score_request("ex", [[]], [[1, 2]], source=())])
         assert len(server.raw_requests) == 1
         scorer.close()
     finally:
@@ -329,8 +380,8 @@ def test_missing_handshake_field_rejected(kit):
         server.close()
 
 
-@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello"])
-def test_hello_without_protocol_3_rejected(kit, mode):
+@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello", "v3_hello"])
+def test_hello_of_another_protocol_rejected(kit, mode):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, mode)
     try:
@@ -343,14 +394,22 @@ def test_hello_without_protocol_3_rejected(kit, mode):
 # -- the reference server on raw connections ----------------------------------
 
 
-def score_message(source=("q",), prefixes=((),), candidates=((1,),), **fields):
-    """A v3 ``score`` message; ``fields`` override header fields, and a
-    field set to ``...`` is left out."""
-    ids = [*chain(*prefixes, *candidates)]
-    header = {"type": "score", "example_id": "e", "source": source,
-              "prefix_lengths": [len(p) for p in prefixes],
-              "lengths": [len(c) for c in candidates], "bytes": 4 * len(ids)}
-    header.update(fields)
+def entry(source=("q",), prefixes=((),), candidates=((1,),), **fields):
+    """One ``examples`` entry of a v4 ``score`` message, and its body ids;
+    ``fields`` override the entry's fields, and a field set to ``...`` is
+    left out."""
+    fields = {"example_id": "e", "source": source, "prefix_lengths": [len(p) for p in prefixes],
+              "lengths": [len(c) for c in candidates], **fields}
+    return {k: v for k, v in fields.items() if v is not ...}, [*chain(*prefixes, *candidates)]
+
+
+def score_message(*entries, **fields):
+    """A v4 ``score`` message of ``entries`` (one default entry when none are
+    given); ``fields`` override header fields, and a field set to ``...`` is
+    left out."""
+    entries = entries or [entry()]
+    ids = [i for _, run in entries for i in run]
+    header = {"type": "score", "examples": [e for e, _ in entries], "bytes": 4 * len(ids), **fields}
     header = {k: v for k, v in header.items() if v is not ...}
     return (json.dumps(header) + "\n").encode() + struct.pack(f"<{len(ids)}i", *ids)
 
@@ -371,7 +430,8 @@ def exchange(server, data):
 
 
 @pytest.mark.parametrize("hello", [{"type": "hello"}, {"type": "hello", "protocol": 1},
-                                   {"type": "hello", "protocol": 2}])
+                                   {"type": "hello", "protocol": 2},
+                                   {"type": "hello", "protocol": 3}])
 def test_server_answers_other_protocols_with_an_error(kit, hello):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
@@ -390,7 +450,7 @@ def test_server_rejects_a_score_message_without_a_string_list_source(kit, source
     try:
         # The frame itself is sound, so the connection stays in use.
         reply, answered = exchange(
-            server, score_message(source=... if source is None else source)
+            server, score_message(entry(source=... if source is None else source))
         )
         assert reply["type"] == "error" and "source" in reply["message"]
         assert answered
@@ -411,7 +471,7 @@ def test_server_rejects_malformed_lengths_and_prefixes(kit, prefix_lengths, leng
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         reply, answered = exchange(
-            server, score_message(prefix_lengths=prefix_lengths, lengths=lengths, bytes=4)
+            server, score_message(entry(prefix_lengths=prefix_lengths, lengths=lengths), bytes=4)
         )
         assert reply["type"] == "error" and "lengths" in reply["message"]
         assert not answered  # the body cannot be framed: the server hangs up
@@ -439,11 +499,54 @@ def test_server_refuses_more_candidates_than_the_vocabulary(kit):
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         huge = 10**17  # a body this size could never be allocated
-        header = {"type": "score", "example_id": "e", "source": ["q"],
-                  "prefix_lengths": [0], "lengths": [huge], "bytes": 4 * huge}
+        header = {"type": "score", "examples": [entry(lengths=[huge])[0]], "bytes": 4 * huge}
         reply, answered = exchange(server, (json.dumps(header) + "\n").encode())
         assert reply["type"] == "error" and "vocabulary" in reply["message"]
         assert not answered
+    finally:
+        server.close()
+
+
+# A sound first entry, so each fault below sits in a later entry.
+FIRST = entry(example_id="a", prefixes=((3,),), candidates=((1, 2),))
+
+
+@pytest.mark.parametrize(
+    "message, word",
+    [
+        (score_message(examples={"example_id": "e"}), "examples"),
+        (score_message(examples=...), "examples"),
+        (score_message(FIRST, ("e", [])), "examples"),
+        (score_message(FIRST, entry(prefix_lengths=[0, 0])), "lengths"),
+        (score_message(FIRST, entry(lengths=[10**6])), "vocabulary"),
+        (score_message(FIRST, entry(), bytes=4 * len(FIRST[1])), "bytes"),
+    ],
+    ids=["examples-not-a-list", "examples-missing", "entry-not-an-object",
+         "unequal-lengths", "lengths-above-vocabulary", "bytes-of-one-entry"],
+)
+def test_server_closes_on_an_examples_entry_it_cannot_frame(kit, message, word):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        reply, answered = exchange(server, message)
+        assert reply["type"] == "error" and word in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize(
+    "faulty, word",
+    [(entry(source=["q", 1]), "source"), (entry(example_id=...), "example_id")],
+    ids=["non-string-source", "missing-example-id"],
+)
+def test_server_keeps_a_connection_whose_framed_entry_is_faulty(kit, faulty, word):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        reply, answered = exchange(server, score_message(FIRST, faulty))
+        assert reply["type"] == "error" and word in reply["message"]
+        assert answered
     finally:
         server.close()
 
@@ -453,7 +556,7 @@ def test_server_reads_a_huge_announced_body_only_as_it_arrives(kit, capsys):
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         huge = 10**17
-        message = score_message(prefix_lengths=[huge], bytes=4 * (huge + 1))
+        message = score_message(entry(prefix_lengths=[huge]), bytes=4 * (huge + 1))
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             with sock.makefile("rb") as stream:
                 sock.sendall(message)
@@ -489,7 +592,7 @@ def test_server_serves_a_second_client_while_one_is_stuck_inside_a_body(kit):
     try:
         stuck = socket.create_connection((server.host, server.port), timeout=5)
         with stuck:
-            stuck.sendall(score_message(candidates=((1, 2, 3),))[:-5])
+            stuck.sendall(score_message(entry(candidates=((1, 2, 3),)))[:-5])
             remote = external_scorer_connect(server.endpoint, vocab)
             target = vocab.tokenize(gold)
             assert remote.score_candidates([], [], [target[0]], "e") == [1.0]
@@ -557,12 +660,13 @@ def test_one_score_message_per_decode_step(kit, beam):
         server.close()
     # Step k scores every live hypothesis, and each has k tokens: one message
     # per step means message k carries exactly the prefixes of length k.
-    requests = server.score_requests
-    assert [{len(p) for p in r["prefixes"]} for r in requests] == [
+    assert all(len(message) == 1 for message in server.score_requests)
+    requests = [message[0] for message in server.score_requests]
+    assert [{len(p) for p in r.prefixes} for r in requests] == [
         {k} for k in range(len(requests))
     ]
-    assert all(r["example_id"] == "7" for r in requests)
-    assert all(len(r["prefixes"]) <= beam for r in requests)
+    assert all(r.example_id == "7" for r in requests)
+    assert all(len(r.prefixes) <= beam for r in requests)
     output_tokens = len(hyps[0].token_ids)
     if beam == 1:
         assert len(requests) == output_tokens + 1  # the tokens, then EOS
@@ -654,9 +758,9 @@ def test_packed_scores_come_back_bit_identical(kit):
         remote = external_scorer_connect(server.endpoint, vocab)
         # The third list sums past the largest double, the fourth below the
         # smallest: every score is still finite.
-        batch = remote.score_batch(
-            [], [[], [3], [1], [2]], [[0, 1], [2, 3, 0], [4, 4, 5], [5, 2, 4]], "ex"
-        )
+        [batch] = remote.score_batch([score_request(
+            "ex", [[], [3], [1], [2]], [[0, 1], [2, 3, 0], [4, 4, 5], [5, 2, 4]], source=()
+        )])
         remote.close()
     finally:
         server.close()
@@ -669,28 +773,32 @@ def test_packed_scores_come_back_bit_identical(kit):
 
 # The README's scoring example, byte for byte: little-endian on every host.
 GOLDEN_REQUEST = (
-    b'{"type": "score", "example_id": "17", "source": ["how", "many", "|", "singer"], '
-    b'"prefix_lengths": [2, 2], "lengths": [3, 2], "bytes": 36}\n'
+    b'{"type": "score", "examples": [{"example_id": "17", "source": ["how", "many", "|", '
+    b'"singer"], "prefix_lengths": [2, 2], "lengths": [3, 2]}, {"example_id": "18", '
+    b'"source": ["list", "|", "concert"], "prefix_lengths": [1], "lengths": [2]}], '
+    b'"bytes": 48}\n'
     + bytes.fromhex("04 00 00 00 5b 00 00 00 04 00 00 00 0c 00 00 00"
-                    "07 00 00 00 0c 00 00 00 00 00 00 00 05 00 00 00 00 00 00 00")
+                    "07 00 00 00 0c 00 00 00 00 00 00 00 05 00 00 00 00 00 00 00"
+                    "04 00 00 00 09 00 00 00 00 00 00 00")
 )
 GOLDEN_RESPONSE = (
-    b'{"type": "scores", "example_id": "17", "bytes": 40}\n'
+    b'{"type": "scores", "example_ids": ["17", "18"], "bytes": 56}\n'
     + bytes.fromhex("9a 99 99 99 99 99 c9 bf cd cc cc cc cc cc 08 c0 cd cc cc cc cc cc 23 c0"
-                    "00 00 00 00 00 00 e0 bf 00 00 00 00 00 00 f4 bf")
+                    "00 00 00 00 00 00 e0 bf 00 00 00 00 00 00 f4 bf"
+                    "00 00 00 00 00 00 e8 bf 00 00 00 00 00 00 00 c0")
 )
-GOLDEN_SOURCE = ("how", "many", "|", "singer")
-GOLDEN_PREFIXES, GOLDEN_CANDIDATES = [[4, 91], [4, 12]], [[7, 12, 0], [5, 0]]
-GOLDEN_SCORES = [[-0.2, -3.1, -9.9], [-0.5, -1.25]]
+GOLDEN_REQUESTS = [
+    ScoreRequest(("how", "many", "|", "singer"), "17", [[4, 91], [4, 12]], [[7, 12, 0], [5, 0]]),
+    ScoreRequest(("list", "|", "concert"), "18", [[4]], [[9, 0]]),
+]
+GOLDEN_SCORES = [[[-0.2, -3.1, -9.9], [-0.5, -1.25]], [[-0.75, -2.0]]]
 
 
 class GoldenScorer(TokenScorer):
-    """The README example's scores, for its prefixes and candidates only."""
+    """The README example's scores, for its requests only."""
 
-    def score_batch(self, source, prefixes, candidate_lists, example_id=None):
-        assert (source, prefixes, candidate_lists, example_id) == (
-            GOLDEN_SOURCE, GOLDEN_PREFIXES, GOLDEN_CANDIDATES, "17"
-        )
+    def score_batch(self, requests):
+        assert requests == GOLDEN_REQUESTS
         return GOLDEN_SCORES
 
 
@@ -712,7 +820,7 @@ def test_client_sends_and_reads_the_golden_bytes(kit):
     server = MisbehavingServer(vocab, "golden")
     try:
         remote = external_scorer_connect(server.endpoint, vocab)
-        scores = remote.score_batch(GOLDEN_SOURCE, GOLDEN_PREFIXES, GOLDEN_CANDIDATES, "17")
+        scores = list(remote.score_batch(GOLDEN_REQUESTS))
         remote.close()
     finally:
         server.close()
@@ -750,8 +858,8 @@ def test_threads_sharing_a_remote_scorer_get_their_own_scores(kit):
     def worker(k):
         source = ("q",) * k
         for step in range(40):
-            got = remote.score_batch(source, [[step]], [[1, 2]], str(k))
-            if got != [[1000 * k + 100 * k + 1.0, 1000 * k + 100 * k + 2.0]]:
+            got = list(remote.score_batch([score_request(str(k), [[step]], [[1, 2]], source)]))
+            if got != [[[1000 * k + 100 * k + 1.0, 1000 * k + 100 * k + 2.0]]]:
                 wrong.append((k, step, got))
 
     interval = sys.getswitchinterval()
@@ -772,10 +880,13 @@ def test_threads_sharing_a_remote_scorer_get_their_own_scores(kit):
 
 def test_score_batch_default_loops_score_candidates(kit):
     vocab, _, _ = kit
-    scorer = RandomScorer(vocab, seed=5)
-    prefixes, candidate_lists = [(), (4, 9)], [(1, 2, 3), (0, 7)]
-    assert scorer.score_batch(["q"], prefixes, candidate_lists, "e") == [
-        scorer.score_candidates(["q"], p, c, "e") for p, c in zip(prefixes, candidate_lists)
+    scorer = SourceScorer(vocab)
+    requests = [score_request("2", [(), (4, 9)], [(1, 2, 3), (0, 7)]),
+                score_request("5", [(3,)], [(6, 8)], source=("r", "s"))]
+    assert list(scorer.score_batch(requests)) == [
+        [scorer.score_candidates(r.source, p, c, r.example_id)
+         for p, c in zip(r.prefixes, r.candidate_lists)]
+        for r in requests
     ]
 
 
@@ -882,6 +993,112 @@ def test_a_failed_handshake_is_a_scorer_stage_error(small_corpus, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+# -- lockstep decoding in run_pipeline ------------------------------------------
+
+# Interleaved interactions over two schemas, in corpus order A1 B1 A2 C1 B2 A3.
+LOCKSTEP_EXAMPLES = [
+    ("A", "tennis", "how many players are there", "SELECT COUNT(*) FROM Players"),
+    ("B", "concert_singer", "list the singer names", "SELECT singer.Name FROM singer"),
+    ("A", "tennis", "what are their first names", "SELECT Players.First_name FROM Players"),
+    ("C", "tennis", "which years are ranked", "SELECT Ranking.Year FROM Ranking"),
+    ("B", "concert_singer", "and their ages", "SELECT singer.Name, singer.Age FROM singer"),
+    ("A", "tennis", "only those from France",
+     "SELECT Players.First_name FROM Players WHERE Players.Country = 'France'"),
+]
+# Example 1 gets a random scorer that finishes no hypothesis within max_len.
+LOCKSTEP_RANDOM = 1
+LOCKSTEP_ARTIFACTS = ("annotated.src", "annotated.tgt", "decoded.sql", "completed.sql",
+                      "plan.jsonl", "report.json")
+
+
+class StepCounter(TokenScorer):
+    """Routes each request to its example's scorer and counts the requests
+    of each example, which is its decode steps."""
+
+    def __init__(self, vocab, scorers):
+        super().__init__(vocab)
+        self.scorers, self.steps = scorers, {}
+
+    def score_batch(self, requests):
+        out = []
+        for r in requests:
+            self.steps[r.example_id] = self.steps.get(r.example_id, 0) + 1
+            out += self.scorers[r.example_id].score_batch([r])
+        return out
+
+
+def _sequential_decode(examples, schemas, constraints, config, factory):
+    """The decode stage one example at a time in corpus order; each turn sees
+    the latest prediction of its interaction as the previous turn."""
+    sources, decoded, last = [], [], {}
+    for ex in examples:
+        prev = last.get(ex.interaction_id) if config.discourse else None
+        annotated = cli._annotation_for(ex, schemas[ex.db_id], config, prev)
+        sources.append(annotated.render())
+        scorer = factory(ex.index)
+        try:
+            text = beam_search(
+                scorer, annotated, constraints[ex.db_id], beam_width=config.beam_width,
+                max_len=config.max_len, constrained=config.constrained,
+                example_id=str(ex.index),
+            )[0].text(scorer.vocab)
+        except NoValidHypothesis:
+            text = ""
+        decoded.append(text)
+        last[ex.interaction_id] = text
+    return sources, decoded
+
+
+@pytest.mark.parametrize("discourse", [True, False])
+def test_lockstep_run_equals_a_sequential_run(tmp_path, monkeypatch, tables_path, content_path,
+                                             discourse):
+    data = tmp_path / "examples.json"
+    data.write_text(json.dumps([
+        {"interaction_id": i, "db_id": db, "question": q, "query": sql}
+        for i, db, q, sql in LOCKSTEP_EXAMPLES
+    ]))
+    schemas = load_schemas(tables_path, content_path)
+    vocab = Vocabulary.build(schemas.values(), corpus_texts=[sql for *_, sql in LOCKSTEP_EXAMPLES])
+    scorers = {
+        str(i): RandomScorer(vocab, seed=0) if i == LOCKSTEP_RANDOM else oracle_scorer(sql, vocab)
+        for i, (*_, sql) in enumerate(LOCKSTEP_EXAMPLES)
+    }
+    config = PipelineConfig(
+        data=str(data), tables=str(tables_path), content=str(content_path),
+        beam_width=2, max_len=16, discourse=discourse,
+    )
+
+    reference = StepCounter(vocab, scorers)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_decode_all", _sequential_decode)
+        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "sequential")),
+                     scorer_factory=lambda i: reference)
+    server = CountingServer(StepCounter(vocab, scorers))
+    try:
+        run_pipeline(dataclasses.replace(
+            config, out_dir=str(tmp_path / "lockstep"), scorer=f"extern:{server.endpoint}"
+        ))
+    finally:
+        server.close()
+
+    for name in LOCKSTEP_ARTIFACTS:
+        want = (tmp_path / "sequential" / name).read_bytes()
+        assert (tmp_path / "lockstep" / name).read_bytes() == want, name
+    decoded = (tmp_path / "sequential" / "decoded.sql").read_text().splitlines()
+    assert decoded[LOCKSTEP_RANDOM] == "" and all(
+        text for i, text in enumerate(decoded) if i != LOCKSTEP_RANDOM
+    )
+    sources = (tmp_path / "sequential" / "annotated.src").read_text().splitlines()
+    assert (decoded[0] in sources[2]) is discourse  # A2 saw A1's prediction
+    # Each step of the run is one message for every example then in flight,
+    # and each turn of a chain starts the step after the one before it ends.
+    chains = {}
+    for i, (interaction, *_) in enumerate(LOCKSTEP_EXAMPLES):
+        chains.setdefault(interaction if discourse else i, []).append(reference.steps[str(i)])
+    assert len(server.score_requests) == max(map(sum, chains.values()))
+    assert server.scorer.inner.steps == reference.steps
+
+
 def test_a_host_exits_when_its_stdin_closes_even_with_a_client_inside_a_body(kit):
     vocab, _, _ = kit
     host = subprocess.Popen(
@@ -898,7 +1115,7 @@ def test_a_host_exits_when_its_stdin_closes_even_with_a_client_inside_a_body(kit
     try:
         host_name, _, port = host.stdout.readline().strip().rpartition(":")
         with socket.create_connection((host_name, int(port)), timeout=5) as stuck:
-            stuck.sendall(score_message(candidates=((1, 0),))[:-3])
+            stuck.sendall(score_message(entry(candidates=((1, 0),)))[:-3])
             host.stdin.close()
             assert host.wait(timeout=10) == 0
     finally:
