@@ -1,14 +1,12 @@
 """SQL completion: infer missing FROM/JOIN tables and join keys from the schema graph.
 
 Mentioned tables are treated as terminals; the connector is the smallest
-table set whose induced table-link subgraph is connected.  One search from
-the lowest terminal first checks that every terminal is reachable.  Small
-graphs are then solved exactly by subset enumeration, larger ones by greedy
-pairwise merging of closest components.  Every graph question is one
-breadth-first search (:func:`~structsql.schema.bfs`) over the neighbour
-bitmasks: whether a table set is connected, the shortest path between
-components, the join order (the BFS tree over the connector), the pair named
-by :class:`Disconnected`, and the terminal-pair paths behind each rationale.
+table set whose induced table-link subgraph is connected, found at every
+schema size by one exact search (Dreyfus-Wagner over hop counts).  Every graph
+question is one breadth-first search (:func:`~structsql.schema.bfs`) over the
+neighbour bitmasks: whether every terminal is reachable, hop counts, whether a
+table set is connected, the join order (the BFS tree over the connector), and
+the terminal-pair paths behind each rationale.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from itertools import combinations
+from operator import add
 from typing import Iterable, Sequence
 
 from structsql.schema import ColumnRef, DatabaseSchema, SchemaGraph, bfs
@@ -23,6 +22,7 @@ from structsql.sql_ast import SqlQuery, _iter_refs, map_query
 
 logger = logging.getLogger(__name__)
 
+# Nothing in src reads this; bench/workloads.py imports it to label its trace spans.
 EXACT_TABLE_LIMIT = 10
 
 
@@ -50,53 +50,52 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     """Minimal table set containing the terminals whose induced table-link
     subgraph is connected, in schema declaration order.
 
-    When a terminal is unreachable from the lowest-indexed one, raises
-    :class:`Disconnected` naming the lowest terminal and the lowest unreached
-    one, whatever the graph size.
-    Graphs of up to ``EXACT_TABLE_LIMIT`` tables are solved exactly by subset
-    enumeration, larger ones by greedy pairwise component merge along
-    shortest paths.  Ties are broken toward smaller declaration indices, so
-    results are deterministic.
+    Raises :class:`Disconnected` naming the lowest terminal and the lowest one
+    unreachable from it.  One exact search serves every schema size; among
+    minimal connectors it returns the first in (size, then lexicographic tuple
+    of added declaration indices) order.
     """
     term_indices = sorted({graph.table_index(t) for t in terminals})
     if not term_indices:
         raise ValueError("at least one terminal table is required")
-    reached = bfs(graph.adj, 1 << term_indices[0])
+    adj, root, t = graph.adj, 1 << term_indices[0], len(term_indices)
+    term_mask = sum(1 << i for i in term_indices)
+    if len(bfs(adj, root, term_mask)) == t:  # the terminals alone are connected
+        return [graph.tables[i] for i in term_indices]
+    reached = bfs(adj, root)
     missing = next((i for i in term_indices if i not in reached), None)
     if missing is not None:
         raise Disconnected(graph.tables[term_indices[0]], graph.tables[missing])
-    if len(graph.tables) <= EXACT_TABLE_LIMIT:
-        indices = _connect_exact(graph, term_indices)
-    else:
-        indices = _connect_greedy(graph, term_indices)
-    return [graph.tables[i] for i in sorted(indices)]
-
-
-def _connect_exact(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
-    term_mask = sum(1 << i for i in term_indices)
-    others = [i for i in range(len(graph.tables)) if not term_mask >> i & 1]
-    masks = (
-        term_mask | sum(1 << i for i in combo)
-        for size in range(len(others) + 1)
-        for combo in combinations(others, size)
-    )
-    mask = next(m for m in masks if len(bfs(graph.adj, m & -m, m)) == m.bit_count())
-    return [i for i in range(len(graph.tables)) if mask >> i & 1]
-
-
-def _connect_greedy(graph: SchemaGraph, term_indices: list[int]) -> list[int]:
-    components = [1 << i for i in term_indices]
-    while len(components) > 1:
-        _, path, a, b = min(
-            (len(path), path, a, b)
-            for a, b in combinations(range(len(components)), 2)
-            for path in [graph.path(components[a], components[b])]
-        )
-        merged = components[a] | components[b]
-        for i in path:
-            merged |= 1 << i
-        components = [c for k, c in enumerate(components) if k not in (a, b)] + [merged]
-    return [i for i in range(len(graph.tables)) if components[0] >> i & 1]
+    # A non-terminal table with at most one neighbour left is in no minimal connector.
+    alive = sum(1 << i for i in reached)
+    while leaves := sum(1 << i for i in reached if (alive & ~term_mask) >> i & 1
+                        and (adj[i] & alive).bit_count() <= 1):
+        alive ^= leaves
+    nodes = [i for i in range(len(adj)) if alive >> i & 1]
+    hops = []  # hops[k][j]: links on a shortest path from nodes[k] to nodes[j]
+    for i in nodes:
+        depth = {-1: -1}
+        for child, parent in bfs(adj, 1 << i, alive).items():
+            depth[child] = depth[parent] + 1
+        hops.append([depth[j] for j in nodes])
+    # Dreyfus-Wagner: cost[s][k] is the fewest links in a tree that joins
+    # nodes[k] to the terminal subset s; it branches at some node or is a path.
+    cost = {1 << b: hops[nodes.index(i)] for b, i in enumerate(term_indices)}
+    for s in range(3, 1 << t):
+        if s & (s - 1):
+            halves, a = [], s
+            while a := (a - 1) & s:  # the proper submasks of s: 3^t in all
+                if a & s & -s:  # each split once, by the half with the lowest terminal
+                    halves.append(map(add, cost[a], cost[s ^ a]))
+            branch = list(map(min, zip(*halves)))
+            cost[s] = [min(map(add, branch, row)) for row in hops]
+    links = min(full := cost[(1 << t) - 1])
+    # Equal-size sets order by the lowest table in their symmetric difference,
+    # so dropping the tables on no minimal connector keeps the tie-break.
+    on = [i for i, c in zip(nodes, full) if c == links and not term_mask >> i & 1]
+    masks = (term_mask | sum(1 << i for i in combo) for combo in combinations(on, links + 1 - t))
+    mask = next(m for m in masks if len(bfs(adj, root, m)) == m.bit_count())
+    return [graph.tables[i] for i in range(len(graph.tables)) if mask >> i & 1]
 
 
 def _scope_tables(q: SqlQuery, graph: SchemaGraph) -> list[str]:

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structsql import complete as complete_mod
 from structsql.annotate import render_relations
-from structsql.complete import (
-    EXACT_TABLE_LIMIT,
-    Disconnected,
-    _connect_exact,
-    _connect_greedy,
-    complete_sql,
-    connect_terminals,
-)
+from structsql.complete import Disconnected, complete_sql, connect_terminals
 from structsql.schema import ColumnRef, build_schema_graph, load_schema
 from structsql.sql_ast import (
     ColumnExpr,
@@ -105,10 +97,8 @@ def test_disconnected_raises():
         connect_terminals(graph, ["a", "b"])
 
 
-@pytest.mark.parametrize("limit", [EXACT_TABLE_LIMIT, 12], ids=["greedy", "exact"])
-def test_disconnected_names_lowest_terminal_and_first_unreached(monkeypatch, limit):
-    # t0..t10 form a chain and t11 links to nothing: 12 tables take the greedy
-    # path unless the exact limit is raised to cover them.
+def test_disconnected_names_lowest_terminal_and_first_unreached():
+    # t0..t10 form a chain and t11 links to nothing.
     n = 12
     doc = {
         "db_id": "chain_and_island",
@@ -122,8 +112,6 @@ def test_disconnected_names_lowest_terminal_and_first_unreached(monkeypatch, lim
         "foreign_keys": [[n + t, t] for t in range(1, n - 1)],
     }
     graph = build_schema_graph(load_schema(doc))
-    assert len(graph.tables) > EXACT_TABLE_LIMIT
-    monkeypatch.setattr(complete_mod, "EXACT_TABLE_LIMIT", limit)
     with pytest.raises(Disconnected, match=r"^no join path between 't0' and 't11'$"):
         connect_terminals(graph, ["t11", "t5", "t0"])
 
@@ -133,41 +121,6 @@ def test_empty_terminals_rejected(tennis_graph):
         connect_terminals(tennis_graph, [])
 
 
-@pytest.mark.parametrize("connect", [_connect_exact, _connect_greedy], ids=["exact", "greedy"])
-def test_methods_sound_on_random_graphs(connect):
-    rng = random.Random(11)
-    for _ in range(30):
-        doc, _ = random_schema_doc(rng, "db", min_tables=3, max_tables=8)
-        schema = load_schema(doc)
-        graph = build_schema_graph(schema)
-        size = rng.randint(1, min(4, len(graph.tables)))
-        terminals = sorted(rng.sample(range(len(graph.tables)), size))
-        nodes = set(connect(graph, terminals))
-        assert set(terminals) <= nodes
-        # induced subgraph connectivity via brute force
-        got = brute_force_connector(
-            len(graph.tables),
-            [e for e in graph_edges(graph) if e[0] in nodes and e[1] in nodes],
-            nodes,
-        )
-        assert got == nodes, f"connector not connected: {sorted(nodes)}"
-
-
-def test_exact_matches_brute_force_cardinality():
-    rng = random.Random(23)
-    for _ in range(25):
-        doc, _ = random_schema_doc(rng, "db", min_tables=4, max_tables=8)
-        graph = build_schema_graph(load_schema(doc))
-        n = len(graph.tables)
-        edges = graph_edges(graph)
-        for size in (1, 2, 3):
-            for terminals in combinations(range(n), size):
-                expected = brute_force_connector(n, edges, set(terminals))
-                got = _connect_exact(graph, list(terminals))
-                assert expected is not None
-                assert len(got) == len(expected)
-
-
 def test_deterministic_under_terminal_permutation(tennis_graph):
     a = connect_terminals(tennis_graph, ["Players", "Ranking"])
     b = connect_terminals(tennis_graph, ["Ranking", "Players"])
@@ -175,8 +128,9 @@ def test_deterministic_under_terminal_permutation(tennis_graph):
 
 
 def test_greedy_counterexample_graph_exact_mode_optimal():
-    # Cycle of three terminals with a hub: greedy pairwise merging can pick 5
-    # tables, the exact connector needs only 4.
+    # Cycle of three terminals with a hub, and a chain of five tables hanging
+    # off a to take the graph past 10 tables: greedy pairwise merging of the
+    # closest components picks 5 tables, the minimal connector needs only 4.
     doc = {
         "db_id": "hub",
         "table_names_original": ["k1", "k2", "k3", "a", "b", "c", "hub"],
@@ -197,9 +151,15 @@ def test_greedy_counterexample_graph_exact_mode_optimal():
             [14, 1], [15, 2], [16, 3],
         ],
     }
+    for k in range(5):  # c{k} is table 7 + k, its id column 17 + 2k
+        doc["table_names_original"].append(f"c{k}")
+        doc["column_names_original"] += [[7 + k, "id"], [7 + k, "prev_id"]]
+        doc["column_types"] += ["integer", "integer"]
+        doc["primary_keys"].append(17 + 2 * k)
+        doc["foreign_keys"].append([18 + 2 * k, 15 + 2 * k if k else 4])
     graph = build_schema_graph(load_schema(doc))
-    connector = connect_terminals(graph, ["k1", "k2", "k3"])  # auto -> exact
-    assert connector == ["k1", "k2", "k3", "hub"]
+    assert len(graph.tables) == 12
+    assert connect_terminals(graph, ["k1", "k2", "k3"]) == ["k1", "k2", "k3", "hub"]
 
 
 def rewired_doc(seed, drop, extra):
@@ -237,6 +197,36 @@ def test_path_is_smallest_shortest_simple_path(doc, src, dst):
     src, dst = src % (1 << n) or 1, dst % (1 << n) or 1 << (n - 1)
     members = [{i for i in range(n) if mask >> i & 1} for mask in (src, dst)]
     assert graph.path(src, dst) == brute_force_path(n, doc_edges(doc), *members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=rewired, data=st.data())
+def test_connector_matches_brute_force(doc, data):
+    graph = build_schema_graph(load_schema(doc))
+    n = len(graph.tables)
+    terms = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(6, n), unique=True))
+    names = [graph.tables[i] for i in terms]
+    expected = brute_force_connector(n, doc_edges(doc), set(terms))
+    for order in (names, names[::-1]):
+        if expected is None:
+            with pytest.raises(Disconnected):
+                connect_terminals(graph, order)
+        else:
+            assert connect_terminals(graph, order) == [graph.tables[i] for i in sorted(expected)]
+
+
+def test_connector_tie_break_on_folded_chain():
+    # A chain folded into rows of 4, each table also linked to the one 4 on,
+    # has many minimal connectors of equal size; random schemas seldom do.
+    n = 16
+    schema = chain_schema([f"t{i}" for i in range(n)], [(i + 4, i) for i in range(n - 4)])
+    graph = build_schema_graph(schema)
+    rng = random.Random(7)
+    for _ in range(40):
+        terms = rng.sample(range(n), rng.randint(2, 5))
+        expected = brute_force_connector(n, graph_edges(graph), set(terms))
+        got = connect_terminals(graph, [graph.tables[i] for i in terms])
+        assert got == [graph.tables[i] for i in sorted(expected)]
 
 
 @settings(max_examples=80, deadline=None)

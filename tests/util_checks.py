@@ -209,11 +209,11 @@ def brute_force_connector(
 ) -> set[int] | None:
     """Exhaustive minimal connector: smallest superset of the terminals whose
     induced subgraph is connected; ties broken by smallest sorted index tuple.
-    Returns None when no connector exists."""
+    Returns None when no connector exists, which is exactly when the
+    terminals lie in more than one component of the whole graph."""
 
-    def connected(nodes: set[int]) -> bool:
-        if len(nodes) <= 1:
-            return True
+    def roots(nodes: set[int]) -> dict[int, int]:
+        """Each node's union-find root over the edges ``nodes`` induce."""
         parent = {v: v for v in nodes}
 
         def find(v):
@@ -225,13 +225,16 @@ def brute_force_connector(
         for a, b in edges:
             if a in nodes and b in nodes:
                 parent[find(a)] = find(b)
-        return len({find(v) for v in nodes}) == 1
+        return {v: find(v) for v in nodes}
 
+    whole = roots(set(range(n_tables)))
+    if len({whole[v] for v in terminals}) > 1:
+        return None
     others = sorted(set(range(n_tables)) - terminals)
     for size in range(len(others) + 1):
         for combo in combinations(others, size):
             candidate = terminals | set(combo)
-            if connected(candidate):
+            if len(set(roots(candidate).values())) == 1:
                 return candidate
     return None
 
