@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsql.annotate import render_relations
-from structsql.complete import Disconnected, complete_sql, connect_terminals
+from structsql.complete import EXACT_TABLE_LIMIT, Disconnected, complete_sql, connect_terminals
 from structsql.schema import ColumnRef, build_schema_graph, load_schema
 from structsql.sql_ast import (
     ColumnExpr,
@@ -97,9 +97,14 @@ def test_disconnected_raises():
         connect_terminals(graph, ["a", "b"])
 
 
-def test_disconnected_names_lowest_terminal_and_first_unreached():
-    # t0..t10 form a chain and t11 links to nothing.
-    n = 12
+# One search serves every schema size; these ids name the two size regimes it
+# replaced: exact subset search up to EXACT_TABLE_LIMIT tables, greedy above.
+SIZE_REGIMES = ["exact", "greedy"]
+
+
+@pytest.mark.parametrize("n", [EXACT_TABLE_LIMIT - 2, EXACT_TABLE_LIMIT + 2], ids=SIZE_REGIMES)
+def test_disconnected_names_lowest_terminal_and_first_unreached(n):
+    # t0..t{n-2} form a chain and t{n-1} links to nothing.
     doc = {
         "db_id": "chain_and_island",
         "table_names_original": [f"t{t}" for t in range(n)],
@@ -112,13 +117,51 @@ def test_disconnected_names_lowest_terminal_and_first_unreached():
         "foreign_keys": [[n + t, t] for t in range(1, n - 1)],
     }
     graph = build_schema_graph(load_schema(doc))
-    with pytest.raises(Disconnected, match=r"^no join path between 't0' and 't11'$"):
-        connect_terminals(graph, ["t11", "t5", "t0"])
+    island = f"t{n - 1}"
+    with pytest.raises(Disconnected, match=rf"^no join path between 't0' and '{island}'$"):
+        connect_terminals(graph, [island, "t5", "t0"])
 
 
 def test_empty_terminals_rejected(tennis_graph):
     with pytest.raises(ValueError):
         connect_terminals(tennis_graph, [])
+
+
+@pytest.mark.parametrize(
+    "min_tables,max_tables", [(3, 8), (EXACT_TABLE_LIMIT + 1, EXACT_TABLE_LIMIT + 4)], ids=SIZE_REGIMES
+)
+def test_methods_sound_on_random_graphs(min_tables, max_tables):
+    rng = random.Random(11)
+    for _ in range(30):
+        doc, _ = random_schema_doc(rng, "db", min_tables=min_tables, max_tables=max_tables)
+        graph = build_schema_graph(load_schema(doc))
+        size = rng.randint(1, min(4, len(graph.tables)))
+        terminals = sorted(rng.sample(range(len(graph.tables)), size))
+        nodes = {graph.table_index(t) for t in connect_terminals(graph, [graph.tables[i] for i in terminals])}
+        assert set(terminals) <= nodes
+        # induced subgraph connectivity via brute force
+        got = brute_force_connector(
+            len(graph.tables),
+            [e for e in graph_edges(graph) if e[0] in nodes and e[1] in nodes],
+            nodes,
+        )
+        assert got == nodes, f"connector not connected: {sorted(nodes)}"
+
+
+def test_exact_matches_brute_force_cardinality():
+    # Every terminal set of up to three tables, where the property test samples.
+    rng = random.Random(23)
+    for _ in range(25):
+        doc, _ = random_schema_doc(rng, "db", min_tables=4, max_tables=8)
+        graph = build_schema_graph(load_schema(doc))
+        n = len(graph.tables)
+        edges = graph_edges(graph)
+        for size in (1, 2, 3):
+            for terminals in combinations(range(n), size):
+                expected = brute_force_connector(n, edges, set(terminals))
+                got = connect_terminals(graph, [graph.tables[i] for i in terminals])
+                assert expected is not None
+                assert len(got) == len(expected)
 
 
 def test_deterministic_under_terminal_permutation(tennis_graph):
