@@ -29,27 +29,26 @@ def main() -> None:
     paths = write_corpus(corpus, out / "data")
 
     print(f"{'marks':>6} {'struct':>6} {'disc':>5} {'constr':>6} {'compl':>6} {'QM':>8} {'LX':>8}")
-    for sp, ds, dc in itertools.product((True, False), repeat=3):
-        for constrained, completion in (((True), (True)), ((False), (False))):
-            tag = f"{int(sp)}{int(ds)}{int(dc)}_{int(constrained)}{int(completion)}"
-            config = PipelineConfig(
-                data=str(paths["examples"]),
-                tables=str(paths["tables"]),
-                out_dir=str(out / f"run_{tag}"),
-                schema_property=sp,
-                database_structure=ds,
-                discourse=dc,
-                constrained=constrained,
-                completion=completion,
-                scorer=args.scorer,
-                beam_width=3,
-                max_len=200,
-            )
-            report = run_pipeline(config)
-            print(
-                f"{str(sp):>6} {str(ds):>6} {str(dc):>5} {str(constrained):>6} "
-                f"{str(completion):>6} {report.qm:8.4f} {report.lx:8.4f}"
-            )
+    for sp, ds, dc, constrained, completion in itertools.product((True, False), repeat=5):
+        tag = f"{int(sp)}{int(ds)}{int(dc)}_{int(constrained)}{int(completion)}"
+        config = PipelineConfig(
+            data=str(paths["examples"]),
+            tables=str(paths["tables"]),
+            out_dir=str(out / f"run_{tag}"),
+            schema_property=sp,
+            database_structure=ds,
+            discourse=dc,
+            constrained=constrained,
+            completion=completion,
+            scorer=args.scorer,
+            beam_width=3,
+            max_len=200,
+        )
+        report = run_pipeline(config)
+        print(
+            f"{str(sp):>6} {str(ds):>6} {str(dc):>5} {str(constrained):>6} "
+            f"{str(completion):>6} {report.qm:8.4f} {report.lx:8.4f}"
+        )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from structsql import metrics as metrics_mod
 from structsql.annotate import AnnotatedInput, MarkConfig, build_input
@@ -40,8 +40,6 @@ from structsql.linking import QuestionTokens, name_link, value_link
 from structsql.schema import DatabaseSchema, load_schemas
 from structsql.sql_ast import SqlSyntaxError, parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, write_corpus
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 1
@@ -274,17 +272,6 @@ def _complete_all(examples, texts, schemas) -> tuple[list[str], list[dict]]:
     return completed, plans
 
 
-@dataclass
-class _Search:
-    """One turn's beam search in flight, with the later turns of its chain."""
-
-    example: Example
-    later: Iterator[Example]
-    scorer: TokenScorer
-    steps: Generator
-    request: ScoreRequest | None = None
-
-
 def _decode_all(
     examples: list[Example],
     schemas: dict[str, DatabaseSchema],
@@ -295,58 +282,59 @@ def _decode_all(
     """Annotated sources and decoded texts of ``examples``, in corpus order.
 
     Each interaction is a chain of turns in corpus order (with discourse off,
-    each example is a chain of its own).  The first turn of every chain
-    starts at once, and the searches step in lockstep: each step asks every
-    distinct scorer once, for the requests of all the searches it serves.
-    When a search ends, its text (blank if no hypothesis finished) is the
-    previous SQL of the chain's next turn, which starts in the next step.
+    each example is a chain of its own), decoded by one generator that
+    yields its searches' score requests.  All chains step in lockstep: each
+    step asks every distinct scorer once, for the requests of all the chains
+    it serves.  A turn's text (blank if no hypothesis finished) is the
+    previous SQL of the chain's next turn, whose first request is scored in
+    the next step.
     """
+    sources: dict[int, str] = {}
+    decoded: dict[int, str] = {}
+    scorers: dict[str, TokenScorer] = {}  # by example id, for the searches in flight
+
+    def chain(turns: list[Example]) -> Generator[ScoreRequest, list[list[float]], None]:
+        text = None
+        for ex in turns:
+            annotated = _annotation_for(ex, schemas[ex.db_id], config, text)
+            sources[ex.index] = annotated.render()
+            scorer = scorers[annotated.example_id] = factory(ex.index)
+            try:
+                hyps = yield from beam_steps(
+                    scorer.vocab, annotated, constraints[ex.db_id], config.beam_width,
+                    config.max_len, constrained=config.constrained,
+                )
+                # The scorer's vocabulary governs its output ids (an injected
+                # scorer may extend the corpus vocabulary).
+                text = hyps[0].text(scorer.vocab)
+            except NoValidHypothesis:
+                text = ""
+            del scorers[annotated.example_id]
+            decoded[ex.index] = text
+
+    live: list[tuple[Generator, ScoreRequest]] = []
+
+    def resume(gen: Generator, scores: list[list[float]] | None) -> None:
+        try:
+            live.append((gen, gen.send(scores)))
+        except StopIteration:  # the chain's last turn has ended
+            pass
+
     chains: dict = {}
     for ex in examples:
         chains.setdefault(ex.interaction_id if config.discourse else ex.index, []).append(ex)
-    sources: dict[int, str] = {}
-    decoded: dict[int, str] = {}
-    ready: list[tuple[Iterator[Example], str | None]] = [(iter(c), None) for c in chains.values()]
-    live: list[_Search] = []
-
-    def advance(search: _Search, scores) -> bool:
-        """Send ``scores`` to the search: True while it asks for more, and
-        once it ends, its text is recorded and its chain is ready."""
-        try:
-            search.request = search.steps.send(scores)
-            return True
-        except StopIteration as stop:
-            # The scorer's vocabulary governs its output ids (an injected
-            # scorer may extend the corpus vocabulary).
-            text = stop.value[0].text(search.scorer.vocab)
-        except NoValidHypothesis:
-            text = ""
-        decoded[search.example.index] = text
-        ready.append((search.later, text))
-        return False
-
-    while ready or live:
-        starting, ready = ready, []
-        for later, prev in starting:
-            ex = next(later, None)
-            if ex is None:
-                continue
-            annotated = _annotation_for(ex, schemas[ex.db_id], config, prev)
-            sources[ex.index] = annotated.render()
-            scorer = factory(ex.index)
-            search = _Search(ex, later, scorer, beam_steps(
-                scorer.vocab, annotated, constraints[ex.db_id], config.beam_width,
-                config.max_len, constrained=config.constrained, example_id=str(ex.index),
-            ))
-            if advance(search, None):
-                live.append(search)
-        groups: dict[int, list[_Search]] = {}
-        for search in live:
-            groups.setdefault(id(search.scorer), []).append(search)
-        live = []
+    for turns in chains.values():
+        resume(chain(turns), None)
+    while live:
+        groups: dict[int, list[tuple[Generator, ScoreRequest]]] = {}
+        for gen, request in live:
+            groups.setdefault(id(scorers[request.example_id]), []).append((gen, request))
+        live.clear()
         for group in groups.values():
-            batch = group[0].scorer.score_batch([search.request for search in group])
-            live += [s for s, scores in zip(group, batch, strict=True) if advance(s, scores)]
+            gens, requests = zip(*group)
+            batch = scorers[requests[0].example_id].score_batch(list(requests))
+            for gen, scores in zip(gens, batch, strict=True):
+                resume(gen, scores)
     return [sources[e.index] for e in examples], [decoded[e.index] for e in examples]
 
 
@@ -521,6 +509,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n_schemas < 1 or args.n_queries < 1:
+        raise ConfigError(f"--n-schemas {args.n_schemas} or --n-queries {args.n_queries} is below 1")
     corpus = generate_synthetic_corpus(
         args.seed, args.n_schemas, args.n_queries, with_values=args.with_values
     )

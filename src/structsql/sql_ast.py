@@ -456,7 +456,7 @@ class _Parser:
 
 
 # --------------------------------------------------------------------------
-# Walker: the one place that lists a level's clauses and builds a level
+# Walker: rebuild, the copying walk of one level behind map_query and _iter_refs
 
 
 def _same(x):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,26 @@ def test_gen_different_seeds_differ(tmp_path):
     main(["gen", "--seed", "1", "--out-dir", str(a)])
     main(["gen", "--seed", "2", "--out-dir", str(b)])
     assert read(a / "examples.json") != read(b / "examples.json")
+
+
+@pytest.mark.parametrize("flag", ["--n-schemas", "--n-queries"])
+def test_gen_count_below_one_is_a_config_error(tmp_path, capsys, flag):
+    out = tmp_path / "gen"
+    assert main(["gen", flag, "0", "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_ablation_matrix_runs_every_combination(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ablation_matrix.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n-schemas", "2", "--n-queries", "2",
+                                      "--out-dir", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["marks", "struct", "disc", "constr", "compl", "QM", "LX"]
+    toggles = [tuple(row.split()[:5]) for row in rows]
+    assert len(rows) == 32 and len(set(toggles)) == 32
+    assert all(row.split()[5] == "1.0000" for row in rows)
 
 
 def test_generated_queries_all_parse(corpus_dir):

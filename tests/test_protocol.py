@@ -1027,6 +1027,19 @@ class StepCounter(TokenScorer):
         return out
 
 
+class CallCounter(TokenScorer):
+    """One example's own scorer, keeping the number of requests of each
+    ``score_batch`` call it answers."""
+
+    def __init__(self, inner):
+        super().__init__(inner.vocab)
+        self.inner, self.calls = inner, []
+
+    def score_batch(self, requests):
+        self.calls.append(len(requests))
+        return self.inner.score_batch(requests)
+
+
 def _sequential_decode(examples, schemas, constraints, config, factory):
     """The decode stage one example at a time in corpus order; each turn sees
     the latest prediction of its interaction as the previous turn."""
@@ -1081,9 +1094,19 @@ def test_lockstep_run_equals_a_sequential_run(tmp_path, monkeypatch, tables_path
     finally:
         server.close()
 
+    # The same run with each example's scorer object of its own, in process.
+    own = {i: CallCounter(scorer) for i, scorer in scorers.items()}
+    run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "own")),
+                 scorer_factory=lambda i: own[str(i)])
+
     for name in LOCKSTEP_ARTIFACTS:
         want = (tmp_path / "sequential" / name).read_bytes()
         assert (tmp_path / "lockstep" / name).read_bytes() == want, name
+        assert (tmp_path / "own" / name).read_bytes() == want, name
+    # An example's own scorer is asked once per decode step, for it alone.
+    assert {i: scorer.calls for i, scorer in own.items()} == {
+        i: [1] * steps for i, steps in reference.steps.items()
+    }
     decoded = (tmp_path / "sequential" / "decoded.sql").read_text().splitlines()
     assert decoded[LOCKSTEP_RANDOM] == "" and all(
         text for i, text in enumerate(decoded) if i != LOCKSTEP_RANDOM
