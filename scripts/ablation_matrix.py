@@ -2,9 +2,12 @@
 """Run every mark-family / constraint / completion combination on one corpus.
 
 With the oracle scorer all rows come out at QM = 1.0 by design; the point is
-the wiring: each toggle produces a distinct serialized input (see the
-annotated.src files written per row).  Attach a real scorer via
---scorer extern:host:port to measure actual ablation deltas.
+the wiring.  Only the two mark families change the serialized input (the
+annotated.src file written per row): a ``structsql gen`` corpus gives every
+example its own interaction, so discourse has no previous turn to mark, and
+the constraint and completion act on decoding and its output, never on the
+input.  Attach a real scorer via --scorer extern:host:port to measure actual
+ablation deltas.
 """
 
 import argparse

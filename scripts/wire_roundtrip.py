@@ -7,15 +7,18 @@ Pins itself to one CPU (the child inherits the pin, as ``bench/run.py`` pins
 a run and its ``lm_host.py``), starts a child process serving a zero-cost
 scorer through ``ScorerServer``, and times ``score_batch`` round trips of two
 reference shapes.  Each example in them has 5 prefixes of 11 ids, 5 x 63
-candidates and a 115-token source, the mean shape of one example's decode
-step in ``pipeline-remote`` at seed 101.  "one example" sends one such
-example per message, as a search driven alone does; "lockstep step" sends
-35, the examples ``run`` steps together at the start of that round.  For
-each shape it prints the p50 and p90 microseconds per message and per
-example-step (a message's time over its examples) over the timed calls that
-``SHAPES`` gives, after its untimed warm-up calls, so what is measured is
-encoding, decoding, checks and transport, never scoring.  Only the standard
-library and ``src`` are used.
+candidates and a 115-token source of its own, the mean shape of one
+example's decode step in ``pipeline-remote`` at seed 101.  "one example"
+sends one such example per message, as a search driven alone does;
+"lockstep step" sends 35, the examples ``run`` steps together at the start
+of that round.  Each shape has a connection of its own and sends the same
+requests again and again, so only its first message brings the sources and
+candidate lists; every later one is warm.  For each shape it prints that
+first (cold) message's microseconds, and the p50 and p90 microseconds per
+message and per example-step (a message's time over its examples) over the
+timed warm calls that ``SHAPES`` gives, after its untimed warm-up calls.
+What is measured is encoding, decoding, checks and transport, never
+scoring.  Only the standard library and ``src`` are used.
 """
 
 from __future__ import annotations
@@ -64,36 +67,43 @@ def serve() -> int:
 
 
 def reference_requests(examples: int) -> list[ScoreRequest]:
-    source = tuple(f"w{i % 40}" for i in range(SOURCE_LEN))
     prefixes = [tuple((7 * i + 3 * j) % VOCAB_SIZE for j in range(PREFIX_LEN))
                 for i in range(PREFIXES)]
     candidates = [tuple(range(i, i + 5 * CANDIDATES, 5)) for i in range(PREFIXES)]
-    return [ScoreRequest(source, str(k), prefixes, candidates) for k in range(examples)]
+    return [
+        ScoreRequest(tuple(f"w{(i + k) % 40}" for i in range(SOURCE_LEN)), str(k), prefixes,
+                     candidates)
+        for k in range(examples)
+    ]
 
 
-def measure() -> dict[str, list[float]]:
+def time_call(scorer, requests) -> float:
+    start = time.perf_counter()
+    for _ in scorer.score_batch(requests):  # unpack every example
+        pass
+    return time.perf_counter() - start
+
+
+def measure() -> dict[str, tuple[float, list[float]]]:
+    """Per shape: the first message's seconds and the timed warm ones'."""
     child = subprocess.Popen(
         [sys.executable, __file__, "--serve"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     )
-    timings: dict[str, list[float]] = {}
+    timings: dict[str, tuple[float, list[float]]] = {}
     try:
         endpoint = child.stdout.readline().strip()
         if not endpoint:
             raise RuntimeError("the scorer child exited before serving")
-        scorer = external_scorer_connect(endpoint, vocabulary())
-        try:
-            for name, (examples, calls, warmup) in SHAPES.items():
-                requests = reference_requests(examples)
-                times = []
-                for _ in range(warmup + calls):
-                    start = time.perf_counter()
-                    for _ in scorer.score_batch(requests):  # unpack every example
-                        pass
-                    times.append(time.perf_counter() - start)
-                timings[name] = times[warmup:]
-        finally:
-            scorer.close()
+        for name, (examples, calls, warmup) in SHAPES.items():
+            requests = reference_requests(examples)
+            scorer = external_scorer_connect(endpoint, vocabulary())
+            try:
+                first = time_call(scorer, requests)
+                times = [time_call(scorer, requests) for _ in range(warmup + calls)]
+            finally:
+                scorer.close()
+            timings[name] = first, times[warmup:]
     finally:
         child.stdin.close()
         child.wait(timeout=30)
@@ -108,12 +118,13 @@ def main() -> int:
         sys.exit(__doc__)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    for name, times in measure().items():
+    for name, (first, times) in measure().items():
         times.sort()
         examples = SHAPES[name][0]
         p50, p90 = (times[int(q * (len(times) - 1))] * 1e6 for q in (0.5, 0.9))
         print(
-            f"{name}: {len(times)} round trips of {examples} example(s)"
+            f"{name}: first (cold) message {first * 1e6:.0f} us;"
+            f" {len(times)} warm round trips of {examples} example(s)"
             f"  per message p50 {p50:.0f} us p90 {p90:.0f} us"
             f"  per example-step p50 {p50 / examples:.0f} us p90 {p90 / examples:.0f} us"
         )

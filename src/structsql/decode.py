@@ -12,6 +12,9 @@ sent back the scores.  ``beam_search`` drives one such search; a caller that
 drives several at once asks ``score_batch`` for all of their requests in
 one call, and the wire protocol carries that call as one message, so an
 external model scores every ready example of a step in one round trip.
+Both ends of a connection keep the sources and candidate lists it has
+carried, so each crosses the connection once and is named by its index
+after that.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import chain
+from itertools import chain, islice
 from math import inf, isfinite
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
@@ -663,36 +666,42 @@ def _expand(
 
 
 # --------------------------------------------------------------------------
-# External scorer wire protocol, version 4
+# External scorer wire protocol, version 5
 #
 # One message per ``score_batch`` call over a TCP socket, so one per decode
 # step for every example a caller steps together.  Every message is one
 # UTF-8 JSON header line; a `score` or `scores` header is followed by a raw
 # body of exactly "bytes" bytes, and `hello`, `vocab` and `error` have no
 # body.
-#   handshake: {"type": "hello", "protocol": 4}
-#           -> {"type": "vocab", "protocol": 4, "size": N, "eos_id": E,
+#   handshake: {"type": "hello", "protocol": 5}
+#           -> {"type": "vocab", "protocol": 5, "size": N, "eos_id": E,
 #               "tokenizer_tag": T}
-#   scoring:   {"type": "score", "examples": [{"example_id": X,
-#               "source": [s_1, ...], "prefix_lengths": [p_1, ...],
-#               "lengths": [n_1, ...]}, ...],
-#               "bytes": 4 * (every sum(prefix_lengths) + sum(lengths))}
-#              + little-endian int32, example by example: its prefixes' ids
-#                back to back, then its candidate ids back to back,
-#                lengths[i] for prefix i
+#   scoring:   {"type": "score", "sources": [[s_1, ...], ...],
+#               "lists": [n_1, ...], "examples": [{"example_id": X,
+#               "source": S, "prefix_lengths": [p_1, ...]}, ...],
+#               "bytes": 4 * (sum(lists) + every sum(prefix_lengths)
+#                             + len(prefix_lengths))}
+#              + little-endian int32: the new lists' ids back to back, then
+#                example by example its prefixes' ids back to back and one
+#                list index per prefix
 #           -> {"type": "scores", "example_ids": [X, ...],
-#               "bytes": 8 * (every sum(lengths))}
+#               "bytes": 8 * (the lengths of every prefix's list)}
 #              + little-endian float64: one score per candidate id, in order
-# Each example's source is the annotated input's token strings, sent with
-# every message so that a stateless host can condition on it.  Packed
-# float64 is bit-exact, so the wire changes no score.  All header fields are
-# mandatory; any deviation, a protocol version other than 4 or a
-# tokenizer_tag other than TOKENIZER_TAG included, is a ProtocolViolation.
-# A binary body can leave a stream out of step, so a client that sees a
-# fault uses the connection no more, and the server answers a header it
-# cannot parse or frame with `error` and closes the connection.
+# Both ends of a connection keep two append-only tables: the sources (an
+# annotated input's token strings) and the candidate lists it has carried.
+# A message first appends its `sources` and, with `lists` giving their
+# lengths, its new lists; an example's "source" and each list index then
+# count from 0 over everything the connection has carried.  So each source
+# and each list crosses a connection once, and the tables live as long as
+# the connection.  Packed float64 is bit-exact, so the wire changes no
+# score.  All header fields are mandatory; any deviation, a protocol version
+# other than 5 or a tokenizer_tag other than TOKENIZER_TAG included, is a
+# ProtocolViolation.  Message order carries the tables, and a binary body
+# can leave a stream out of step, so a client encodes under its connection's
+# lock and uses a connection no more after a fault, and the server answers
+# every fault with `error` and closes the connection.
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 _SWAP = sys.byteorder != "little"
 
@@ -757,9 +766,11 @@ def _per_example(scores: array, lengths: list[list[int]]) -> Iterator[list[list[
 
 class RemoteScorer(TokenScorer):
     """TokenScorer proxy speaking the wire protocol: one round trip per
-    ``score_batch`` call, whatever the number of examples in it.  After any
-    ProtocolViolation or TransportError every call raises TransportError
-    without touching the connection again."""
+    ``score_batch`` call, whatever the number of examples in it.  It keeps
+    the connection's tables of the sources and candidate lists it has sent.
+    After any exception inside a call, when the stream or the tables may be
+    out of step with the host, every call raises TransportError without
+    touching the connection again."""
 
     def __init__(self, vocab: Vocabulary, sock: socket.socket, timeout: float = 10.0):
         super().__init__(vocab)
@@ -768,6 +779,9 @@ class RemoteScorer(TokenScorer):
         self._reader = sock.makefile("rb")
         self._lock = threading.Lock()
         self._broken: str | None = None
+        # The index of each source and candidate list sent on the connection.
+        self._sources: dict[tuple[str, ...], int] = {}
+        self._lists: dict[tuple[int, ...], int] = {}
 
     @contextmanager
     def _exclusive(self):
@@ -776,7 +790,7 @@ class RemoteScorer(TokenScorer):
                 raise TransportError(f"scorer connection unusable after: {self._broken}")
             try:
                 yield
-            except (ProtocolViolation, TransportError) as exc:
+            except Exception as exc:
                 self._broken = f"{type(exc).__name__}: {exc}"
                 raise
 
@@ -829,23 +843,32 @@ class RemoteScorer(TokenScorer):
         return message
 
     def score_batch(self, requests):
-        """One round trip for every request.  The reply is checked whole, and
-        each request's score lists are made as the caller iterates to them."""
-        examples, lengths = [], []
-        for source, example_id, prefixes, candidate_lists in requests:
-            example_lengths = [len(c) for c in candidate_lists]
-            examples.append({
-                "example_id": "0" if example_id is None else example_id,
-                "source": list(source),
-                "prefix_lengths": [len(p) for p in prefixes],
-                "lengths": example_lengths,
-            })
-            lengths.append(example_lengths)
-        ids = _pack(
-            "i", chain.from_iterable(chain(r.prefixes, r.candidate_lists) for r in requests)
-        )
-        message = _line({"type": "score", "examples": examples, "bytes": len(ids)}) + ids
+        """One round trip for every request.  A source or candidate list the
+        connection has not carried gets the next index and goes with the
+        message; the lock keeps the indices in the order of the messages.
+        The reply is checked whole, and each request's score lists are made
+        as the caller iterates to them."""
         with self._exclusive():
+            # A key the table lacks gets the next index; the keys after the
+            # ones it had are this message's new sources and lists.
+            sources, lists = self._sources, self._lists
+            carried = len(sources), len(lists)
+            examples, lengths, runs = [], [], []
+            for source, example_id, prefixes, candidate_lists in requests:
+                examples.append({
+                    "example_id": "0" if example_id is None else example_id,
+                    "source": sources.setdefault(tuple(source), len(sources)),
+                    "prefix_lengths": [len(p) for p in prefixes],
+                })
+                lengths.append([len(c) for c in candidate_lists])
+                runs += prefixes
+                runs.append([lists.setdefault(tuple(c), len(lists)) for c in candidate_lists])
+            new_lists = [*islice(lists, carried[1], None)]
+            ids = _pack("i", chain(new_lists, runs))
+            message = _line({
+                "type": "score", "sources": [*islice(sources, carried[0], None)],
+                "lists": [len(c) for c in new_lists], "examples": examples, "bytes": len(ids),
+            }) + ids
             reply, body = self._roundtrip(message, 8 * sum(map(sum, lengths)))
             if _require(reply, "example_ids") != [e["example_id"] for e in examples]:
                 raise ProtocolViolation("response example_ids do not match the request")
@@ -889,32 +912,43 @@ def external_scorer_connect(
     return scorer
 
 
-def _frame(header: dict, vocab_size: int) -> list[tuple[dict, list[int], list[int]]]:
-    """Each entry of a ``score`` header's ``examples`` with its
-    ``prefix_lengths`` and ``lengths``, when the header's ``bytes`` field
-    agrees with them; anything else is a ProtocolViolation."""
+def _lengths(name: str, value) -> list[int]:
+    if not (isinstance(value, list) and set(map(type, value)) <= {int}
+            and min(value, default=0) >= 0):
+        raise ProtocolViolation(f"{name} must be a list of non-negative ints")
+    return value
+
+
+def _frame(header: dict, vocab_size: int, carried: int) -> tuple[list, list[int], list]:
+    """A ``score`` header's new sources, the lengths of its new lists, and
+    each of its examples as (example id, source index, prefix_lengths),
+    when the header's ``bytes`` field agrees with them; anything else is a
+    ProtocolViolation.  ``carried`` counts the sources of earlier messages."""
+    sources = header.get("sources")
+    if not (isinstance(sources, list)
+            and all(isinstance(s, list) and set(map(type, s)) <= {str} for s in sources)):
+        raise ProtocolViolation("sources must be a list of lists of strings")
+    lists = _lengths("lists", header.get("lists"))
+    if max(lists, default=0) > vocab_size:
+        raise ProtocolViolation(f"lists must not exceed the vocabulary size {vocab_size}")
     entries = header.get("examples")
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ProtocolViolation("examples must be a list of objects")
-    frames, want = [], 0
+    carried += len(sources)
+    frames, want = [], sum(lists)
     for entry in entries:
-        prefix_lengths, lengths = entry.get("prefix_lengths"), entry.get("lengths")
-        for name, value in (("prefix_lengths", prefix_lengths), ("lengths", lengths)):
-            if not (isinstance(value, list) and set(map(type, value)) <= {int}
-                    and min(value, default=0) >= 0):
-                raise ProtocolViolation(f"{name} must be a list of non-negative ints")
-        if max(lengths, default=0) > vocab_size:
-            raise ProtocolViolation(f"lengths must not exceed the vocabulary size {vocab_size}")
-        if len(prefix_lengths) != len(lengths):
+        source = entry.get("source")
+        if type(source) is not int or not 0 <= source < carried:
             raise ProtocolViolation(
-                f"{len(prefix_lengths)} prefix_lengths and {len(lengths)} lengths do not match"
+                f"source must index one of the {carried} sources carried, got {source!r}"
             )
-        frames.append((entry, prefix_lengths, lengths))
-        want += 4 * (sum(prefix_lengths) + sum(lengths))
+        prefix_lengths = _lengths("prefix_lengths", entry.get("prefix_lengths"))
+        frames.append((_require(entry, "example_id"), source, prefix_lengths))
+        want += sum(prefix_lengths) + len(prefix_lengths)
     size = header.get("bytes")
-    if type(size) is not int or size != want:
-        raise ProtocolViolation(f"bytes must be {want} for these lengths, got {size!r}")
-    return frames
+    if type(size) is not int or size != 4 * want:
+        raise ProtocolViolation(f"bytes must be {4 * want} for these lengths, got {size!r}")
+    return sources, lists, frames
 
 
 def _read_body(rfile, size: int) -> bytes:
@@ -932,9 +966,10 @@ class ScorerServer:
     """Reference protocol server wrapping an in-process scorer.
 
     Meant for tests and for bridging a locally loaded model; each connection
-    is served on its own thread, and each scoring message is one
-    ``score_batch`` call on the wrapped scorer.  ``close()`` also ends the
-    live connections and waits for their threads.
+    is served on its own thread, with its own tables of sources and
+    candidate lists, and each scoring message is one ``score_batch`` call on
+    the wrapped scorer.  ``close()`` also ends the live connections and
+    waits for their threads.
     """
 
     def __init__(self, scorer: TokenScorer, host: str = "127.0.0.1", port: int = 0):
@@ -946,12 +981,13 @@ class ScorerServer:
                     if outer._closed:
                         return
                     outer._live.add(self.request)
+                tables: tuple[list, list] = ([], [])  # sources, candidate lists
                 try:
                     while line := self.rfile.readline():
-                        reply, framed = outer._answer(line, self.rfile)
+                        reply, keep = outer._answer(line, self.rfile, tables)
                         if reply:
                             self.request.sendall(reply)
-                        if not framed:
+                        if not keep:
                             return
                 except OSError:  # the client went away, or close() cut it
                     return
@@ -979,27 +1015,24 @@ class ScorerServer:
     def endpoint(self) -> str:
         return f"{self.host}:{self.port}"
 
-    def _answer(self, line: bytes, rfile) -> tuple[bytes, bool]:
+    def _answer(self, line: bytes, rfile, tables: tuple[list, list]) -> tuple[bytes, bool]:
         """The reply to the message whose header is ``line`` (its body, if
-        any, is read from ``rfile``), and whether the stream is still framed."""
+        any, is read from ``rfile``), and whether the connection stays open:
+        every fault is answered with ``error`` and closes it."""
         try:
             header = _header(line)
             kind = header.get("type")
-            if kind == "score":
-                frames = _frame(header, len(self.scorer.vocab))
-                body = _read_body(rfile, header["bytes"])
-                if len(body) != header["bytes"]:
-                    return b"", False  # the client hung up inside the body
-        except ProtocolViolation as exc:
-            return _line({"type": "error", "message": str(exc)}), False
-        try:
             if kind == "hello":
                 return self._hello(header), True
-            if kind == "score":
-                return self._score(frames, body), True
-            raise ProtocolViolation(f"unknown request type {kind!r}")
-        except Exception as exc:  # noqa: BLE001 - report, keep serving
-            return _line({"type": "error", "message": str(exc)}), True
+            if kind != "score":
+                raise ProtocolViolation(f"unknown request type {kind!r}")
+            frame = _frame(header, len(self.scorer.vocab), len(tables[0]))
+            body = _read_body(rfile, header["bytes"])
+            if len(body) != header["bytes"]:
+                return b"", False  # the client hung up inside the body
+            return self._score(tables, frame, body), True
+        except Exception as exc:  # noqa: BLE001 - report, then close
+            return _line({"type": "error", "message": str(exc)}), False
 
     def _hello(self, header: dict) -> bytes:
         if header.get("protocol") != PROTOCOL_VERSION:
@@ -1015,21 +1048,31 @@ class ScorerServer:
             "tokenizer_tag": TOKENIZER_TAG,
         })
 
-    def _score(self, frames: list, body: bytes) -> bytes:
-        runs = _split(
-            _unpack("i", body).tolist(), [n for _, p, lengths in frames for n in p + lengths]
-        )
-        requests, at = [], 0
-        for entry, _, lengths in frames:
-            source = entry.get("source")
-            if not isinstance(source, list) or not set(map(type, source)) <= {str}:
-                raise ProtocolViolation("source must be a list of strings")
-            k = len(lengths)
-            prefixes, candidate_lists = runs[at:at + k], runs[at + k:at + 2 * k]
-            requests.append(
-                ScoreRequest(tuple(source), _require(entry, "example_id"), prefixes, candidate_lists)
-            )
-            at += 2 * k
+    def _score(self, tables: tuple[list, list], frame: tuple, body: bytes) -> bytes:
+        """Append the message's sources and lists to the connection's
+        tables, then score its examples as plain requests."""
+        sources, lists = tables
+        new_sources, new_lengths, frames = frame
+        ids = _unpack("i", body).tolist()
+        at = sum(new_lengths)
+        fresh, size = ids[:at], len(self.scorer.vocab)
+        if fresh and not (min(fresh) >= 0 and max(fresh) < size):
+            raise ProtocolViolation(f"candidate ids must lie in 0..{size - 1}")
+        sources += map(tuple, new_sources)
+        lists += _split(fresh, new_lengths)
+        requests = []
+        for example_id, source, prefix_lengths in frames:
+            end = at + sum(prefix_lengths)
+            picks = ids[end:end + len(prefix_lengths)]
+            if picks and not (min(picks) >= 0 and max(picks) < len(lists)):
+                raise ProtocolViolation(
+                    f"list indices must index one of the {len(lists)} lists carried, got {picks}"
+                )
+            requests.append(ScoreRequest(
+                sources[source], example_id, _split(ids[at:end], prefix_lengths),
+                [lists[j] for j in picks],
+            ))
+            at = end + len(picks)
         scores = _pack("d", chain.from_iterable(self.scorer.score_batch(requests)))
         return _line({
             "type": "scores", "example_ids": [r.example_id for r in requests], "bytes": len(scores)

@@ -22,6 +22,7 @@ from structsql.decode import (
     NoValidHypothesis,
     ProtocolViolation,
     RandomScorer,
+    RemoteScorer,
     ScoreRequest,
     ScorerServer,
     ScorerTimeout,
@@ -48,11 +49,11 @@ def kit(tennis):
     return vocab, LexiconConstraint(build_trie(tennis, vocab), vocab), gold
 
 
-HELLO = b'{"type": "hello", "protocol": 4}\n'
+HELLO = b'{"type": "hello", "protocol": 5}\n'
 
 
 def scores_message(example_ids, scores, size=None):
-    """A v4 ``scores`` message; ``size`` overrides the header's byte count."""
+    """A ``scores`` message; ``size`` overrides the header's byte count."""
     body = struct.pack(f"<{len(scores)}d", *scores)
     header = {"type": "scores", "example_ids": example_ids,
               "bytes": len(body) if size is None else size}
@@ -63,8 +64,23 @@ def score_request(example_id, prefixes, candidates, source=("q",)):
     return ScoreRequest(source, example_id, prefixes, candidates)
 
 
+def candidate_counts(request, body, lists):
+    """Each example's number of candidates in the ``score`` message of
+    header ``request`` and ``body``, once the lengths of its new lists are
+    appended to ``lists``, its connection's."""
+    ids = struct.unpack(f"<{len(body) // 4}i", body)
+    lists += request["lists"]
+    at, counts = sum(request["lists"]), []
+    for e in request["examples"]:
+        at += sum(e["prefix_lengths"])
+        picks = ids[at:at + len(e["prefix_lengths"])]
+        at += len(picks)
+        counts.append(sum(lists[j] for j in picks))
+    return counts
+
+
 class MisbehavingServer(socketserver.ThreadingTCPServer):
-    """Protocol v4 server with scriptable faults; ``ended`` is set once a
+    """Protocol v5 server with scriptable faults; ``ended`` is set once a
     client connection has closed, and ``raw_requests`` keeps the bytes of
     every score message received."""
 
@@ -82,12 +98,13 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                     outer.ended.set()
 
             def serve(self):
+                lists = []  # the lengths of the connection's candidate lists
                 while line := self.rfile.readline():
                     request = json.loads(line)
                     if request["type"] == "hello":
                         reply = {
                             "type": "vocab",
-                            "protocol": 4,
+                            "protocol": 5,
                             "size": len(vocab),
                             "eos_id": vocab.eos_id,
                             "tokenizer_tag": "wordpiece-v2",
@@ -104,11 +121,14 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                             reply["protocol"] = 2
                         elif mode == "v3_hello":
                             reply["protocol"] = 3
+                        elif mode == "v4_hello":
+                            reply["protocol"] = 4
                         self.wfile.write((json.dumps(reply) + "\n").encode())
                         continue
-                    outer.raw_requests.append(line + self.rfile.read(request["bytes"]))
+                    body = self.rfile.read(request["bytes"])
+                    outer.raw_requests.append(line + body)
                     example_ids = [e["example_id"] for e in request["examples"]]
-                    counts = [sum(e["lengths"]) for e in request["examples"]]
+                    counts = candidate_counts(request, body, lists)
                     n = sum(counts)
                     reply = scores_message(example_ids, [0.0] * n)
                     if mode == "short_scores":
@@ -135,7 +155,7 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                         self.wfile.write(reply[:-5])
                         return
                     elif mode == "golden":
-                        reply = GOLDEN_RESPONSE
+                        reply = GOLDEN_RESPONSES[len(outer.raw_requests) - 1]
                     elif mode == "desync":
                         # A non-int byte count, then an answer that would fit
                         # the next request if the client read on.
@@ -189,7 +209,7 @@ def test_handshake_echoes_vocab(kit):
     try:
         scorer = external_scorer_connect(server.endpoint, vocab)
         assert scorer.handshake() == {
-            "type": "vocab", "protocol": 4, "size": len(vocab), "eos_id": vocab.eos_id,
+            "type": "vocab", "protocol": 5, "size": len(vocab), "eos_id": vocab.eos_id,
             "tokenizer_tag": TOKENIZER_TAG,
         }
         scorer.close()
@@ -380,7 +400,7 @@ def test_missing_handshake_field_rejected(kit):
         server.close()
 
 
-@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello", "v3_hello"])
+@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello", "v3_hello", "v4_hello"])
 def test_hello_of_another_protocol_rejected(kit, mode):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, mode)
@@ -394,93 +414,103 @@ def test_hello_of_another_protocol_rejected(kit, mode):
 # -- the reference server on raw connections ----------------------------------
 
 
-def entry(source=("q",), prefixes=((),), candidates=((1,),), **fields):
-    """One ``examples`` entry of a v4 ``score`` message, and its body ids;
-    ``fields`` override the entry's fields, and a field set to ``...`` is
-    left out."""
-    fields = {"example_id": "e", "source": source, "prefix_lengths": [len(p) for p in prefixes],
-              "lengths": [len(c) for c in candidates], **fields}
-    return {k: v for k, v in fields.items() if v is not ...}, [*chain(*prefixes, *candidates)]
+def entry(prefixes=((),), picks=(0,), **fields):
+    """One ``examples`` entry of a ``score`` message, and its body ids: its
+    prefixes, then the index of each prefix's candidate list.  ``fields``
+    override the entry's fields, and a field set to ``...`` is left out."""
+    fields = {"example_id": "e", "source": 0, "prefix_lengths": [len(p) for p in prefixes],
+              **fields}
+    return {k: v for k, v in fields.items() if v is not ...}, [*chain(*prefixes), *picks]
 
 
-def score_message(*entries, **fields):
-    """A v4 ``score`` message of ``entries`` (one default entry when none are
-    given); ``fields`` override header fields, and a field set to ``...`` is
-    left out."""
+def score_message(*entries, new_lists=((1,),), **fields):
+    """A ``score`` message on a new connection: it brings the source ``q``
+    and ``new_lists``, and carries ``entries`` (one default entry when none
+    are given).  ``fields`` override header fields, and a field set to
+    ``...`` is left out."""
     entries = entries or [entry()]
-    ids = [i for _, run in entries for i in run]
-    header = {"type": "score", "examples": [e for e, _ in entries], "bytes": 4 * len(ids), **fields}
+    ids = [*chain(*new_lists), *chain.from_iterable(run for _, run in entries)]
+    header = {"type": "score", "sources": [["q"]], "lists": [len(c) for c in new_lists],
+              "examples": [e for e, _ in entries], "bytes": 4 * len(ids), **fields}
     header = {k: v for k, v in header.items() if v is not ...}
     return (json.dumps(header) + "\n").encode() + struct.pack(f"<{len(ids)}i", *ids)
 
 
 def exchange(server, data):
-    """Send ``data`` and then a hello on one connection: the reply to
-    ``data``, and whether the hello was still answered."""
-    with socket.create_connection((server.host, server.port), timeout=5) as sock:
-        with sock.makefile("rb") as stream:
-            sock.sendall(data)
-            reply = json.loads(stream.readline())
-            try:
-                sock.sendall(HELLO)
-                answered = bool(stream.readline())
-            except ConnectionError:
-                answered = False
+    """Send ``data`` on a new connection and read the reply's header; then
+    hand the connection to a client.  The reply, and whether the client's
+    next call, its handshake, was answered: on a connection the server has
+    closed, that call raises TransportError."""
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    with sock.makefile("rb") as stream:
+        sock.sendall(data)
+        reply = json.loads(stream.readline())
+    client = RemoteScorer(server.scorer.vocab, sock, timeout=5)
+    try:
+        client.handshake()
+        answered = True
+    except TransportError:
+        answered = False
+    finally:
+        client.close()
     return reply, answered
 
 
+# Every fault closes the connection, a refused hello included: protocol 4
+# kept a connection open after a fault that left its stream framed.
 @pytest.mark.parametrize("hello", [{"type": "hello"}, {"type": "hello", "protocol": 1},
                                    {"type": "hello", "protocol": 2},
-                                   {"type": "hello", "protocol": 3}])
+                                   {"type": "hello", "protocol": 3},
+                                   {"type": "hello", "protocol": 4}])
 def test_server_answers_other_protocols_with_an_error(kit, hello):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         reply, answered = exchange(server, (json.dumps(hello) + "\n").encode())
         assert reply["type"] == "error" and "protocol" in reply["message"]
-        assert answered
+        assert not answered
     finally:
         server.close()
 
 
 @pytest.mark.parametrize("source", [None, "q", [1, 2], ["q", None]])
 def test_server_rejects_a_score_message_without_a_string_list_source(kit, source):
+    # Each value is an item of "sources"; None leaves the field out.
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
-        # The frame itself is sound, so the connection stays in use.
         reply, answered = exchange(
-            server, score_message(entry(source=... if source is None else source))
+            server, score_message(sources=... if source is None else [source])
         )
         assert reply["type"] == "error" and "source" in reply["message"]
-        assert answered
+        assert not answered
     finally:
         server.close()
 
 
 @pytest.mark.parametrize(
-    "prefix_lengths, lengths",
-    [([0, 1], [-1, 2]), ([0], [1.0]), ([0], [True]), (["a"], [1]), ([None], [1]),
-     ([0], 1)],
+    "prefix_lengths, lists, word",
+    [([0, 1], [-1, 2], "lists"), ([0], [1.0], "lists"), ([0], [True], "lists"),
+     (["a"], [1], "prefix_lengths"), ([None], [1], "prefix_lengths"), ([0], 1, "lists")],
     ids=["negative-length", "float-length", "bool-length", "string-prefix", "null-prefix",
          "scalar-lengths"],
 )
-def test_server_rejects_malformed_lengths_and_prefixes(kit, prefix_lengths, lengths):
+def test_server_rejects_malformed_lengths_and_prefixes(kit, prefix_lengths, lists, word):
     # Each message has a body of one id: the byte count alone checks nothing here.
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         reply, answered = exchange(
-            server, score_message(entry(prefix_lengths=prefix_lengths, lengths=lengths), bytes=4)
+            server, score_message(entry(prefix_lengths=prefix_lengths), lists=lists, bytes=4)
         )
-        assert reply["type"] == "error" and "lengths" in reply["message"]
+        assert reply["type"] == "error" and word in reply["message"]
         assert not answered  # the body cannot be framed: the server hangs up
     finally:
         server.close()
 
 
 @pytest.mark.parametrize(
-    "size", [..., -4, 8, 4.0, "4", None, True],
+    "size", [..., -4, 12, 4.0, "4", None, True],
     ids=["missing", "negative", "mismatched", "float", "string", "null", "bool"],
 )
 def test_server_closes_a_connection_whose_body_it_cannot_frame(kit, size):
@@ -499,7 +529,8 @@ def test_server_refuses_more_candidates_than_the_vocabulary(kit):
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         huge = 10**17  # a body this size could never be allocated
-        header = {"type": "score", "examples": [entry(lengths=[huge])[0]], "bytes": 4 * huge}
+        header = {"type": "score", "sources": [], "lists": [huge], "examples": [],
+                  "bytes": 4 * huge}
         reply, answered = exchange(server, (json.dumps(header) + "\n").encode())
         assert reply["type"] == "error" and "vocabulary" in reply["message"]
         assert not answered
@@ -508,7 +539,7 @@ def test_server_refuses_more_candidates_than_the_vocabulary(kit):
 
 
 # A sound first entry, so each fault below sits in a later entry.
-FIRST = entry(example_id="a", prefixes=((3,),), candidates=((1, 2),))
+FIRST = entry(example_id="a", prefixes=((3,),))
 
 
 @pytest.mark.parametrize(
@@ -517,9 +548,11 @@ FIRST = entry(example_id="a", prefixes=((3,),), candidates=((1, 2),))
         (score_message(examples={"example_id": "e"}), "examples"),
         (score_message(examples=...), "examples"),
         (score_message(FIRST, ("e", [])), "examples"),
-        (score_message(FIRST, entry(prefix_lengths=[0, 0])), "lengths"),
-        (score_message(FIRST, entry(lengths=[10**6])), "vocabulary"),
-        (score_message(FIRST, entry(), bytes=4 * len(FIRST[1])), "bytes"),
+        # Two prefixes need two list indices; the body carries one.
+        (score_message(FIRST, entry(prefix_lengths=[0, 0])), "bytes"),
+        # The second new list's length is above the vocabulary size.
+        (score_message(FIRST, entry(), lists=[1, 10**6]), "vocabulary"),
+        (score_message(FIRST, entry(), bytes=4 * (1 + len(FIRST[1]))), "bytes"),
     ],
     ids=["examples-not-a-list", "examples-missing", "entry-not-an-object",
          "unequal-lengths", "lengths-above-vocabulary", "bytes-of-one-entry"],
@@ -540,15 +573,79 @@ def test_server_closes_on_an_examples_entry_it_cannot_frame(kit, message, word):
     [(entry(source=["q", 1]), "source"), (entry(example_id=...), "example_id")],
     ids=["non-string-source", "missing-example-id"],
 )
-def test_server_keeps_a_connection_whose_framed_entry_is_faulty(kit, faulty, word):
+def test_server_closes_a_connection_whose_framed_entry_is_faulty(kit, faulty, word):
+    # Protocol 4 kept this connection open, since its stream stayed framed;
+    # under protocol 5 every fault closes it.
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         reply, answered = exchange(server, score_message(FIRST, faulty))
         assert reply["type"] == "error" and word in reply["message"]
-        assert answered
+        assert not answered
     finally:
         server.close()
+
+
+@pytest.mark.parametrize(
+    "message, word",
+    [
+        (score_message(entry(source=1)), "source"),
+        (score_message(entry(source=-1)), "source"),
+        (score_message(entry(source="0")), "source"),
+        (score_message(entry(picks=(1,))), "list"),
+        (score_message(entry(picks=(-1,))), "list"),
+    ],
+    ids=["source-past-the-table", "negative-source", "string-source", "list-past-the-table",
+         "negative-list"],
+)
+def test_server_closes_on_an_index_it_has_not_carried(kit, message, word):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        reply, answered = exchange(server, message)
+        assert reply["type"] == "error" and word in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+
+
+def test_tables_belong_to_their_connection(kit):
+    vocab, _, gold = kit
+    server = ScorerServer(oracle_scorer(gold, vocab))
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        scores = remote.score_candidates(["q"], [], [1, 2], "e")
+        # A new connection has carried nothing: its source 0 and list 0 are unknown.
+        reply, answered = exchange(server, score_message(new_lists=(), sources=[]))
+        assert reply["type"] == "error" and "source" in reply["message"]
+        assert not answered
+        # The first connection still has its tables.
+        assert remote.score_candidates(["q"], [], [1, 2], "e") == scores
+        remote.close()
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("bad", ["negative", "vocabulary-size"])
+def test_server_refuses_a_candidate_id_outside_the_vocabulary(kit, bad):
+    vocab, _, gold = kit
+    batches = []
+    server = ScorerServer(BatchRecorder(oracle_scorer(gold, vocab), batches))
+    token = {"negative": -1, "vocabulary-size": len(vocab)}[bad]
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        with pytest.raises(ProtocolViolation, match="candidate ids must lie in"):
+            remote.score_candidates(["q"], [], [1, token], "e")
+        with pytest.raises(TransportError, match="unusable"):
+            remote.score_candidates(["q"], [], [1], "e")
+        remote.close()
+        # The raw message gets the same answer, and the connection is closed.
+        reply, answered = exchange(server, score_message(new_lists=((1, token),)))
+        assert reply["type"] == "error" and "candidate ids" in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+    assert batches == []  # the wrapped scorer never saw the id
 
 
 def test_server_reads_a_huge_announced_body_only_as_it_arrives(kit, capsys):
@@ -556,7 +653,8 @@ def test_server_reads_a_huge_announced_body_only_as_it_arrives(kit, capsys):
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         huge = 10**17
-        message = score_message(entry(prefix_lengths=[huge]), bytes=4 * (huge + 1))
+        # The new list's id, the prefix's ids and its list index.
+        message = score_message(entry(prefix_lengths=[huge]), bytes=4 * (1 + huge + 1))
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             with sock.makefile("rb") as stream:
                 sock.sendall(message)
@@ -592,7 +690,7 @@ def test_server_serves_a_second_client_while_one_is_stuck_inside_a_body(kit):
     try:
         stuck = socket.create_connection((server.host, server.port), timeout=5)
         with stuck:
-            stuck.sendall(score_message(entry(candidates=((1, 2, 3),)))[:-5])
+            stuck.sendall(score_message(new_lists=((1, 2, 3),))[:-5])
             remote = external_scorer_connect(server.endpoint, vocab)
             target = vocab.tokenize(gold)
             assert remote.score_candidates([], [], [target[0]], "e") == [1.0]
@@ -772,14 +870,18 @@ def test_packed_scores_come_back_bit_identical(kit):
 
 
 # The README's scoring example, byte for byte: little-endian on every host.
+# Two messages on one connection: the first brings two sources and three
+# candidate lists, the second only refers to them.
 GOLDEN_REQUEST = (
-    b'{"type": "score", "examples": [{"example_id": "17", "source": ["how", "many", "|", '
-    b'"singer"], "prefix_lengths": [2, 2], "lengths": [3, 2]}, {"example_id": "18", '
-    b'"source": ["list", "|", "concert"], "prefix_lengths": [1], "lengths": [2]}], '
-    b'"bytes": 48}\n'
-    + bytes.fromhex("04 00 00 00 5b 00 00 00 04 00 00 00 0c 00 00 00"
-                    "07 00 00 00 0c 00 00 00 00 00 00 00 05 00 00 00 00 00 00 00"
-                    "04 00 00 00 09 00 00 00 00 00 00 00")
+    b'{"type": "score", "sources": [["how", "many", "|", "singer"], ["list", "|", "concert"]], '
+    b'"lists": [3, 2, 2], "examples": [{"example_id": "17", "source": 0, '
+    b'"prefix_lengths": [2, 2]}, {"example_id": "18", "source": 1, "prefix_lengths": [1]}], '
+    b'"bytes": 60}\n'
+    + bytes.fromhex("07 00 00 00 0c 00 00 00 00 00 00 00"
+                    "05 00 00 00 00 00 00 00"
+                    "09 00 00 00 00 00 00 00"
+                    "04 00 00 00 5b 00 00 00 04 00 00 00 0c 00 00 00 00 00 00 00 01 00 00 00"
+                    "04 00 00 00 02 00 00 00")
 )
 GOLDEN_RESPONSE = (
     b'{"type": "scores", "example_ids": ["17", "18"], "bytes": 56}\n'
@@ -787,19 +889,46 @@ GOLDEN_RESPONSE = (
                     "00 00 00 00 00 00 e0 bf 00 00 00 00 00 00 f4 bf"
                     "00 00 00 00 00 00 e8 bf 00 00 00 00 00 00 00 c0")
 )
+GOLDEN_WARM_REQUEST = (
+    b'{"type": "score", "sources": [], "lists": [], "examples": [{"example_id": "17", '
+    b'"source": 0, "prefix_lengths": [3, 3]}, {"example_id": "18", "source": 1, '
+    b'"prefix_lengths": [2]}], "bytes": 44}\n'
+    + bytes.fromhex("04 00 00 00 5b 00 00 00 07 00 00 00 04 00 00 00 0c 00 00 00 05 00 00 00"
+                    "01 00 00 00 02 00 00 00"
+                    "04 00 00 00 09 00 00 00 00 00 00 00")
+)
+GOLDEN_WARM_RESPONSE = (
+    b'{"type": "scores", "example_ids": ["17", "18"], "bytes": 56}\n'
+    + bytes.fromhex("00 00 00 00 00 00 d0 bf 00 00 00 00 00 00 10 c0"
+                    "00 00 00 00 00 00 f8 bf 00 00 00 00 00 00 c0 bf"
+                    "00 00 00 00 00 00 d8 bf 00 00 00 00 00 00 04 c0 00 00 00 00 00 00 18 c0")
+)
+GOLDEN_MESSAGES = [GOLDEN_REQUEST, GOLDEN_WARM_REQUEST]
+GOLDEN_RESPONSES = [GOLDEN_RESPONSE, GOLDEN_WARM_RESPONSE]
+SINGER, CONCERT = ("how", "many", "|", "singer"), ("list", "|", "concert")
 GOLDEN_REQUESTS = [
-    ScoreRequest(("how", "many", "|", "singer"), "17", [[4, 91], [4, 12]], [[7, 12, 0], [5, 0]]),
-    ScoreRequest(("list", "|", "concert"), "18", [[4]], [[9, 0]]),
+    [ScoreRequest(SINGER, "17", [[4, 91], [4, 12]], [[7, 12, 0], [5, 0]]),
+     ScoreRequest(CONCERT, "18", [[4]], [[9, 0]])],
+    [ScoreRequest(SINGER, "17", [[4, 91, 7], [4, 12, 5]], [[5, 0], [9, 0]]),
+     ScoreRequest(CONCERT, "18", [[4, 9]], [[7, 12, 0]])],
 ]
-GOLDEN_SCORES = [[[-0.2, -3.1, -9.9], [-0.5, -1.25]], [[-0.75, -2.0]]]
+GOLDEN_SCORES = [
+    [[[-0.2, -3.1, -9.9], [-0.5, -1.25]], [[-0.75, -2.0]]],
+    [[[-0.25, -4.0], [-1.5, -0.125]], [[-0.375, -2.5, -6.0]]],
+]
 
 
 class GoldenScorer(TokenScorer):
-    """The README example's scores, for its requests only."""
+    """The README example's scores, for its requests only, in their order."""
+
+    def __init__(self, vocab):
+        super().__init__(vocab)
+        self.calls = 0
 
     def score_batch(self, requests):
-        assert requests == GOLDEN_REQUESTS
-        return GOLDEN_SCORES
+        assert requests == GOLDEN_REQUESTS[self.calls]
+        self.calls += 1
+        return GOLDEN_SCORES[self.calls - 1]
 
 
 def test_readme_example_is_the_wire_bytes():
@@ -812,7 +941,8 @@ def test_readme_example_is_the_wire_bytes():
         elif line.strip():
             messages[-1] += bytes.fromhex(line)
     assert messages[0] == HELLO
-    assert messages[2:] == [GOLDEN_REQUEST, GOLDEN_RESPONSE]
+    assert messages[2:] == [GOLDEN_REQUEST, GOLDEN_RESPONSE,
+                            GOLDEN_WARM_REQUEST, GOLDEN_WARM_RESPONSE]
 
 
 def test_client_sends_and_reads_the_golden_bytes(kit):
@@ -820,26 +950,29 @@ def test_client_sends_and_reads_the_golden_bytes(kit):
     server = MisbehavingServer(vocab, "golden")
     try:
         remote = external_scorer_connect(server.endpoint, vocab)
-        scores = list(remote.score_batch(GOLDEN_REQUESTS))
+        scores = [list(remote.score_batch(requests)) for requests in GOLDEN_REQUESTS]
         remote.close()
     finally:
         server.close()
-    assert server.raw_requests == [GOLDEN_REQUEST]
+    assert server.raw_requests == GOLDEN_MESSAGES
     assert scores == GOLDEN_SCORES
 
 
 def test_server_answers_the_golden_request_with_the_golden_bytes(kit):
     vocab, _, _ = kit
     server = ScorerServer(GoldenScorer(vocab))
+    replies = []
     try:
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             with sock.makefile("rb") as stream:
-                sock.sendall(GOLDEN_REQUEST)
-                line = stream.readline()
-                reply = line + stream.read(json.loads(line)["bytes"])
+                for message in GOLDEN_MESSAGES:
+                    sock.sendall(message)
+                    line = stream.readline()
+                    replies.append(line + stream.read(json.loads(line)["bytes"]))
     finally:
         server.close()
-    assert reply == GOLDEN_RESPONSE
+    assert replies == GOLDEN_RESPONSES
+    assert server.scorer.calls == 2
 
 
 class SourceScorer(TokenScorer):
@@ -856,10 +989,20 @@ def test_threads_sharing_a_remote_scorer_get_their_own_scores(kit):
     wrong = []
 
     def worker(k):
+        # Each message brings a candidate list no earlier message carried,
+        # and the first of each thread a new source: the indices the client
+        # gives them must follow the order in which the messages go out.
+        # A worker's exception would only warn, so it is kept as a failure.
         source = ("q",) * k
-        for step in range(40):
-            got = list(remote.score_batch([score_request(str(k), [[step]], [[1, 2]], source)]))
-            if got != [[[1000 * k + 100 * k + 1.0, 1000 * k + 100 * k + 2.0]]]:
+        for step in range(120):
+            lists = [[k, 7 + step // 10, 20 + step % 10, 40 + i] for i in range(4)]
+            try:
+                got = list(remote.score_batch([score_request(str(k), [[step]] * 4, lists,
+                                                             source)]))
+            except Exception as exc:  # noqa: BLE001
+                wrong.append((k, step, exc))
+                return
+            if got != [[[1100.0 * k + c for c in candidates] for candidates in lists]]:
                 wrong.append((k, step, got))
 
     interval = sys.getswitchinterval()
@@ -1138,7 +1281,7 @@ def test_a_host_exits_when_its_stdin_closes_even_with_a_client_inside_a_body(kit
     try:
         host_name, _, port = host.stdout.readline().strip().rpartition(":")
         with socket.create_connection((host_name, int(port)), timeout=5) as stuck:
-            stuck.sendall(score_message(entry(candidates=((1, 0),)))[:-3])
+            stuck.sendall(score_message(new_lists=((1, 0),))[:-3])
             host.stdin.close()
             assert host.wait(timeout=10) == 0
     finally:
