@@ -9,11 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens
-from structsql.schema import AMP, DatabaseSchema
+from structsql.schema import DatabaseSchema
 from structsql.sql_ast import SqlQuery, render_sql
 
 TABLE_MARK = "[TABLE]"
 COLUMN_MARK = "[COLUMN]"
+AMP = "&"
+PRIMARY_KEY_MARK = "Primary-Key"
 LINKS_TO = "links to"
 TURN_SEPARATOR = "|"
 
@@ -49,7 +51,7 @@ class AnnotatedInput:
 
 
 # Match kinds as bits of a mask, and the marks each mask writes before a
-# column's template marks (each followed by "&") and before a table (joined
+# column's own marks (each followed by "&") and before a table (joined
 # by "&").
 _KIND_BITS = {kind: 1 << i for i, kind in enumerate(MatchKind)}
 _COLUMN_PREFIXES = tuple(
@@ -57,6 +59,29 @@ _COLUMN_PREFIXES = tuple(
     for mask in range(1 << len(MatchKind))
 )
 _TABLE_PREFIXES = tuple(prefix[:-1] for prefix in _COLUMN_PREFIXES)
+
+
+def _unlinked_run(schema: DatabaseSchema, schema_property: bool, database_structure: bool):
+    """The serialization without links as one token tuple, and where each
+    template position's segment (a table's name, a column's marks and name)
+    starts in it, then its length.  Flattened once per flag pair and kept in
+    the schema's ``serial_template``."""
+    runs = schema.serial_template.runs
+    run = runs.get((schema_property, database_structure))
+    if run is None:
+        flat, bounds = [TABLE_MARK], []
+        for table in schema.tables:
+            bounds.append(len(flat))
+            flat.append(table.name)
+        flat.append(COLUMN_MARK)
+        for table, col in schema.iter_columns():
+            bounds.append(len(flat))
+            if schema_property:
+                flat += (PRIMARY_KEY_MARK, AMP) * col.is_primary + (col.col_type.value,)
+            flat.append(f"{table.name}.{col.name}" if database_structure else col.name)
+        bounds.append(len(flat))
+        run = runs[schema_property, database_structure] = (tuple(flat), tuple(bounds))
+    return run
 
 
 def linearize_schema(
@@ -72,44 +97,41 @@ def linearize_schema(
     Column marks are joined with "&" in fixed order: match kinds, then
     Primary-Key, then the column type.  A type mark is emitted for every
     column.  With ``include_values``, matched cell values follow the column,
-    each preceded by "&".  Only the linked items' marks and values are
-    written into the schema's ``serial_template``.  The first link naming no
-    schema item raises ``UnknownLinkTarget`` before any output.
+    each preceded by "&".  The unlinked serialization is copied in runs
+    between the linked positions, whose marks and values are spliced in.
+    The first link naming no schema item raises ``UnknownLinkTarget`` before
+    any output.
     """
-    template = schema.serial_template
-    index = template.index
+    index = schema.serial_template.index
     kinds: dict[int, int] = {}
     values: dict[int, list[str]] = {}
-    for ann in links:
-        column = ann.column
-        pos = index.get((ann.table.lower(), None if column is None else column.lower()))
+    for _, _, kind, table, column, value in links:
+        pos = index.get((table.lower(), None if column is None else column.lower()))
         if pos is None:
-            if schema.table(ann.table) is None:
-                raise UnknownLinkTarget(f"no table {ann.table!r} in schema {schema.db_id!r}")
-            raise UnknownLinkTarget(f"no column {ann.table}.{ann.column} in schema {schema.db_id!r}")
-        kinds[pos] = kinds.get(pos, 0) | _KIND_BITS[ann.kind]
-        if ann.kind is MatchKind.VALUE and column is not None:
+            if schema.table(table) is None:
+                raise UnknownLinkTarget(f"no table {table!r} in schema {schema.db_id!r}")
+            raise UnknownLinkTarget(f"no column {table}.{column} in schema {schema.db_id!r}")
+        kinds[pos] = kinds.get(pos, 0) | _KIND_BITS[kind]
+        if kind is MatchKind.VALUE and column is not None:
             bucket = values.setdefault(pos, [])
-            if ann.value not in bucket:
-                bucket.append(ann.value)
+            if value not in bucket:
+                bucket.append(value)
 
-    out: list[str] = [TABLE_MARK]
-    for pos, table in enumerate(schema.tables):
-        if schema_property and pos in kinds:
-            out.extend(_TABLE_PREFIXES[kinds[pos]])
-        out.append(table.name)
-
-    out.append(COLUMN_MARK)
-    surfaces = template.qualified if database_structure else template.bare
-    for pos, (marks, surface) in enumerate(zip(template.marks, surfaces), len(schema.tables)):
+    flat, bounds = _unlinked_run(schema, schema_property, database_structure)
+    n_tables = len(schema.tables)
+    out: list[str] = []
+    at = 0  # flat[:at] is in out
+    for pos in sorted(kinds):
         if schema_property:
-            if pos in kinds:
-                out.extend(_COLUMN_PREFIXES[kinds[pos]])
-            out.extend(marks)
-        out.append(surface)
+            out += flat[at : bounds[pos]]
+            out += (_TABLE_PREFIXES if pos < n_tables else _COLUMN_PREFIXES)[kinds[pos]]
+            at = bounds[pos]
         if include_values and pos in values:
+            out += flat[at : bounds[pos + 1]]
             for value in values[pos]:
-                out.extend((AMP, value))
+                out += (AMP, value)
+            at = bounds[pos + 1]
+    out += flat[at:]
     return out
 
 

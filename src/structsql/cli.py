@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -425,7 +426,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def cmd_link(args: argparse.Namespace) -> int:
     schemas, examples = _load_inputs(args.tables, args.content, args.data)
     records = [
-        {**dataclasses.asdict(ann), "kind": ann.kind.value, "index": ex.index, "db_id": ex.db_id}
+        {**ann._asdict(), "kind": ann.kind.value, "index": ex.index, "db_id": ex.db_id}
         for ex in examples
         for ann in _links_for(ex, schemas[ex.db_id], args.language, args.values)[1]
     ]
@@ -539,6 +540,7 @@ def _write_json(path: str | Path, doc: dict) -> None:
     _write_or_print(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache  # built once per process, however many main() calls it serves
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="structsql",

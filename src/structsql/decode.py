@@ -1050,7 +1050,8 @@ class ScorerServer:
 
     def _score(self, tables: tuple[list, list], frame: tuple, body: bytes) -> bytes:
         """Append the message's sources and lists to the connection's
-        tables, then score its examples as plain requests."""
+        tables, then score its examples as plain requests.  A candidate or
+        prefix id outside the vocabulary is a ProtocolViolation."""
         sources, lists = tables
         new_sources, new_lengths, frames = frame
         ids = _unpack("i", body).tolist()
@@ -1060,7 +1061,7 @@ class ScorerServer:
             raise ProtocolViolation(f"candidate ids must lie in 0..{size - 1}")
         sources += map(tuple, new_sources)
         lists += _split(fresh, new_lengths)
-        requests = []
+        requests, prefix_ids = [], []
         for example_id, source, prefix_lengths in frames:
             end = at + sum(prefix_lengths)
             picks = ids[end:end + len(prefix_lengths)]
@@ -1068,11 +1069,14 @@ class ScorerServer:
                 raise ProtocolViolation(
                     f"list indices must index one of the {len(lists)} lists carried, got {picks}"
                 )
+            prefix_ids += ids[at:end]
             requests.append(ScoreRequest(
                 sources[source], example_id, _split(ids[at:end], prefix_lengths),
                 [lists[j] for j in picks],
             ))
             at = end + len(picks)
+        if prefix_ids and not (min(prefix_ids) >= 0 and max(prefix_ids) < size):
+            raise ProtocolViolation(f"prefix ids must lie in 0..{size - 1}")
         scores = _pack("d", chain.from_iterable(self.scorer.score_batch(requests)))
         return _line({
             "type": "scores", "example_ids": [r.example_id for r in requests], "bytes": len(scores)

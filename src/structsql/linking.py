@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _canonical_number, _parse_date
 from structsql.schema import _stem
@@ -28,10 +29,7 @@ class MatchKind(Enum):
     VALUE = "ValueMatch"
 
 
-@dataclass(frozen=True)
-class LinkAnnotation:
-    """Alignment between a half-open question token span and a schema item."""
-
+class _LinkFields(NamedTuple):
     start: int
     end: int
     kind: MatchKind
@@ -39,11 +37,21 @@ class LinkAnnotation:
     column: str | None = None
     value: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
+
+class LinkAnnotation(_LinkFields):
+    """Alignment between a half-open question token span and a schema item.
+
+    An immutable tuple of its six fields, so it equals that plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start, end, kind, table, column=None, value=None):
+        if end <= start:
             raise ValueError("annotation span must be non-empty")
-        if self.kind is MatchKind.VALUE and self.value is None:
+        if kind is MatchKind.VALUE and value is None:
             raise ValueError("value matches must carry the matched value")
+        return super().__new__(cls, start, end, kind, table, column, value)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,9 @@ def _suppress_overlaps(candidates: list[tuple]) -> list[LinkAnnotation]:
         taken.append((start, end))
         accepted.append((start, end, table.lower(), col_key, rank, table, column, value))
     accepted.sort()
-    return [LinkAnnotation(s, e, _KINDS[r], t, c, v) for s, e, _, _, r, t, c, v in accepted]
+    # Spans are non-empty and VALUE candidates carry values: skip the checks.
+    new = tuple.__new__
+    return [new(LinkAnnotation, (s, e, _KINDS[r], t, c, v)) for s, e, _, _, r, t, c, v in accepted]
 
 
 def name_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnnotation]:

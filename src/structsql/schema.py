@@ -23,9 +23,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 logger = logging.getLogger(__name__)
 
 STAR = "*"
-# Serialization marks the per-schema template writes (see ``serial_template``).
-AMP = "&"
-PRIMARY_KEY_MARK = "Primary-Key"
 
 REQUIRED_DOC_FIELDS = (
     "db_id",
@@ -296,15 +293,13 @@ class SerialTemplate(NamedTuple):
 
     ``index`` maps a lower-cased ``(table, column)`` key, column ``None`` for
     a table, to its position: the tables first, then the columns, each in
-    schema order.  ``marks``, ``qualified`` and ``bare`` run parallel to the
-    columns: the unlinked mark run ("Primary-Key & Integer" or "Integer"),
-    and the surface with and without its table.
+    schema order.  ``runs`` keeps the unlinked serialization of each flag
+    pair, as ``annotate`` flattens it on first use: it lives and dies with
+    the schema.
     """
 
-    marks: tuple[tuple[str, ...], ...]
-    qualified: tuple[str, ...]
-    bare: tuple[str, ...]
     index: dict[tuple[str, str | None], int]
+    runs: dict[tuple[bool, bool], tuple[tuple[str, ...], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -380,16 +375,10 @@ class DatabaseSchema:
     @cached_property
     def serial_template(self) -> SerialTemplate:
         """The schema's serialization less the per-question links, built once."""
-        index: dict[tuple[str, str | None], int] = {
-            (t.name.lower(), None): i for i, t in enumerate(self.tables)
-        }
-        marks, qualified, bare = [], [], []
+        index = {(t.name.lower(), None): i for i, t in enumerate(self.tables)}
         for table, col in self.iter_columns():
             index[(table.name.lower(), col.name.lower())] = len(index)
-            marks.append((PRIMARY_KEY_MARK, AMP) * col.is_primary + (col.col_type.value,))
-            qualified.append(f"{table.name}.{col.name}")
-            bare.append(col.name)
-        return SerialTemplate(tuple(marks), tuple(qualified), tuple(bare), index)
+        return SerialTemplate(index, {})
 
     @cached_property
     def value_index(self) -> dict[ColumnType, dict[str, list[tuple[str, str, str]]]]:

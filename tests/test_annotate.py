@@ -1,5 +1,8 @@
+import gc
 import random
 import re
+import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from structsql.annotate import (
     COLUMN_MARK,
     LINKS_TO,
     MATCH_MARKS,
+    PRIMARY_KEY_MARK,
     MarkConfig,
     TABLE_MARK,
     UnknownLinkTarget,
@@ -18,7 +22,7 @@ from structsql.annotate import (
     render_relations,
 )
 from structsql.linking import LinkAnnotation, MatchKind, QuestionTokens, name_link, value_link
-from structsql.schema import PRIMARY_KEY_MARK, ColumnType, load_schema
+from structsql.schema import ColumnType, load_schema, load_schemas
 from structsql.sql_ast import parse_sql, render_sql
 from structsql.synth import generate_synthetic_corpus, random_schema_doc
 from util_checks import reference_linearize_schema
@@ -299,3 +303,52 @@ def test_linearize_schema_matches_reference(case):
             return str(exc)
 
     assert outcome(linearize_schema) == outcome(reference_linearize_schema)
+
+
+# Links at the edges of the flattened serialization and its runs: the first
+# table, a value after the last column, a VALUE link naming a table (it marks
+# the table and attaches no value), repeated values on one column, none.
+_SPLICE_CASES = {
+    "first-table": [LinkAnnotation(0, 1, MatchKind.EXACT, "players")],
+    "last-column": [
+        LinkAnnotation(0, 1, MatchKind.EXACT, "Ranking", "Year"),
+        LinkAnnotation(2, 3, MatchKind.VALUE, "Ranking", "year", value="2016"),
+    ],
+    "value-on-table": [LinkAnnotation(0, 1, MatchKind.VALUE, "Matches", value="2016")],
+    "repeated-values": [
+        LinkAnnotation(0, 1, MatchKind.VALUE, "Players", "Country", value="USA"),
+        LinkAnnotation(1, 2, MatchKind.PARTIAL, "Players", "Country"),
+        LinkAnnotation(2, 3, MatchKind.VALUE, "Players", "Country", value="France"),
+        LinkAnnotation(3, 4, MatchKind.VALUE, "Players", "Country", value="USA"),
+    ],
+    "no-links": [],
+}
+_FLAGS = [
+    {"include_values": v, "schema_property": p, "database_structure": d}
+    for v, p, d in product((False, True), repeat=3)
+]
+
+
+@pytest.mark.parametrize("case", sorted(_SPLICE_CASES))
+def test_linearize_schema_splice_boundaries(tennis, case):
+    links = _SPLICE_CASES[case]
+    for flags in _FLAGS:
+        expected = reference_linearize_schema(tennis, links, **flags)
+        assert linearize_schema(tennis, links, **flags) == expected, flags
+        # A second call reuses the flattened run the first one kept.
+        assert linearize_schema(tennis, links, **flags) == expected, flags
+
+
+def test_dropped_schema_is_collected_with_its_runs(tables_path, content_path):
+    # The flattened runs live on the schema's template, in no module-level
+    # cache, so a schema that is dropped after use is freed.
+    schema = load_schemas(tables_path, content_path)["tennis"]
+    q = QuestionTokens.from_text("player ranking year in 2016 from usa")
+    links = name_link(q, schema) + value_link(q, schema)
+    for flags in _FLAGS:
+        linearize_schema(schema, links, **flags)
+    assert len(schema.serial_template.runs) == 4
+    dropped = weakref.ref(schema)
+    del schema
+    gc.collect()
+    assert dropped() is None

@@ -99,6 +99,37 @@ def test_link_subcommand(corpus_dir, tmp_path, capsys):
     assert {"index", "db_id", "start", "end", "kind", "table", "column", "value"} <= set(records[0])
 
 
+# ``link --values`` on two tennis questions, as the program wrote it when
+# a link was a dataclass.
+LINK_GOLDEN = """\
+{"column": null, "db_id": "tennis", "end": 2, "index": 0, "kind": "ExactMatch", "start": 1, "table": "Players", "value": null}
+{"column": "Player_id", "db_id": "tennis", "end": 2, "index": 0, "kind": "PartialMatch", "start": 1, "table": "Players", "value": null}
+{"column": "Player_id", "db_id": "tennis", "end": 2, "index": 0, "kind": "PartialMatch", "start": 1, "table": "Ranking", "value": null}
+{"column": "Country", "db_id": "tennis", "end": 4, "index": 0, "kind": "ValueMatch", "start": 3, "table": "Players", "value": "USA"}
+{"column": null, "db_id": "tennis", "end": 3, "index": 1, "kind": "ExactMatch", "start": 2, "table": "Ranking", "value": null}
+{"column": "Ranking", "db_id": "tennis", "end": 3, "index": 1, "kind": "ExactMatch", "start": 2, "table": "Ranking", "value": null}
+{"column": "Year", "db_id": "tennis", "end": 4, "index": 1, "kind": "ExactMatch", "start": 3, "table": "Ranking", "value": null}
+{"column": null, "db_id": "tennis", "end": 6, "index": 1, "kind": "ExactMatch", "start": 5, "table": "Players", "value": null}
+{"column": "Player_id", "db_id": "tennis", "end": 6, "index": 1, "kind": "PartialMatch", "start": 5, "table": "Players", "value": null}
+{"column": "Player_id", "db_id": "tennis", "end": 6, "index": 1, "kind": "PartialMatch", "start": 5, "table": "Ranking", "value": null}
+{"column": "Year", "db_id": "tennis", "end": 9, "index": 1, "kind": "ValueMatch", "start": 8, "table": "Ranking", "value": "2016"}
+"""
+
+
+def test_link_jsonl_bytes_on_tennis(tmp_path, tables_path, content_path):
+    data = tmp_path / "questions.json"
+    data.write_text(json.dumps([
+        {"db_id": "tennis", "question": "Which player from USA won a match?",
+         "query": "SELECT Players.First_name FROM Players"},
+        {"db_id": "tennis", "question": "Show the ranking year of players ranked in 2016",
+         "query": "SELECT Ranking.Year FROM Ranking"},
+    ]), encoding="utf-8")
+    out = tmp_path / "links.jsonl"
+    inputs = ["--data", str(data), "--tables", str(tables_path), "--content", str(content_path)]
+    assert main(["link", *inputs, "--values", "--out", str(out)]) == EXIT_OK
+    assert read(out) == LINK_GOLDEN
+
+
 @pytest.mark.parametrize("command", ["link", "run"])
 def test_infinity_question_with_values_exits_zero(tmp_path, tables_path, content_path, command):
     # "infinity" parses as a Decimal but is no finite number: against the

@@ -18,6 +18,7 @@ from structsql import cli
 from structsql.annotate import build_input
 from structsql.cli import PipelineConfig, load_examples, run_pipeline
 from structsql.decode import (
+    EOS_TOKEN,
     LexiconConstraint,
     NoValidHypothesis,
     ProtocolViolation,
@@ -648,6 +649,28 @@ def test_server_refuses_a_candidate_id_outside_the_vocabulary(kit, bad):
     assert batches == []  # the wrapped scorer never saw the id
 
 
+def test_server_refuses_a_prefix_id_outside_the_vocabulary(kit):
+    vocab, _, gold = kit
+    batches = []
+    server = ScorerServer(BatchRecorder(oracle_scorer(gold, vocab), batches))
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        with pytest.raises(ProtocolViolation, match=f"prefix ids must lie in 0..{len(vocab) - 1}"):
+            remote.score_candidates(["q"], [-1, 10**6], [1, 2], "e")
+        with pytest.raises(TransportError, match="unusable"):
+            remote.score_candidates(["q"], [], [1], "e")
+        remote.close()
+        # An id just past either end of the vocabulary, sent raw, gets the
+        # same answer, and the connection is closed.
+        for token in (-1, len(vocab)):
+            reply, answered = exchange(server, score_message(entry(prefixes=[[1, token]])))
+            assert reply["type"] == "error" and "prefix ids" in reply["message"]
+            assert not answered
+    finally:
+        server.close()
+    assert batches == []  # the wrapped scorer never saw the prefix
+
+
 def test_server_reads_a_huge_announced_body_only_as_it_arrives(kit, capsys):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
@@ -958,8 +981,10 @@ def test_client_sends_and_reads_the_golden_bytes(kit):
     assert scores == GOLDEN_SCORES
 
 
-def test_server_answers_the_golden_request_with_the_golden_bytes(kit):
-    vocab, _, _ = kit
+def test_server_answers_the_golden_request_with_the_golden_bytes():
+    # The README's host vocabulary: 512 tokens, EOS first.  Its prefix id 91
+    # lies outside the kit's vocabulary, which the server refuses.
+    vocab = Vocabulary([EOS_TOKEN, *(f"t{i}" for i in range(1, 512))])
     server = ScorerServer(GoldenScorer(vocab))
     replies = []
     try:
@@ -997,8 +1022,8 @@ def test_threads_sharing_a_remote_scorer_get_their_own_scores(kit):
         for step in range(120):
             lists = [[k, 7 + step // 10, 20 + step % 10, 40 + i] for i in range(4)]
             try:
-                got = list(remote.score_batch([score_request(str(k), [[step]] * 4, lists,
-                                                             source)]))
+                got = list(remote.score_batch([score_request(str(k), [[step % len(vocab)]] * 4,
+                                                             lists, source)]))
             except Exception as exc:  # noqa: BLE001
                 wrong.append((k, step, exc))
                 return

@@ -44,6 +44,7 @@ from structsql.annotate import (
     AMP,
     COLUMN_MARK,
     MATCH_MARKS,
+    PRIMARY_KEY_MARK,
     TABLE_MARK,
     AnnotatedInput,
     UnknownLinkTarget,
@@ -68,7 +69,6 @@ from structsql.linking import (
 )
 from structsql.linking import _suppress_overlaps as _suppress_candidate_overlaps
 from structsql.schema import (
-    PRIMARY_KEY_MARK,
     STAR,
     ColumnRef,
     ColumnType,
