@@ -106,7 +106,9 @@ def linearize_schema(
     kinds: dict[int, int] = {}
     values: dict[int, list[str]] = {}
     for _, _, kind, table, column, value in links:
-        pos = index.get((table.lower(), None if column is None else column.lower()))
+        pos = index.get((table, column))  # a link mostly spells names as the schema does
+        if pos is None:
+            pos = index.get((table.lower(), None if column is None else column.lower()))
         if pos is None:
             if schema.table(table) is None:
                 raise UnknownLinkTarget(f"no table {table!r} in schema {schema.db_id!r}")

@@ -26,7 +26,6 @@ import socketserver
 import sys
 import threading
 from array import array
-from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from heapq import nsmallest
@@ -265,8 +264,7 @@ def build_trie(schema: DatabaseSchema, vocab: Vocabulary) -> TrieNode:
 LITERAL = TrieNode()
 
 
-@dataclass(frozen=True)
-class DecodeState:
+class DecodeState(NamedTuple):
     """Beam hypothesis: emitted ids, cursor and summed score.
 
     The cursor is ``None`` (free), ``LITERAL`` or a trie node, the
@@ -408,6 +406,7 @@ class TokenScorer:
         hypothesis that advanced a full ``2*beam``.  Both cuts are exact
         only under this contract: the floor also relies on two hypotheses
         with equal tokens getting equal scores for the same candidate.
+        A score may be ``-inf``; a NaN score is outside the contract.
         """
         raise NotImplementedError
 
@@ -606,9 +605,10 @@ def _expand(
     ``candidate_lists`` with ``batch``, and the ones that finished."""
     # Live states hold equally many tokens, so successors' tokens compare
     # as (parent's rank among the live tuples, token), EOS being -1 with
-    # cursor None.  The pool holds (score, rank, token, cursor) keyed by
-    # (rank, token, cursor); tokens, states and hypotheses are built only
-    # for the step's winners.
+    # cursor None.  The pool maps (rank, token, cursor) to (-score, rank,
+    # token, first-insertion index, cursor), which sorts plainly and, on
+    # equal tokens, in insertion order; tokens, states and hypotheses are
+    # built only for the step's winners.
     prefixes = sorted({state.tokens for state in live})
     rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
     pool: dict[tuple, tuple] = {}
@@ -616,52 +616,55 @@ def _expand(
     # (one per token) in the pool at or above its lowest summed score,
     # and pool scores only rise.  So a later parent's candidate strictly
     # below that floor cannot reach the step's top 2*beam, and it is not
-    # sorted.  Nor could it open a key that a later parent raises past
+    # advanced.  Nor could it open a key that a later parent raises past
     # the floor: live is ranked, so a later parent with equal tokens
     # sums no higher on the same token.  Ties at the floor are kept.
     width = 2 * beam_width
     floor = -inf
-    for state, candidates, scores in zip(live, candidate_lists, batch):
-        # Every candidate yields at least one successor, so one outside
-        # its parent's top 2*beam cannot reach the step's top 2*beam:
-        # only those are advanced, ranked on their summed score.  The
-        # stable sort breaks ties as the step does, by token, EOS first.
-        base, node, rank = state.score, state.node, rank_of[state.tokens]
-        summed = [base + s for s in scores]
-        n = len(candidates)
-        at = bisect_left(candidates, eos)
-        if at < n and candidates[at] == eos:
-            rest = [*range(at), *range(at + 1, n)]
-            order = [at, *rest] if state.tokens else rest
-        else:
-            order = range(n)
-        if floor > -inf:
-            order = [i for i in order if summed[i] >= floor]
-        top = sorted(order, key=summed.__getitem__, reverse=True)[:width]
-        if len(top) == width:
-            floor = summed[top[-1]]
-        for i in top:
-            token_id = candidates[i]
+    for (tokens, node, base), candidates, scores in zip(live, candidate_lists, batch):
+        # Every candidate yields at least one successor, so one outside its
+        # parent's top 2*beam cannot reach the step's top 2*beam: only those
+        # are advanced.  Adding base is monotone, so the raw scores sorted
+        # in C order the sums too, save ties that rounding makes.  The walk
+        # takes sums down to the floor, which rises to the 2*beam-th; so the
+        # head holds every sum that ties it, and its sort settles ties as
+        # the step does, by token with EOS (-1) first.  Equal raw scores are
+        # found at ascending indices.  EOS cannot end the empty prefix.
+        head = []
+        at, last = -1, None
+        for v in sorted(scores, reverse=True):
+            s = base + v
+            if s < floor:
+                break
+            at = scores.index(v, at + 1 if v == last else 0)
+            last, token_id = v, candidates[at]
             if token_id == eos:
-                token_id, cursors = -1, (None,)
-            else:
-                cursors = step(node, token_id)
-            for cursor in cursors:
+                if not tokens:
+                    continue
+                token_id = -1
+            head.append((-s, token_id))
+            if len(head) == width:
+                floor = s
+        head.sort()
+        rank = rank_of[tokens]
+        for neg, token_id in head[:width]:
+            for cursor in (None,) if token_id < 0 else step(node, token_id):
                 key = (rank, token_id, id(cursor))
                 prev = pool.get(key)
-                if prev is None or summed[i] > prev[0]:
-                    pool[key] = (summed[i], rank, token_id, cursor)
+                if prev is None:
+                    pool[key] = (neg, rank, token_id, len(pool), cursor)
+                elif neg < prev[0]:
+                    pool[key] = (neg, rank, token_id, prev[3], cursor)
 
     # Finished candidates within the step's top 2*beam go to the done
     # pool; the best beam_width unfinished ones stay live.
     successors: list[DecodeState] = []
     finished: list[Hypothesis] = []
-    ranked = sorted(pool.values(), key=lambda e: (-e[0], e[1], e[2]))[:width]
-    for score, rank, token_id, cursor in ranked:
+    for neg, rank, token_id, _, cursor in sorted(pool.values())[:width]:
         if token_id < 0:
-            finished.append(Hypothesis(prefixes[rank], score))
+            finished.append(Hypothesis(prefixes[rank], -neg))
         elif len(successors) < beam_width:
-            successors.append(DecodeState(prefixes[rank] + (token_id,), cursor, score))
+            successors.append(DecodeState(prefixes[rank] + (token_id,), cursor, -neg))
     return successors, finished
 
 

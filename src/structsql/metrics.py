@@ -8,7 +8,7 @@ rate, IM the rate of interactions whose every question matches.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from structsql.schema import DatabaseSchema
@@ -69,7 +69,11 @@ class EvaluationReport:
     n_interactions: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict(self)``, built without its deep copy."""
+        doc = dict(vars(self))
+        doc["counts"] = dict(self.counts)
+        doc["verdicts"] = [dict(vars(v)) for v in self.verdicts]
+        return doc
 
     def summary(self) -> str:
         im_text = "n/a" if self.im is None else f"{self.im:.4f}"

@@ -291,11 +291,11 @@ class NameIndex(NamedTuple):
 class SerialTemplate(NamedTuple):
     """The question-independent part of the schema serialization.
 
-    ``index`` maps a lower-cased ``(table, column)`` key, column ``None`` for
-    a table, to its position: the tables first, then the columns, each in
-    schema order.  ``runs`` keeps the unlinked serialization of each flag
-    pair, as ``annotate`` flattens it on first use: it lives and dies with
-    the schema.
+    ``index`` maps a ``(table, column)`` key, column ``None`` for a table,
+    both as the schema spells it and lower-cased, to its position: the
+    tables first, then the columns, each in schema order.  ``runs`` keeps
+    the unlinked serialization of each flag pair, as ``annotate`` flattens
+    it on first use: it lives and dies with the schema.
     """
 
     index: dict[tuple[str, str | None], int]
@@ -375,9 +375,10 @@ class DatabaseSchema:
     @cached_property
     def serial_template(self) -> SerialTemplate:
         """The schema's serialization less the per-question links, built once."""
-        index = {(t.name.lower(), None): i for i, t in enumerate(self.tables)}
-        for table, col in self.iter_columns():
-            index[(table.name.lower(), col.name.lower())] = len(index)
+        keys = [(t.name, None) for t in self.tables]
+        keys += ((t.name, c.name) for t, c in self.iter_columns())
+        index = {(t.lower(), None if c is None else c.lower()): i for i, (t, c) in enumerate(keys)}
+        index.update((key, i) for i, key in enumerate(keys))
         return SerialTemplate(index, {})
 
     @cached_property

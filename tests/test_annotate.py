@@ -322,6 +322,14 @@ _SPLICE_CASES = {
         LinkAnnotation(3, 4, MatchKind.VALUE, "Players", "Country", value="USA"),
     ],
     "no-links": [],
+    # Names spelled in another case than the schema's, beside the same
+    # target spelled as the schema does.
+    "other-case": [
+        LinkAnnotation(0, 1, MatchKind.EXACT, "PLAYERS", "country"),
+        LinkAnnotation(1, 2, MatchKind.VALUE, "players", "COUNTRY", value="USA"),
+        LinkAnnotation(2, 3, MatchKind.PARTIAL, "Players", "Country"),
+        LinkAnnotation(3, 4, MatchKind.EXACT, "rANKING"),
+    ],
 }
 _FLAGS = [
     {"include_values": v, "schema_property": p, "database_structure": d}

@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from structsql.decode import (
     NoValidHypothesis,
     OracleScorer,
     RandomScorer,
+    TokenScorer,
     TrieNode,
     Untokenizable,
     Vocabulary,
@@ -460,6 +462,22 @@ def test_oracle_property_random_queries(tennis):
         assert hyps[0].text(vocab) == gold
 
 
+class MaskedScorer(RandomScorer):
+    """Random scores with a seeded third of the candidates at -inf, and
+    every candidate at -inf after about one prefix in six."""
+
+    def __init__(self, vocab, seed=0):
+        super().__init__(vocab, seed)
+        self.mask = RandomScorer(vocab, seed=seed + 1)
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        scores = super().score_candidates(source, prefix, candidates, example_id)
+        masks = self.mask.score_candidates(source, prefix, [-1, *candidates], example_id)
+        if masks[0] < 1 / 6:
+            return [-inf] * len(scores)
+        return [-inf if m < 1 / 3 else s for s, m in zip(scores, masks[1:])]
+
+
 def _outcome(search, scorer, trie, **kwargs):
     # An unconstrained search (trie None) never consults its constraint.
     constraint = LexiconConstraint(trie or TrieNode(), scorer.vocab)
@@ -475,7 +493,7 @@ def _outcome(search, scorer, trie, **kwargs):
     beam=st.integers(min_value=1, max_value=8),
     max_len=st.integers(min_value=1, max_value=60),
     constrained=st.booleans(),
-    kind=st.sampled_from(["oracle", "scrambled", "random", "quantized", "mixed"]),
+    kind=st.sampled_from(["oracle", "scrambled", "random", "quantized", "mixed", "masked"]),
 )
 # Draws where a bare value enters the beam twice (value-trie cursor and free
 # literal) with equal score: the result depends on the successors' order.
@@ -497,12 +515,48 @@ def test_beam_search_matches_reference(seed, with_values, beam, max_len, constra
         scorer = OracleScorer(vocab, rng.choices(tokens, k=12))
     else:
         scorer = {"random": RandomScorer, "quantized": QuantizedScorer,
-                  "mixed": MixedMagnitudeScorer}[kind](vocab, seed=seed)
+                  "mixed": MixedMagnitudeScorer, "masked": MaskedScorer}[kind](vocab, seed=seed)
     trie = build_trie(schema, vocab) if constrained else None
     kwargs = dict(beam_width=beam, max_len=max_len, constrained=constrained)
     assert _outcome(beam_search, scorer, trie, **kwargs) == _outcome(
         reference_beam_search, scorer, trie, **kwargs
     )
+
+
+class TableScorer(TokenScorer):
+    """Scores looked up by prefix, -8 for a token the prefix's row lacks;
+    every prefix scored is logged, in order."""
+
+    def __init__(self, vocab, table):
+        super().__init__(vocab)
+        self.table, self.prefixes = table, []
+
+    def score_candidates(self, source, prefix, candidates, example_id=None):
+        self.prefixes.append(tuple(prefix))
+        row = self.table.get(tuple(prefix), {})
+        return [row.get(c, -8.0) for c in candidates]
+
+
+def test_rounded_tie_at_the_cut_goes_to_the_lower_token():
+    # After "a" (summed score 2**20) the raw scores of EOS, "c" and "b"
+    # fall in that order but all round to the same sum, which is also the
+    # beam-1 step's 2nd and last place: EOS takes the first and "b", the
+    # lower id, the second, though "c" scored higher.
+    vocab = Vocabulary([EOS_TOKEN, "a", "b", "c", "d"])
+    eos, a, b, c = (vocab.id_of(t) for t in (EOS_TOKEN, "a", "b", "c"))
+    table = {
+        (): {a: 2.0**20},
+        (a,): {eos: 2.0**-39, c: 2.0**-40, b: 2.0**-41},
+        (a, b): {eos: 0.0},
+    }
+    assert len({2.0**20 + v for v in table[(a,)].values()}) == 1
+    runs = []
+    for search in (beam_search, reference_beam_search):
+        scorer = TableScorer(vocab, table)
+        runs.append((_outcome(search, scorer, None, beam_width=1, max_len=4,
+                              constrained=False), scorer.prefixes))
+    assert runs[0] == runs[1]
+    assert runs[0] == ([((a,), 2.0**20)], [(), (a,), (a, b)])
 
 
 class HalfQuantizedScorer(RandomScorer):

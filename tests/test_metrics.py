@@ -1,10 +1,12 @@
+import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsql.cli import _write_json
 from structsql.metrics import (
     EmptyCorpus,
     MismatchedLengths,
@@ -253,6 +255,30 @@ def test_report_serialization(tennis):
     assert payload["qm"] == 1.0
     assert payload["verdicts"][0]["em"] is True
     assert "EM" in report.summary()
+
+
+def test_report_json_is_the_asdict_form(tennis, tmp_path):
+    # One example per error class, a match, and one turn per interaction
+    # (so im is None): report.json holds the bytes dataclasses.asdict gives.
+    right = "SELECT Players.First_name FROM Players"
+    predictions = ["", "SELECT FROM", "SELECT Players.Nope FROM Players",
+                   "SELECT Players.Country FROM Players", right]
+    report = score_corpus(
+        predictions, [right] * len(predictions), db_ids=["tennis"] * len(predictions),
+        schemas={"tennis": tennis},
+    )
+    assert report.im is None
+    assert all(report.counts.values())
+    out = tmp_path / "report.json"
+    _write_json(out, report.to_dict())
+    expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    assert out.read_text(encoding="utf-8") == expected
+    # The dict is the caller's: changing it leaves the report as it was.
+    before = asdict(report)
+    payload = report.to_dict()
+    payload["counts"]["mismatch"] += 1
+    payload["verdicts"][0]["em"] = True
+    assert asdict(report) == before
 
 
 def _perturb(rng: random.Random, q: SqlQuery) -> SqlQuery:

@@ -444,7 +444,7 @@ def reference_beam_search(
                         continue
                     if in_literal(state) or not state.tokens:
                         continue
-                    final = replace(state, score=state.score + token_score)
+                    final = state._replace(score=state.score + token_score)
                     prev = finished.get(final.tokens)
                     if prev is None or final.score > prev.score:
                         finished[final.tokens] = final
