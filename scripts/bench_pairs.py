@@ -6,7 +6,10 @@ Usage:
                                  [--seeds 101-110] [--held-out SEEDS]
                                  [--seconds 30] [--out FILE]
 
-For every seed, runs ``python3 bench/run.py --workload W --seed SEED
+Refuses to run, exiting 2, while either checkout holds a ``__pycache__``
+directory under ``src/``, ``bench/`` or ``scripts/``, and runs every child
+with ``PYTHONDONTWRITEBYTECODE=1``, so that both sides compile their code
+alike.  For every seed, runs ``python3 bench/run.py --workload W --seed SEED
 --seconds S --trace 0`` once in each checkout, back to back: the parent
 first at odd seeds, the change first at even ones, so that a drift in host
 speed falls on both sides alike.  A run's result is its last stdout line.
@@ -31,6 +34,8 @@ ORDER = (
     " the change at even seeds"
 )
 QUARTILES = "statistics.quantiles(n=4), default (exclusive) method, over the summary seeds"
+# Compiled bytecode here would spare one side the compiling at import.
+CODE_DIRS = ("src", "bench", "scripts")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -47,10 +52,15 @@ def bench_command(workload: str, seed, seconds: float) -> list[str]:
             "--seconds", f"{seconds:g}", "--trace", "0"]
 
 
+def bytecode_dirs(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the checkout's code directories."""
+    return sorted(p for top in CODE_DIRS for p in (checkout / top).rglob("__pycache__"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = bench_command(workload, seed, seconds)
     done = subprocess.run([sys.executable, *argv[1:]], cwd=checkout, capture_output=True,
-                          text=True)
+                          text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv)} exited with {done.returncode}:\n"
                          f"{done.stderr}")
@@ -102,6 +112,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    stale = [p for side in sides.values() for p in bytecode_dirs(side)]
+    if stale:
+        print("remove compiled bytecode before measuring, so that both sides compile"
+              " alike:\n" + "\n".join(f"  {p}" for p in stale), file=sys.stderr)
+        return 2
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
     for seed in args.seeds + args.held_out:

@@ -1,8 +1,10 @@
 """SQL completion: infer missing FROM/JOIN tables and join keys from the schema graph.
 
 Mentioned tables are treated as terminals; the connector is the smallest
-table set whose induced table-link subgraph is connected, found at every
-schema size by one exact search (Dreyfus-Wagner over hop counts).  Every graph
+table set whose induced table-link subgraph is connected, found exactly at
+every schema size at a cost that follows the schema: a tree left after
+stripping is its own connector, else the cheaper of trying added table sets
+by size and Dreyfus-Wagner over hop counts.  Every graph
 question is one breadth-first search (:func:`~structsql.schema.bfs`) over the
 neighbour bitmasks: whether every terminal is reachable, hop counts, whether a
 table set is connected, the join order (the BFS tree over the connector), and
@@ -51,9 +53,11 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     subgraph is connected, in schema declaration order.
 
     Raises :class:`Disconnected` naming the lowest terminal and the lowest one
-    unreachable from it.  One exact search serves every schema size; among
-    minimal connectors it returns the first in (size, then lexicographic tuple
-    of added declaration indices) order.
+    unreachable from it.  Among minimal connectors it returns the first in
+    (size, then lexicographic tuple of added declaration indices) order.
+    Non-terminal leaves are stripped first; a tree left is the only minimal
+    connector.  Otherwise, with m non-terminals left, added sets are tried
+    by size when 2^m <= 3^t, and Dreyfus-Wagner's 3^t steps run when not.
     """
     term_indices = sorted({graph.table_index(t) for t in terminals})
     if not term_indices:
@@ -61,7 +65,7 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     adj, root, t = graph.adj, 1 << term_indices[0], len(term_indices)
     term_mask = sum(1 << i for i in term_indices)
     if len(bfs(adj, root, term_mask)) == t:  # the terminals alone are connected
-        return [graph.tables[i] for i in term_indices]
+        return _tables(graph, term_mask)
     reached = bfs(adj, root)
     missing = next((i for i in term_indices if i not in reached), None)
     if missing is not None:
@@ -72,14 +76,31 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
                         and (adj[i] & alive).bit_count() <= 1):
         alive ^= leaves
     nodes = [i for i in range(len(adj)) if alive >> i & 1]
+    if sum((adj[i] & alive).bit_count() for i in nodes) == 2 * (len(nodes) - 1):
+        return _tables(graph, alive)  # a tree whose leaves are terminals: the only connector
+    free = [i for i in nodes if not term_mask >> i & 1]
+    if 2 ** len(free) <= 3 ** t:  # fewer added sets than Dreyfus-Wagner's steps: try each
+        combos = (c for k in range(1, len(free) + 1) for c in combinations(free, k))
+    else:
+        links, on = _steiner_links(adj, nodes, alive, term_indices)
+        combos = combinations(on, links + 1 - t)
+    masks = (term_mask | sum(1 << i for i in combo) for combo in combos)
+    return _tables(graph, next(m for m in masks if len(bfs(adj, root, m)) == m.bit_count()))
+
+
+def _steiner_links(adj, nodes: list[int], alive: int, term_indices: list[int]):
+    """Dreyfus-Wagner over hop counts: the fewest links that join the
+    terminals within ``alive``, and the non-terminal ``nodes`` that lie on
+    some tree of that size."""
     hops = []  # hops[k][j]: links on a shortest path from nodes[k] to nodes[j]
     for i in nodes:
         depth = {-1: -1}
         for child, parent in bfs(adj, 1 << i, alive).items():
             depth[child] = depth[parent] + 1
         hops.append([depth[j] for j in nodes])
-    # Dreyfus-Wagner: cost[s][k] is the fewest links in a tree that joins
-    # nodes[k] to the terminal subset s; it branches at some node or is a path.
+    # cost[s][k] is the fewest links in a tree that joins nodes[k] to the
+    # terminal subset s; it branches at some node or is a path.
+    t = len(term_indices)
     cost = {1 << b: hops[nodes.index(i)] for b, i in enumerate(term_indices)}
     for s in range(3, 1 << t):
         if s & (s - 1):
@@ -92,9 +113,10 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     links = min(full := cost[(1 << t) - 1])
     # Equal-size sets order by the lowest table in their symmetric difference,
     # so dropping the tables on no minimal connector keeps the tie-break.
-    on = [i for i, c in zip(nodes, full) if c == links and not term_mask >> i & 1]
-    masks = (term_mask | sum(1 << i for i in combo) for combo in combinations(on, links + 1 - t))
-    mask = next(m for m in masks if len(bfs(adj, root, m)) == m.bit_count())
+    return links, [i for i, c in zip(nodes, full) if c == links and i not in term_indices]
+
+
+def _tables(graph: SchemaGraph, mask: int) -> list[str]:
     return [graph.tables[i] for i in range(len(graph.tables)) if mask >> i & 1]
 
 

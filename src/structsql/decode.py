@@ -450,6 +450,7 @@ def oracle_scorer(target: str, vocab: Vocabulary) -> OracleScorer:
 
 
 _MASK64 = (1 << 64) - 1
+_TWO64 = float(1 << 64)
 
 
 def _mix(*values: int) -> int:
@@ -462,18 +463,23 @@ def _mix(*values: int) -> int:
 
 
 class RandomScorer(TokenScorer):
-    """Seeded pseudo-random scores, deterministic for fixed inputs and seed."""
+    """Seeded pseudo-random scores, deterministic for fixed inputs and seed:
+    ``_mix(seed, len(prefix), last token or -1, candidate) / 2**64``."""
 
     def __init__(self, vocab: Vocabulary, seed: int = 0):
         super().__init__(vocab)
         self.seed = seed
 
-    def _score_one(self, prefix_len: int, last: int, candidate: int) -> float:
-        return _mix(self.seed, prefix_len, last, candidate) / float(1 << 64)
-
     def score_candidates(self, source, prefix, candidates, example_id=None):
-        last = prefix[-1] if prefix else -1
-        return [self._score_one(len(prefix), last, c) for c in candidates]
+        # _mix folds left to right: the state before the candidate is shared,
+        # and each candidate finishes its own last round.
+        h = _mix(self.seed, len(prefix), prefix[-1] if prefix else -1)
+        base = 0x9E3779B97F4A7C15 + ((h << 6) & _MASK64) + (h >> 2)
+        return [
+            ((x := (h ^ (c + base) & _MASK64) * 0xBF58476D1CE4E5B9 & _MASK64) ^ x >> 31)
+            / _TWO64
+            for c in candidates
+        ]
 
 
 # --------------------------------------------------------------------------

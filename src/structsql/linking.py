@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from structsql.schema import _CJK_RE, ColumnType, DatabaseSchema, _canonical_number, _parse_date
-from structsql.schema import _stem
+from structsql.schema import _CJK_RE, _MONTH_NUMBERS, ColumnType, DatabaseSchema
+from structsql.schema import _canonical_number, _parse_date, _stem
 
 # Longest question n-gram compared with a schema name or cell value.
 MAX_NGRAM = 5
@@ -168,10 +168,22 @@ def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnn
     the cached ``schema.value_index`` (empty without content) per column type.
     Only an n-gram with a digit is parsed: as a number, or as a date joined by
     spaces, then by nothing (``2016-01-05``); a failed parse probes the text key.
+
+    An n-gram that cannot parse probes only its text key, so it stops growing
+    once that key is not in ``schema.value_prefixes``: no longer n-gram from
+    the same start can then match either.  Only a start token that holds a
+    digit can lead a parse, or one that names a month (a date) or is made of
+    ``_+-.,`` alone (a number): every date format begins with a number or a
+    month name, and a finite Decimal with its underscores and commas dropped
+    begins with a digit, a sign or a point.  A schema with no number or date
+    content parses nothing.
     """
     index = schema.value_index
     if not index:
         return []
+    prefixes = schema.value_prefixes
+    numeric = ColumnType.INTEGER in index or ColumnType.REAL in index
+    dated = ColumnType.DATE in index
     tokens = question.all_tokens()
     lower = [t.lower() for t in tokens]
     word = [_WORD_CHAR_RE.search(t) for t in lower]  # None for punctuation
@@ -181,10 +193,17 @@ def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnn
     for start in range(len(tokens)):
         if not word[start]:
             continue  # n-gram may contain punctuation but not start/end with it
+        parses = (
+            (numeric or dated) and digit[start]
+            or numeric and not tokens[start].strip("_+-.,")
+            or dated and lower[start] in _MONTH_NUMBERS
+        )
         key, has_digit = "", None
         for end in range(start + 1, min(start + MAX_NGRAM, len(tokens)) + 1):
             key = f"{key} {lower[end - 1]}" if key else lower[end - 1]
-            has_digit = has_digit or digit[end - 1]
+            if not parses and key not in prefixes:
+                break
+            has_digit = parses and (has_digit or digit[end - 1])
             if not word[end - 1]:
                 continue
             for col_type, holders in index.items():

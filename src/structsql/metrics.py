@@ -104,7 +104,9 @@ def score_corpus(
     tallied under ``decode_failure``; other unparseable predictions score zero
     and are tallied under ``parse_failure``; predictions that parse but
     reference schema items that do not exist are tallied under
-    ``schema_violation``.  IM is None when every interaction has one turn.
+    ``schema_violation``.  A prediction whose text is its gold's text is an
+    LX (so EM) match without a component walk.  IM is None when every
+    interaction has one turn.
     Example ``i`` resolves against ``schemas[db_ids[i]]``; an unknown db id
     raises ``ValueError``.
     """
@@ -134,9 +136,13 @@ def score_corpus(
         em = lx = False
         if not pred_text.strip():
             error = "decode_failure"
+        elif pred_text == gold_text:
+            # The prediction parses to the gold itself, and component sets
+            # (tuples of str, bool, int and None) equal themselves.
+            em = lx = True
         else:
             try:
-                pred = gold if pred_text == gold_text else parse_sql(pred_text, schema)
+                pred = parse_sql(pred_text, schema)
             except SqlSyntaxError:
                 error = "parse_failure"
             except SchemaResolutionError:

@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from decimal import MAX_EMAX, Context, Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -191,21 +191,29 @@ def _parse_date(raw: str) -> str | None:
 
 def _canonical_number(raw: str) -> str | None:
     """Canonical text of a finite decimal number, None for anything else.
-    An integer past the 28-digit context prints as its exact mantissa and
-    exponent (``1E+30``), so a huge exponent builds no long string."""
+
+    Every significant digit is kept and trailing zeros go.  A number below
+    1E+28 and no finer than 1E-1000026, the range of Decimal's default
+    context, prints in plain form (``1200``, ``0.05``); any other prints as
+    its exact mantissa and exponent (``1E+30``, ``1E-10000000``), so a huge
+    exponent builds no long string."""
     try:
         dec = Decimal(raw.strip().replace(",", "").replace(" ", ""))
     except InvalidOperation:
         return None
     if not dec.is_finite():
         return None
-    if dec != dec.to_integral_value():
-        text = format(dec.normalize(), "f")
-    elif dec.adjusted() < 28 or not dec:
-        text = format(dec.quantize(Decimal(1)), "f")
-    else:
-        return str(dec.normalize(Context(prec=len(dec.as_tuple().digits), Emax=MAX_EMAX)))
-    return "0" if text == "-0" else text
+    sign, digits, exp = dec.as_tuple()
+    n = len(digits)
+    while n and not digits[n - 1]:
+        n -= 1
+    if not n:
+        return "0"
+    exp += len(digits) - n
+    dec = Decimal((sign, digits[:n], exp))  # built from its digits, so nothing rounds
+    if dec.adjusted() < 28 and exp >= -1000026:
+        return format(dec, "f")
+    return str(dec)
 
 
 def _normalize_text(raw: str) -> str:
@@ -395,6 +403,17 @@ class DatabaseSchema:
                 holder = (table.name, col.name, value)
                 index.setdefault(col.col_type, {}).setdefault(key, []).append(holder)
         return index
+
+    @cached_property
+    def value_prefixes(self) -> frozenset[str]:
+        """Every ``value_index`` key, and each of its prefixes that ends
+        before a space: the text keys that a longer n-gram can still match."""
+        prefixes: set[str] = set()
+        for keys in self.value_index.values():
+            for key in keys:
+                words = key.split(" ")
+                prefixes.update(" ".join(words[:n]) for n in range(1, len(words) + 1))
+        return frozenset(prefixes)
 
     def column(self, ref: ColumnRef) -> ColumnDef | None:
         if ref.table is None:

@@ -11,7 +11,7 @@ alias-free, and given a schema every table and column is resolved then too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Union
@@ -456,53 +456,22 @@ class _Parser:
 
 
 # --------------------------------------------------------------------------
-# Walker: rebuild, the copying walk of one level behind map_query and _iter_refs
+# Walker: map_query over the levels, _iter_refs over one level's references
 
 
-def _same(x):
-    return x
-
-
-def rebuild(
-    level: SqlQuery,
-    fix_ref: Callable[[ColumnRef], ColumnRef] = _same,
-    fix_query: Callable[[SqlQuery], SqlQuery] = _same,
-) -> SqlQuery:
-    """Copy of one SELECT level: ``fix_ref`` maps the references of its own
-    clauses, ``fix_query`` its WHERE/HAVING subqueries, then its set-operation
-    branch.  Calls come in clause order (SELECT, JOIN ON, WHERE, HAVING,
-    GROUP BY, ORDER BY, set operation), the order of the keyword arguments below."""
-
-    def fix_expr(e: ColumnExpr) -> ColumnExpr:
-        return ColumnExpr(fix_ref(e.ref), e.agg, e.distinct)
-
-    def fix_value(v: Value) -> Value:
-        if isinstance(v, ColumnRef):
-            return fix_ref(v)
-        return fix_query(v) if isinstance(v, SqlQuery) else v
-
-    def fix_conditions(cl: ConditionList | None) -> ConditionList | None:
-        if cl is None:
-            return None
-        return ConditionList(
-            tuple(
-                Condition(fix_expr(c.left), c.op, tuple(fix_value(v) for v in c.values))
-                for c in cl.conditions
-            ),
-            cl.connectors,
-        )
-
-    return SqlQuery(
-        select=tuple(fix_expr(e) for e in level.select),
-        distinct=level.distinct,
-        from_tables=level.from_tables,
-        join_conditions=tuple((fix_ref(a), fix_ref(b)) for a, b in level.join_conditions),
-        where=fix_conditions(level.where),
-        having=fix_conditions(level.having),
-        group_by=tuple(fix_ref(r) for r in level.group_by),
-        order_by=tuple(OrderItem(fix_expr(o.expr), o.desc) for o in level.order_by),
-        limit=level.limit,
-        set_op=None if level.set_op is None else (level.set_op[0], fix_query(level.set_op[1])),
+def _map_conditions(cl: ConditionList | None, fn: Callable[[SqlQuery], SqlQuery]):
+    """``cl`` with ``map_query`` applied to its subqueries; ``cl`` itself
+    when it holds none."""
+    if cl is None or not any(isinstance(v, SqlQuery) for c in cl.conditions for v in c.values):
+        return cl
+    return ConditionList(
+        tuple(
+            Condition(c.left, c.op, tuple(
+                map_query(v, fn) if isinstance(v, SqlQuery) else v for v in c.values
+            ))
+            for c in cl.conditions
+        ),
+        cl.connectors,
     )
 
 
@@ -512,20 +481,30 @@ def map_query(q: SqlQuery, fn: Callable[[SqlQuery], SqlQuery]) -> SqlQuery:
     The order is the level itself, then the subqueries among its WHERE and
     HAVING values in clause order, then its set-operation chain.  ``fn`` sees
     a level whose subqueries and set operation are not mapped yet; those of
-    its result are mapped next.
+    its result are mapped next.  A level with neither comes back as ``fn``
+    gave it.
     """
-    return rebuild(fn(q), fix_query=lambda sub: map_query(sub, fn))
+    level = fn(q)
+    where, having = _map_conditions(level.where, fn), _map_conditions(level.having, fn)
+    if where is level.where and having is level.having and level.set_op is None:
+        return level
+    set_op = None if level.set_op is None else (level.set_op[0], map_query(level.set_op[1], fn))
+    return replace(level, where=where, having=having, set_op=set_op)
 
 
 def _iter_refs(level: SqlQuery) -> list[ColumnRef]:
-    """Column references of one level's own clauses, in clause order."""
-    refs: list[ColumnRef] = []
-
-    def note(ref: ColumnRef) -> ColumnRef:
-        refs.append(ref)
-        return ref
-
-    rebuild(level, note)
+    """Column references of one level's own clauses, in clause order: SELECT,
+    JOIN ON, WHERE and HAVING (each condition's left side, then its column
+    values), GROUP BY, ORDER BY."""
+    refs = [e.ref for e in level.select]
+    for pair in level.join_conditions:
+        refs += pair
+    for cl in (level.where, level.having):
+        for c in cl.conditions if cl is not None else ():
+            refs.append(c.left.ref)
+            refs += [v for v in c.values if isinstance(v, ColumnRef)]
+    refs += level.group_by
+    refs += [o.expr.ref for o in level.order_by]
     return refs
 
 

@@ -11,6 +11,7 @@ BENCH_PAIRS = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
 
 FAKE_RUN = """\
 import json, sys
+import helper  # a module of the checkout, which Python may compile to __pycache__
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 with open({log!r}, "a") as log:
     log.write(f"{{seed}} {side}\\n")
@@ -27,8 +28,14 @@ def _checkout(path: Path, log: Path, side: str, rate: float, rss: float) -> Path
     (path / "bench" / "run.py").write_text(
         FAKE_RUN.format(log=str(log), side=side, rate=rate, rss=rss), encoding="utf-8"
     )
+    (path / "bench" / "helper.py").write_text("", encoding="utf-8")
     shutil.copy(ROOT / "BENCHMARK.json", path)
     return path
+
+
+def _pair_args(parent: Path, change: Path, out: Path) -> list[str]:
+    return ["--parent", str(parent), "--change", str(change), "--workload", "offline-wide",
+            "--seeds", "101-102", "--seconds", "0.5", "--out", str(out)]
 
 
 def test_pairs_alternate_and_summary_counts_the_change_wins(tmp_path):
@@ -68,3 +75,27 @@ def test_pairs_alternate_and_summary_counts_the_change_wins(tmp_path):
 def test_seed_ranges():
     assert BENCH_PAIRS["parse_seeds"]("101-103,117") == [101, 102, 103, 117]
     assert BENCH_PAIRS["parse_seeds"]("") == []
+
+
+def test_refuses_checkouts_that_hold_compiled_bytecode(tmp_path, capsys):
+    log = tmp_path / "order.log"
+    parent = _checkout(tmp_path / "parent", log, "parent", rate=100.0, rss=24.0)
+    change = _checkout(tmp_path / "change", log, "change", rate=110.0, rss=24.5)
+    stale = [parent / "src" / "pkg" / "__pycache__", change / "scripts" / "__pycache__"]
+    for path in stale:
+        path.mkdir(parents=True)
+    out = tmp_path / "BENCH.json"
+    assert BENCH_PAIRS["main"](_pair_args(parent, change, out)) != 0
+    assert not log.exists() and not out.exists()  # nothing ran
+    err = capsys.readouterr().err
+    assert all(str(path) in err for path in stale)
+
+
+def test_children_write_no_bytecode(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    log = tmp_path / "order.log"
+    parent = _checkout(tmp_path / "parent", log, "parent", rate=100.0, rss=24.0)
+    change = _checkout(tmp_path / "change", log, "change", rate=110.0, rss=24.5)
+    assert BENCH_PAIRS["main"](_pair_args(parent, change, tmp_path / "BENCH.json")) == 0
+    assert len(log.read_text().split()) == 8  # each side ran at both seeds
+    assert not list(tmp_path.rglob("__pycache__"))

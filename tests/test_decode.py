@@ -17,6 +17,7 @@ from structsql.decode import (
     TrieNode,
     Untokenizable,
     Vocabulary,
+    _mix,
     beam_search,
     build_trie,
     oracle_scorer,
@@ -401,6 +402,19 @@ def test_adversarial_lure_blocked(tennis):
     assert "Nation" in unconstrained[0].text(vocab)
     assert "Nation" not in constrained[0].text(vocab)
     assert "Country" in constrained[0].text(vocab)
+
+
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    prefix=st.lists(st.integers(-1, 2**66), max_size=5),
+    candidates=st.lists(st.integers(-(2**66), 2**66), max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_scorer_scores_are_mix_bit_for_bit(tennis_kit, seed, prefix, candidates):
+    last = prefix[-1] if prefix else -1
+    expected = [_mix(seed, len(prefix), last, c) / float(1 << 64) for c in candidates]
+    got = RandomScorer(tennis_kit[0], seed=seed).score_candidates(["q"], prefix, candidates)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 class EosAverseScorer(RandomScorer):

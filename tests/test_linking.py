@@ -1,6 +1,6 @@
 import random
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,10 +114,23 @@ _PINNED_VALUES = load_schema(
      "t0.year": ["2016", "Studio 54"]},
 )
 
+# Spans that link only as a whole: a date led by a month name, a number split
+# across tokens, a text value of two words.
+_PINNED_SPANS = load_schema(
+    {"db_id": "db", "table_names_original": ["t0"],
+     "column_names_original": [[0, "born"], [0, "pop"], [0, "city"]],
+     "column_types": ["date", "int", "text"], "primary_keys": [], "foreign_keys": []},
+    {"t0.born": ["Jan 5, 2016"], "t0.pop": ["1200"], "t0.city": ["New York"]},
+)
+
 
 @given(value_linking_cases())
 @example((QuestionTokens.from_text("from οδος or İSTANBUL , ΟΔΟΣ ?"), _PINNED_VALUES))
 @example((QuestionTokens.from_text("born 2016-01-05 , 5/1/2016 or ٢٠١٦ at Studio 54"), _PINNED_VALUES))
+@example((QuestionTokens.from_text("born on jan 5 , 2016"), _PINNED_SPANS))
+@example((QuestionTokens.from_text("towns of 1 , 200 people"), _PINNED_SPANS))
+@example((QuestionTokens.from_text("towns of _ 1200"), _PINNED_SPANS))  # Decimal drops "_"
+@example((QuestionTokens.from_text("flights to new york"), _PINNED_SPANS))
 @settings(max_examples=200, deadline=None)
 def test_value_link_matches_reference(case):
     question, schema = case
@@ -388,10 +401,30 @@ def test_normalize_value_never_raises_and_keeps_number_forms(raw, hint):
     # equal numbers normalize equal, however they are spelled
     assert normalize_value(format(dec, "E"), hint) == got
     try:
+        dec.normalize(Context(traps=[Inexact]))
+    except Inexact:
+        return  # the old normalization rounded here, in Decimal's default context
+    try:
         before = reference_canonical_number(raw)
     except InvalidOperation:
         return  # the old normalization raised here
     assert got == before
+
+
+def test_normalize_keeps_every_significant_digit():
+    # Each pair rounded to one 28-digit form, a false LX match and value link.
+    assert normalize_value("0.12345678901234567890123456789012") == (
+        "0.12345678901234567890123456789012")
+    assert normalize_value("0.12345678901234567890123456789013") == (
+        "0.12345678901234567890123456789013")
+    assert normalize_value("12345678901234567890123456789.5", ColumnType.REAL) == (
+        "12345678901234567890123456789.5")
+    assert normalize_value("12345678901234567890123456790") == "1.234567890123456789012345679E+28"
+    assert normalize_value("1e-10000000", ColumnType.REAL) == "1E-10000000"
+    assert normalize_value("0") == "0"
+    # the plain form is kept in the range of Decimal's default context
+    assert normalize_value("1.50") == "1.5"
+    assert normalize_value("0.0000001e-2") == "0.000000001"
 
 
 def test_normalize_huge_numbers_by_value():

@@ -25,6 +25,22 @@ def test_identical_queries_match(tennis):
     assert logical_form_match(q, q, tennis)
 
 
+def test_identical_texts_score_without_a_component_walk(tennis, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("component_set walked an identical pair")
+
+    monkeypatch.setattr("structsql.metrics.component_set", walk)
+    query = "SELECT Ranking.Year FROM Ranking WHERE Ranking.Year = 2016 AND Ranking.Ranking = 1"
+    report = score_corpus([query] * 2, [query] * 2, db_ids=["tennis"] * 2,
+                          schemas={"tennis": tennis})
+    assert report.em == report.lx == 1.0
+    assert [(v.em, v.lx, v.error) for v in report.verdicts] == [(True, True, None)] * 2
+    assert report.counts["mismatch"] == 0
+    with pytest.raises(AssertionError, match="walked"):  # a spelling apart still walks
+        score_corpus([query.replace("SELECT", "select")], [query], db_ids=["tennis"],
+                     schemas={"tennis": tennis})
+
+
 def test_conjunct_permutation_matches(tennis):
     a = parse_sql(
         "SELECT Ranking.Year FROM Ranking WHERE Ranking.Year = 2016 AND Ranking.Ranking = 1",
@@ -141,9 +157,11 @@ def test_gold_must_parse(tennis):
 def test_unparseable_date_literal_logs_no_warning(tennis, caplog):
     # 'last year' is no date: it compares as text, which is no fault of the run.
     query = "SELECT Players.First_name FROM Players WHERE Players.Birth_date > 'last year'"
+    # Spelled apart from the gold, so that scoring compares the values.
+    pred = "select Players.First_name from Players where Players.Birth_date > 'last year'"
     with caplog.at_level("DEBUG", logger="structsql.schema"):
         report = score_corpus(
-            [query] * 3, [query] * 3, db_ids=["tennis"] * 3, schemas={"tennis": tennis}
+            [pred] * 3, [query] * 3, db_ids=["tennis"] * 3, schemas={"tennis": tennis}
         )
     assert report.em == 1.0
     assert any(r.name == "structsql.schema" for r in caplog.records)
