@@ -8,7 +8,9 @@ by size and Dreyfus-Wagner over hop counts.  Every graph
 question is one breadth-first search (:func:`~structsql.schema.bfs`) over the
 neighbour bitmasks: whether every terminal is reachable, hop counts, whether a
 table set is connected, the join order (the BFS tree over the connector), and
-the terminal-pair paths behind each rationale.
+the terminal-pair paths behind each rationale.  A level's tables are
+declaration indices from its mentions to its rewrite; names are built only
+for the plan and the rewritten FROM list.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import logging
 from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from structsql.schema import ColumnRef, DatabaseSchema, SchemaGraph, bfs
 from structsql.sql_ast import SqlQuery, _iter_refs, map_query
@@ -59,13 +61,19 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
     connector.  Otherwise, with m non-terminals left, added sets are tried
     by size when 2^m <= 3^t, and Dreyfus-Wagner's 3^t steps run when not.
     """
-    term_indices = sorted({graph.table_index(t) for t in terminals})
+    mask = _connector(graph, sorted({graph.table_index(t) for t in terminals}))
+    return [t for i, t in enumerate(graph.tables) if mask >> i & 1]
+
+
+def _connector(graph: SchemaGraph, term_indices: list[int]) -> int:
+    """:func:`connect_terminals` over ascending distinct table indices, as a
+    bitmask."""
     if not term_indices:
         raise ValueError("at least one terminal table is required")
     adj, root, t = graph.adj, 1 << term_indices[0], len(term_indices)
     term_mask = sum(1 << i for i in term_indices)
     if len(bfs(adj, root, term_mask)) == t:  # the terminals alone are connected
-        return _tables(graph, term_mask)
+        return term_mask
     reached = bfs(adj, root)
     missing = next((i for i in term_indices if i not in reached), None)
     if missing is not None:
@@ -77,7 +85,7 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
         alive ^= leaves
     nodes = [i for i in range(len(adj)) if alive >> i & 1]
     if sum((adj[i] & alive).bit_count() for i in nodes) == 2 * (len(nodes) - 1):
-        return _tables(graph, alive)  # a tree whose leaves are terminals: the only connector
+        return alive  # a tree whose leaves are terminals: the only connector
     free = [i for i in nodes if not term_mask >> i & 1]
     if 2 ** len(free) <= 3 ** t:  # fewer added sets than Dreyfus-Wagner's steps: try each
         combos = (c for k in range(1, len(free) + 1) for c in combinations(free, k))
@@ -85,7 +93,7 @@ def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]
         links, on = _steiner_links(adj, nodes, alive, term_indices)
         combos = combinations(on, links + 1 - t)
     masks = (term_mask | sum(1 << i for i in combo) for combo in combos)
-    return _tables(graph, next(m for m in masks if len(bfs(adj, root, m)) == m.bit_count()))
+    return next(m for m in masks if len(bfs(adj, root, m)) == m.bit_count())
 
 
 def _steiner_links(adj, nodes: list[int], alive: int, term_indices: list[int]):
@@ -116,56 +124,27 @@ def _steiner_links(adj, nodes: list[int], alive: int, term_indices: list[int]):
     return links, [i for i, c in zip(nodes, full) if c == links and i not in term_indices]
 
 
-def _tables(graph: SchemaGraph, mask: int) -> list[str]:
-    return [graph.tables[i] for i in range(len(graph.tables)) if mask >> i & 1]
-
-
-def _scope_tables(q: SqlQuery, graph: SchemaGraph) -> list[str]:
-    """Tables mentioned by this query level (its own clauses, not subqueries)."""
-    seen: dict[str, None] = {}
-    for t in q.from_tables:
-        seen.setdefault(graph.canonical(t), None)
-    for ref in _iter_refs(q):
-        if ref.table:
-            seen.setdefault(graph.canonical(ref.table), None)
-    return list(seen)
-
-
-def _conditions_span(from_tables: Sequence[str], conditions) -> bool:
-    """Whether the ON pairs join every FROM table into one component."""
-    index = {t.lower(): i for i, t in enumerate(from_tables)}
-    adj = [0] * len(from_tables)
-    for a, b in conditions:
-        ia, ib = index.get((a.table or "").lower()), index.get((b.table or "").lower())
-        if ia is not None and ib is not None:
-            adj[ia] |= 1 << ib
-            adj[ib] |= 1 << ia
-    return len(bfs(adj, 1)) == len(from_tables)
-
-
-def _first_fk(graph: SchemaGraph, a: str, b: str) -> tuple[ColumnRef, ColumnRef]:
+def _first_fk(graph: SchemaGraph, i: int, j: int) -> tuple[ColumnRef, ColumnRef]:
     # Every table link comes from a foreign key pair, so there is at least one.
-    fks = graph.foreign_keys_between(a, b)
+    fks = graph.link_keys[min(i, j), max(i, j)]
     if len(fks) > 1:
         logger.info(
             "tables %r and %r share %d foreign keys; using the first declared",
-            a, b, len(fks),
+            graph.tables[i], graph.tables[j], len(fks),
         )
     return fks[0]
 
 
-def _rationale(graph: SchemaGraph, added: Sequence[str], terminals: list[str]) -> list[str]:
+def _rationale(graph: SchemaGraph, added: list[int], terminals: list[int]) -> list[str]:
     if not added:
         return []
-    paths = [
-        (a, b, graph.path(1 << graph.table_index(a), 1 << graph.table_index(b))[1:-1])
-        for a, b in combinations(terminals, 2)
-    ]
+    names = graph.tables
+    paths = [(a, b, graph.path(1 << a, 1 << b)[1:-1]) for a, b in combinations(terminals, 2)]
     notes = []
-    for table in added:
-        i = graph.table_index(table)
-        pairs = (f"on the join path between {a} and {b}" for a, b, inner in paths if i in inner)
-        notes.append(f"{table}: {next(pairs, 'required to connect the join graph')}")
+    for i in added:
+        pairs = (f"on the join path between {names[a]} and {names[b]}"
+                 for a, b, inner in paths if i in inner)
+        notes.append(f"{names[i]}: {next(pairs, 'required to connect the join graph')}")
     return notes
 
 
@@ -182,6 +161,10 @@ def complete_sql(
     back unchanged, so a connected query has an empty plan.  Added join
     conditions always take the first-declared foreign key of each edge,
     rendered child-key = parent-key.  Clauses other than FROM are untouched.
+
+    ``q`` must be resolved against ``schema`` (``parse_sql(text, schema)``):
+    completion works in the tables' declaration indices and reads every
+    qualified reference as a schema table.
     """
     plans: list[CompletionPlan] = []
 
@@ -199,26 +182,37 @@ def complete_sql(
 
 
 def _complete_level(q: SqlQuery, graph: SchemaGraph) -> tuple[SqlQuery, CompletionPlan]:
-    terminals = _scope_tables(q, graph)
+    index = graph.table_index
+    from_indices = [index(t) for t in q.from_tables]
+    # The level's own tables as terminals, in mention order: FROM, then its
+    # clauses' qualified references.
+    terminals = list(dict.fromkeys(
+        [*from_indices, *(index(ref.table) for ref in _iter_refs(q) if ref.table)]
+    ))
     if not terminals:
         return q, CompletionPlan()
-    connector = connect_terminals(graph, terminals)
-    from_set = {t.lower() for t in q.from_tables}
-    if {t.lower() for t in connector} <= from_set and _conditions_span(
-        q.from_tables, q.join_conditions
-    ):
-        return q, CompletionPlan()
+    connector = _connector(graph, sorted(terminals))
+    from_mask = sum(1 << i for i in set(from_indices))
+    # Complete as it stands: the connector is the FROM list, and the ON pairs
+    # join every FROM table into one component (so no FROM table repeats).
+    if connector == from_mask:
+        on = [0] * len(graph.tables)
+        for a, b in q.join_conditions:
+            i, j = index(a.table), index(b.table)
+            on[i] |= 1 << j
+            on[j] |= 1 << i
+        if len(bfs(on, 1 << from_indices[0])) == len(from_indices):
+            return q, CompletionPlan()
     # Every FROM table is itself a terminal, so the connector covers it.
     # The join order is the BFS tree over the connector from the first table.
-    root = graph.table_index(q.from_tables[0] if q.from_tables else connector[0])
-    within = sum(1 << graph.table_index(t) for t in connector)
-    tree = list(bfs(graph.adj, 1 << root, within).items())
-    order = [graph.tables[i] for i, _ in tree]
-    conditions = tuple(_first_fk(graph, graph.tables[p], graph.tables[i]) for i, p in tree[1:])
-    added = tuple(t for t in order if t.lower() not in from_set)
+    root = from_indices[0] if from_indices else (connector & -connector).bit_length() - 1
+    tree = bfs(graph.adj, 1 << root, connector)
+    conditions = tuple(_first_fk(graph, p, i) for i, p in tree.items() if p >= 0)
+    added = [i for i in tree if not from_mask >> i & 1]
+    names = graph.tables
     plan = CompletionPlan(
-        added_tables=added,
+        added_tables=tuple(names[i] for i in added),
         join_conditions=conditions,
         rationale=tuple(_rationale(graph, added, terminals)),
     )
-    return replace(q, from_tables=tuple(order), join_conditions=conditions), plan
+    return replace(q, from_tables=tuple(names[i] for i in tree), join_conditions=conditions), plan

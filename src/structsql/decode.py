@@ -35,16 +35,12 @@ from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from structsql.annotate import AnnotatedInput
 from structsql.schema import DatabaseSchema, STAR
+from structsql.sql_ast import KEYWORDS, Agg
 
 EOS_TOKEN = "</s>"
 QUOTE_TOKEN = "'"
 
-SQL_KEYWORD_TOKENS: tuple[str, ...] = (
-    "SELECT", "DISTINCT", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY",
-    "HAVING", "ORDER", "LIMIT", "AND", "OR", "NOT", "IN", "LIKE", "BETWEEN",
-    "UNION", "INTERSECT", "EXCEPT", "COUNT", "SUM", "AVG", "MIN", "MAX",
-    "ASC", "DESC", "=", "!=", "<", ">", "<=", ">=", "(", ")", ",",
-)
+SQL_KEYWORD_TOKENS: tuple[str, ...] = (*KEYWORDS, "=", "!=", "<", ">", "<=", ">=", "(", ")", ",")
 
 _PIECE_RE = re.compile(r"\d+\.\d+|\d+|\w+|<=|>=|!=|<>|[^\w\s]", re.UNICODE)
 # The vocabulary's split: every digit is a token and a word starts with a
@@ -54,7 +50,7 @@ _QUOTED_RE = re.compile(r"\d|[^\W\d]\w*|<=|>=|!=|<>|[^\w\s]|\s")
 _WORD = re.compile(r"\w")
 _NO_SPACE_BEFORE = {".", ",", ")", ";"}
 _NO_SPACE_AFTER = {".", "("}
-_AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+_AGGREGATES = {agg.value for agg in Agg if agg is not Agg.NONE}
 
 TOKENIZER_TAG = "wordpiece-v2"
 
@@ -612,19 +608,19 @@ def _expand(
     # Live states hold equally many tokens, so successors' tokens compare
     # as (parent's rank among the live tuples, token), EOS being -1 with
     # cursor None.  The pool maps (rank, token, cursor) to (-score, rank,
-    # token, first-insertion index, cursor), which sorts plainly and, on
-    # equal tokens, in insertion order; tokens, states and hypotheses are
-    # built only for the step's winners.
+    # token, insertion index, cursor), which sorts plainly and, on equal
+    # tokens, in insertion order; tokens, states and hypotheses are built
+    # only for the step's winners.  Each key is inserted once: live
+    # hypotheses with equal tokens have equal prefixes, per-token scores and
+    # order of additions, so their sums on a token are bit-equal.
     prefixes = sorted({state.tokens for state in live})
     rank_of = {tokens: rank for rank, tokens in enumerate(prefixes)}
     pool: dict[tuple, tuple] = {}
     # A parent that advances a full 2*beam puts as many distinct keys
     # (one per token) in the pool at or above its lowest summed score,
-    # and pool scores only rise.  So a later parent's candidate strictly
-    # below that floor cannot reach the step's top 2*beam, and it is not
-    # advanced.  Nor could it open a key that a later parent raises past
-    # the floor: live is ranked, so a later parent with equal tokens
-    # sums no higher on the same token.  Ties at the floor are kept.
+    # and a key keeps its first score.  So a later parent's candidate
+    # strictly below that floor cannot reach the step's top 2*beam, and it
+    # is not advanced.  Ties at the floor are kept.
     width = 2 * beam_width
     floor = -inf
     for (tokens, node, base), candidates, scores in zip(live, candidate_lists, batch):
@@ -656,11 +652,8 @@ def _expand(
         for neg, token_id in head[:width]:
             for cursor in (None,) if token_id < 0 else step(node, token_id):
                 key = (rank, token_id, id(cursor))
-                prev = pool.get(key)
-                if prev is None:
+                if key not in pool:
                     pool[key] = (neg, rank, token_id, len(pool), cursor)
-                elif neg < prev[0]:
-                    pool[key] = (neg, rank, token_id, prev[3], cursor)
 
     # Finished candidates within the step's top 2*beam go to the done
     # pool; the best beam_width unfinished ones stay live.

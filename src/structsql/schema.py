@@ -630,13 +630,11 @@ class SchemaGraph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj: tuple[int, ...] = tuple(adj)
-        self._fk_between = {pair: tuple(fks) for pair, fks in link_pairs.items()}
+        # FK column pairs of each linked pair (i, j), i < j, in declaration order.
+        self.link_keys = {pair: tuple(fks) for pair, fks in link_pairs.items()}
 
     def table_index(self, name: str) -> int:
         return self._index[name.lower()]
-
-    def canonical(self, name: str) -> str:
-        return self.tables[self.table_index(name)]
 
     def neighbors(self, name: str) -> list[str]:
         mask = self.adj[self.table_index(name)]
@@ -645,7 +643,7 @@ class SchemaGraph:
     def foreign_keys_between(self, a: str, b: str) -> tuple[tuple[ColumnRef, ColumnRef], ...]:
         """FK column pairs linking two tables, in declaration order."""
         i, j = self.table_index(a), self.table_index(b)
-        return self._fk_between.get((min(i, j), max(i, j)), ())
+        return self.link_keys.get((min(i, j), max(i, j)), ())
 
     def path(self, src: int, dst: int) -> list[int] | None:
         """Shortest table-link path, as table indices, from a table in the

@@ -55,10 +55,17 @@ class Agg(Enum):
 SET_OPS = ("UNION", "INTERSECT", "EXCEPT")
 _AGGS = {agg.value: agg for agg in Agg if agg is not Agg.NONE}
 
-_RESERVED = frozenset(
-    """select distinct from join on where group by having order limit and or not
-    in like between union intersect except count sum avg min max asc desc as""".split()
+# The words render_sql writes, in the scorer vocabulary's order.
+KEYWORDS: tuple[str, ...] = (
+    "SELECT", "DISTINCT", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
+    "LIMIT", "AND", "OR", "NOT", "IN", "LIKE", "BETWEEN", *SET_OPS, *_AGGS, "ASC", "DESC",
 )
+_RESERVED = frozenset([*(word.lower() for word in KEYWORDS), "as"])
+
+# The most SELECT levels one parse may hold along a nesting path and its
+# set-operation chains, so that parsing and every walk over the tree stay
+# well inside Python's recursion limit.
+MAX_QUERY_LEVELS = 100
 
 
 @dataclass(frozen=True)
@@ -202,6 +209,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.schema = schema
+        self.depth = 0  # SELECT levels open along the current nesting path and chain
         # The first resolution error in pre-order (SELECT token order), with that index.
         self.failure: tuple[int, SchemaResolutionError] | None = None
 
@@ -239,6 +247,11 @@ class _Parser:
 
     def query(self) -> SqlQuery:
         start = self.i
+        self.depth += 1
+        if self.depth > MAX_QUERY_LEVELS:
+            raise SqlSyntaxError(
+                f"more than {MAX_QUERY_LEVELS} nested or chained SELECT levels", self.peek().pos
+            )
         self.expect("SELECT")
         distinct = self.accept("DISTINCT") is not None
         items = self.commas(self.column_expr)
@@ -273,6 +286,7 @@ class _Parser:
             limit = int(tok.text)
         op = self.accept(*SET_OPS)
         set_op = (op, self.query()) if op else None
+        self.depth -= 1
 
         try:
             return self.build(tables, aliases, distinct, items, joins, where, having, group, order,

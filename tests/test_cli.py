@@ -533,6 +533,62 @@ def test_evaluate_with_data_takes_interaction_ids_from_it(tables_path, tmp_path,
     assert not out.exists()
 
 
+def _deep_line(corpus_dir: Path, db_id: str, levels: int) -> str:
+    """A query on ``db_id``'s first column nested ``levels`` deep through IN."""
+    doc = next(d for d in json.loads(read(corpus_dir / "tables.json")) if d["db_id"] == db_id)
+    t = doc["table_names_original"][0]
+    c = next(name for i, name in doc["column_names_original"] if i == 0)
+    return (f"SELECT {t}.{c} FROM {t} WHERE {t}.{c} IN (" * (levels - 1)
+            + f"SELECT {t}.{c} FROM {t}" + ")" * (levels - 1))
+
+
+def test_too_deep_line_fails_alone_in_complete_and_evaluate(corpus_dir, tmp_path, capsys):
+    examples = json.loads(read(corpus_dir / "examples.json"))
+    golds = [e["query"] for e in examples]
+    deep = _deep_line(corpus_dir, examples[0]["db_id"], 400)
+    corpus = ["--data", str(corpus_dir / "examples.json"), "--tables", str(corpus_dir / "tables.json")]
+    outs = {}
+    for name, lines in (("gold", golds), ("pred", [deep, *golds[1:]])):
+        sql = tmp_path / f"{name}.sql"
+        sql.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, plan = tmp_path / f"{name}.out.sql", tmp_path / f"{name}.plan.jsonl"
+        argv = ["complete", *corpus, "--sql", str(sql), "--out", str(out), "--plan", str(plan)]
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+        outs[name] = read(out).splitlines(), [json.loads(r) for r in read(plan).splitlines()]
+    (completed, plans), (gold_completed, gold_plans) = outs["pred"], outs["gold"]
+    assert completed == [deep, *gold_completed[1:]]
+    assert plans[1:] == gold_plans[1:]
+    assert plans[0]["error"].startswith(
+        "SqlSyntaxError: more than 100 nested or chained SELECT levels"
+    )
+
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join(f"{e['query']}\t{e['db_id']}\n" for e in examples), encoding="utf-8")
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--tables", str(corpus_dir / "tables.json"),
+            "--pred", str(tmp_path / "pred.sql"), "--gold", str(gold), "--out", str(report)]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    verdicts = json.loads(read(report))["verdicts"]
+    assert verdicts[0]["error"] == "parse_failure"
+    assert all(v["em"] for v in verdicts[1:])
+
+
+@pytest.mark.parametrize("command", ["link", "complete"])
+def test_output_goes_to_stdout_without_out(corpus_dir, tmp_path, capsys, command):
+    corpus = ["--data", str(corpus_dir / "examples.json"), "--tables", str(corpus_dir / "tables.json")]
+    if command == "complete":
+        sql = tmp_path / "in.sql"
+        examples = json.loads(read(corpus_dir / "examples.json"))
+        sql.write_text("".join(e["query"] + "\n" for e in examples), encoding="utf-8")
+        corpus += ["--sql", str(sql)]
+    out = tmp_path / "out"
+    assert main([command, *corpus, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([command, *corpus]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed and printed == read(out)
+
+
 def test_complete_with_too_few_sql_lines_is_stage_error(corpus_dir, tmp_path, capsys):
     sql, out = tmp_path / "in.sql", tmp_path / "out.sql"
     sql.write_text("SELECT * FROM t\n", encoding="utf-8")

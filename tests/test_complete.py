@@ -8,13 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsql.annotate import render_relations
-from structsql.complete import EXACT_TABLE_LIMIT, Disconnected, complete_sql, connect_terminals
+from structsql.complete import (
+    EXACT_TABLE_LIMIT,
+    CompletionPlan,
+    Disconnected,
+    complete_sql,
+    connect_terminals,
+)
+from structsql.metrics import score_corpus
 from structsql.schema import ColumnRef, build_schema_graph, load_schema
 from structsql.sql_ast import (
+    MAX_QUERY_LEVELS,
     ColumnExpr,
     Condition,
     ConditionList,
     SqlQuery,
+    SqlSyntaxError,
     component_set,
     parse_sql,
     render_sql,
@@ -650,3 +659,34 @@ def test_self_referencing_key_makes_no_link_and_completion_joins_through_others(
     assert plan.added_tables == ("employee", "project")
     conds = {(str(a), str(b)) for a, b in fixed.join_conditions}
     assert conds == {("employee.dept_id", "department.id"), ("project.lead_id", "employee.id")}
+
+
+def test_level_without_tables_comes_back_unchanged(tennis, tennis_graph):
+    q = parse_sql("SELECT COUNT(*)", tennis)
+    fixed, plan = complete_sql(q, tennis, tennis_graph)
+    assert fixed is q
+    assert plan == CompletionPlan()
+
+
+def _limit_query(join: str, n: int) -> str:
+    # Every level names Players and Ranking and joins neither.
+    level = "SELECT Players.Player_id FROM Players WHERE Ranking.Year = 2016"
+    if join == "chained":
+        return " UNION ".join([level] * n)
+    outer = "SELECT Players.Player_id FROM Players WHERE Ranking.Player_id IN ("
+    return outer * (n - 1) + level + ")" * (n - 1)
+
+
+@pytest.mark.parametrize("join", ["nested", "chained"])
+def test_query_at_the_level_limit_completes_renders_and_scores(tennis, tennis_graph, join):
+    q = parse_sql(_limit_query(join, MAX_QUERY_LEVELS), tennis)
+    fixed, plan = complete_sql(q, tennis, tennis_graph)
+    assert plan.added_tables == ("Matches", "Ranking") * MAX_QUERY_LEVELS
+    rendered = render_sql(fixed)
+    assert render_sql(parse_sql(rendered, tennis)) == rendered
+    # A gold text that differs from the prediction's is scored by component walks.
+    report = score_corpus([rendered], [rendered.replace("SELECT", "select")],
+                          db_ids=["tennis"], schemas={"tennis": tennis})
+    assert (report.em, report.lx) == (1.0, 1.0)
+    with pytest.raises(SqlSyntaxError, match=f"more than {MAX_QUERY_LEVELS} nested or chained"):
+        parse_sql(_limit_query(join, MAX_QUERY_LEVELS + 1), tennis)

@@ -434,6 +434,32 @@ def test_all_beams_pruned_raises(tennis_kit):
         beam_search(EosAverseScorer(vocab, seed=4), ["q"], constraint, beam_width=2, max_len=8)
 
 
+@pytest.mark.parametrize("terminal", [True, False])
+def test_beam_that_empties_early_returns_what_finished(terminal):
+    # The trie spells one form, "a".  Ended there, only EOS may follow it;
+    # left unended, nothing may.  Either way the beam is empty after two of
+    # ten steps, with fewer than five hypotheses finished.
+    vocab = Vocabulary([EOS_TOKEN, "a"])
+    a = vocab.id_of("a")
+    root = TrieNode()
+    root.children[a] = TrieNode()
+    root.children[a].terminal = terminal
+    steps = []
+
+    class CountingScorer(RandomScorer):
+        def score_candidates(self, source, prefix, candidates, example_id=None):
+            steps.append(len(prefix))
+            return super().score_candidates(source, prefix, candidates, example_id)
+
+    args = (CountingScorer(vocab, seed=1), ["q"], LexiconConstraint(root, vocab))
+    if terminal:
+        assert [h.token_ids for h in beam_search(*args, beam_width=5, max_len=10)] == [(a,)]
+    else:
+        with pytest.raises(NoValidHypothesis):
+            beam_search(*args, beam_width=5, max_len=10)
+    assert steps == [0, 1]
+
+
 def test_beam_parameter_validation(tennis_kit):
     vocab, trie = tennis_kit
     scorer = oracle_scorer("SELECT * FROM Matches", vocab)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from structsql.complete import _scope_tables
+from structsql.complete import complete_sql
 from structsql.schema import STAR, ColumnRef, load_schema
 from structsql.sql_ast import (
     SET_OPS,
@@ -16,6 +16,7 @@ from structsql.sql_ast import (
     ColumnExpr,
     Condition,
     ConditionList,
+    Literal,
     SchemaResolutionError,
     SqlQuery,
     SqlSyntaxError,
@@ -510,7 +511,9 @@ def test_mentioned_fig_incomplete(tennis, tennis_graph):
         "SELECT Players.First_name FROM Players JOIN Ranking WHERE Ranking.Ranking = 1",
         tennis,
     )
-    assert _scope_tables(q, tennis_graph) == ["Players", "Ranking"]
+    # The level mentions Players, then Ranking: the rationale names them in that order.
+    _, plan = complete_sql(q, tennis, tennis_graph)
+    assert plan.rationale == ("Matches: on the join path between Players and Ranking",)
 
 
 def test_mentioned_star():
@@ -701,3 +704,11 @@ def test_component_invariant_under_conjunct_shuffle(data):
             ),
         )
         assert component_set(query, schema=schema) == component_set(shuffled, schema=schema)
+
+
+@pytest.mark.parametrize("connectors", [(), ("AND", "OR")])
+def test_condition_list_needs_one_connector_between_conditions(connectors):
+    cond = Condition(ColumnExpr(ColumnRef("T", "a")), "=", (Literal("number", "1"),))
+    with pytest.raises(ValueError, match="connector count"):
+        ConditionList((cond, cond), connectors)
+
