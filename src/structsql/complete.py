@@ -16,6 +16,7 @@ for the plan and the rewritten FROM list.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import add
@@ -39,7 +40,8 @@ class Disconnected(ValueError):
 
 @dataclass(frozen=True)
 class CompletionPlan:
-    """Record of what completion added and why."""
+    """Record of what completion changed and why: one rationale line per
+    added table and per table that FROM repeated."""
 
     added_tables: tuple[str, ...] = ()
     join_conditions: tuple[tuple[ColumnRef, ColumnRef], ...] = ()
@@ -47,7 +49,7 @@ class CompletionPlan:
 
     @property
     def changed(self) -> bool:
-        return bool(self.added_tables or self.join_conditions)
+        return bool(self.added_tables or self.join_conditions or self.rationale)
 
 
 def connect_terminals(graph: SchemaGraph, terminals: Iterable[str]) -> list[str]:
@@ -135,16 +137,24 @@ def _first_fk(graph: SchemaGraph, i: int, j: int) -> tuple[ColumnRef, ColumnRef]
     return fks[0]
 
 
-def _rationale(graph: SchemaGraph, added: list[int], terminals: list[int]) -> list[str]:
-    if not added:
-        return []
+def _rationale(
+    graph: SchemaGraph, from_indices: list[int], added: list[int], terminals: list[int]
+) -> list[str]:
+    """Why the level changed: each table FROM repeats, kept once, in FROM
+    order; then each added table, which the level's clauses reference or a
+    join path between two referenced tables passes through."""
     names = graph.tables
-    paths = [(a, b, graph.path(1 << a, 1 << b)[1:-1]) for a, b in combinations(terminals, 2)]
-    notes = []
+    notes = [f"{names[i]}: repeated in FROM, kept once"
+             for i, n in Counter(from_indices).items() if n > 1]
+    connectors = [i for i in added if i not in terminals]
+    paths = [(a, b, graph.path(1 << a, 1 << b)[1:-1])
+             for a, b in combinations(terminals, 2)] if connectors else []
     for i in added:
         pairs = (f"on the join path between {names[a]} and {names[b]}"
                  for a, b, inner in paths if i in inner)
-        notes.append(f"{names[i]}: {next(pairs, 'required to connect the join graph')}")
+        why = "referenced by the query" if i in terminals else next(
+            pairs, "required to connect the join graph")
+        notes.append(f"{names[i]}: {why}")
     return notes
 
 
@@ -213,6 +223,6 @@ def _complete_level(q: SqlQuery, graph: SchemaGraph) -> tuple[SqlQuery, Completi
     plan = CompletionPlan(
         added_tables=tuple(names[i] for i in added),
         join_conditions=conditions,
-        rationale=tuple(_rationale(graph, added, terminals)),
+        rationale=tuple(_rationale(graph, from_indices, added, terminals)),
     )
     return replace(q, from_tables=tuple(names[i] for i in tree), join_conditions=conditions), plan

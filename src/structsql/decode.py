@@ -23,6 +23,7 @@ import json
 import re
 import socket
 import socketserver
+import struct
 import sys
 import threading
 from array import array
@@ -668,42 +669,41 @@ def _expand(
 
 
 # --------------------------------------------------------------------------
-# External scorer wire protocol, version 5
+# External scorer wire protocol, version 6
 #
 # One message per ``score_batch`` call over a TCP socket, so one per decode
 # step for every example a caller steps together.  Every message is one
 # UTF-8 JSON header line; a `score` or `scores` header is followed by a raw
 # body of exactly "bytes" bytes, and `hello`, `vocab` and `error` have no
 # body.
-#   handshake: {"type": "hello", "protocol": 5}
-#           -> {"type": "vocab", "protocol": 5, "size": N, "eos_id": E,
+#   handshake: {"type": "hello", "protocol": 6}
+#           -> {"type": "vocab", "protocol": 6, "size": N, "eos_id": E,
 #               "tokenizer_tag": T}
 #   scoring:   {"type": "score", "sources": [[s_1, ...], ...],
-#               "lists": [n_1, ...], "examples": [{"example_id": X,
-#               "source": S, "prefix_lengths": [p_1, ...]}, ...],
-#               "bytes": 4 * (sum(lists) + every sum(prefix_lengths)
-#                             + len(prefix_lengths))}
-#              + little-endian int32: the new lists' ids back to back, then
-#                example by example its prefixes' ids back to back and one
-#                list index per prefix
+#               "lists": [n_1, ...], "examples": [X, ...], "bytes": B}
+#              + little-endian int32 in five sections, examples and their
+#                prefixes in request order: the new lists' ids back to back;
+#                each example's source index and prefix count; the length of
+#                every prefix; the list index of every prefix; the ids of
+#                every prefix back to back
 #           -> {"type": "scores", "example_ids": [X, ...],
 #               "bytes": 8 * (the lengths of every prefix's list)}
 #              + little-endian float64: one score per candidate id, in order
 # Both ends of a connection keep two append-only tables: the sources (an
 # annotated input's token strings) and the candidate lists it has carried.
 # A message first appends its `sources` and, with `lists` giving their
-# lengths, its new lists; an example's "source" and each list index then
-# count from 0 over everything the connection has carried.  So each source
-# and each list crosses a connection once, and the tables live as long as
-# the connection.  Packed float64 is bit-exact, so the wire changes no
-# score.  All header fields are mandatory; any deviation, a protocol version
-# other than 5 or a tokenizer_tag other than TOKENIZER_TAG included, is a
-# ProtocolViolation.  Message order carries the tables, and a binary body
-# can leave a stream out of step, so a client encodes under its connection's
-# lock and uses a connection no more after a fault, and the server answers
-# every fault with `error` and closes the connection.
+# lengths, its new lists; source and list indices then count from 0 over
+# everything the connection has carried.  So each source and each list
+# crosses a connection once, and the tables live as long as the connection.
+# Packed float64 is bit-exact, so the wire changes no score.  All header
+# fields are mandatory; any deviation, a protocol version other than 6 or a
+# tokenizer_tag other than TOKENIZER_TAG included, is a ProtocolViolation.
+# Message order carries the tables, and a binary body can leave a stream out
+# of step, so a client encodes under its connection's lock and uses a
+# connection no more after a fault, and the server answers every fault with
+# `error` and closes the connection.
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 _SWAP = sys.byteorder != "little"
 
@@ -728,15 +728,9 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode()
 
 
-def _pack(code: str, runs: Iterable[Sequence]) -> bytes:
-    """The items of ``runs``, back to back, as little-endian ``code`` items
-    ("i" int32, "d" float64)."""
-    packed = array(code)
-    for run in runs:
-        packed.fromlist(list(run))
-    if _SWAP:
-        packed.byteswap()
-    return packed.tobytes()
+def _pack(code: str, values: list) -> bytes:
+    """``values`` as little-endian ``code`` items ("i" int32, "d" float64)."""
+    return struct.pack(f"<{len(values)}{code}", *values)
 
 
 def _unpack(code: str, body: bytes) -> array:
@@ -757,13 +751,38 @@ def _split(flat: Sequence, lengths: Sequence[int]) -> list:
     return out
 
 
-def _per_example(scores: array, lengths: list[list[int]]) -> Iterator[list[list[float]]]:
-    """Each example's score lists, made from ``scores`` only when reached."""
+def _finite(body: bytes) -> bool:
+    """Whether every little-endian float64 of ``body`` is finite.  A float64
+    is non-finite exactly when its 11 exponent bits are all set, so only a
+    value whose high byte is 0x7F or 0xFF needs a closer look."""
+    high = body[7::8]
+    return (b"\x7f" not in high and b"\xff" not in high) or all(map(isfinite, _unpack("d", body)))
+
+
+def _per_example(body: bytes, lengths: list[list[int]]) -> Iterator[list[list[float]]]:
+    """Each request's score lists, decoded from the float64 ``body`` only
+    when reached."""
+    scores = _unpack("d", body) if _SWAP else memoryview(body).cast("d")
     start = 0
     for example_lengths in lengths:
-        end = start + sum(example_lengths)
-        yield _split(scores[start:end].tolist(), example_lengths)
-        start = end
+        lists = []
+        for n in example_lengths:
+            lists.append(scores[start:start + n].tolist())
+            start += n
+        yield lists
+
+
+def _index(table: dict[tuple, int], by_id: dict[int, tuple[tuple, int]], seq: Sequence) -> int:
+    """The index of ``seq`` in ``table``, which gives a sequence it lacks the
+    next one.  A tuple looked up once is found by identity after that:
+    ``by_id`` holds it, so its id names no other object while it is there."""
+    hit = by_id.get(id(seq))
+    if hit is not None:
+        return hit[1]
+    index = table.setdefault(tuple(seq), len(table))
+    if type(seq) is tuple:
+        by_id[id(seq)] = seq, index
+    return index
 
 
 class RemoteScorer(TokenScorer):
@@ -781,9 +800,13 @@ class RemoteScorer(TokenScorer):
         self._reader = sock.makefile("rb")
         self._lock = threading.Lock()
         self._broken: str | None = None
-        # The index of each source and candidate list sent on the connection.
+        # The index of each source and candidate list sent on the connection,
+        # and by object id (see _index): a search reuses its source tuple,
+        # and a constraint hands out cached candidate tuples.
         self._sources: dict[tuple[str, ...], int] = {}
         self._lists: dict[tuple[int, ...], int] = {}
+        self._source_ids: dict[int, tuple[tuple, int]] = {}
+        self._list_ids: dict[int, tuple[tuple, int]] = {}
 
     @contextmanager
     def _exclusive(self):
@@ -854,31 +877,31 @@ class RemoteScorer(TokenScorer):
             # A key the table lacks gets the next index; the keys after the
             # ones it had are this message's new sources and lists.
             sources, lists = self._sources, self._lists
+            source_ids, list_ids = self._source_ids, self._list_ids
             carried = len(sources), len(lists)
-            examples, lengths, runs = [], [], []
+            example_ids, heads, prefix_lengths, picks, prefix_ids, sizes = [], [], [], [], [], []
             for source, example_id, prefixes, candidate_lists in requests:
-                examples.append({
-                    "example_id": "0" if example_id is None else example_id,
-                    "source": sources.setdefault(tuple(source), len(sources)),
-                    "prefix_lengths": [len(p) for p in prefixes],
-                })
-                lengths.append([len(c) for c in candidate_lists])
-                runs += prefixes
-                runs.append([lists.setdefault(tuple(c), len(lists)) for c in candidate_lists])
+                example_ids.append("0" if example_id is None else example_id)
+                heads += _index(sources, source_ids, source), len(prefixes)
+                prefix_lengths += map(len, prefixes)
+                for prefix in prefixes:
+                    prefix_ids += prefix
+                sizes.append([*map(len, candidate_lists)])
+                for c in candidate_lists:
+                    picks.append(_index(lists, list_ids, c))
             new_lists = [*islice(lists, carried[1], None)]
-            ids = _pack("i", chain(new_lists, runs))
+            body = _pack("i", [*chain.from_iterable(new_lists), *heads, *prefix_lengths, *picks,
+                               *prefix_ids])
             message = _line({
                 "type": "score", "sources": [*islice(sources, carried[0], None)],
-                "lists": [len(c) for c in new_lists], "examples": examples, "bytes": len(ids),
-            }) + ids
-            reply, body = self._roundtrip(message, 8 * sum(map(sum, lengths)))
-            if _require(reply, "example_ids") != [e["example_id"] for e in examples]:
+                "lists": [len(c) for c in new_lists], "examples": example_ids, "bytes": len(body),
+            }) + body
+            reply, body = self._roundtrip(message, 8 * sum(map(sum, sizes)))
+            if _require(reply, "example_ids") != example_ids:
                 raise ProtocolViolation("response example_ids do not match the request")
-            scores = _unpack("d", body)
-            # A finite sum needs finite terms; only a non-finite one is searched.
-            if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
+            if not _finite(body):
                 raise ProtocolViolation("scores must be finite")
-        return _per_example(scores, lengths)
+        return _per_example(body, sizes)
 
     def score_candidates(self, source, prefix, candidates, example_id=None):
         request = ScoreRequest(tuple(source), example_id, [prefix], [candidates])
@@ -914,43 +937,33 @@ def external_scorer_connect(
     return scorer
 
 
-def _lengths(name: str, value) -> list[int]:
-    if not (isinstance(value, list) and set(map(type, value)) <= {int}
-            and min(value, default=0) >= 0):
-        raise ProtocolViolation(f"{name} must be a list of non-negative ints")
-    return value
-
-
-def _frame(header: dict, vocab_size: int, carried: int) -> tuple[list, list[int], list]:
-    """A ``score`` header's new sources, the lengths of its new lists, and
-    each of its examples as (example id, source index, prefix_lengths),
-    when the header's ``bytes`` field agrees with them; anything else is a
-    ProtocolViolation.  ``carried`` counts the sources of earlier messages."""
+def _frame(header: dict, vocab_size: int) -> tuple[list, list[int], list[str]]:
+    """A ``score`` header's new sources, the lengths of its new lists and
+    its example ids, when its ``bytes`` field can frame a body for them;
+    anything else is a ProtocolViolation."""
     sources = header.get("sources")
     if not (isinstance(sources, list)
             and all(isinstance(s, list) and set(map(type, s)) <= {str} for s in sources)):
         raise ProtocolViolation("sources must be a list of lists of strings")
-    lists = _lengths("lists", header.get("lists"))
+    lists = header.get("lists")
+    if not (isinstance(lists, list) and set(map(type, lists)) <= {int}
+            and min(lists, default=0) >= 0):
+        raise ProtocolViolation("lists must be a list of non-negative ints")
     if max(lists, default=0) > vocab_size:
         raise ProtocolViolation(f"lists must not exceed the vocabulary size {vocab_size}")
-    entries = header.get("examples")
-    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise ProtocolViolation("examples must be a list of objects")
-    carried += len(sources)
-    frames, want = [], sum(lists)
-    for entry in entries:
-        source = entry.get("source")
-        if type(source) is not int or not 0 <= source < carried:
-            raise ProtocolViolation(
-                f"source must index one of the {carried} sources carried, got {source!r}"
-            )
-        prefix_lengths = _lengths("prefix_lengths", entry.get("prefix_lengths"))
-        frames.append((_require(entry, "example_id"), source, prefix_lengths))
-        want += sum(prefix_lengths) + len(prefix_lengths)
-    size = header.get("bytes")
-    if type(size) is not int or size != 4 * want:
-        raise ProtocolViolation(f"bytes must be {4 * want} for these lengths, got {size!r}")
-    return sources, lists, frames
+    examples = header.get("examples")
+    if not (isinstance(examples, list) and set(map(type, examples)) <= {str}):
+        raise ProtocolViolation("examples must be a list of example id strings")
+    size, least = header.get("bytes"), 4 * (sum(lists) + 2 * len(examples))
+    if type(size) is not int or size % 4 or size < least:
+        raise ProtocolViolation(f"bytes must be a multiple of 4 and at least {least}, got {size!r}")
+    return sources, lists, examples
+
+
+def _within(values: list[int], end: int, message: str) -> None:
+    """ProtocolViolation(``message``) unless every value lies in 0..end-1."""
+    if values and not (min(values) >= 0 and max(values) < end):
+        raise ProtocolViolation(message)
 
 
 def _read_body(rfile, size: int) -> bytes:
@@ -1028,7 +1041,7 @@ class ScorerServer:
                 return self._hello(header), True
             if kind != "score":
                 raise ProtocolViolation(f"unknown request type {kind!r}")
-            frame = _frame(header, len(self.scorer.vocab), len(tables[0]))
+            frame = _frame(header, len(self.scorer.vocab))
             body = _read_body(rfile, header["bytes"])
             if len(body) != header["bytes"]:
                 return b"", False  # the client hung up inside the body
@@ -1052,37 +1065,48 @@ class ScorerServer:
 
     def _score(self, tables: tuple[list, list], frame: tuple, body: bytes) -> bytes:
         """Append the message's sources and lists to the connection's
-        tables, then score its examples as plain requests.  A candidate or
-        prefix id outside the vocabulary is a ProtocolViolation."""
+        tables, then score its examples as plain requests.  A body whose
+        sections do not add up to it, an index outside the tables, a
+        negative count or length, and a candidate or prefix id outside the
+        vocabulary are each a ProtocolViolation."""
         sources, lists = tables
-        new_sources, new_lengths, frames = frame
-        ids = _unpack("i", body).tolist()
-        at = sum(new_lengths)
-        fresh, size = ids[:at], len(self.scorer.vocab)
-        if fresh and not (min(fresh) >= 0 and max(fresh) < size):
-            raise ProtocolViolation(f"candidate ids must lie in 0..{size - 1}")
+        new_sources, new_lengths, example_ids = frame
+        ids, size = _unpack("i", body).tolist(), len(self.scorer.vocab)
+        fresh = ids[:sum(new_lengths)]
+        _within(fresh, size, f"candidate ids must lie in 0..{size - 1}")
         sources += map(tuple, new_sources)
         lists += _split(fresh, new_lengths)
-        requests, prefix_ids = [], []
-        for example_id, source, prefix_lengths in frames:
-            end = at + sum(prefix_lengths)
-            picks = ids[end:end + len(prefix_lengths)]
-            if picks and not (min(picks) >= 0 and max(picks) < len(lists)):
-                raise ProtocolViolation(
-                    f"list indices must index one of the {len(lists)} lists carried, got {picks}"
-                )
-            prefix_ids += ids[at:end]
-            requests.append(ScoreRequest(
-                sources[source], example_id, _split(ids[at:end], prefix_lengths),
-                [lists[j] for j in picks],
-            ))
-            at = end + len(picks)
-        if prefix_ids and not (min(prefix_ids) >= 0 and max(prefix_ids) < size):
-            raise ProtocolViolation(f"prefix ids must lie in 0..{size - 1}")
-        scores = _pack("d", chain.from_iterable(self.scorer.score_batch(requests)))
-        return _line({
-            "type": "scores", "example_ids": [r.example_id for r in requests], "bytes": len(scores)
-        }) + scores
+        at = len(fresh)
+        heads = ids[at:at + 2 * len(example_ids)]
+        at += len(heads)
+        source_indices, counts = heads[0::2], heads[1::2]
+        _within(source_indices, len(sources),
+                f"source indices must name one of the {len(sources)} sources carried")
+        if min(counts, default=0) < 0:
+            raise ProtocolViolation("prefix counts must not be negative")
+        n = sum(counts)
+        prefix_lengths, picks = ids[at:at + n], ids[at + n:at + 2 * n]
+        if min(prefix_lengths, default=0) < 0:
+            raise ProtocolViolation("prefix lengths must not be negative")
+        at += 2 * n
+        if at > len(ids) or sum(prefix_lengths) != len(ids) - at:
+            raise ProtocolViolation(f"the body's sections do not add up to its {len(body)} bytes")
+        _within(picks, len(lists), f"list indices must name one of the {len(lists)} lists carried")
+        flat = ids[at:]
+        _within(flat, size, f"prefix ids must lie in 0..{size - 1}")
+        prefixes = _split(flat, prefix_lengths)
+        candidate_lists = [*map(lists.__getitem__, picks)]
+        requests, at = [], 0
+        for example_id, source, count in zip(example_ids, source_indices, counts):
+            requests.append(ScoreRequest(sources[source], example_id, prefixes[at:at + count],
+                                         candidate_lists[at:at + count]))
+            at += count
+        scores = []
+        for score_lists in self.scorer.score_batch(requests):
+            for run in score_lists:
+                scores += run
+        packed = _pack("d", scores)
+        return _line({"type": "scores", "example_ids": example_ids, "bytes": len(packed)}) + packed
 
     def close(self) -> None:
         self._server.shutdown()

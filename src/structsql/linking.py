@@ -172,11 +172,11 @@ def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnn
     An n-gram that cannot parse probes only its text key, so it stops growing
     once that key is not in ``schema.value_prefixes``: no longer n-gram from
     the same start can then match either.  Only a start token that holds a
-    digit can lead a parse, or one that names a month (a date) or is made of
-    ``_+-.,`` alone (a number): every date format begins with a number or a
-    month name, and a finite Decimal with its underscores and commas dropped
-    begins with a digit, a sign or a point.  A schema with no number or date
-    content parses nothing.
+    digit can lead a parse, or one that names a month (a date): every date
+    format begins with a number or a month name, and a number, which holds
+    no underscore, begins with a digit, a sign or a point, so a start token
+    that holds a word character and leads a number holds a digit.  A schema
+    with no number or date content parses nothing.
     """
     index = schema.value_index
     if not index:
@@ -193,11 +193,7 @@ def value_link(question: QuestionTokens, schema: DatabaseSchema) -> list[LinkAnn
     for start in range(len(tokens)):
         if not word[start]:
             continue  # n-gram may contain punctuation but not start/end with it
-        parses = (
-            (numeric or dated) and digit[start]
-            or numeric and not tokens[start].strip("_+-.,")
-            or dated and lower[start] in _MONTH_NUMBERS
-        )
+        parses = (numeric or dated) and digit[start] or dated and lower[start] in _MONTH_NUMBERS
         key, has_digit = "", None
         for end in range(start + 1, min(start + MAX_NGRAM, len(tokens)) + 1):
             key = f"{key} {lower[end - 1]}" if key else lower[end - 1]

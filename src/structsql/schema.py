@@ -196,7 +196,10 @@ def _canonical_number(raw: str) -> str | None:
     1E+28 and no finer than 1E-1000026, the range of Decimal's default
     context, prints in plain form (``1200``, ``0.05``); any other prints as
     its exact mantissa and exponent (``1E+30``, ``1E-10000000``), so a huge
-    exponent builds no long string."""
+    exponent builds no long string.  Text with an underscore is no number:
+    ``Decimal`` would drop it (``_2016``, ``1_000``)."""
+    if "_" in raw:
+        return None
     try:
         dec = Decimal(raw.strip().replace(",", "").replace(" ", ""))
     except InvalidOperation:

@@ -341,6 +341,8 @@ def test_join_order_and_conditions_match_fifo_bfs(doc, data):
         why = "required to connect the join graph" if pair is None else (
             f"on the join path between {graph.tables[pair[0]]} and {graph.tables[pair[1]]}"
         )
+        if i in terms:
+            why = "referenced by the query"
         assert note == f"{table}: {why}"
 
 
@@ -407,6 +409,27 @@ def test_chain_completion_two_conditions():
     conds = {(str(x), str(y)) for x, y in fixed.join_conditions}
     assert conds == {("b.prev_id", "a.id"), ("c.prev_id", "b.id")}
     assert plan.added_tables == ("b", "c")
+
+
+def test_plan_tells_a_referenced_table_from_a_connector():
+    schema = chain_schema(["a", "b", "c"])
+    q = parse_sql("SELECT a.id FROM a WHERE c.id = 1", schema)
+    _, plan = complete_sql(q, schema, build_schema_graph(schema))
+    assert plan.rationale == ("b: on the join path between a and c", "c: referenced by the query")
+
+
+def test_plan_records_a_table_repeated_in_from():
+    schema = chain_schema(["a", "b", "c"])
+    graph = build_schema_graph(schema)
+    for text, rewritten, notes in [
+        ("SELECT b.id FROM b JOIN b JOIN b", "SELECT b.id FROM b",
+         ("b: repeated in FROM, kept once",)),
+        ("SELECT a.id FROM a JOIN b JOIN a", "SELECT a.id FROM a JOIN b ON b.prev_id = a.id",
+         ("a: repeated in FROM, kept once",)),
+    ]:
+        fixed, plan = complete_sql(parse_sql(text, schema), schema, graph)
+        assert render_sql(fixed) == rewritten
+        assert plan.rationale == notes and plan.changed
 
 
 def test_idempotence_random():

@@ -212,14 +212,14 @@ EXPECTED: dict[str, dict[str, str]] = {
     },
     "complete": {
         "completed.sql": "2fb64d57237a51ff6e0358a311e7ed970aabfebf4e9cccb91b7d578402c94f08",
-        "plan.jsonl": "3efb4c78b3f9f8786bcfd5e4bd20ad544b6d87b51c254e3be59b275c4ee1f9e1",
+        "plan.jsonl": "e461f68853ee8caed0a58ea91712abf218e0574512fb579e17e7ff36bd086b64",
     },
     "link ring": {
         "links.jsonl": "370c0dbc6c734ff4f43741cf99f5585c55552d2f8cac9913204984d6ca14fe9f",
     },
     "complete ring": {
         "completed.sql": "f8ce632fc6475d59587971d1035a30e00a02aaa446c82775d7bddcea9c2abdbe",
-        "plan.jsonl": "63b73155b54a4b9713647ff77f2c8d07fccb5904eeb149537ff12563809b96ca",
+        "plan.jsonl": "179a043ca15ab4bbc52e7ad2972a083d95b3f63ad18de96864985adc683492b9",
     },
     "evaluate": {
         "report.json": "827e172c4d231da8849cba7e12a2c19a941d17f4b4618f40436829b85a8c4713",

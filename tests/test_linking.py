@@ -14,7 +14,13 @@ from structsql.linking import (
     tokenize,
     value_link,
 )
-from structsql.schema import ColumnType, load_schema, name_tokens, normalize_value
+from structsql.schema import (
+    ColumnType,
+    _canonical_number,
+    load_schema,
+    name_tokens,
+    normalize_value,
+)
 from structsql.synth import random_schema_doc
 
 from util_checks import reference_canonical_number, reference_name_link, reference_value_link
@@ -129,12 +135,35 @@ _PINNED_SPANS = load_schema(
 @example((QuestionTokens.from_text("born 2016-01-05 , 5/1/2016 or ٢٠١٦ at Studio 54"), _PINNED_VALUES))
 @example((QuestionTokens.from_text("born on jan 5 , 2016"), _PINNED_SPANS))
 @example((QuestionTokens.from_text("towns of 1 , 200 people"), _PINNED_SPANS))
-@example((QuestionTokens.from_text("towns of _ 1200"), _PINNED_SPANS))  # Decimal drops "_"
+@example((QuestionTokens.from_text("towns of _ 1200"), _PINNED_SPANS))  # "_" is in no number
 @example((QuestionTokens.from_text("flights to new york"), _PINNED_SPANS))
 @settings(max_examples=200, deadline=None)
 def test_value_link_matches_reference(case):
     question, schema = case
     assert value_link(question, schema) == reference_value_link(question, schema)
+
+
+# Decimal drops underscores: it reads these as 2016, 10, 1E+5, 0.5 and 1000.
+_UNDERSCORED = ["_2016", "1__0", "1e_5", "._5", "1_000"]
+
+
+@pytest.mark.parametrize("raw", _UNDERSCORED)
+def test_text_with_an_underscore_is_no_number(raw):
+    assert _canonical_number(raw) is None
+    assert normalize_value(raw, ColumnType.REAL) == raw
+
+
+def test_a_span_with_an_underscore_links_to_no_number():
+    schema = load_schema(
+        {"db_id": "db", "table_names_original": ["t0"], "column_names_original": [[0, "n"]],
+         "column_types": ["real"], "primary_keys": [], "foreign_keys": []},
+        {"t0.n": ["2016", "10", "100000", "0.5", "1000", "1200"]},
+    )
+    for raw in _UNDERSCORED:
+        assert value_link(QuestionTokens.from_text(f"towns of {raw}"), schema) == []
+    # "1200" links alone, not with the "_" before it.
+    [link] = value_link(QuestionTokens.from_text("towns of _ 1200"), schema)
+    assert (link.start, link.end, link.value) == (3, 4, "1200")
 
 
 def test_player_token_partial_matches_player_id(tennis):

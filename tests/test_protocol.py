@@ -13,6 +13,8 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structsql import cli
 from structsql.annotate import build_input
@@ -50,7 +52,7 @@ def kit(tennis):
     return vocab, LexiconConstraint(build_trie(tennis, vocab), vocab), gold
 
 
-HELLO = b'{"type": "hello", "protocol": 5}\n'
+HELLO = b'{"type": "hello", "protocol": 6}\n'
 
 
 def scores_message(example_ids, scores, size=None):
@@ -71,17 +73,18 @@ def candidate_counts(request, body, lists):
     appended to ``lists``, its connection's."""
     ids = struct.unpack(f"<{len(body) // 4}i", body)
     lists += request["lists"]
-    at, counts = sum(request["lists"]), []
-    for e in request["examples"]:
-        at += sum(e["prefix_lengths"])
-        picks = ids[at:at + len(e["prefix_lengths"])]
-        at += len(picks)
-        counts.append(sum(lists[j] for j in picks))
+    at = sum(request["lists"])
+    prefix_counts = ids[at + 1:at + 2 * len(request["examples"]):2]
+    at += 2 * len(request["examples"]) + sum(prefix_counts)
+    picks, counts = ids[at:at + sum(prefix_counts)], []
+    for n in prefix_counts:
+        counts.append(sum(lists[j] for j in picks[:n]))
+        picks = picks[n:]
     return counts
 
 
 class MisbehavingServer(socketserver.ThreadingTCPServer):
-    """Protocol v5 server with scriptable faults; ``ended`` is set once a
+    """Protocol v6 server with scriptable faults; ``ended`` is set once a
     client connection has closed, and ``raw_requests`` keeps the bytes of
     every score message received."""
 
@@ -105,7 +108,7 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                     if request["type"] == "hello":
                         reply = {
                             "type": "vocab",
-                            "protocol": 5,
+                            "protocol": 6,
                             "size": len(vocab),
                             "eos_id": vocab.eos_id,
                             "tokenizer_tag": "wordpiece-v2",
@@ -124,11 +127,13 @@ class MisbehavingServer(socketserver.ThreadingTCPServer):
                             reply["protocol"] = 3
                         elif mode == "v4_hello":
                             reply["protocol"] = 4
+                        elif mode == "v5_hello":
+                            reply["protocol"] = 5
                         self.wfile.write((json.dumps(reply) + "\n").encode())
                         continue
                     body = self.rfile.read(request["bytes"])
                     outer.raw_requests.append(line + body)
-                    example_ids = [e["example_id"] for e in request["examples"]]
+                    example_ids = request["examples"]
                     counts = candidate_counts(request, body, lists)
                     n = sum(counts)
                     reply = scores_message(example_ids, [0.0] * n)
@@ -210,7 +215,7 @@ def test_handshake_echoes_vocab(kit):
     try:
         scorer = external_scorer_connect(server.endpoint, vocab)
         assert scorer.handshake() == {
-            "type": "vocab", "protocol": 5, "size": len(vocab), "eos_id": vocab.eos_id,
+            "type": "vocab", "protocol": 6, "size": len(vocab), "eos_id": vocab.eos_id,
             "tokenizer_tag": TOKENIZER_TAG,
         }
         scorer.close()
@@ -324,6 +329,24 @@ def test_client_rejects_a_faulty_reply_to_several_examples(kit, mode):
         server.close()
 
 
+def test_a_candidate_list_changed_in_place_is_sent_anew(kit):
+    # Only a tuple is found again by identity: a list may change between calls.
+    vocab, _, _ = kit
+    server = CountingServer(SourceScorer(vocab))
+    candidates = [1, 2]
+    try:
+        remote = external_scorer_connect(server.endpoint, vocab)
+        remote.score_batch([score_request("1", [[]], [candidates])])
+        candidates[1] = 3
+        assert list(remote.score_batch([score_request("1", [[]], [candidates])])) == [
+            [[1101.0, 1103.0]]
+        ]
+        remote.close()
+    finally:
+        server.close()
+    assert [batch[0].candidate_lists for batch in server.score_requests] == [[[1, 2]], [[1, 3]]]
+
+
 def test_one_message_scores_several_examples_as_each_alone(kit):
     vocab, _, _ = kit
     local = SourceScorer(vocab)
@@ -401,7 +424,7 @@ def test_missing_handshake_field_rejected(kit):
         server.close()
 
 
-@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello", "v3_hello", "v4_hello"])
+@pytest.mark.parametrize("mode", ["v1_hello", "v2_hello", "v3_hello", "v4_hello", "v5_hello"])
 def test_hello_of_another_protocol_rejected(kit, mode):
     vocab, _, _ = kit
     server = MisbehavingServer(vocab, mode)
@@ -415,13 +438,23 @@ def test_hello_of_another_protocol_rejected(kit, mode):
 # -- the reference server on raw connections ----------------------------------
 
 
-def entry(prefixes=((),), picks=(0,), **fields):
-    """One ``examples`` entry of a ``score`` message, and its body ids: its
-    prefixes, then the index of each prefix's candidate list.  ``fields``
-    override the entry's fields, and a field set to ``...`` is left out."""
-    fields = {"example_id": "e", "source": 0, "prefix_lengths": [len(p) for p in prefixes],
-              **fields}
-    return {k: v for k, v in fields.items() if v is not ...}, [*chain(*prefixes), *picks]
+def entry(prefixes=((),), picks=(0,), example_id="e", source=0, count=None, lengths=None):
+    """One example of a ``score`` message: its id, and its share of each
+    body section.  ``count`` and ``lengths`` override the prefix count and
+    prefix lengths that ``prefixes`` give, and an ``example_id`` of ``...``
+    is left out of the header."""
+    return {
+        "example_id": example_id,
+        "head": [source, len(prefixes) if count is None else count],
+        "lengths": [len(p) for p in prefixes] if lengths is None else lengths,
+        "picks": list(picks),
+        "ids": [*chain(*prefixes)],
+    }
+
+
+def body_ints(*entries):
+    """The number of int32 the entries put in a body."""
+    return sum(len(e[k]) for e in entries for k in ("head", "lengths", "picks", "ids"))
 
 
 def score_message(*entries, new_lists=((1,),), **fields):
@@ -430,11 +463,23 @@ def score_message(*entries, new_lists=((1,),), **fields):
     are given).  ``fields`` override header fields, and a field set to
     ``...`` is left out."""
     entries = entries or [entry()]
-    ids = [*chain(*new_lists), *chain.from_iterable(run for _, run in entries)]
+    ids = [*chain(*new_lists)]
+    for section in ("head", "lengths", "picks", "ids"):
+        ids += chain.from_iterable(e[section] for e in entries)
     header = {"type": "score", "sources": [["q"]], "lists": [len(c) for c in new_lists],
-              "examples": [e for e, _ in entries], "bytes": 4 * len(ids), **fields}
+              "examples": [e["example_id"] for e in entries if e["example_id"] is not ...],
+              "bytes": 4 * len(ids), **fields}
     header = {k: v for k, v in header.items() if v is not ...}
     return (json.dumps(header) + "\n").encode() + struct.pack(f"<{len(ids)}i", *ids)
+
+
+def resized(message, ints):
+    """``message`` with ``ints`` int32 zeros appended to its body, or with
+    -``ints`` of its last ones cut, and its ``bytes`` field to match."""
+    line, body = message.split(b"\n", 1)
+    body = body + bytes(4 * ints) if ints >= 0 else body[:4 * ints]
+    header = {**json.loads(line), "bytes": len(body)}
+    return (json.dumps(header) + "\n").encode() + body
 
 
 def exchange(server, data):
@@ -462,7 +507,8 @@ def exchange(server, data):
 @pytest.mark.parametrize("hello", [{"type": "hello"}, {"type": "hello", "protocol": 1},
                                    {"type": "hello", "protocol": 2},
                                    {"type": "hello", "protocol": 3},
-                                   {"type": "hello", "protocol": 4}])
+                                   {"type": "hello", "protocol": 4},
+                                   {"type": "hello", "protocol": 5}])
 def test_server_answers_other_protocols_with_an_error(kit, hello):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
@@ -489,21 +535,21 @@ def test_server_rejects_a_score_message_without_a_string_list_source(kit, source
         server.close()
 
 
+# A prefix length is an int32 of the body: one that is no length is negative.
 @pytest.mark.parametrize(
-    "prefix_lengths, lists, word",
-    [([0, 1], [-1, 2], "lists"), ([0], [1.0], "lists"), ([0], [True], "lists"),
-     (["a"], [1], "prefix_lengths"), ([None], [1], "prefix_lengths"), ([0], 1, "lists")],
+    "message, word",
+    [(score_message(lists=[-1, 2]), "lists"), (score_message(lists=[1.0]), "lists"),
+     (score_message(lists=[True]), "lists"), (score_message(entry(lengths=[-1])), "prefix lengths"),
+     (score_message(entry(lengths=[-2**31])), "prefix lengths"), (score_message(lists=1), "lists"),
+     (score_message(entry(count=-1)), "prefix counts")],
     ids=["negative-length", "float-length", "bool-length", "string-prefix", "null-prefix",
-         "scalar-lengths"],
+         "scalar-lengths", "negative-prefix-count"],
 )
-def test_server_rejects_malformed_lengths_and_prefixes(kit, prefix_lengths, lists, word):
-    # Each message has a body of one id: the byte count alone checks nothing here.
+def test_server_rejects_malformed_lengths_and_prefixes(kit, message, word):
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
-        reply, answered = exchange(
-            server, score_message(entry(prefix_lengths=prefix_lengths), lists=lists, bytes=4)
-        )
+        reply, answered = exchange(server, message)
         assert reply["type"] == "error" and word in reply["message"]
         assert not answered  # the body cannot be framed: the server hangs up
     finally:
@@ -511,8 +557,9 @@ def test_server_rejects_malformed_lengths_and_prefixes(kit, prefix_lengths, list
 
 
 @pytest.mark.parametrize(
-    "size", [..., -4, 12, 4.0, "4", None, True],
-    ids=["missing", "negative", "mismatched", "float", "string", "null", "bool"],
+    "size", [..., -4, 12, 4.0, "4", None, True, 22],
+    ids=["missing", "negative", "mismatched", "float", "string", "null", "bool",
+         "not-a-multiple-of-4"],
 )
 def test_server_closes_a_connection_whose_body_it_cannot_frame(kit, size):
     vocab, _, gold = kit
@@ -523,6 +570,22 @@ def test_server_closes_a_connection_whose_body_it_cannot_frame(kit, size):
         assert not answered
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("ints", [-1, 1], ids=["one-int-short", "one-int-long"])
+def test_server_closes_on_a_body_whose_sections_do_not_add_up(kit, ints):
+    # The byte count matches the body; the prefix lengths do not.
+    vocab, _, gold = kit
+    batches = []
+    server = ScorerServer(BatchRecorder(oracle_scorer(gold, vocab), batches))
+    try:
+        message = resized(score_message(entry(prefixes=((3, 4),))), ints)
+        reply, answered = exchange(server, message)
+        assert reply["type"] == "error" and "add up" in reply["message"]
+        assert not answered
+    finally:
+        server.close()
+    assert batches == []
 
 
 def test_server_refuses_more_candidates_than_the_vocabulary(kit):
@@ -548,12 +611,13 @@ FIRST = entry(example_id="a", prefixes=((3,),))
     [
         (score_message(examples={"example_id": "e"}), "examples"),
         (score_message(examples=...), "examples"),
-        (score_message(FIRST, ("e", [])), "examples"),
-        # Two prefixes need two list indices; the body carries one.
-        (score_message(FIRST, entry(prefix_lengths=[0, 0])), "bytes"),
+        # Protocol 5's form of an entry, where protocol 6 has an example id.
+        (score_message(FIRST, entry(example_id={"example_id": "e"})), "examples"),
+        # Two prefixes need two lengths and two list indices; the body carries one of each.
+        (score_message(FIRST, entry(count=2)), "bytes"),
         # The second new list's length is above the vocabulary size.
         (score_message(FIRST, entry(), lists=[1, 10**6]), "vocabulary"),
-        (score_message(FIRST, entry(), bytes=4 * (1 + len(FIRST[1]))), "bytes"),
+        (score_message(FIRST, entry(), bytes=4 * (1 + body_ints(FIRST))), "bytes"),
     ],
     ids=["examples-not-a-list", "examples-missing", "entry-not-an-object",
          "unequal-lengths", "lengths-above-vocabulary", "bytes-of-one-entry"],
@@ -571,12 +635,14 @@ def test_server_closes_on_an_examples_entry_it_cannot_frame(kit, message, word):
 
 @pytest.mark.parametrize(
     "faulty, word",
-    [(entry(source=["q", 1]), "source"), (entry(example_id=...), "example_id")],
+    [(entry(source=2**31 - 1), "source"), (entry(example_id=None), "example id")],
     ids=["non-string-source", "missing-example-id"],
 )
 def test_server_closes_a_connection_whose_framed_entry_is_faulty(kit, faulty, word):
     # Protocol 4 kept this connection open, since its stream stayed framed;
-    # under protocol 5 every fault closes it.
+    # since protocol 5 every fault closes it.  A source index is an int32
+    # of the body, so the one that names no source stands for the source
+    # that was not one.
     vocab, _, gold = kit
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
@@ -592,7 +658,8 @@ def test_server_closes_a_connection_whose_framed_entry_is_faulty(kit, faulty, wo
     [
         (score_message(entry(source=1)), "source"),
         (score_message(entry(source=-1)), "source"),
-        (score_message(entry(source="0")), "source"),
+        # An int32 source index that is no index: the body cannot carry a string.
+        (score_message(entry(source=-2**31)), "source"),
         (score_message(entry(picks=(1,))), "list"),
         (score_message(entry(picks=(-1,))), "list"),
     ],
@@ -608,6 +675,27 @@ def test_server_closes_on_an_index_it_has_not_carried(kit, message, word):
         assert not answered
     finally:
         server.close()
+
+
+def test_server_closes_on_a_source_its_connection_has_not_carried_yet(kit):
+    # The first message carries source 0; the second names source 1, which
+    # no message has carried.
+    vocab, _, gold = kit
+    batches = []
+    server = ScorerServer(BatchRecorder(oracle_scorer(gold, vocab), batches))
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            with sock.makefile("rb") as stream:
+                sock.sendall(score_message() + score_message(entry(source=1), sources=[]))
+                first = json.loads(stream.readline())
+                stream.read(first["bytes"])
+                second = json.loads(stream.readline())
+                assert stream.read() == b""  # the server closed the connection
+    finally:
+        server.close()
+    assert first["type"] == "scores"
+    assert second["type"] == "error" and "source" in second["message"]
+    assert len(batches) == 1
 
 
 def test_tables_belong_to_their_connection(kit):
@@ -676,8 +764,8 @@ def test_server_reads_a_huge_announced_body_only_as_it_arrives(kit, capsys):
     server = ScorerServer(oracle_scorer(gold, vocab))
     try:
         huge = 10**17
-        # The new list's id, the prefix's ids and its list index.
-        message = score_message(entry(prefix_lengths=[huge]), bytes=4 * (1 + huge + 1))
+        # A body of 10**17 ints announced; five arrive.
+        message = score_message(bytes=4 * huge)
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             with sock.makefile("rb") as stream:
                 sock.sendall(message)
@@ -892,19 +980,122 @@ def test_packed_scores_come_back_bit_identical(kit):
     assert math.copysign(1.0, batch[0][0]) == -1.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+def test_client_checks_every_score_for_finiteness(kit, value):
+    # 1e308 and -1e308 are finite, yet their high bytes on the wire, 0x7F
+    # and 0xFF, are those of every non-finite value.
+    vocab, _, _ = kit
+    scorer = FixedScorer(vocab, [])
+    server = ScorerServer(scorer)
+    request = score_request("ex", [[], [3], [1]], [[0, 1, 2], [3, 4, 5], [6, 7, 8]], source=())
+    try:
+        for at in (0, 4, 8):  # the first score, one in the middle, the last
+            scorer.values = [-0.5] * at + [value] + [-0.5] * (8 - at)
+            remote = external_scorer_connect(server.endpoint, vocab)
+            try:
+                if math.isfinite(value):
+                    [batch] = remote.score_batch([request])
+                    assert batch == [scorer.values[:3], scorer.values[3:6], scorer.values[6:]]
+                else:
+                    with pytest.raises(ProtocolViolation, match="finite"):
+                        remote.score_batch([request])
+            finally:
+                remote.close()
+    finally:
+        server.close()
+
+
+class QueueScorer(TokenScorer):
+    """Keeps each batch it is asked to score and answers it with the next
+    score lists of ``answers``."""
+
+    def __init__(self, vocab, answers, batches):
+        super().__init__(vocab)
+        self.answers, self.batches = answers, batches
+
+    def score_batch(self, requests):
+        self.batches.append(requests)
+        return self.answers.pop(0)
+
+
+EDGE_SCORES = [-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+
+
+@st.composite
+def wire_batches(draw, vocab_size):
+    """Requests of several messages and each one's score lists.  Sources and
+    candidate lists come from small pools, so they repeat within and across
+    messages; a candidate list is a tuple or a list."""
+    token = st.integers(0, vocab_size - 1)
+    sources = draw(st.lists(st.lists(st.text(max_size=3), max_size=3).map(tuple),
+                            min_size=1, max_size=3))
+    pool = draw(st.lists(st.lists(token, max_size=5).map(tuple), min_size=1, max_size=4))
+    candidates = st.sampled_from(pool).flatmap(lambda c: st.sampled_from([c, list(c)]))
+    score = st.sampled_from(EDGE_SCORES) | st.floats(allow_nan=False, allow_infinity=False)
+    messages = []
+    for _ in range(draw(st.integers(1, 4))):
+        requests, answer = [], []
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(0, 3))
+            lists = [draw(candidates) for _ in range(n)]
+            requests.append(ScoreRequest(
+                draw(st.sampled_from(sources)), draw(st.text(max_size=3)),
+                [draw(st.lists(token, max_size=4)) for _ in range(n)], lists,
+            ))
+            answer.append([[draw(score) for _ in c] for c in lists])
+        messages.append((requests, answer))
+    return messages
+
+
+def _plain(requests):
+    return [(tuple(r.source), r.example_id, [list(p) for p in r.prefixes],
+             [list(c) for c in r.candidate_lists]) for r in requests]
+
+
+def _score_bits(per_request):
+    return [[struct.pack(f"<{len(s)}d", *s) for s in lists] for lists in per_request]
+
+
+def test_random_batches_cross_the_wire_unchanged(kit):
+    # Several messages on one connection: the host's scorer gets the
+    # requests that were sent, and the client gets its scores back bit for bit.
+    vocab, _, _ = kit
+    answers, batches = [], []
+    server = ScorerServer(QueueScorer(vocab, answers, batches))
+
+    @settings(max_examples=60, deadline=None)
+    @given(messages=wire_batches(len(vocab)))
+    def check(messages):
+        answers[:], batches[:] = [answer for _, answer in messages], []
+        remote = external_scorer_connect(server.endpoint, vocab)
+        try:
+            for requests, answer in messages:
+                assert _score_bits(remote.score_batch(requests)) == _score_bits(answer)
+        finally:
+            remote.close()
+        assert [_plain(b) for b in batches] == [_plain(r) for r, _ in messages]
+
+    try:
+        check()
+    finally:
+        server.close()
+
+
 # The README's scoring example, byte for byte: little-endian on every host.
 # Two messages on one connection: the first brings two sources and three
 # candidate lists, the second only refers to them.
 GOLDEN_REQUEST = (
     b'{"type": "score", "sources": [["how", "many", "|", "singer"], ["list", "|", "concert"]], '
-    b'"lists": [3, 2, 2], "examples": [{"example_id": "17", "source": 0, '
-    b'"prefix_lengths": [2, 2]}, {"example_id": "18", "source": 1, "prefix_lengths": [1]}], '
-    b'"bytes": 60}\n'
+    b'"lists": [3, 2, 2], "examples": ["17", "18"], "bytes": 88}\n'
     + bytes.fromhex("07 00 00 00 0c 00 00 00 00 00 00 00"
                     "05 00 00 00 00 00 00 00"
                     "09 00 00 00 00 00 00 00"
-                    "04 00 00 00 5b 00 00 00 04 00 00 00 0c 00 00 00 00 00 00 00 01 00 00 00"
-                    "04 00 00 00 02 00 00 00")
+                    "00 00 00 00 02 00 00 00 01 00 00 00 01 00 00 00"
+                    "02 00 00 00 02 00 00 00 01 00 00 00"
+                    "00 00 00 00 01 00 00 00 02 00 00 00"
+                    "04 00 00 00 5b 00 00 00"
+                    "04 00 00 00 0c 00 00 00"
+                    "04 00 00 00")
 )
 GOLDEN_RESPONSE = (
     b'{"type": "scores", "example_ids": ["17", "18"], "bytes": 56}\n'
@@ -913,12 +1104,13 @@ GOLDEN_RESPONSE = (
                     "00 00 00 00 00 00 e8 bf 00 00 00 00 00 00 00 c0")
 )
 GOLDEN_WARM_REQUEST = (
-    b'{"type": "score", "sources": [], "lists": [], "examples": [{"example_id": "17", '
-    b'"source": 0, "prefix_lengths": [3, 3]}, {"example_id": "18", "source": 1, '
-    b'"prefix_lengths": [2]}], "bytes": 44}\n'
-    + bytes.fromhex("04 00 00 00 5b 00 00 00 07 00 00 00 04 00 00 00 0c 00 00 00 05 00 00 00"
-                    "01 00 00 00 02 00 00 00"
-                    "04 00 00 00 09 00 00 00 00 00 00 00")
+    b'{"type": "score", "sources": [], "lists": [], "examples": ["17", "18"], "bytes": 72}\n'
+    + bytes.fromhex("00 00 00 00 02 00 00 00 01 00 00 00 01 00 00 00"
+                    "03 00 00 00 03 00 00 00 02 00 00 00"
+                    "01 00 00 00 02 00 00 00 00 00 00 00"
+                    "04 00 00 00 5b 00 00 00 07 00 00 00"
+                    "04 00 00 00 0c 00 00 00 05 00 00 00"
+                    "04 00 00 00 09 00 00 00")
 )
 GOLDEN_WARM_RESPONSE = (
     b'{"type": "scores", "example_ids": ["17", "18"], "bytes": 56}\n'
